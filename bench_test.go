@@ -10,6 +10,7 @@ package emogi_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -18,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/graph"
+	"repro/internal/memsys"
 )
 
 // benchConfig is the shared reduced configuration.
@@ -324,20 +326,53 @@ func BenchmarkCoreBFSMergedAligned(b *testing.B) {
 }
 
 // BenchmarkCoalescer measures the simulator's coalescing unit in
-// isolation.
+// isolation, one warp instruction per op: a scalar and a pair load, a
+// 32-lane contiguous zero-copy gather (one 128B request per 16 lanes), a
+// 32-lane random-index atomic on device memory, and a gather through a
+// transport router (SpaceFn) alternating zero-copy and HBM segments. The
+// lane MRU is invalidated before every op so reads always reach the
+// request path.
 func BenchmarkCoalescer(b *testing.B) {
-	dev := gpu.NewDevice(emogi.V100PCIe3(1).GPU)
-	buf := dev.Arena().MustAlloc("zc", 1, 1<<20) // SpaceHostPinned
-	var idx [gpu.WarpSize]int64
-	for i := range idx {
-		idx[i] = int64(i)
+	var contig, random [gpu.WarpSize]int64
+	r := rand.New(rand.NewSource(1))
+	for i := range contig {
+		contig[i] = int64(i)
+		random[i] = r.Int63n(1 << 17) // within the 1 MiB buffer at 8 bytes
 	}
-	b.ResetTimer()
-	dev.Launch("bench", 1, func(w *gpu.Warp) {
-		for i := 0; i < b.N; i++ {
-			w.InvalidateMRU()
-			w.GatherU64(buf, &idx, gpu.MaskFull)
+	var vals [gpu.WarpSize]uint32
+	run := func(b *testing.B, space memsys.Space, route func(int64) memsys.Space, op func(w *gpu.Warp, buf *memsys.Buffer)) {
+		dev := gpu.NewDevice(emogi.V100PCIe3(1).GPU)
+		buf := dev.Arena().MustAlloc("buf", space, 1<<20)
+		buf.SpaceFn = route
+		b.ReportAllocs()
+		b.ResetTimer()
+		dev.Launch("bench", 1, func(w *gpu.Warp) {
+			for i := 0; i < b.N; i++ {
+				w.InvalidateMRU()
+				op(w, buf)
+			}
+		})
+	}
+	b.Run("scalar", func(b *testing.B) {
+		run(b, memsys.SpaceHostPinned, nil, func(w *gpu.Warp, buf *memsys.Buffer) { w.ScalarU32(buf, 5) })
+	})
+	b.Run("pair", func(b *testing.B) {
+		run(b, memsys.SpaceHostPinned, nil, func(w *gpu.Warp, buf *memsys.Buffer) { w.PairU64(buf, 5) })
+	})
+	b.Run("gather-contiguous-zc", func(b *testing.B) {
+		run(b, memsys.SpaceHostPinned, nil, func(w *gpu.Warp, buf *memsys.Buffer) { w.GatherU64(buf, &contig, gpu.MaskFull) })
+	})
+	b.Run("atomic-random-hbm", func(b *testing.B) {
+		run(b, memsys.SpaceGPU, nil, func(w *gpu.Warp, buf *memsys.Buffer) { w.AtomicMinU32(buf, &random, &vals, gpu.MaskFull) })
+	})
+	b.Run("gather-routed", func(b *testing.B) {
+		route := func(off int64) memsys.Space {
+			if off/memsys.SegmentBytes%2 == 0 {
+				return memsys.SpaceHostPinned
+			}
+			return memsys.SpaceGPU
 		}
+		run(b, memsys.SpaceHostPinned, route, func(w *gpu.Warp, buf *memsys.Buffer) { w.GatherU64(buf, &random, gpu.MaskFull) })
 	})
 }
 

@@ -31,13 +31,13 @@ func main() {
 	log.SetPrefix("emogi-bench: ")
 
 	var (
-		scale     = flag.Float64("scale", 1.0, "dataset scale (1.0 = standard 1:1000 reduction)")
-		seed      = flag.Int64("seed", 42, "generator and source seed")
-		sources   = flag.Int("sources", 3, "sources averaged per measurement (paper uses 64)")
-		quick     = flag.Bool("quick", false, "use the reduced quick configuration")
-		workers   = flag.Int("workers", 0, "host goroutines per kernel launch (0 = GOMAXPROCS, 1 = serial; results are identical)")
-		only      = flag.String("only", "", "comma-separated subset: table1,table2,table3,transport,reorder,fig3..fig12,ablation-*")
-		reorder   = flag.Int("reorder-window", 32,
+		scale   = flag.Float64("scale", 1.0, "dataset scale (1.0 = standard 1:1000 reduction)")
+		seed    = flag.Int64("seed", 42, "generator and source seed")
+		sources = flag.Int("sources", 3, "sources averaged per measurement (paper uses 64)")
+		quick   = flag.Bool("quick", false, "use the reduced quick configuration")
+		workers = flag.Int("workers", 0, "host goroutines per kernel launch (0 = GOMAXPROCS, 1 = serial; results are identical)")
+		only    = flag.String("only", "", "comma-separated subset: table1,table2,table3,transport,reorder,fig3..fig12,ablation-*")
+		reorder = flag.Int("reorder-window", 32,
 			"window size in 32B sectors for the -only reorder comparison (off-vs-on legs)")
 		ablations = flag.Bool("ablations", false, "also run the design-choice ablations")
 		outDir    = flag.String("o", "", "also write each table to <dir>/<id>.txt")

@@ -49,8 +49,8 @@ func main() {
 		kernels  = flag.Bool("kernels", false, "print the per-kernel (per-level) breakdown of the last run")
 		reorder  = flag.Int("reorder-window", 0,
 			"IARU-style reorder window in 32B sectors (0 disables; >0 buffers off-device accesses and re-groups them by 128B line before dispatch)")
-		compare  = flag.Bool("compare", false, "run the UVM baseline alongside and print the speedup")
-		gpus     = flag.Int("gpus", 1, "simulated GPU count (>1 uses the multi-GPU engine; BFS/SSSP/CC)")
+		compare = flag.Bool("compare", false, "run the UVM baseline alongside and print the speedup")
+		gpus    = flag.Int("gpus", 1, "simulated GPU count (>1 uses the multi-GPU engine; BFS/SSSP/CC)")
 	)
 	flag.Parse()
 

@@ -414,3 +414,56 @@ func TestDoValidation(t *testing.T) {
 		t.Errorf("unknown algo: err = %v, want *UnknownAlgorithmError", err)
 	}
 }
+
+// TestRunStatsCriticalPathIsRunScoped pins that a run's critical-path
+// maxima are its own: a light query run after a heavy one on the same
+// System reports the MaxWarpHostReqs of the light query on a fresh System,
+// not the heavier maximum the device saw earlier.
+func TestRunStatsCriticalPathIsRunScoped(t *testing.T) {
+	g, err := BuildDataset("GK", smallScale, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heavySrc := PickSources(g, 1, 1)[0]
+	lightSrc := -1
+	for v := 0; v < g.NumVertices(); v++ {
+		if g.Degree(v) == 1 {
+			lightSrc = v
+			break
+		}
+	}
+	if lightSrc < 0 {
+		t.Fatal("no degree-1 vertex to run the light query from")
+	}
+	run := func(sys *System, dg *DeviceGraph, algo string, src int) *Result {
+		t.Helper()
+		res, err := sys.Do(context.Background(), Request{Graph: dg, Algo: algo, Src: src, Variant: MergedAligned})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	load := func() (*System, *DeviceGraph) {
+		sys := NewSystem(V100PCIe3(smallScale))
+		dg, err := sys.Load(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys, dg
+	}
+
+	fresh, fdg := load()
+	want := run(fresh, fdg, "bfs", lightSrc).Stats
+
+	shared, sdg := load()
+	heavy := run(shared, sdg, "sssp", heavySrc).Stats
+	got := run(shared, sdg, "bfs", lightSrc).Stats
+	if heavy.MaxWarpHostReqs <= want.MaxWarpHostReqs {
+		t.Fatalf("heavy MaxWarpHostReqs %d not above the light query's %d: the test has no teeth",
+			heavy.MaxWarpHostReqs, want.MaxWarpHostReqs)
+	}
+	if got.MaxWarpHostReqs != want.MaxWarpHostReqs || got.MaxWarpCXLReqs != want.MaxWarpCXLReqs {
+		t.Errorf("light run after a heavy one: MaxWarpHostReqs/CXLReqs = %d/%d, want the fresh system's %d/%d",
+			got.MaxWarpHostReqs, got.MaxWarpCXLReqs, want.MaxWarpHostReqs, want.MaxWarpCXLReqs)
+	}
+}

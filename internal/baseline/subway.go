@@ -95,7 +95,7 @@ func SubwayRun(dev *gpu.Device, g *graph.CSR, app core.App, src int, cfg SubwayC
 	}
 
 	clock0 := dev.Clock()
-	stats0 := dev.Total()
+	stats0 := dev.Mark()
 	arena := dev.Arena()
 
 	// Persistent device state: the value array lives in GPU memory for the
@@ -198,7 +198,7 @@ func SubwayRun(dev *gpu.Device, g *graph.CSR, app core.App, src int, cfg SubwayC
 		Values:     out,
 		Iterations: iterations,
 		Elapsed:    dev.Clock() - clock0,
-		Stats:      dev.Total().Sub(stats0),
+		Stats:      dev.Since(stats0),
 	}, nil
 }
 

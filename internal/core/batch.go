@@ -473,7 +473,7 @@ func runBatchProgram(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, prog
 		Transport: labelTransport, Graph: dg.Graph.Name})
 	defer dev.EndRun()
 	clockStart := dev.Clock()
-	statStart := dev.Total()
+	statStart := dev.Mark()
 
 	br := &batchRun{
 		dev: dev, dg: dg, prog: prog,
@@ -574,7 +574,7 @@ func runBatchProgram(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, prog
 	// Download the lane-major array once and slice it per lane.
 	dev.CopyToHost(int64(n) * int64(k) * 4)
 	elapsed := dev.Clock() - clockStart
-	stats := dev.Total().Sub(statStart)
+	stats := dev.Since(statStart)
 	out := &BatchOutcome{
 		Results:        make([]BatchItem, k),
 		BatchedRun:     true,

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/gpu"
@@ -105,10 +106,8 @@ func (m Monoid) visitor(target, nextActive, flag *memsys.Buffer) visitFn {
 	return func(w *gpu.Warp, mask gpu.Mask, dst *[gpu.WarpSize]uint32, wgt, srcVal *[gpu.WarpSize]uint32) {
 		var idx [gpu.WarpSize]int64
 		var val [gpu.WarpSize]uint32
-		for l := 0; l < gpu.WarpSize; l++ {
-			if !mask.Has(l) {
-				continue
-			}
+		for b := uint32(mask); b != 0; b &= b - 1 {
+			l := bits.TrailingZeros32(b)
 			idx[l] = int64(dst[l])
 			val[l] = m.combine(srcVal[l], wgt[l])
 		}
@@ -118,16 +117,16 @@ func (m Monoid) visitor(target, nextActive, flag *memsys.Buffer) visitFn {
 		} else {
 			old = w.AtomicMinU32(target, &idx, &val, mask)
 		}
-		var bits [gpu.WarpSize]uint32
+		var succ [gpu.WarpSize]uint32
 		anySet := uint32(0)
-		for l := 0; l < gpu.WarpSize; l++ {
-			if mask.Has(l) && m.better(val[l], old[l]) {
-				bits[l] = 1
+		for b := uint32(mask); b != 0; b &= b - 1 {
+			if l := bits.TrailingZeros32(b); m.better(val[l], old[l]) {
+				succ[l] = 1
 				anySet = 1
 			}
 		}
 		if nextActive != nil {
-			w.AtomicOrU32(nextActive, &idx, &bits, mask)
+			w.AtomicOrU32(nextActive, &idx, &succ, mask)
 		}
 		w.AtomicOrScalarU32(flag, 0, anySet)
 	}
@@ -590,7 +589,7 @@ func runHybrid(ctx context.Context, h *HybridSystem, prog *Program, src int) (*R
 	dev.BeginRun(gpu.RunLabels{App: prog.App, Variant: "hybrid",
 		Transport: ZeroCopy.String(), Graph: g.Name})
 	defer dev.EndRun()
-	statStart := dev.Total()
+	statStart := dev.Mark()
 
 	labels, err := dev.Arena().Alloc("hbfs.labels", memsys.SpaceGPU, int64(n)*4)
 	if err != nil {
@@ -641,7 +640,7 @@ func runHybrid(ctx context.Context, h *HybridSystem, prog *Program, src int) (*R
 		Values:     out,
 		Iterations: iterations,
 		Elapsed:    hr.elapsed,
-		Stats:      dev.Total().Sub(statStart),
+		Stats:      dev.Since(statStart),
 	}, nil
 }
 
@@ -786,9 +785,9 @@ func runMulti(ctx context.Context, ms *MultiSystem, prog *Program, src int) (*Re
 			}
 		}
 	}
-	statStart := make([]gpu.KernelStats, nd)
+	statStart := make([]gpu.RunMark, nd)
 	for i, dev := range ms.devs {
-		statStart[i] = dev.Total()
+		statStart[i] = dev.Mark()
 		var err error
 		mr.values[i], err = dev.Arena().Alloc("mgpu.values", memsys.SpaceGPU, int64(n)*4)
 		if err != nil {
@@ -840,7 +839,7 @@ func runMulti(ctx context.Context, ms *MultiSystem, prog *Program, src int) (*Re
 	copy(out, mr.prev)
 	var stats gpu.KernelStats
 	for i, dev := range ms.devs {
-		d := dev.Total().Sub(statStart[i])
+		d := dev.Since(statStart[i])
 		stats.Add(&d)
 	}
 	freeAll()
@@ -867,7 +866,7 @@ type runState struct {
 	flag       *memsys.Buffer
 	freeList   []*memsys.Buffer
 	clockStart time.Duration
-	statStart  gpu.KernelStats
+	statStart  gpu.RunMark
 }
 
 func newRunState(dev *gpu.Device) (*runState, error) {
@@ -879,7 +878,7 @@ func newRunState(dev *gpu.Device) (*runState, error) {
 		dev:        dev,
 		flag:       flag,
 		clockStart: dev.Clock(),
-		statStart:  dev.Total(),
+		statStart:  dev.Mark(),
 	}
 	rs.freeList = append(rs.freeList, flag)
 	return rs, nil
@@ -938,6 +937,6 @@ func (rs *runState) finish(app string, variant Variant, transport Transport, src
 		Values:     out,
 		Iterations: iterations,
 		Elapsed:    rs.dev.Clock() - rs.clockStart,
-		Stats:      rs.dev.Total().Sub(rs.statStart),
+		Stats:      rs.dev.Since(rs.statStart),
 	}
 }

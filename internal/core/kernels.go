@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"repro/internal/gpu"
 	"repro/internal/memsys"
 )
@@ -69,9 +71,10 @@ func newMatchKernel(dev *gpu.Device, dg *DeviceGraph, variant Variant, name stri
 			states := w.GatherU32(k.state, &idx, lanes)
 			active := gpu.MaskNone
 			s := scratchOf(w)
-			for l := 0; l < gpu.WarpSize; l++ {
-				s.src[l] = 0
-				if lanes.Has(l) && states[l] == k.match {
+			s.src = [gpu.WarpSize]uint32{}
+			for m := uint32(lanes); m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m)
+				if states[l] == k.match {
 					active = active.Set(l)
 					s.src[l] = k.pushVal
 				}
@@ -130,8 +133,8 @@ func newActiveKernel(dev *gpu.Device, dg *DeviceGraph, variant Variant, name str
 			}
 			acts := w.GatherU32(k.active, &idx, lanes)
 			actMask := gpu.MaskNone
-			for l := 0; l < gpu.WarpSize; l++ {
-				if lanes.Has(l) && acts[l] != 0 {
+			for m := uint32(lanes); m != 0; m &= m - 1 {
+				if l := bits.TrailingZeros32(m); acts[l] != 0 {
 					actMask = actMask.Set(l)
 				}
 			}
@@ -141,8 +144,8 @@ func newActiveKernel(dev *gpu.Device, dg *DeviceGraph, variant Variant, name str
 			s := scratchOf(w)
 			s.src = w.GatherU32(k.state, &idx, actMask)
 			work := gpu.MaskNone
-			for l := 0; l < gpu.WarpSize; l++ {
-				if actMask.Has(l) && s.src[l] != ident {
+			for m := uint32(actMask); m != 0; m &= m - 1 {
+				if l := bits.TrailingZeros32(m); s.src[l] != ident {
 					work = work.Set(l)
 				}
 			}

@@ -109,7 +109,7 @@ func ToyTraverse(dev *gpu.Device, elems int, pattern ToyPattern, transport Trans
 		Transport: transport.String(), Graph: "1d-array"})
 	defer dev.EndRun()
 	clock0 := dev.Clock()
-	stats0 := dev.Total()
+	stats0 := dev.Mark()
 	mon0 := dev.Monitor().Snapshot()
 
 	var ks *gpu.KernelStats
@@ -158,7 +158,7 @@ func ToyTraverse(dev *gpu.Device, elems int, pattern ToyPattern, transport Trans
 		Transport: transport,
 		Elems:     elems,
 		Elapsed:   elapsed,
-		Stats:     dev.Total().Sub(stats0),
+		Stats:     dev.Since(stats0),
 	}
 	snap := dev.Monitor().Snapshot()
 	res.Snapshot = subtractSnapshots(snap, mon0)

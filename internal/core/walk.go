@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"repro/internal/gpu"
 )
 
@@ -16,10 +18,9 @@ func gatherEdges(w *gpu.Warp, dg *DeviceGraph, idx *[gpu.WarpSize]int64, mask gp
 	var out [gpu.WarpSize]uint32
 	if dg.EdgeBytes == 8 {
 		vals := w.GatherU64(dg.Edges, idx, mask)
-		for l := 0; l < gpu.WarpSize; l++ {
-			if mask.Has(l) {
-				out[l] = uint32(vals[l])
-			}
+		for m := uint32(mask); m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			out[l] = uint32(vals[l])
 		}
 		return out
 	}
@@ -52,21 +53,20 @@ func walkMerged(w *gpu.Warp, dg *DeviceGraph, v int64, srcVal uint32, aligned, n
 		s.wgt = [gpu.WarpSize]uint32{}
 	}
 	for i := first; i < int64(end); i += gpu.WarpSize {
-		var idx [gpu.WarpSize]int64
-		mask := gpu.MaskNone
-		for l := 0; l < gpu.WarpSize; l++ {
-			j := i + int64(l)
-			// The aligned variant's underflow guard (Listing 2's
-			// `if (i >= start_org)`).
-			if j >= int64(start) && j < int64(end) {
-				idx[l] = j
-				mask = mask.Set(l)
-			}
-		}
+		// Lane l reads element i+l when it lies in [start, end): the lanes
+		// lo..hi-1. lo > 0 is the aligned variant's underflow guard
+		// (Listing 2's `if (i >= start_org)`).
+		lo := max(int64(start)-i, 0)
+		hi := min(int64(end)-i, gpu.WarpSize)
 		w.Instr(2) // loop + guard bookkeeping
-		if mask == gpu.MaskNone {
+		if lo >= hi {
 			continue
 		}
+		var idx [gpu.WarpSize]int64
+		for l := lo; l < hi; l++ {
+			idx[l] = i + l
+		}
+		mask := gpu.MaskFirstN(int(hi)) &^ gpu.MaskFirstN(int(lo))
 		s.dst = gatherEdges(w, dg, &idx, mask)
 		if needW {
 			s.wgt = w.GatherU32(dg.Weights, &idx, mask)
@@ -85,20 +85,18 @@ func walkStrided(w *gpu.Warp, dg *DeviceGraph, vbase int64, active gpu.Mask, src
 	}
 	// Per-lane neighbor list bounds, loaded through the vertex list.
 	var idxV, idxV1 [gpu.WarpSize]int64
-	for l := 0; l < gpu.WarpSize; l++ {
-		if active.Has(l) {
-			idxV[l] = vbase + int64(l)
-			idxV1[l] = vbase + int64(l) + 1
-		}
+	for m := uint32(active); m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		idxV[l] = vbase + int64(l)
+		idxV1[l] = vbase + int64(l) + 1
 	}
 	starts := w.GatherU64(dg.Offsets, &idxV, active)
 	ends := w.GatherU64(dg.Offsets, &idxV1, active)
 	maxDeg := int64(0)
-	for l := 0; l < gpu.WarpSize; l++ {
-		if active.Has(l) {
-			if d := int64(ends[l] - starts[l]); d > maxDeg {
-				maxDeg = d
-			}
+	for m := uint32(active); m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		if d := int64(ends[l] - starts[l]); d > maxDeg {
+			maxDeg = d
 		}
 	}
 	// Same scratch discipline as walkMerged: the visitor-visible arrays
@@ -111,8 +109,9 @@ func walkStrided(w *gpu.Warp, dg *DeviceGraph, vbase int64, active gpu.Mask, src
 	for j := int64(0); j < maxDeg; j++ {
 		var idx [gpu.WarpSize]int64
 		mask := gpu.MaskNone
-		for l := 0; l < gpu.WarpSize; l++ {
-			if active.Has(l) && j < int64(ends[l]-starts[l]) {
+		for m := uint32(active); m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			if j < int64(ends[l]-starts[l]) {
 				idx[l] = int64(starts[l]) + j
 				mask = mask.Set(l)
 			}

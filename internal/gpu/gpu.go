@@ -242,8 +242,9 @@ func (s *KernelStats) Add(o *KernelStats) {
 	s.Elapsed += o.Elapsed
 }
 
-// Sub returns s - prev, field by field. Use with two Total() snapshots to
-// isolate one run's activity.
+// Sub returns s - prev, field by field. The max-aggregated critical-path
+// fields (MaxWarpHostReqs, MaxWarpCXLReqs) cannot be differenced and keep
+// s's value; Device.Since isolates a run's activity including those.
 func (s KernelStats) Sub(prev KernelStats) KernelStats {
 	return KernelStats{
 		Name:                 s.Name,
@@ -457,6 +458,30 @@ func (d *Device) Kernels() []*KernelStats { return d.kernels }
 
 // Total returns aggregate statistics over all launches and copies.
 func (d *Device) Total() KernelStats { return d.total }
+
+// RunMark is a device statistics baseline taken by Mark at the start of a
+// run, for Since.
+type RunMark struct {
+	total   KernelStats
+	kernels int
+}
+
+// Mark returns the baseline for Since.
+func (d *Device) Mark() RunMark { return RunMark{total: d.total, kernels: len(d.kernels)} }
+
+// Since returns the device's activity after m: the summed counters as
+// differences of Total, and the critical-path maxima (MaxWarpHostReqs,
+// MaxWarpCXLReqs) over the kernels launched since m — the run's own
+// maxima, not the device's lifetime ones.
+func (d *Device) Since(m RunMark) KernelStats {
+	s := d.total.Sub(m.total)
+	s.MaxWarpHostReqs, s.MaxWarpCXLReqs = 0, 0
+	for _, ks := range d.kernels[min(m.kernels, len(d.kernels)):] {
+		s.MaxWarpHostReqs = max(s.MaxWarpHostReqs, ks.MaxWarpHostReqs)
+		s.MaxWarpCXLReqs = max(s.MaxWarpCXLReqs, ks.MaxWarpCXLReqs)
+	}
+	return s
+}
 
 // ResetStats clears the clock, kernel log, monitor, and UVM statistics,
 // but keeps allocations and UVM residency. Use ResetUVMResidency for a cold

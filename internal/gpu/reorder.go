@@ -99,9 +99,9 @@ func (w *Warp) flushReorder() {
 			e[i].buf == e[runStart].buf {
 			continue
 		}
-		first := e[runStart].sector
+		buf, addr := e[runStart].buf, e[runStart].sector<<5
 		size := (i - runStart) * memsys.SectorBytes
-		w.dispatch(e[runStart].buf, first<<5, size)
+		w.dispatch(buf, buf.SpaceAt(int64(addr-buf.Base)), addr, size)
 		emitted++
 		runStart = i
 	}

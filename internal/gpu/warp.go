@@ -2,6 +2,8 @@ package gpu
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/memsys"
 	"repro/internal/pcie"
@@ -46,8 +48,6 @@ func (m Mask) Count() int {
 	return n
 }
 
-const invalidSector = ^uint64(0)
-
 // Warp is the execution context passed to kernel bodies: 32 lanes executing
 // in lock step. All memory traffic flows through the coalescing unit, which
 // reproduces the request patterns of the paper's Figure 3.
@@ -76,8 +76,10 @@ type Warp struct {
 	// mru is the per-lane most-recently-touched 32B sector, modeling the L1
 	// behaviour behind §3.3's "each thread generates a new 32-byte request
 	// every time it crosses a 32-byte address boundary": repeated loads
-	// within a lane's current sector do not re-issue requests.
-	mru [WarpSize]uint64
+	// within a lane's current sector do not re-issue requests. Bit i of
+	// mruValid says whether mru[i] holds a sector, so a reset is one store.
+	mru      [WarpSize]uint64
+	mruValid uint32
 
 	// coalescer scratch (no allocation on the hot path)
 	sectors [2 * WarpSize]uint64
@@ -125,15 +127,9 @@ func (w *Warp) LaneCount() int { return WarpSize }
 // Instr accounts n extra warp instructions (loop and branch bookkeeping).
 func (w *Warp) Instr(n int) { w.ks.WarpInstrs += uint64(n) }
 
-func (w *Warp) resetMRU() {
-	for i := range w.mru {
-		w.mru[i] = invalidSector
-	}
-}
-
 // InvalidateMRU clears the per-lane sector reuse state, e.g. at a
 // synchronization point.
-func (w *Warp) InvalidateMRU() { w.resetMRU() }
+func (w *Warp) InvalidateMRU() { w.mruValid = 0 }
 
 // flushCriticalPath folds the current virtual warp's host and CXL request
 // counts into the kernel's critical-path maxima and starts a new virtual
@@ -157,102 +153,146 @@ func (w *Warp) flushCriticalPath() {
 func (w *Warp) SplitWorker() { w.flushCriticalPath() }
 
 // access is the coalescing unit. For each active lane it computes the
-// touched 32-byte sector; sectors already in the lane's MRU are L1 hits
-// (reads only). The remaining sectors are grouped by 128-byte cache line
-// and each contiguous sector run within a line becomes one memory request
-// of 32, 64, 96, or 128 bytes, dispatched to the buffer's backing space.
+// touched 32-byte sector of element idx[lane], whose width is 1<<elemShift
+// bytes; sectors already in the lane's MRU are L1 hits (reads only). The
+// remaining sectors are grouped by 128-byte cache line and each contiguous
+// sector run within a line becomes one memory request of 32, 64, 96, or
+// 128 bytes, dispatched to the buffer's backing space.
+//
+// Only the active lanes are visited, in ascending order (a bit scan of the
+// mask), and a buffer whose space does not vary with the offset resolves
+// it once per call. Both are host-side shortcuts: the sectors, requests,
+// and counters are exactly those of a walk over all 32 lanes that resolves
+// the space per lane and per request (FuzzCoalescer pins this).
 //
 // Element accesses must not straddle sector boundaries: callers guarantee
 // element-aligned indices (4- or 8-byte elements on matching alignment),
 // which real allocators guarantee too.
-func (w *Warp) access(buf *memsys.Buffer, off *[WarpSize]int64, mask Mask, write bool) {
+func (w *Warp) access(buf *memsys.Buffer, idx *[WarpSize]int64, elemShift uint, mask Mask, write bool) {
 	w.ks.WarpInstrs++
-	if mask == 0 {
-		return
-	}
+	sp, uniform := buf.UniformSpace()
+	zc := sp == memsys.SpaceHostPinned
 	n := 0
-	for lane := 0; lane < WarpSize; lane++ {
-		if !mask.Has(lane) {
-			continue
-		}
-		addr := buf.Base + uint64(off[lane])
-		sector := addr >> 5
+	for m := uint32(mask); m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		off := idx[lane] << elemShift
+		sector := (buf.Base + uint64(off)) >> 5
 		if !write {
-			if w.mru[lane] == sector {
-				// Sector reuse. For zero-copy data the reuse must survive
-				// in the shared L2 until this touch; the thrash model at
-				// kernel finish converts a concurrency-dependent fraction
-				// of these into 32B re-fetches (§3.3).
-				if buf.SpaceAt(off[lane]) == memsys.SpaceHostPinned {
-					w.ks.ZCSectorReuses++
-				}
+			if !uniform {
+				zc = buf.SpaceAt(off) == memsys.SpaceHostPinned
+			}
+			if w.mruHit(lane, sector, zc) {
 				continue
 			}
-			w.mru[lane] = sector
-			if buf.SpaceAt(off[lane]) == memsys.SpaceHostPinned {
-				w.zcLanes |= 1 << uint(lane)
-			}
+		}
+		// Lanes in one sector are usually adjacent; dropping the repeat
+		// here leaves the sorted, deduplicated set below unchanged.
+		if n > 0 && w.sectors[n-1] == sector {
+			continue
 		}
 		w.sectors[n] = sector
 		n++
 	}
+	w.emit(buf, sp, uniform, n)
+}
+
+// accessFirst is access for lanes 0..k-1 (k is 1 or 2) touching the
+// consecutive elements idx, idx+1, ...: the scalar and pair loads, whose
+// sectors are filled directly instead of through a mask and index array.
+func (w *Warp) accessFirst(buf *memsys.Buffer, idx int64, elemShift uint, k int, write bool) {
+	w.ks.WarpInstrs++
+	sp, uniform := buf.UniformSpace()
+	zc := sp == memsys.SpaceHostPinned
+	n := 0
+	for lane := 0; lane < k; lane++ {
+		off := (idx + int64(lane)) << elemShift
+		sector := (buf.Base + uint64(off)) >> 5
+		if !write {
+			if !uniform {
+				zc = buf.SpaceAt(off) == memsys.SpaceHostPinned
+			}
+			if w.mruHit(lane, sector, zc) {
+				continue
+			}
+		}
+		if n > 0 && w.sectors[n-1] == sector {
+			continue
+		}
+		w.sectors[n] = sector
+		n++
+	}
+	w.emit(buf, sp, uniform, n)
+}
+
+// mruHit applies lane's L1 filter to a read of sector, reporting whether
+// the read hits the lane's most recently touched sector. zc says whether
+// the sector is served zero-copy: such a hit is a potential reuse for the
+// thrash model at kernel finish, which converts a concurrency-dependent
+// fraction of them into 32B re-fetches (§3.3), and such a miss marks the
+// lane as streaming zero-copy data.
+func (w *Warp) mruHit(lane int, sector uint64, zc bool) bool {
+	bit := uint32(1) << uint(lane)
+	if w.mruValid&bit != 0 && w.mru[lane] == sector {
+		if zc {
+			w.ks.ZCSectorReuses++
+		}
+		return true
+	}
+	w.mru[lane] = sector
+	w.mruValid |= bit
+	if zc {
+		w.zcLanes |= bit
+	}
+	return false
+}
+
+// emit sorts and deduplicates the n touched sectors in w.sectors and
+// issues one request per contiguous sector run within a 128B line. With
+// the reorder stage enabled, off-device runs are buffered in the window
+// instead (reorder.go) and dispatched line-regrouped at flush time;
+// on-device and UVM runs always dispatch immediately (UVM page state is
+// dispatch-order-dependent). sp is the buffer's space when uniform is
+// true; otherwise each run resolves its own.
+func (w *Warp) emit(buf *memsys.Buffer, sp memsys.Space, uniform bool, n int) {
 	if n == 0 {
 		return
 	}
-	// Sort the touched sectors (insertion sort; n <= 32, mostly sorted for
-	// merged access patterns) and deduplicate.
 	s := w.sectors[:n]
-	for i := 1; i < n; i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
+	slices.Sort(s)
+	s = slices.Compact(s)
+	m := len(s)
+	if uniform && sp == memsys.SpaceGPU {
+		// Device memory only counts bytes, so the run grouping is moot.
+		w.ks.HBMBytes += uint64(m * memsys.SectorBytes)
+		return
 	}
-	m := 1
-	for i := 1; i < n; i++ {
-		if s[i] != s[m-1] {
-			s[m] = s[i]
-			m++
-		}
-	}
-	s = s[:m]
-	// Emit one request per contiguous sector run within a 128B line. With
-	// the reorder stage enabled, off-device runs are buffered in the window
-	// instead (reorder.go) and dispatched line-regrouped at flush time;
-	// on-device and UVM runs always dispatch immediately (UVM page state is
-	// dispatch-order-dependent).
 	runStart := 0
 	for i := 1; i <= m; i++ {
 		if i < m && s[i] == s[i-1]+1 && s[i]>>2 == s[runStart]>>2 {
 			continue
 		}
 		first := s[runStart]
-		if w.reorderCap > 0 {
-			sp := buf.SpaceAt(int64(first<<5 - buf.Base))
-			if sp == memsys.SpaceHostPinned || sp == memsys.SpaceCXL {
-				w.reorderPush(buf, s, runStart, i)
-				runStart = i
-				continue
-			}
+		if !uniform {
+			sp = buf.SpaceAt(int64(first<<5 - buf.Base))
 		}
-		size := (i - runStart) * memsys.SectorBytes
-		w.dispatch(buf, first<<5, size)
+		if w.reorderCap > 0 && (sp == memsys.SpaceHostPinned || sp == memsys.SpaceCXL) {
+			w.reorderPush(buf, s, runStart, i)
+		} else {
+			w.dispatch(buf, sp, first<<5, (i-runStart)*memsys.SectorBytes)
+		}
 		runStart = i
 	}
 }
 
-// dispatch routes one coalesced request to the space serving the request's
-// address — the buffer's static space, or the substrate its transport
-// policy bound the containing segment to — and performs the corresponding
-// accounting. A request never spans two segments: coalescing keeps requests
-// within one 128B cache line and segments are cache-line multiples.
-func (w *Warp) dispatch(buf *memsys.Buffer, addr uint64, size int) {
+// dispatch performs the accounting for one coalesced request of buf served
+// from space sp — the buffer's static space, or the substrate its
+// transport policy bound the containing segment to. A request never spans
+// two segments: coalescing keeps requests within one 128B cache line and
+// segments are cache-line multiples.
+func (w *Warp) dispatch(buf *memsys.Buffer, sp memsys.Space, addr uint64, size int) {
 	d := w.dev
 	ks := w.ks
-	switch buf.SpaceAt(int64(addr - buf.Base)) {
+	switch sp {
 	case memsys.SpaceGPU:
 		ks.HBMBytes += uint64(size)
 
@@ -353,86 +393,54 @@ func (w *Warp) dispatch(buf *memsys.Buffer, addr uint64, size int) {
 
 // GatherU64 loads 64-bit elements: lane i reads buf[idx[i]] when active.
 func (w *Warp) GatherU64(buf *memsys.Buffer, idx *[WarpSize]int64, mask Mask) [WarpSize]uint64 {
-	var off [WarpSize]int64
-	for i := 0; i < WarpSize; i++ {
-		if mask.Has(i) {
-			off[i] = idx[i] * 8
-		}
-	}
-	w.access(buf, &off, mask, false)
+	w.access(buf, idx, 3, mask, false)
 	var out [WarpSize]uint64
-	for i := 0; i < WarpSize; i++ {
-		if mask.Has(i) {
-			out[i] = buf.AtomicU64(idx[i])
-		}
+	for m := uint32(mask); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		out[i] = buf.AtomicU64(idx[i])
 	}
 	return out
 }
 
 // GatherU32 loads 32-bit elements: lane i reads buf[idx[i]] when active.
 func (w *Warp) GatherU32(buf *memsys.Buffer, idx *[WarpSize]int64, mask Mask) [WarpSize]uint32 {
-	var off [WarpSize]int64
-	for i := 0; i < WarpSize; i++ {
-		if mask.Has(i) {
-			off[i] = idx[i] * 4
-		}
-	}
-	w.access(buf, &off, mask, false)
+	w.access(buf, idx, 2, mask, false)
 	var out [WarpSize]uint32
-	for i := 0; i < WarpSize; i++ {
-		if mask.Has(i) {
-			out[i] = buf.AtomicU32(idx[i])
-		}
+	for m := uint32(mask); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		out[i] = buf.AtomicU32(idx[i])
 	}
 	return out
 }
 
 // ScatterU32 stores 32-bit elements: lane i writes val[i] to buf[idx[i]].
 func (w *Warp) ScatterU32(buf *memsys.Buffer, idx *[WarpSize]int64, val *[WarpSize]uint32, mask Mask) {
-	var off [WarpSize]int64
-	for i := 0; i < WarpSize; i++ {
-		if mask.Has(i) {
-			off[i] = idx[i] * 4
-		}
-	}
-	w.access(buf, &off, mask, true)
-	for i := 0; i < WarpSize; i++ {
-		if mask.Has(i) {
-			buf.AtomicPutU32(idx[i], val[i])
-		}
+	w.access(buf, idx, 2, mask, true)
+	for m := uint32(mask); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		buf.AtomicPutU32(idx[i], val[i])
 	}
 }
 
 // ScatterU64 stores 64-bit elements.
 func (w *Warp) ScatterU64(buf *memsys.Buffer, idx *[WarpSize]int64, val *[WarpSize]uint64, mask Mask) {
-	var off [WarpSize]int64
-	for i := 0; i < WarpSize; i++ {
-		if mask.Has(i) {
-			off[i] = idx[i] * 8
-		}
-	}
-	w.access(buf, &off, mask, true)
-	for i := 0; i < WarpSize; i++ {
-		if mask.Has(i) {
-			buf.AtomicPutU64(idx[i], val[i])
-		}
+	w.access(buf, idx, 3, mask, true)
+	for m := uint32(mask); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		buf.AtomicPutU64(idx[i], val[i])
 	}
 }
 
 // ScalarU64 loads one 64-bit element through lane 0 (a uniform load
 // broadcast to the warp).
 func (w *Warp) ScalarU64(buf *memsys.Buffer, idx int64) uint64 {
-	var off [WarpSize]int64
-	off[0] = idx * 8
-	w.access(buf, &off, 1, false)
+	w.accessFirst(buf, idx, 3, 1, false)
 	return buf.AtomicU64(idx)
 }
 
 // ScalarU32 loads one 32-bit element through lane 0.
 func (w *Warp) ScalarU32(buf *memsys.Buffer, idx int64) uint32 {
-	var off [WarpSize]int64
-	off[0] = idx * 4
-	w.access(buf, &off, 1, false)
+	w.accessFirst(buf, idx, 2, 1, false)
 	return buf.AtomicU32(idx)
 }
 
@@ -440,18 +448,13 @@ func (w *Warp) ScalarU32(buf *memsys.Buffer, idx int64) uint32 {
 // "start = offset[v]; end = offset[v+1]" neighbor-list bounds read, which
 // usually coalesces into a single request.
 func (w *Warp) PairU64(buf *memsys.Buffer, idx int64) (uint64, uint64) {
-	var off [WarpSize]int64
-	off[0] = idx * 8
-	off[1] = (idx + 1) * 8
-	w.access(buf, &off, 3, false)
+	w.accessFirst(buf, idx, 3, 2, false)
 	return buf.AtomicU64(idx), buf.AtomicU64(idx + 1)
 }
 
 // StoreScalarU32 stores one 32-bit element through lane 0.
 func (w *Warp) StoreScalarU32(buf *memsys.Buffer, idx int64, v uint32) {
-	var off [WarpSize]int64
-	off[0] = idx * 4
-	w.access(buf, &off, 1, true)
+	w.accessFirst(buf, idx, 2, 1, true)
 	buf.AtomicPutU32(idx, v)
 }
 
@@ -463,18 +466,11 @@ func (w *Warp) StoreScalarU32(buf *memsys.Buffer, idx int64, v uint32) {
 // are not: callers must only branch on them in order-insensitive ways (see
 // DESIGN.md, "Parallel execution engine").
 func (w *Warp) AtomicMinU32(buf *memsys.Buffer, idx *[WarpSize]int64, val *[WarpSize]uint32, mask Mask) [WarpSize]uint32 {
-	var off [WarpSize]int64
-	for i := 0; i < WarpSize; i++ {
-		if mask.Has(i) {
-			off[i] = idx[i] * 4
-		}
-	}
-	w.access(buf, &off, mask, true)
+	w.access(buf, idx, 2, mask, true)
 	var old [WarpSize]uint32
-	for i := 0; i < WarpSize; i++ {
-		if mask.Has(i) {
-			old[i] = buf.AtomicMinU32(idx[i], val[i])
-		}
+	for m := uint32(mask); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		old[i] = buf.AtomicMinU32(idx[i], val[i])
 	}
 	return old
 }
@@ -484,18 +480,11 @@ func (w *Warp) AtomicMinU32(buf *memsys.Buffer, idx *[WarpSize]int64, val *[Warp
 // apply: max commutes, so the final buffer state is order-independent, but
 // the returned old values may only feed order-insensitive logic.
 func (w *Warp) AtomicMaxU32(buf *memsys.Buffer, idx *[WarpSize]int64, val *[WarpSize]uint32, mask Mask) [WarpSize]uint32 {
-	var off [WarpSize]int64
-	for i := 0; i < WarpSize; i++ {
-		if mask.Has(i) {
-			off[i] = idx[i] * 4
-		}
-	}
-	w.access(buf, &off, mask, true)
+	w.access(buf, idx, 2, mask, true)
 	var old [WarpSize]uint32
-	for i := 0; i < WarpSize; i++ {
-		if mask.Has(i) {
-			old[i] = buf.AtomicMaxU32(idx[i], val[i])
-		}
+	for m := uint32(mask); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		old[i] = buf.AtomicMaxU32(idx[i], val[i])
 	}
 	return old
 }
@@ -504,18 +493,11 @@ func (w *Warp) AtomicMaxU32(buf *memsys.Buffer, idx *[WarpSize]int64, val *[Warp
 // returning the previous values. Like min, OR commutes, so the final
 // buffer state is independent of warp execution order.
 func (w *Warp) AtomicOrU32(buf *memsys.Buffer, idx *[WarpSize]int64, val *[WarpSize]uint32, mask Mask) [WarpSize]uint32 {
-	var off [WarpSize]int64
-	for i := 0; i < WarpSize; i++ {
-		if mask.Has(i) {
-			off[i] = idx[i] * 4
-		}
-	}
-	w.access(buf, &off, mask, true)
+	w.access(buf, idx, 2, mask, true)
 	var old [WarpSize]uint32
-	for i := 0; i < WarpSize; i++ {
-		if mask.Has(i) {
-			old[i] = buf.AtomicOrU32(idx[i], val[i])
-		}
+	for m := uint32(mask); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		old[i] = buf.AtomicOrU32(idx[i], val[i])
 	}
 	return old
 }
@@ -527,45 +509,29 @@ func (w *Warp) AtomicOrU32(buf *memsys.Buffer, idx *[WarpSize]int64, val *[WarpS
 // logic. The batched traversal engine uses it to set query-lane bits in
 // next-frontier bitmask words.
 func (w *Warp) AtomicOrU64(buf *memsys.Buffer, idx *[WarpSize]int64, val *[WarpSize]uint64, mask Mask) [WarpSize]uint64 {
-	var off [WarpSize]int64
-	for i := 0; i < WarpSize; i++ {
-		if mask.Has(i) {
-			off[i] = idx[i] * 8
-		}
-	}
-	w.access(buf, &off, mask, true)
+	w.access(buf, idx, 3, mask, true)
 	var old [WarpSize]uint64
-	for i := 0; i < WarpSize; i++ {
-		if mask.Has(i) {
-			old[i] = buf.AtomicOrU64(idx[i], val[i])
-		}
+	for m := uint32(mask); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		old[i] = buf.AtomicOrU64(idx[i], val[i])
 	}
 	return old
 }
 
 // AtomicOrScalarU32 performs one atomicOr on buf[idx] through lane 0.
 func (w *Warp) AtomicOrScalarU32(buf *memsys.Buffer, idx int64, v uint32) uint32 {
-	var off [WarpSize]int64
-	off[0] = idx * 4
-	w.access(buf, &off, 1, true)
+	w.accessFirst(buf, idx, 2, 1, true)
 	return buf.AtomicOrU32(idx, v)
 }
 
 // AtomicCASU32 performs per-lane compare-and-swap: if buf[idx[i]] == cmp[i]
 // it is set to val[i]; the previous value is returned.
 func (w *Warp) AtomicCASU32(buf *memsys.Buffer, idx *[WarpSize]int64, cmp, val *[WarpSize]uint32, mask Mask) [WarpSize]uint32 {
-	var off [WarpSize]int64
-	for i := 0; i < WarpSize; i++ {
-		if mask.Has(i) {
-			off[i] = idx[i] * 4
-		}
-	}
-	w.access(buf, &off, mask, true)
+	w.access(buf, idx, 2, mask, true)
 	var old [WarpSize]uint32
-	for i := 0; i < WarpSize; i++ {
-		if mask.Has(i) {
-			old[i] = buf.AtomicCASU32(idx[i], cmp[i], val[i])
-		}
+	for m := uint32(mask); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		old[i] = buf.AtomicCASU32(idx[i], cmp[i], val[i])
 	}
 	return old
 }

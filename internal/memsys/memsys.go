@@ -126,6 +126,17 @@ func (b *Buffer) SpaceAt(off int64) Space {
 	return b.Space
 }
 
+// UniformSpace returns the space SpaceAt reports for every offset of b, and
+// true, when that space cannot vary with the offset: no router installed,
+// and the buffer is UVM-managed or has no per-segment homes. Otherwise it
+// returns false and callers resolve each offset with SpaceAt.
+func (b *Buffer) UniformSpace() (Space, bool) {
+	if b.SpaceFn != nil || (b.segHome != nil && b.Space != SpaceUVM) {
+		return 0, false
+	}
+	return b.Space, true
+}
+
 // HomeAt returns the home tier space of the segment containing byte offset
 // off: where its backing bytes physically live, independent of any router
 // or UVM management layered on top.

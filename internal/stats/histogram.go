@@ -14,10 +14,28 @@ import (
 
 // Histogram counts occurrences of integer-valued observations, such as PCIe
 // request sizes in bytes. The zero value is ready to use.
+//
+// The coalescer's request sizes (32, 64, 96 and 128 bytes) are counted in
+// a fixed array, so recording one is an index, not a map assignment; all
+// other values go to the map.
 type Histogram struct {
+	small  [smallSlots]uint64
 	counts map[int64]uint64
 	total  uint64
 	sum    int64
+}
+
+// smallSlots is the number of values counted in Histogram.small: the
+// multiples of 32 from 32 to 128.
+const smallSlots = 4
+
+// smallSlot returns v's index in Histogram.small, or -1 when v is counted
+// in the map.
+func smallSlot(v int64) int {
+	if v&31 != 0 || v < 32 || v > 32*smallSlots {
+		return -1
+	}
+	return int(v>>5) - 1
 }
 
 // Add records one observation of value v.
@@ -28,16 +46,23 @@ func (h *Histogram) AddN(v int64, n uint64) {
 	if n == 0 {
 		return
 	}
-	if h.counts == nil {
-		h.counts = make(map[int64]uint64)
+	if i := smallSlot(v); i >= 0 {
+		h.small[i] += n
+	} else {
+		if h.counts == nil {
+			h.counts = make(map[int64]uint64)
+		}
+		h.counts[v] += n
 	}
-	h.counts[v] += n
 	h.total += n
 	h.sum += v * int64(n)
 }
 
 // Count returns the number of observations with value v.
 func (h *Histogram) Count(v int64) uint64 {
+	if i := smallSlot(v); i >= 0 {
+		return h.small[i]
+	}
 	return h.counts[v]
 }
 
@@ -54,7 +79,7 @@ func (h *Histogram) Fraction(v int64) float64 {
 	if h.total == 0 {
 		return 0
 	}
-	return float64(h.counts[v]) / float64(h.total)
+	return float64(h.Count(v)) / float64(h.total)
 }
 
 // Mean returns the mean observed value, or 0 for an empty histogram.
@@ -67,7 +92,12 @@ func (h *Histogram) Mean() float64 {
 
 // Keys returns the distinct observed values in ascending order.
 func (h *Histogram) Keys() []int64 {
-	keys := make([]int64, 0, len(h.counts))
+	keys := make([]int64, 0, smallSlots+len(h.counts))
+	for i, n := range h.small {
+		if n > 0 {
+			keys = append(keys, int64(i+1)*32)
+		}
+	}
 	for k := range h.counts {
 		keys = append(keys, k)
 	}
@@ -81,6 +111,9 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other == nil {
 		return
 	}
+	for i, n := range other.small {
+		h.AddN(int64(i+1)*32, n)
+	}
 	for k, n := range other.counts {
 		h.AddN(k, n)
 	}
@@ -90,6 +123,7 @@ func (h *Histogram) Merge(other *Histogram) {
 // dropped), so reset+record cycles over a stable key set — the traffic
 // monitor's per-run lifecycle — do not allocate.
 func (h *Histogram) Reset() {
+	h.small = [smallSlots]uint64{}
 	clear(h.counts)
 	h.total = 0
 	h.sum = 0
@@ -97,7 +131,7 @@ func (h *Histogram) Reset() {
 
 // Clone returns an independent copy of h.
 func (h *Histogram) Clone() *Histogram {
-	c := &Histogram{total: h.total, sum: h.sum}
+	c := &Histogram{small: h.small, total: h.total, sum: h.sum}
 	if h.counts != nil {
 		c.counts = make(map[int64]uint64, len(h.counts))
 		for k, v := range h.counts {
@@ -115,7 +149,7 @@ func (h *Histogram) String() string {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%d:%d", k, h.counts[k])
+		fmt.Fprintf(&b, "%d:%d", k, h.Count(k))
 	}
 	return b.String()
 }

@@ -308,10 +308,8 @@ func (br *batchRun) buildVisit() visitFn {
 		for i, q := range act {
 			var idx [gpu.WarpSize]int64
 			var val [gpu.WarpSize]uint32
-			for l := 0; l < gpu.WarpSize; l++ {
-				if !mask.Has(l) {
-					continue
-				}
+			for b := uint32(mask); b != 0; b &= b - 1 {
+				l := bits.TrailingZeros32(b)
 				idx[l] = int64(dst[l])*k + int64(q)
 				val[l] = m.combine(push[i], wgt[l])
 			}
@@ -325,10 +323,8 @@ func (br *batchRun) buildVisit() visitFn {
 			if br.next != nil {
 				var widx [gpu.WarpSize]int64
 				var wval [gpu.WarpSize]uint64
-				for l := 0; l < gpu.WarpSize; l++ {
-					if !mask.Has(l) {
-						continue
-					}
+				for b := uint32(mask); b != 0; b &= b - 1 {
+					l := bits.TrailingZeros32(b)
 					widx[l] = int64(dst[l])*lw + int64(q>>6)
 					if m.better(val[l], old[l]) {
 						wval[l] = 1 << (uint(q) & 63)
@@ -337,9 +333,10 @@ func (br *batchRun) buildVisit() visitFn {
 				}
 				w.AtomicOrU64(br.next, &widx, &wval, mask)
 			} else {
-				for l := 0; l < gpu.WarpSize; l++ {
-					if mask.Has(l) && m.better(val[l], old[l]) {
+				for b := uint32(mask); b != 0; b &= b - 1 {
+					if l := bits.TrailingZeros32(b); m.better(val[l], old[l]) {
 						anySet = 1
+						break
 					}
 				}
 			}

@@ -119,7 +119,7 @@ func TestBatchEquivalence(t *testing.T) {
 					cfg := V100PCIe3(smallScale)
 					cfg.Workers = workers
 					sys := NewSystem(cfg)
-					dg, err := sys.Load(g, WithTransport(transport))
+					dg, err := sys.Load(g, WithTransportPolicy(StaticPolicy(transport)))
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -239,7 +239,7 @@ func BenchmarkFig11AllApps(b *testing.B) {
 			b.Log("\n" + t.Render())
 		}
 		total, count := 0.0, 0
-		for _, app := range []emogi.App{emogi.SSSP, emogi.BFS, emogi.CC} {
+		for _, app := range bench.PaperApps {
 			for _, sym := range bench.AppGraphs(app) {
 				total += emogi.Speedup(sweep.Cell(app, sym, "UVM").Summary,
 					sweep.Cell(app, sym, "EMOGI").Summary)
@@ -274,7 +274,7 @@ func BenchmarkFig12PCIe4Scaling(b *testing.B) {
 			b.Fatal(err)
 		}
 		u, e, n := 0.0, 0.0, 0
-		for _, app := range []emogi.App{emogi.SSSP, emogi.BFS, emogi.CC} {
+		for _, app := range bench.PaperApps {
 			for _, sym := range bench.AppGraphs(app) {
 				u += emogi.Speedup(gen4.Cell(app, sym, "UVM").Summary, gen3.Cell(app, sym, "UVM").Summary)
 				e += emogi.Speedup(gen4.Cell(app, sym, "EMOGI").Summary, gen3.Cell(app, sym, "EMOGI").Summary)
@@ -316,9 +316,11 @@ func BenchmarkCoreBFSMergedAligned(b *testing.B) {
 		b.Fatal(err)
 	}
 	src := emogi.PickSources(g, 1, 1)[0]
+	ctx := context.Background()
+	req := emogi.Request{Graph: dg, Algo: "bfs", Src: src, Variant: emogi.MergedAligned}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.BFS(dg, src, emogi.MergedAligned); err != nil {
+		if _, err := sys.Do(ctx, req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -440,10 +442,12 @@ func BenchmarkLaunchWorkers(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			ctx := context.Background()
+			req := emogi.Request{Graph: dg, Algo: "bfs", Src: src, Variant: emogi.MergedAligned}
 			b.ResetTimer()
 			var res *emogi.Result
 			for i := 0; i < b.N; i++ {
-				if res, err = sys.BFS(dg, src, emogi.MergedAligned); err != nil {
+				if res, err = sys.Do(ctx, req); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,13 +1,14 @@
 // Command emogi runs one graph traversal on the simulated system and
 // reports its simulated time and PCIe traffic, e.g.:
 //
-//	emogi -graph GK -app bfs -variant merged+aligned -transport static-zc
-//	emogi -graph SK -app sssp -transport static-uvm -sources 8
-//	emogi -graph GK -app bfs -transport adaptive
-//	emogi -file mygraph.csr -app cc
+//	emogi -graph GK -algo bfs -variant merged+aligned -transport static-zc
+//	emogi -graph SK -algo sssp -transport static-uvm -sources 8
+//	emogi -graph GK -algo bfs -transport adaptive
+//	emogi -file mygraph.csr -algo cc
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -28,10 +29,9 @@ func main() {
 	var (
 		graphSym  = flag.String("graph", "GK", "dataset symbol (GK GU FS ML SK UK5)")
 		graphFile = flag.String("file", "", "load a CSR graph file instead of generating")
-		app       = flag.String("app", "bfs", "application: bfs, sssp, or cc")
-		algo      = flag.String("algo", "", "algorithm registry name (overrides -app; \"list\" prints all)")
+		algo      = flag.String("algo", "bfs", "algorithm registry name (\"list\" prints all)")
 		variant   = flag.String("variant", "merged+aligned",
-			"kernel variant: naive, merged, merged+aligned; BFS also accepts balanced and compressed")
+			"kernel variant: naive, merged, merged+aligned")
 		transport = flag.String("transport", "static-zc",
 			"edge-list transport policy: static-zc, static-uvm, or adaptive (legacy spellings zerocopy/uvm still accepted)")
 		scale     = flag.Float64("scale", 1.0, "dataset scale (1.0 = standard 1:1000 reduction)")
@@ -50,7 +50,7 @@ func main() {
 		reorder  = flag.Int("reorder-window", 0,
 			"IARU-style reorder window in 32B sectors (0 disables; >0 buffers off-device accesses and re-groups them by 128B line before dispatch)")
 		compare = flag.Bool("compare", false, "run the UVM baseline alongside and print the speedup")
-		gpus    = flag.Int("gpus", 1, "simulated GPU count (>1 uses the multi-GPU engine; BFS/SSSP/CC)")
+		gpus    = flag.Int("gpus", 1, "simulated GPU count (>1 uses the multi-GPU engine; bfs, sssp, or cc)")
 	)
 	flag.Parse()
 
@@ -76,40 +76,17 @@ func main() {
 		}
 	}
 
-	// -algo dispatches straight through the algorithm registry; -app is
-	// the typed three-application convenience that resolves to a registry
-	// name ("bfs", "sssp", "cc").
 	algoName := strings.ToLower(*algo)
-	if algoName == "" {
-		appID, err := parseApp(*app)
+	if *gpus > 1 {
+		cfg, err := parsePlatform(*platform, *scale)
 		if err != nil {
 			log.Fatal(err)
 		}
-		algoName = strings.ToLower(appID.String())
-
-		// The BFS extensions (balanced workload, compressed edge list) keep
-		// their historical -variant spellings as an alias for -algo.
-		ext := strings.ToLower(*variant)
-		if ext == "balanced" || ext == "compressed" {
-			if appID != emogi.BFS {
-				log.Fatalf("variant %q only supports -app bfs", ext)
-			}
-			runExtension(g, ext, *platform, *scale, *sources, *seed, *reorder, *validate)
-			return
-		}
-		if *gpus > 1 {
-			cfg, err := parsePlatform(*platform, *scale)
-			if err != nil {
-				log.Fatal(err)
-			}
-			// runMultiGPU builds devices from cfg.GPU directly, so apply the
-			// override here rather than through NewSystem.
-			cfg.GPU.ReorderWindow = *reorder
-			runMultiGPU(g, appID, cfg, *gpus, *sources, *seed, *elemBytes, *validate)
-			return
-		}
-	} else if *gpus > 1 {
-		log.Fatal("-algo does not support -gpus > 1 (use -app for the multi-GPU engine)")
+		// runMultiGPU builds devices from cfg.GPU directly, so apply the
+		// override here rather than through NewSystem.
+		cfg.GPU.ReorderWindow = *reorder
+		runMultiGPU(g, algoName, cfg, *gpus, *sources, *seed, *elemBytes, *validate)
+		return
 	}
 	v, err := parseVariant(*variant)
 	if err != nil {
@@ -151,7 +128,7 @@ func main() {
 		log.Fatal("graph has no vertices with outgoing edges")
 	}
 
-	sum, err := sys.RunManyAlgo(dg, algoName, srcs, v)
+	sum, err := sys.RunMany(dg, algoName, srcs, v)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -175,6 +152,16 @@ func main() {
 	fmt.Printf("traffic:    %s\n", sum.Monitor)
 	amp := sum.IOAmplification(g.EdgeListBytes(*elemBytes))
 	fmt.Printf("I/O amp:    %.2fx of edge-list bytes per run\n", amp)
+	if algoName == "bfs-compressed" {
+		// The run builds and frees its compressed stream internally, so
+		// measure the compression on a scratch device.
+		cdg, err := core.UploadCompressed(gpu.NewDevice(cfg.GPU), g)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("compression: %.1f MB -> %.1f MB (%.2fx)\n",
+			float64(cdg.PlainBytes)/1e6, float64(cdg.CompressedBytes)/1e6, cdg.Ratio())
+	}
 	if sum.Stats.CXLRequests > 0 {
 		fmt.Printf("CXL:        reqs=%d payload=%d bytes over the external tier's link\n",
 			sum.Stats.CXLRequests, sum.Stats.CXLPayloadBytes)
@@ -188,7 +175,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("loading UVM baseline: %v", err)
 		}
-		uvmSum, err := sysU.RunManyAlgo(dgU, algoName, srcs, emogi.Merged)
+		uvmSum, err := sysU.RunMany(dgU, algoName, srcs, emogi.Merged)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -202,7 +189,10 @@ func main() {
 }
 
 // runMultiGPU measures the §7 multi-GPU engine.
-func runMultiGPU(g *emogi.Graph, app emogi.App, cfg emogi.SystemConfig, n, sources int, seed int64, elemBytes int, validate bool) {
+func runMultiGPU(g *emogi.Graph, app string, cfg emogi.SystemConfig, n, sources int, seed int64, elemBytes int, validate bool) {
+	if app != "bfs" && app != "sssp" && app != "cc" {
+		log.Fatalf("-gpus > 1 supports -algo bfs, sssp, or cc (got %q)", app)
+	}
 	devs := make([]*gpu.Device, n)
 	for i := range devs {
 		devs[i] = gpu.NewDevice(cfg.GPU)
@@ -221,12 +211,12 @@ func runMultiGPU(g *emogi.Graph, app emogi.App, cfg emogi.SystemConfig, n, sourc
 	for _, src := range srcs {
 		var res *emogi.Result
 		switch app {
-		case emogi.SSSP:
-			res, err = ms.SSSP(src)
-		case emogi.CC:
-			res, err = ms.CC()
+		case "sssp":
+			res, err = ms.SSSP(context.Background(), src)
+		case "cc":
+			res, err = ms.CC(context.Background())
 		default:
-			res, err = ms.BFS(src)
+			res, err = ms.BFS(context.Background(), src)
 		}
 		if err != nil {
 			log.Fatal(err)
@@ -238,12 +228,12 @@ func runMultiGPU(g *emogi.Graph, app emogi.App, cfg emogi.SystemConfig, n, sourc
 		}
 		total += res.Elapsed
 		runs++
-		if app == emogi.CC {
+		if app == "cc" {
 			break
 		}
 	}
 	fmt.Printf("platform:   %s x%d\n", cfg.Name, n)
-	fmt.Printf("run:        %s (multi-GPU), %d source(s)\n", app, runs)
+	fmt.Printf("run:        %s (multi-GPU), %d source(s)\n", strings.ToUpper(app), runs)
 	fmt.Printf("mean time:  %v (simulated)\n", total/time.Duration(runs))
 	for i := 0; i < n; i++ {
 		lo, hi := ms.Partition(i)
@@ -265,85 +255,6 @@ func printKernelLog(dev *gpu.Device) {
 			ks.Name, ks.Warps, ks.PCIeRequests,
 			float64(ks.PCIePayloadBytes)/1e3, ks.UVMMigrations, ks.Elapsed)
 	}
-}
-
-// runExtension measures the balanced or compressed BFS extension.
-func runExtension(g *emogi.Graph, ext, platform string, scale float64, sources int, seed int64, reorder int, validate bool) {
-	cfg, err := parsePlatform(platform, scale)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg.GPU.ReorderWindow = reorder
-	srcs := emogi.PickSources(g, sources, seed)
-	if srcs == nil {
-		log.Fatal("graph has no vertices with outgoing edges")
-	}
-	dev := gpu.NewDevice(cfg.GPU)
-	var total time.Duration
-	var payload uint64
-	var iterations int
-	switch ext {
-	case "balanced":
-		dg, err := core.Upload(dev, g, core.ZeroCopy, 8)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, src := range srcs {
-			res, err := core.BFSBalanced(dev, dg, src, 1024)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if validate {
-				if err := res.Validate(g); err != nil {
-					log.Fatalf("validation failed: %v", err)
-				}
-			}
-			total += res.Elapsed
-			payload += res.Stats.PCIePayloadBytes
-			iterations = res.Iterations
-		}
-	case "compressed":
-		cdg, err := core.UploadCompressed(dev, g)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("compression: %.1f MB -> %.1f MB (%.2fx)\n",
-			float64(cdg.PlainBytes)/1e6, float64(cdg.CompressedBytes)/1e6, cdg.Ratio())
-		for _, src := range srcs {
-			res, err := core.BFSCompressed(dev, cdg, src)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if validate {
-				if err := res.Validate(g); err != nil {
-					log.Fatalf("validation failed: %v", err)
-				}
-			}
-			total += res.Elapsed
-			payload += res.Stats.PCIePayloadBytes
-			iterations = res.Iterations
-		}
-	}
-	fmt.Printf("platform:   %s\n", cfg.Name)
-	fmt.Printf("run:        BFS (%s extension), %d source(s)\n", ext, len(srcs))
-	fmt.Printf("mean time:  %v (simulated)\n", total/time.Duration(len(srcs)))
-	fmt.Printf("iterations: %d (last source)\n", iterations)
-	fmt.Printf("payload:    %.1f MB over PCIe across all runs\n", float64(payload)/1e6)
-	if validate {
-		fmt.Println("validated:  results match CPU reference")
-	}
-}
-
-func parseApp(s string) (emogi.App, error) {
-	switch strings.ToLower(s) {
-	case "bfs":
-		return emogi.BFS, nil
-	case "sssp":
-		return emogi.SSSP, nil
-	case "cc":
-		return emogi.CC, nil
-	}
-	return 0, fmt.Errorf("unknown app %q (want bfs, sssp, or cc)", s)
 }
 
 func parseVariant(s string) (emogi.Variant, error) {

@@ -16,12 +16,10 @@
 //	res, _ := sys.Do(ctx, emogi.Request{Graph: dg, Algo: "bfs", Src: src, Variant: emogi.MergedAligned})
 //	fmt.Println(res.Elapsed, res.Stats.PCIeRequests)
 //
-// Do is the context-first v2 entry point: it accepts per-request
+// Do is the one traversal entry point: it accepts per-request
 // cancellation and deadlines (a canceled run stops at the next round
 // boundary with an error matching ErrCanceled) and is safe for concurrent
-// use — runs serialize on the device. The v1 per-app methods (BFS, SSSP,
-// CC, SSWP, Run, RunAlgo) and the positional LoadV1 survive as deprecated
-// wrappers over Do and Load.
+// use — runs serialize on the device.
 package emogi
 
 import (
@@ -55,8 +53,6 @@ type (
 	// Build one with StaticPolicy or AdaptivePolicy, or resolve a name with
 	// PolicyByName.
 	TransportPolicy = core.TransportPolicy
-	// App identifies a traversal application.
-	App = core.App
 	// Telemetry receives per-launch, per-round, and per-copy events from
 	// the simulated device (see internal/telemetry for the Prometheus and
 	// Chrome-trace implementation).
@@ -112,8 +108,8 @@ const (
 )
 
 // StaticPolicy returns the transport policy that binds the whole edge list
-// to one transport for the whole run — exactly the historical WithTransport
-// behavior ("static-zc" for ZeroCopy, "static-uvm" for UVM).
+// to one transport for the whole run ("static-zc" for ZeroCopy,
+// "static-uvm" for UVM).
 func StaticPolicy(t Transport) TransportPolicy { return core.StaticPolicyFor(t) }
 
 // AdaptivePolicy returns the HyTGraph-style policy: a per-partition cost
@@ -130,13 +126,6 @@ func TransportPolicies() []TransportPolicy { return core.TransportPolicies() }
 // "static-uvm", "adaptive"; the v1 spellings "zerocopy", "zc", "emogi",
 // "uvm" are accepted as aliases).
 func PolicyByName(name string) (TransportPolicy, error) { return core.PolicyByName(name) }
-
-// Applications.
-const (
-	BFS  = core.AppBFS
-	SSSP = core.AppSSSP
-	CC   = core.AppCC
-)
 
 // Scale is the repository's standard dataset reduction: every dataset and
 // every memory capacity is 1/1000 of the paper's, preserving all the
@@ -342,15 +331,6 @@ func WithTransportPolicy(p TransportPolicy) LoadOption {
 	return func(c *loadConfig) { c.policy = p }
 }
 
-// WithTransport selects where the edge list lives: ZeroCopy (EMOGI, the
-// default) or UVM (the migration baseline).
-//
-// Deprecated: use WithTransportPolicy(StaticPolicy(t)); this wrapper is
-// exactly that.
-func WithTransport(t Transport) LoadOption {
-	return WithTransportPolicy(StaticPolicy(t))
-}
-
 // WithElemBytes sets the edge element width: 8 (the paper's main
 // experiments, the default) or 4 (the Subway comparison, Table 3).
 func WithElemBytes(n int) LoadOption {
@@ -389,13 +369,6 @@ func (s *System) Load(g *Graph, opts ...LoadOption) (*DeviceGraph, error) {
 		}
 	}
 	return core.UploadPolicyPlaced(s.dev, g, c.policy, c.elemBytes, c.placement)
-}
-
-// LoadV1 is the v1 positional load.
-//
-// Deprecated: use Load with WithTransport / WithElemBytes.
-func (s *System) LoadV1(g *Graph, transport Transport, elemBytes int) (*DeviceGraph, error) {
-	return s.Load(g, WithTransport(transport), WithElemBytes(elemBytes))
 }
 
 // Unload releases a loaded graph's buffers. It is idempotent: unloading
@@ -442,8 +415,7 @@ type Request struct {
 	Ctx context.Context
 }
 
-// Do executes one traversal. It is the context-first entry point that
-// unifies the per-app methods and RunAlgo:
+// Do executes one traversal by algorithm registry name:
 //
 //   - Cancellation: when ctx is canceled or its deadline passes, the run
 //     stops at the next round boundary and Do returns a *CanceledError
@@ -478,7 +450,7 @@ func (s *System) Do(ctx context.Context, req Request) (*Result, error) {
 		if req.Cold {
 			s.dev.ResetUVMResidency()
 		}
-		res, err = core.RunAlgoContext(ctx, s.dev, req.Graph, req.Algo, req.Src, req.Variant)
+		res, err = core.RunAlgo(ctx, s.dev, req.Graph, req.Algo, req.Src, req.Variant)
 	})
 	return res, err
 }
@@ -567,56 +539,6 @@ func (s *System) DoBatch(ctx context.Context, reqs []Request) (*BatchOutcome, er
 		out, err = core.RunBatchAlgo(ctx, s.dev, first.Graph, first.Algo, specs, first.Variant)
 	})
 	return out, err
-}
-
-// BFS runs breadth-first search from src.
-//
-// Deprecated: use Do with Request{Algo: "bfs"}.
-func (s *System) BFS(dg *DeviceGraph, src int, v Variant) (*Result, error) {
-	return s.Do(context.Background(), Request{Graph: dg, Algo: "bfs", Src: src, Variant: v})
-}
-
-// SSSP runs single-source shortest path from src.
-//
-// Deprecated: use Do with Request{Algo: "sssp"}.
-func (s *System) SSSP(dg *DeviceGraph, src int, v Variant) (*Result, error) {
-	return s.Do(context.Background(), Request{Graph: dg, Algo: "sssp", Src: src, Variant: v})
-}
-
-// CC runs connected components (undirected graphs only).
-//
-// Deprecated: use Do with Request{Algo: "cc"}.
-func (s *System) CC(dg *DeviceGraph, v Variant) (*Result, error) {
-	return s.Do(context.Background(), Request{Graph: dg, Algo: "cc", Variant: v})
-}
-
-// Run dispatches by application; src is ignored for CC.
-//
-// Deprecated: use Do with the algorithm's registry name.
-func (s *System) Run(dg *DeviceGraph, app App, src int, v Variant) (*Result, error) {
-	switch app {
-	case BFS, SSSP, CC:
-		return s.Do(context.Background(),
-			Request{Graph: dg, Algo: strings.ToLower(app.String()), Src: src, Variant: v})
-	default:
-		return nil, fmt.Errorf("emogi: unknown application %d", int(app))
-	}
-}
-
-// SSWP runs single-source widest path from src (weighted graphs only).
-//
-// Deprecated: use Do with Request{Algo: "sswp"}.
-func (s *System) SSWP(dg *DeviceGraph, src int, v Variant) (*Result, error) {
-	return s.Do(context.Background(), Request{Graph: dg, Algo: "sswp", Src: src, Variant: v})
-}
-
-// RunAlgo dispatches by algorithm registry name. src is ignored by
-// source-free algorithms; variant is ignored by fixed-variant specialty
-// kernels.
-//
-// Deprecated: use Do, which adds cancellation and concurrency safety.
-func (s *System) RunAlgo(dg *DeviceGraph, name string, src int, v Variant) (*Result, error) {
-	return s.Do(context.Background(), Request{Graph: dg, Algo: name, Src: src, Variant: v})
 }
 
 // Algorithms lists the registered traversal algorithms sorted by name.

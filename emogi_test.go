@@ -64,7 +64,7 @@ func TestEndToEndBFS(t *testing.T) {
 	}
 	defer sys.Unload(dg)
 	src := PickSources(g, 1, 3)[0]
-	res, err := sys.BFS(dg, src, MergedAligned)
+	res, err := sys.Do(context.Background(), Request{Graph: dg, Algo: "bfs", Src: src, Variant: MergedAligned})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +84,12 @@ func TestEndToEndAllAppsAllTransports(t *testing.T) {
 	src := PickSources(g, 1, 5)[0]
 	for _, transport := range []Transport{ZeroCopy, UVM} {
 		sys := NewSystem(V100PCIe3(smallScale))
-		dg, err := sys.Load(g, WithTransport(transport))
+		dg, err := sys.Load(g, WithTransportPolicy(StaticPolicy(transport)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, app := range []App{BFS, SSSP, CC} {
-			res, err := sys.Run(dg, app, src, Merged)
+		for _, app := range []string{"bfs", "sssp", "cc"} {
+			res, err := sys.Do(context.Background(), Request{Graph: dg, Algo: app, Src: src, Variant: Merged})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", transport, app, err)
 			}
@@ -111,7 +111,7 @@ func TestRunManyAveraging(t *testing.T) {
 		t.Fatal(err)
 	}
 	sources := PickSources(g, 3, 11)
-	sum, err := sys.RunMany(dg, BFS, sources, MergedAligned)
+	sum, err := sys.RunMany(dg, "bfs", sources, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestRunManyCCRunsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := sys.RunMany(dg, CC, []int{0, 1, 2}, Merged)
+	sum, err := sys.RunMany(dg, "cc", []int{0, 1, 2}, Merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +160,12 @@ func TestRunManyNoSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.RunMany(dg, BFS, nil, Merged); err == nil {
+	if _, err := sys.RunMany(dg, "bfs", nil, Merged); err == nil {
 		t.Errorf("empty source list accepted")
+	}
+	var unknown *UnknownAlgorithmError
+	if _, err := sys.RunMany(dg, "nope", []int{0}, Merged); !errors.As(err, &unknown) {
+		t.Errorf("unknown algorithm: got %v, want *UnknownAlgorithmError", err)
 	}
 }
 
@@ -190,11 +194,11 @@ func TestHeadlineSpeedupDirection(t *testing.T) {
 	sources := PickSources(g, 2, 13)
 
 	sysU := NewSystem(V100PCIe3(0.3))
-	dgU, err := sysU.Load(g, WithTransport(UVM))
+	dgU, err := sysU.Load(g, WithTransportPolicy(StaticPolicy(UVM)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	uvm, err := sysU.RunMany(dgU, BFS, sources, Merged)
+	uvm, err := sysU.RunMany(dgU, "bfs", sources, Merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +208,7 @@ func TestHeadlineSpeedupDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em, err := sysE.RunMany(dgE, BFS, sources, MergedAligned)
+	em, err := sysE.RunMany(dgE, "bfs", sources, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +239,10 @@ func TestSystemAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := PickSources(g, 1, 5)[0]
-	if _, err := sys.SSSP(dg, src, Merged); err != nil {
-		t.Fatalf("SSSP: %v", err)
-	}
-	if _, err := sys.CC(dg, Merged); err != nil {
-		t.Fatalf("CC: %v", err)
+	for _, app := range []string{"sssp", "cc"} {
+		if _, err := sys.Do(context.Background(), Request{Graph: dg, Algo: app, Src: src, Variant: Merged}); err != nil {
+			t.Fatalf("%s: %v", app, err)
+		}
 	}
 	if sys.Device().Clock() == 0 {
 		t.Errorf("clock should have advanced")
@@ -261,8 +264,8 @@ func TestRunSummaryZeroCases(t *testing.T) {
 }
 
 // TestLoadOptions: the functional-option Load covers every transport and
-// element-width combination the positional v1 signature did, and the
-// defaults are the paper's configuration (zero-copy, 8-byte elements).
+// element-width combination, and the defaults are the paper's
+// configuration (zero-copy, 8-byte elements).
 func TestLoadOptions(t *testing.T) {
 	g, err := BuildDataset("GK", smallScale, 42)
 	if err != nil {
@@ -278,7 +281,7 @@ func TestLoadOptions(t *testing.T) {
 	}
 	sys.Unload(dg)
 
-	dg, err = sys.Load(g, WithTransport(UVM), WithElemBytes(4))
+	dg, err = sys.Load(g, WithTransportPolicy(StaticPolicy(UVM)), WithElemBytes(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,16 +289,6 @@ func TestLoadOptions(t *testing.T) {
 		t.Errorf("Load with options = %v/%d, want uvm/4", dg.Transport, dg.EdgeBytes)
 	}
 	sys.Unload(dg)
-
-	// The deprecated positional signature still works and agrees.
-	dgV1, err := sys.LoadV1(g, UVM, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dgV1.Transport != UVM || dgV1.EdgeBytes != 4 {
-		t.Errorf("LoadV1 = %v/%d, want uvm/4", dgV1.Transport, dgV1.EdgeBytes)
-	}
-	sys.Unload(dgV1)
 }
 
 // TestUnloadIdempotent: Unload (and the underlying Free) may be called
@@ -331,61 +324,6 @@ func TestUnloadIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Unload(dg2)
-}
-
-// TestDeprecatedWrappersDelegate: every v1 convenience method produces
-// the same answer as the Do request it now delegates to.
-func TestDeprecatedWrappersDelegate(t *testing.T) {
-	g, err := BuildDataset("GK", smallScale, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := NewSystem(V100PCIe3(smallScale))
-	dg, err := sys.Load(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Unload(dg)
-	src := PickSources(g, 1, 7)[0]
-
-	check := func(name string, v1 func() (*Result, error), req Request) {
-		t.Helper()
-		got, err := v1()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want, err := sys.Do(context.Background(), req)
-		if err != nil {
-			t.Fatalf("%s via Do: %v", name, err)
-		}
-		if got.App != want.App || got.Iterations != want.Iterations {
-			t.Errorf("%s: v1 wrapper and Do disagree: %s/%d vs %s/%d",
-				name, got.App, got.Iterations, want.App, want.Iterations)
-		}
-		for i := range got.Values {
-			if got.Values[i] != want.Values[i] {
-				t.Fatalf("%s: values diverge at vertex %d", name, i)
-			}
-		}
-	}
-	check("BFS",
-		func() (*Result, error) { return sys.BFS(dg, src, MergedAligned) },
-		Request{Graph: dg, Algo: "bfs", Src: src, Variant: MergedAligned})
-	check("SSSP",
-		func() (*Result, error) { return sys.SSSP(dg, src, MergedAligned) },
-		Request{Graph: dg, Algo: "sssp", Src: src, Variant: MergedAligned})
-	check("CC",
-		func() (*Result, error) { return sys.CC(dg, MergedAligned) },
-		Request{Graph: dg, Algo: "cc", Variant: MergedAligned})
-	check("SSWP",
-		func() (*Result, error) { return sys.SSWP(dg, src, MergedAligned) },
-		Request{Graph: dg, Algo: "sswp", Src: src, Variant: MergedAligned})
-	check("Run",
-		func() (*Result, error) { return sys.Run(dg, BFS, src, MergedAligned) },
-		Request{Graph: dg, Algo: "bfs", Src: src, Variant: MergedAligned})
-	check("RunAlgo",
-		func() (*Result, error) { return sys.RunAlgo(dg, "bfs-pushpull", src, MergedAligned) },
-		Request{Graph: dg, Algo: "bfs-pushpull", Src: src, Variant: MergedAligned})
 }
 
 // TestDoValidation: Do rejects malformed requests with messages that

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -25,11 +26,12 @@ func main() {
 
 	run := func(name string, transport emogi.Transport, variant emogi.Variant) *emogi.Result {
 		sys := emogi.NewSystem(emogi.V100PCIe3(scale))
-		dg, err := sys.Load(g, emogi.WithTransport(transport))
+		dg, err := sys.Load(g, emogi.WithTransportPolicy(emogi.StaticPolicy(transport)))
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := sys.CC(dg, variant)
+		res, err := sys.Do(context.Background(),
+			emogi.Request{Graph: dg, Algo: "cc", Variant: variant})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,7 +35,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := ms.BFS(src)
+		res, err := ms.BFS(context.Background(), src)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	em, err := sysE.RunMany(dgE, emogi.BFS, sources, emogi.MergedAligned)
+	em, err := sysE.RunMany(dgE, "bfs", sources, emogi.MergedAligned)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,11 +39,11 @@ func main() {
 	// Baseline: the same kernel over UVM-managed memory, paying 4KB page
 	// migrations on every cold touch.
 	sysU := emogi.NewSystem(emogi.V100PCIe3(scale))
-	dgU, err := sysU.Load(g, emogi.WithTransport(emogi.UVM))
+	dgU, err := sysU.Load(g, emogi.WithTransportPolicy(emogi.StaticPolicy(emogi.UVM)))
 	if err != nil {
 		log.Fatal(err)
 	}
-	uvm, err := sysU.RunMany(dgU, emogi.BFS, sources, emogi.Merged)
+	uvm, err := sysU.RunMany(dgU, "bfs", sources, emogi.Merged)
 	if err != nil {
 		log.Fatal(err)
 	}

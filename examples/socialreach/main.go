@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,8 @@ func main() {
 
 	seeds := emogi.PickSources(g, 3, 99)
 	for _, seed := range seeds {
-		res, err := sys.BFS(dg, seed, emogi.MergedAligned)
+		res, err := sys.Do(context.Background(),
+			emogi.Request{Graph: dg, Algo: "bfs", Src: seed, Variant: emogi.MergedAligned})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := sys.SSSP(dg, portal, variant)
+		res, err := sys.Do(context.Background(),
+			emogi.Request{Graph: dg, Algo: "sssp", Src: portal, Variant: variant})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestSubwayBFSCorrect(t *testing.T) {
 	g := weighted(graph.RMAT("gk", 512, 10, 0.57, 0.19, 0.19, true, 1))
 	dev := testDevice(0)
 	src := graph.PickSources(g, 1, 3)[0]
-	res, err := SubwayRun(dev, g, core.AppBFS, src, DefaultSubwayConfig())
+	res, err := SubwayRun(dev, g, "bfs", src, DefaultSubwayConfig())
 	if err != nil {
 		t.Fatalf("SubwayRun: %v", err)
 	}
@@ -48,7 +49,7 @@ func TestSubwaySSSPCorrect(t *testing.T) {
 	g := weighted(graph.Urand("gu", 400, 10, 2))
 	dev := testDevice(0)
 	src := graph.PickSources(g, 1, 5)[0]
-	res, err := SubwayRun(dev, g, core.AppSSSP, src, DefaultSubwayConfig())
+	res, err := SubwayRun(dev, g, "sssp", src, DefaultSubwayConfig())
 	if err != nil {
 		t.Fatalf("SubwayRun: %v", err)
 	}
@@ -61,7 +62,7 @@ func TestSubwayCCCorrect(t *testing.T) {
 	t.Parallel()
 	g := weighted(graph.Social("fs", 512, 10, 4))
 	dev := testDevice(0)
-	res, err := SubwayRun(dev, g, core.AppCC, 0, DefaultSubwayConfig())
+	res, err := SubwayRun(dev, g, "cc", 0, DefaultSubwayConfig())
 	if err != nil {
 		t.Fatalf("SubwayRun: %v", err)
 	}
@@ -79,7 +80,7 @@ func TestSubwayEdgeLimit(t *testing.T) {
 	dev := testDevice(0)
 	cfg := DefaultSubwayConfig()
 	cfg.MaxEdges = g.NumEdges() - 1
-	_, err := SubwayRun(dev, g, core.AppBFS, 0, cfg)
+	_, err := SubwayRun(dev, g, "bfs", 0, cfg)
 	if !errors.Is(err, ErrSubwayUnsupported) {
 		t.Errorf("expected ErrSubwayUnsupported, got %v", err)
 	}
@@ -95,7 +96,7 @@ func TestSubwayOOMWithoutPartitioning(t *testing.T) {
 	src := graph.PickSources(g, 1, 1)[0]
 	cfg := DefaultSubwayConfig()
 	cfg.Partition = false
-	_, err := SubwayRun(dev, g, core.AppCC, src, cfg)
+	_, err := SubwayRun(dev, g, "cc", src, cfg)
 	if !errors.Is(err, ErrSubwayOOM) {
 		t.Errorf("expected ErrSubwayOOM, got %v", err)
 	}
@@ -107,7 +108,7 @@ func TestSubwayPartitionsOversizedFrontier(t *testing.T) {
 	// chunks and still produces correct results.
 	g := weighted(graph.Urand("gu", 2000, 24, 1))
 	dev := testDevice(96 * 1024)
-	res, err := SubwayRun(dev, g, core.AppCC, 0, DefaultSubwayConfig())
+	res, err := SubwayRun(dev, g, "cc", 0, DefaultSubwayConfig())
 	if err != nil {
 		t.Fatalf("partitioned Subway failed: %v", err)
 	}
@@ -116,7 +117,7 @@ func TestSubwayPartitionsOversizedFrontier(t *testing.T) {
 	}
 	// Sanity: an unconstrained run must not be slower than the chunked one.
 	devBig := testDevice(0)
-	resBig, err := SubwayRun(devBig, g, core.AppCC, 0, DefaultSubwayConfig())
+	resBig, err := SubwayRun(devBig, g, "cc", 0, DefaultSubwayConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestSubwayHubExceedsGPU(t *testing.T) {
 	}
 	g := weighted(graph.FromEdges("star", n, edges, false))
 	dev := testDevice(128 * 1024)
-	_, err := SubwayRun(dev, g, core.AppCC, 0, DefaultSubwayConfig())
+	_, err := SubwayRun(dev, g, "cc", 0, DefaultSubwayConfig())
 	if !errors.Is(err, ErrSubwayOOM) {
 		t.Errorf("expected ErrSubwayOOM for unsplittable hub, got %v", err)
 	}
@@ -150,22 +151,22 @@ func TestSubwayConfigValidation(t *testing.T) {
 	dev := testDevice(0)
 	cfg := DefaultSubwayConfig()
 	cfg.EdgeBytes = 8
-	if _, err := SubwayRun(dev, g, core.AppBFS, 0, cfg); err == nil {
+	if _, err := SubwayRun(dev, g, "bfs", 0, cfg); err == nil {
 		t.Errorf("8-byte Subway accepted; the framework only supports 4")
 	}
-	if _, err := SubwayRun(dev, g, core.AppBFS, -1, DefaultSubwayConfig()); err == nil {
+	if _, err := SubwayRun(dev, g, "bfs", -1, DefaultSubwayConfig()); err == nil {
 		t.Errorf("bad source accepted")
 	}
 	unweighted := graph.Urand("u", 100, 6, 2)
-	if _, err := SubwayRun(dev, unweighted, core.AppSSSP, 0, DefaultSubwayConfig()); err == nil {
+	if _, err := SubwayRun(dev, unweighted, "sssp", 0, DefaultSubwayConfig()); err == nil {
 		t.Errorf("unweighted SSSP accepted")
 	}
 	directed := graph.Web("w", 200, 8, 3)
-	if _, err := SubwayRun(dev, directed, core.AppCC, 0, DefaultSubwayConfig()); err == nil {
+	if _, err := SubwayRun(dev, directed, "cc", 0, DefaultSubwayConfig()); err == nil {
 		t.Errorf("directed CC accepted")
 	}
 	// Zero-value config gets defaults.
-	res, err := SubwayRun(dev, g, core.AppBFS, graph.PickSources(g, 1, 1)[0], SubwayConfig{})
+	res, err := SubwayRun(dev, g, "bfs", graph.PickSources(g, 1, 1)[0], SubwayConfig{})
 	if err != nil {
 		t.Fatalf("zero config: %v", err)
 	}
@@ -180,14 +181,14 @@ func TestSubwaySyncSlowerOrEqualAsync(t *testing.T) {
 	src := graph.PickSources(g, 1, 3)[0]
 	cfgA := DefaultSubwayConfig()
 	devA := testDevice(0)
-	resA, err := SubwayRun(devA, g, core.AppBFS, src, cfgA)
+	resA, err := SubwayRun(devA, g, "bfs", src, cfgA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgS := DefaultSubwayConfig()
 	cfgS.Async = false
 	devS := testDevice(0)
-	resS, err := SubwayRun(devS, g, core.AppBFS, src, cfgS)
+	resS, err := SubwayRun(devS, g, "bfs", src, cfgS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestHALOBFSCorrect(t *testing.T) {
 	g := weighted(graph.RMAT("gk", 512, 10, 0.57, 0.19, 0.19, true, 1))
 	dev := testDevice(0)
 	src := graph.PickSources(g, 1, 3)[0]
-	res, err := HALORun(dev, g, core.AppBFS, src)
+	res, err := HALORun(dev, g, "bfs", src)
 	if err != nil {
 		t.Fatalf("HALORun: %v", err)
 	}
@@ -218,7 +219,7 @@ func TestHALOSSSPCorrect(t *testing.T) {
 	g := weighted(graph.Urand("gu", 300, 10, 2))
 	dev := testDevice(0)
 	src := graph.PickSources(g, 1, 5)[0]
-	res, err := HALORun(dev, g, core.AppSSSP, src)
+	res, err := HALORun(dev, g, "sssp", src)
 	if err != nil {
 		t.Fatalf("HALORun: %v", err)
 	}
@@ -231,7 +232,7 @@ func TestHALOCCCorrect(t *testing.T) {
 	t.Parallel()
 	g := weighted(graph.Social("fs", 512, 10, 4))
 	dev := testDevice(0)
-	res, err := HALORun(dev, g, core.AppCC, 0)
+	res, err := HALORun(dev, g, "cc", 0)
 	if err != nil {
 		t.Fatalf("HALORun: %v", err)
 	}
@@ -244,7 +245,7 @@ func TestHALOBadSource(t *testing.T) {
 	t.Parallel()
 	g := weighted(graph.Urand("gu", 100, 8, 1))
 	dev := testDevice(0)
-	if _, err := HALORun(dev, g, core.AppBFS, -2); err == nil {
+	if _, err := HALORun(dev, g, "bfs", -2); err == nil {
 		t.Errorf("bad source accepted")
 	}
 }
@@ -266,13 +267,13 @@ func TestHALOReducesMigrationsUnderPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resPlain, err := core.BFS(devPlain, dgPlain, src, core.Merged)
+	resPlain, err := core.BFS(context.Background(), devPlain, dgPlain, src, core.Merged)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	devHalo := testDevice(mem)
-	resHalo, err := HALORun(devHalo, g, core.AppBFS, src)
+	resHalo, err := HALORun(devHalo, g, "bfs", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,6 +291,31 @@ func TestCanonicalizeLabels(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("canonicalize[%d] = %d, want %d", i, got[i], want[i])
+		}
+	}
+}
+
+func TestBaselinesTakeOnlyPaperApps(t *testing.T) {
+	t.Parallel()
+	g := weighted(graph.Urand("gu", 100, 6, 2))
+	dev := testDevice(0)
+	runners := map[string]func(name string) error{
+		"subway": func(name string) error {
+			_, err := SubwayRun(dev, g, name, 0, DefaultSubwayConfig())
+			return err
+		},
+		"halo": func(name string) error {
+			_, err := HALORun(dev, g, name, 0)
+			return err
+		},
+	}
+	for sys, run := range runners {
+		var unknown *core.UnknownAlgorithmError
+		if err := run("no-such-algo"); !errors.As(err, &unknown) {
+			t.Errorf("%s: unknown name gave %v, want *core.UnknownAlgorithmError", sys, err)
+		}
+		if err := run("sswp"); err == nil || errors.As(err, &unknown) {
+			t.Errorf("%s: registered non-paper algorithm gave %v, want a baseline error", sys, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -8,7 +9,8 @@ import (
 	"repro/internal/graph"
 )
 
-// HALORun executes one application with the HALO-style configuration [21]:
+// HALORun executes one of the paper's applications, by registry name
+// ("bfs", "sssp", or "cc"), with the HALO-style configuration [21]:
 // the CSR is first reordered with a locality-enhancing permutation (HALO's
 // contribution), then traversed through UVM exactly like the optimized UVM
 // baseline. Reordering improves the page locality of frontier neighbor
@@ -19,7 +21,11 @@ import (
 //
 // The reordering itself is offline preprocessing and is not charged to the
 // run, matching how HALO's published numbers are reported.
-func HALORun(dev *gpu.Device, g *graph.CSR, app core.App, src int) (*core.Result, error) {
+func HALORun(dev *gpu.Device, g *graph.CSR, name string, src int) (*core.Result, error) {
+	a, err := paperApp(name)
+	if err != nil {
+		return nil, err
+	}
 	perm := graph.LocalityOrder(g)
 	rg := graph.Reorder(g, perm)
 
@@ -30,13 +36,13 @@ func HALORun(dev *gpu.Device, g *graph.CSR, app core.App, src int) (*core.Result
 	defer dg.Free(dev)
 
 	rsrc := src
-	if app != core.AppCC {
+	if !a.NoSource {
 		if src < 0 || src >= g.NumVertices() {
 			return nil, fmt.Errorf("baseline: source %d out of range", src)
 		}
 		rsrc = int(perm[src])
 	}
-	res, err := core.Run(dev, dg, app, rsrc, core.Merged)
+	res, err := a.Run(context.Background(), dev, dg, rsrc, core.Merged)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +57,7 @@ func HALORun(dev *gpu.Device, g *graph.CSR, app core.App, src int) (*core.Result
 	remapped := make([]uint32, n)
 	for old := 0; old < n; old++ {
 		v := res.Values[perm[old]]
-		if app == core.AppCC && v != graph.InfDist {
+		if a.NoSource && v != graph.InfDist {
 			// The min-label in the reordered space is the vertex with the
 			// smallest *new* ID in the component; translate to the
 			// smallest old ID by re-canonicalizing below.
@@ -59,14 +65,13 @@ func HALORun(dev *gpu.Device, g *graph.CSR, app core.App, src int) (*core.Result
 		}
 		remapped[old] = v
 	}
-	if app == core.AppCC {
+	if a.NoSource {
 		remapped = canonicalizeLabels(remapped)
 	}
 	res.Values = remapped
-	if app != core.AppCC {
+	if !a.NoSource {
 		res.Source = src
 	}
-	res.App = app.String()
 	return res, nil
 }
 
@@ -85,4 +90,20 @@ func canonicalizeLabels(labels []uint32) []uint32 {
 		out[v] = minOf[l]
 	}
 	return out
+}
+
+// paperApp resolves a registry name to one of the paper's three
+// applications (bfs, sssp, cc), the only ones the baselines implement.
+// Among them, CC is the source-free one and SSSP the weighted one. A name
+// outside the registry returns an *core.UnknownAlgorithmError.
+func paperApp(name string) (*core.Algorithm, error) {
+	a := core.LookupAlgorithm(name)
+	if a == nil {
+		return nil, &core.UnknownAlgorithmError{Name: name}
+	}
+	switch a.Name {
+	case "bfs", "sssp", "cc":
+		return a, nil
+	}
+	return nil, fmt.Errorf("baseline: %q is not a baseline application (want bfs, sssp, or cc)", name)
 }

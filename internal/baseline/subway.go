@@ -8,6 +8,7 @@ package baseline
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -71,9 +72,15 @@ var ErrSubwayUnsupported = errors.New("baseline: graph exceeds Subway's 2^32-edg
 // graph due to unidentified CUDA out-of-memory errors").
 var ErrSubwayOOM = errors.New("baseline: active subgraph exceeds GPU memory")
 
-// SubwayRun executes one application with the Subway-style engine and
-// returns a core.Result comparable with EMOGI's. src is ignored for CC.
-func SubwayRun(dev *gpu.Device, g *graph.CSR, app core.App, src int, cfg SubwayConfig) (*core.Result, error) {
+// SubwayRun executes one of the paper's applications, by registry name
+// ("bfs", "sssp", or "cc"), with the Subway-style engine and returns a
+// core.Result comparable with EMOGI's. src is ignored for CC.
+func SubwayRun(dev *gpu.Device, g *graph.CSR, name string, src int, cfg SubwayConfig) (*core.Result, error) {
+	a, err := paperApp(name)
+	if err != nil {
+		return nil, err
+	}
+	app := strings.ToUpper(a.Name)
 	if cfg.EdgeBytes == 0 {
 		cfg = DefaultSubwayConfig()
 	}
@@ -83,14 +90,14 @@ func SubwayRun(dev *gpu.Device, g *graph.CSR, app core.App, src int, cfg SubwayC
 	if cfg.MaxEdges > 0 && g.NumEdges() > cfg.MaxEdges {
 		return nil, fmt.Errorf("%w: %d edges > limit %d", ErrSubwayUnsupported, g.NumEdges(), cfg.MaxEdges)
 	}
-	if app == core.AppCC && g.Directed {
-		return nil, fmt.Errorf("baseline: CC requires an undirected graph")
+	if a.NeedsUndirected && g.Directed {
+		return nil, fmt.Errorf("baseline: %s requires an undirected graph", app)
 	}
-	if app == core.AppSSSP && g.Weights == nil {
-		return nil, fmt.Errorf("baseline: SSSP requires a weighted graph")
+	if a.NeedsWeights && g.Weights == nil {
+		return nil, fmt.Errorf("baseline: %s requires a weighted graph", app)
 	}
 	n := g.NumVertices()
-	if app != core.AppCC && (src < 0 || src >= n) {
+	if !a.NoSource && (src < 0 || src >= n) {
 		return nil, fmt.Errorf("baseline: source %d out of range", src)
 	}
 
@@ -110,8 +117,8 @@ func SubwayRun(dev *gpu.Device, g *graph.CSR, app core.App, src int, cfg SubwayC
 	// Subway; the simulator tracks it in lockstep and charges the
 	// generation pipeline below.
 	active := make([]bool, n)
-	switch app {
-	case core.AppCC:
+	switch {
+	case a.NoSource:
 		for v := 0; v < n; v++ {
 			values.PutU32(int64(v), uint32(v))
 			active[v] = true
@@ -148,7 +155,7 @@ func SubwayRun(dev *gpu.Device, g *graph.CSR, app core.App, src int, cfg SubwayC
 		// Partition the subgraph into chunks that fit free GPU memory
 		// (real Subway's partitioned processing); without Partition an
 		// oversized frontier is an OOM, the paper's GU failure mode.
-		needW := app == core.AppSSSP
+		needW := a.NeedsWeights
 		budget := arena.GPUFree()
 		lo := 0
 		for lo < sub.NumActive() {
@@ -173,7 +180,7 @@ func SubwayRun(dev *gpu.Device, g *graph.CSR, app core.App, src int, cfg SubwayC
 				return nil, fmt.Errorf("%w: %d-byte active subgraph with partitioning disabled",
 					ErrSubwayOOM, transfer)
 			}
-			if err := stageAndRunChunk(dev, cfg, sub, app, lo, hi, values, active); err != nil {
+			if err := stageAndRunChunk(dev, cfg, sub, a, lo, hi, values, active); err != nil {
 				return nil, err
 			}
 			lo = hi
@@ -187,11 +194,11 @@ func SubwayRun(dev *gpu.Device, g *graph.CSR, app core.App, src int, cfg SubwayC
 		out[v] = values.U32(int64(v))
 	}
 	resSrc := src
-	if app == core.AppCC {
+	if a.NoSource {
 		resSrc = -1
 	}
 	return &core.Result{
-		App:        app.String(),
+		App:        app,
 		Variant:    core.Merged,
 		Transport:  core.ZeroCopy, // not meaningful for Subway; edges move in bulk
 		Source:     resSrc,
@@ -206,7 +213,7 @@ func SubwayRun(dev *gpu.Device, g *graph.CSR, app core.App, src int, cfg SubwayC
 // subgraph into GPU memory, runs the relaxation kernel on them, models the
 // chunk's transfer (overlapped when async), and releases the staging
 // buffers.
-func stageAndRunChunk(dev *gpu.Device, cfg SubwayConfig, sub *graph.Subgraph, app core.App,
+func stageAndRunChunk(dev *gpu.Device, cfg SubwayConfig, sub *graph.Subgraph, a *core.Algorithm,
 	lo, hi int, values *memsys.Buffer, active []bool) error {
 
 	arena := dev.Arena()
@@ -226,7 +233,7 @@ func stageAndRunChunk(dev *gpu.Device, cfg SubwayConfig, sub *graph.Subgraph, ap
 	}
 	defer arena.Free(dstBuf)
 	var wgtBuf *memsys.Buffer
-	if app == core.AppSSSP {
+	if a.NeedsWeights {
 		wgtBuf, err = arena.Alloc("subway.subwgt", memsys.SpaceGPU, nEdges*4)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrSubwayOOM, err)
@@ -253,7 +260,7 @@ func stageAndRunChunk(dev *gpu.Device, cfg SubwayConfig, sub *graph.Subgraph, ap
 	// The kernel consumes GPU-resident data; with async Subway the chunk
 	// transfer overlaps kernel execution, otherwise they serialize.
 	kernelStart := dev.Clock()
-	launchSubwayKernel(dev, sub, app, lo, offBuf, dstBuf, wgtBuf, values, active)
+	launchSubwayKernel(dev, sub, a, lo, offBuf, dstBuf, wgtBuf, values, active)
 	kernelTime := dev.Clock() - kernelStart
 
 	chunkBytes := int64(nAct)*4 + int64(nAct+1)*int64(cfg.EdgeBytes) + nEdges*int64(cfg.EdgeBytes)
@@ -273,7 +280,7 @@ func stageAndRunChunk(dev *gpu.Device, cfg SubwayConfig, sub *graph.Subgraph, ap
 // launchSubwayKernel relaxes every edge of the staged chunk from GPU
 // memory, updating the global value array and marking updated destinations
 // active for the next iteration.
-func launchSubwayKernel(dev *gpu.Device, sub *graph.Subgraph, app core.App, lo int,
+func launchSubwayKernel(dev *gpu.Device, sub *graph.Subgraph, a *core.Algorithm, lo int,
 	offBuf, dstBuf, wgtBuf, values *memsys.Buffer, active []bool) *gpu.KernelStats {
 
 	edgeBytes := dstBuf.Elem
@@ -281,7 +288,7 @@ func launchSubwayKernel(dev *gpu.Device, sub *graph.Subgraph, app core.App, lo i
 	// Serial launch: the kernel reads source values from the live relax
 	// target and marks the host-side active slice from inside the body,
 	// both of which are unsafe under concurrent warp execution.
-	return dev.Launch("subway/"+app.String(), nAct, func(w *gpu.Warp) {
+	return dev.Launch("subway/"+strings.ToUpper(a.Name), nAct, func(w *gpu.Warp) {
 		i := int64(w.ID())
 		start, end := w.PairU64(offBuf, i)
 		if start >= end {
@@ -321,10 +328,10 @@ func launchSubwayKernel(dev *gpu.Device, sub *graph.Subgraph, app core.App, lo i
 					continue
 				}
 				tgtIdx[l] = int64(dst[l])
-				switch app {
-				case core.AppSSSP:
+				switch {
+				case a.NeedsWeights: // SSSP adds the edge weight
 					cand[l] = srcVal + wgt[l]
-				case core.AppBFS:
+				case !a.NoSource: // BFS adds one level
 					cand[l] = srcVal + 1
 				default: // CC pushes the label itself
 					cand[l] = srcVal

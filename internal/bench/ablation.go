@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -44,7 +45,7 @@ func AblationUVMBlock(ds *Datasets) (*Table, error) {
 		ucfg := dev.UVM().Config()
 		ucfg.BlockPages = block
 		*dev.UVM() = *uvm.NewManager(ucfg)
-		res, err := core.BFS(dev, dg, src, core.Merged)
+		res, err := core.BFS(context.Background(), dev, dg, src, core.Merged)
 		if err != nil {
 			return nil, err
 		}
@@ -75,7 +76,7 @@ func AblationWorkerSize(ds *Datasets) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.BFSWithWorker(dev, dg, src, worker, true)
+		res, err := core.BFSWithWorker(context.Background(), dev, dg, src, worker, true)
 		if err != nil {
 			return nil, err
 		}
@@ -105,7 +106,7 @@ func AblationBalance(ds *Datasets) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	plain, err := core.BFS(dev, dg, src, core.MergedAligned)
+	plain, err := core.BFS(context.Background(), dev, dg, src, core.MergedAligned)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +115,7 @@ func AblationBalance(ds *Datasets) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	bal, err := core.BFSBalanced(devB, dgB, src, 1024)
+	bal, err := core.BFSBalanced(context.Background(), devB, dgB, src, 1024)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +150,7 @@ func AblationCompression(ds *Datasets) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		plain, err := core.BFS(dev, dg, src, core.MergedAligned)
+		plain, err := core.BFS(context.Background(), dev, dg, src, core.MergedAligned)
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +159,7 @@ func AblationCompression(ds *Datasets) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		comp, err := core.BFSCompressed(devC, cdg, src)
+		comp, err := core.BFSCompressed(context.Background(), devC, cdg, src)
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +194,7 @@ func AblationMultiGPU(ds *Datasets) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := ms.BFS(src)
+		res, err := ms.BFS(context.Background(), src)
 		if err != nil {
 			return nil, err
 		}
@@ -224,7 +225,7 @@ func AblationThrash(ds *Datasets) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	uvmRes, err := core.BFS(devU, dgU, src, core.Merged)
+	uvmRes, err := core.BFS(context.Background(), devU, dgU, src, core.Merged)
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +242,7 @@ func AblationThrash(ds *Datasets) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.BFS(dev, dg, src, core.Naive)
+		res, err := core.BFS(context.Background(), dev, dg, src, core.Naive)
 		if err != nil {
 			return nil, err
 		}
@@ -272,7 +273,7 @@ func AblationHybrid(ds *Datasets) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := h.BFS(src)
+		res, err := h.BFS(context.Background(), src)
 		if err != nil {
 			return nil, err
 		}
@@ -318,7 +319,7 @@ func AblationLink(ds *Datasets) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		em, err := core.BFS(devE, dgE, src, core.MergedAligned)
+		em, err := core.BFS(context.Background(), devE, dgE, src, core.MergedAligned)
 		if err != nil {
 			return nil, err
 		}
@@ -328,7 +329,7 @@ func AblationLink(ds *Datasets) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		uvmRes, err := core.BFS(devU, dgU, src, core.Merged)
+		uvmRes, err := core.BFS(context.Background(), devU, dgU, src, core.Merged)
 		if err != nil {
 			return nil, err
 		}
@@ -362,7 +363,7 @@ func AblationEdgeCentric(ds *Datasets) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		vert, err := core.BFS(devV, dg, src, core.MergedAligned)
+		vert, err := core.BFS(context.Background(), devV, dg, src, core.MergedAligned)
 		if err != nil {
 			return nil, err
 		}
@@ -371,7 +372,7 @@ func AblationEdgeCentric(ds *Datasets) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		edge, err := core.BFSEdgeCentric(devE, ec, src)
+		edge, err := core.BFSEdgeCentric(context.Background(), devE, ec, src)
 		if err != nil {
 			return nil, err
 		}
@@ -406,7 +407,7 @@ func AblationDirectionOpt(ds *Datasets) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		push, err := core.BFS(devP, dgP, src, core.MergedAligned)
+		push, err := core.BFS(context.Background(), devP, dgP, src, core.MergedAligned)
 		if err != nil {
 			return nil, err
 		}
@@ -415,7 +416,7 @@ func AblationDirectionOpt(ds *Datasets) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		do, err := core.BFSDirectionOptimized(devD, dgD, src, core.DefaultPushPullConfig())
+		do, err := core.BFSDirectionOptimized(context.Background(), devD, dgD, src, core.DefaultPushPullConfig())
 		if err != nil {
 			return nil, err
 		}

@@ -74,7 +74,7 @@ func Claims(ds *Datasets) (*Table, error) {
 		if err != nil {
 			panic(err)
 		}
-		res, err := core.BFS(dev, dg, src, v)
+		res, err := core.BFS(context.Background(), dev, dg, src, v)
 		if err != nil {
 			panic(err)
 		}
@@ -114,7 +114,7 @@ func Claims(ds *Datasets) (*Table, error) {
 		if err != nil {
 			panic(err)
 		}
-		res, err := core.BFS(dev, dg, src2, v)
+		res, err := core.BFS(context.Background(), dev, dg, src2, v)
 		if err != nil {
 			panic(err)
 		}
@@ -129,7 +129,7 @@ func Claims(ds *Datasets) (*Table, error) {
 	// --- PCIe 4.0 scaling ---
 	runA100 := func(platform func(float64) emogi.SystemConfig, transport core.Transport, v core.Variant) *core.Result {
 		sys := cfg.System(platform(cfg.Scale))
-		dg, err := sys.Load(g, emogi.WithTransport(transport))
+		dg, err := sys.Load(g, emogi.WithTransportPolicy(emogi.StaticPolicy(transport)))
 		if err != nil {
 			panic(err)
 		}

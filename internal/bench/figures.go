@@ -255,14 +255,14 @@ func Figure11(sweep *AppSweep) *Table {
 	}
 	var total float64
 	var count int
-	for _, app := range []emogi.App{emogi.SSSP, emogi.BFS, emogi.CC} {
+	for _, app := range PaperApps {
 		for _, sym := range AppGraphs(app) {
 			uvm := sweep.Cell(app, sym, "UVM").Summary
 			em := sweep.Cell(app, sym, "EMOGI").Summary
 			sp := emogi.Speedup(uvm, em)
 			total += sp
 			count++
-			t.AddRow(app.String(), sym,
+			t.AddRow(appLabel(app), sym,
 				fnum(uvm.MeanElapsed.Seconds()*1e3),
 				fnum(em.MeanElapsed.Seconds()*1e3),
 				fnum(sp))
@@ -290,7 +290,7 @@ func Figure12(ds *Datasets) (*Table, error) {
 	}
 	var uvmScale, emScale float64
 	var count int
-	for _, app := range []emogi.App{emogi.SSSP, emogi.BFS, emogi.CC} {
+	for _, app := range PaperApps {
 		for _, sym := range AppGraphs(app) {
 			base := gen3.Cell(app, sym, "UVM").Summary
 			norm := func(s *emogi.RunSummary) float64 { return emogi.Speedup(base, s) }
@@ -301,7 +301,7 @@ func Figure12(ds *Datasets) (*Table, error) {
 			uvmScale += u4 / u3
 			emScale += e4 / e3
 			count++
-			t.AddRow(app.String(), sym, fnum(u3), fnum(e3), fnum(u4), fnum(e4))
+			t.AddRow(appLabel(app), sym, fnum(u3), fnum(e3), fnum(u4), fnum(e4))
 		}
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	emogi "repro"
 )
@@ -72,11 +73,11 @@ func RunBFSSweep(ds *Datasets) (*BFSSweep, error) {
 				return nil, err
 			}
 			sys := cfg.System(emogi.V100PCIe3(cfg.Scale))
-			dg, err := sys.Load(g, emogi.WithTransport(transport))
+			dg, err := sys.Load(g, emogi.WithTransportPolicy(emogi.StaticPolicy(transport)))
 			if err != nil {
 				return nil, fmt.Errorf("bench: loading %s for %s: %w", sym, name, err)
 			}
-			sum, err := sys.RunMany(dg, emogi.BFS, sources, variant)
+			sum, err := sys.RunMany(dg, "bfs", sources, variant)
 			if err != nil {
 				return nil, fmt.Errorf("bench: BFS %s/%s: %w", sym, name, err)
 			}
@@ -86,9 +87,17 @@ func RunBFSSweep(ds *Datasets) (*BFSSweep, error) {
 	return sweep, nil
 }
 
+// PaperApps are the paper's three applications by registry name, in the
+// Figure 11 order.
+var PaperApps = []string{"sssp", "bfs", "cc"}
+
+// appLabel is the printed name of an application: the paper's
+// abbreviation ("BFS", "SSSP", "CC").
+func appLabel(app string) string { return strings.ToUpper(app) }
+
 // AppCell is one (app, graph, system) measurement for Figures 11 and 12.
 type AppCell struct {
-	App     emogi.App
+	App     string // algorithm registry name
 	Graph   string
 	System  string // "UVM" or "EMOGI"
 	Summary *emogi.RunSummary
@@ -101,20 +110,20 @@ type AppSweep struct {
 	cells  map[string]*AppCell
 }
 
-func appKey(app emogi.App, graphSym, system string) string {
-	return app.String() + "/" + graphSym + "/" + system
+func appKey(app, graphSym, system string) string {
+	return app + "/" + graphSym + "/" + system
 }
 
 // Cell returns the (app, graph, system) measurement, or nil if that
 // combination was excluded (directed graphs for CC).
-func (s *AppSweep) Cell(app emogi.App, graphSym, system string) *AppCell {
+func (s *AppSweep) Cell(app, graphSym, system string) *AppCell {
 	return s.cells[appKey(app, graphSym, system)]
 }
 
 // AppGraphs returns the datasets an application runs on: CC excludes the
 // directed SK and UK5 (§5.4).
-func AppGraphs(app emogi.App) []string {
-	if app == emogi.CC {
+func AppGraphs(app string) []string {
+	if app == "cc" {
 		return UndirectedSyms()
 	}
 	return AllSyms()
@@ -133,19 +142,19 @@ func RunAppSweep(ds *Datasets, platform func(float64) emogi.SystemConfig) (*AppS
 		{"UVM", emogi.UVM, emogi.Merged},
 		{"EMOGI", emogi.ZeroCopy, emogi.MergedAligned},
 	}
-	for _, app := range []emogi.App{emogi.SSSP, emogi.BFS, emogi.CC} {
+	for _, app := range PaperApps {
 		for _, sym := range AppGraphs(app) {
 			g := ds.Get(sym)
 			sources := ds.Sources(sym)
 			for _, sc := range systems {
 				sys := cfg.System(platform(cfg.Scale))
-				dg, err := sys.Load(g, emogi.WithTransport(sc.transport))
+				dg, err := sys.Load(g, emogi.WithTransportPolicy(emogi.StaticPolicy(sc.transport)))
 				if err != nil {
 					return nil, fmt.Errorf("bench: loading %s: %w", sym, err)
 				}
 				sum, err := sys.RunMany(dg, app, sources, sc.variant)
 				if err != nil {
-					return nil, fmt.Errorf("bench: %s %s/%s: %w", app, sym, sc.name, err)
+					return nil, fmt.Errorf("bench: %s %s/%s: %w", appLabel(app), sym, sc.name, err)
 				}
 				sweep.cells[appKey(app, sym, sc.name)] = &AppCell{
 					App: app, Graph: sym, System: sc.name, Summary: sum,

@@ -7,7 +7,6 @@ import (
 
 	emogi "repro"
 	"repro/internal/baseline"
-	"repro/internal/core"
 )
 
 // Table3 compares EMOGI with the prior state of the art (paper §5.6):
@@ -35,7 +34,7 @@ func Table3(ds *Datasets) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		em, err := sysE.RunMany(dgE, emogi.BFS, sources, emogi.MergedAligned)
+		em, err := sysE.RunMany(dgE, "bfs", sources, emogi.MergedAligned)
 		if err != nil {
 			return nil, err
 		}
@@ -47,13 +46,13 @@ func Table3(ds *Datasets) (*Table, error) {
 
 	// --- Subway (V100, 4-byte elements) ---
 	type combo struct {
-		app  emogi.App
+		app  string
 		syms []string
 	}
 	combos := []combo{
-		{emogi.SSSP, []string{"GK", "GU", "FS", "ML", "SK", "UK5"}},
-		{emogi.BFS, []string{"GK", "GU", "FS", "ML", "SK", "UK5"}},
-		{emogi.CC, []string{"GK", "GU", "FS", "ML"}},
+		{"sssp", []string{"GK", "GU", "FS", "ML", "SK", "UK5"}},
+		{"bfs", []string{"GK", "GU", "FS", "ML", "SK", "UK5"}},
+		{"cc", []string{"GK", "GU", "FS", "ML"}},
 	}
 	for _, cb := range combos {
 		for _, sym := range cb.syms {
@@ -68,7 +67,7 @@ func Table3(ds *Datasets) (*Table, error) {
 				} else if errors.Is(err, baseline.ErrSubwayOOM) {
 					reason = "out of memory"
 				}
-				t.AddRow("Subway", cb.app.String(), sym, reason, "-", "-")
+				t.AddRow("Subway", appLabel(cb.app), sym, reason, "-", "-")
 				continue
 			}
 			sysE := cfg.System(emogi.V100PCIe3(cfg.Scale))
@@ -80,7 +79,7 @@ func Table3(ds *Datasets) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow("Subway", cb.app.String(), sym,
+			t.AddRow("Subway", appLabel(cb.app), sym,
 				fnum(subTime.Seconds()*1e3),
 				fnum(em.MeanElapsed.Seconds()*1e3),
 				fnum(float64(subTime)/float64(em.MeanElapsed)))
@@ -102,7 +101,7 @@ func runHALOMean(cfg Config, sym string, ds *Datasets) (time.Duration, error) {
 	var total time.Duration
 	for _, src := range sources {
 		dev := cfg.Device(emogi.TitanXpPCIe3(cfg.Scale).GPU)
-		res, err := baseline.HALORun(dev, g, core.AppBFS, src)
+		res, err := baseline.HALORun(dev, g, "bfs", src)
 		if err != nil {
 			return 0, err
 		}
@@ -115,8 +114,8 @@ func runHALOMean(cfg Config, sym string, ds *Datasets) (time.Duration, error) {
 }
 
 // runSubwayMean measures the Subway-style baseline on the V100 platform.
-func runSubwayMean(cfg Config, g *emogi.Graph, app emogi.App, sources []int) (time.Duration, error) {
-	if app == emogi.CC {
+func runSubwayMean(cfg Config, g *emogi.Graph, app string, sources []int) (time.Duration, error) {
+	if app == "cc" {
 		sources = sources[:1]
 	}
 	var total time.Duration

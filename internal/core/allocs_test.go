@@ -102,8 +102,8 @@ func TestSteadyStateRoundAllocsEngine(t *testing.T) {
 			name string
 			algo func(src int) (*Result, error)
 		}{
-			{"bfs", func(src int) (*Result, error) { return BFS(dev, dg, src, MergedAligned) }},
-			{"sssp", func(src int) (*Result, error) { return SSSP(dev, dg, src, MergedAligned) }},
+			{"bfs", func(src int) (*Result, error) { return BFS(context.Background(), dev, dg, src, MergedAligned) }},
+			{"sssp", func(src int) (*Result, error) { return SSSP(context.Background(), dev, dg, src, MergedAligned) }},
 		} {
 			iters := map[int]int{}
 			run := func(src int) {

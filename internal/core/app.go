@@ -1,61 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"strings"
 
-	"repro/internal/gpu"
 	"repro/internal/graph"
 )
-
-// App identifies one of the paper's three graph traversal applications.
-// It survives as a typed convenience over the algorithm registry
-// (registry.go), which is the general dispatch surface and also names the
-// specialty traversals and post-paper applications like SSWP.
-type App int
-
-const (
-	// AppBFS is breadth-first search.
-	AppBFS App = iota
-	// AppSSSP is single-source shortest path.
-	AppSSSP
-	// AppCC is connected components.
-	AppCC
-)
-
-// String returns the paper's abbreviation for the application.
-func (a App) String() string {
-	switch a {
-	case AppBFS:
-		return "BFS"
-	case AppSSSP:
-		return "SSSP"
-	case AppCC:
-		return "CC"
-	default:
-		return fmt.Sprintf("App(%d)", int(a))
-	}
-}
-
-// AllApps returns the applications in the paper's Figure 11 order.
-func AllApps() []App { return []App{AppSSSP, AppBFS, AppCC} }
-
-// Run dispatches to the requested application through the algorithm
-// registry. src is ignored for CC.
-func Run(dev *gpu.Device, dg *DeviceGraph, app App, src int, variant Variant) (*Result, error) {
-	return RunContext(context.Background(), dev, dg, app, src, variant)
-}
-
-// RunContext is Run with cooperative cancellation at round boundaries.
-func RunContext(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, app App, src int, variant Variant) (*Result, error) {
-	switch app {
-	case AppBFS, AppSSSP, AppCC:
-		return RunAlgoContext(ctx, dev, dg, strings.ToLower(app.String()), src, variant)
-	default:
-		return nil, fmt.Errorf("core: unknown application %d", int(app))
-	}
-}
 
 // Validate checks a result's Values against the CPU reference for its app.
 func (r *Result) Validate(g *graph.CSR) error {

@@ -609,21 +609,21 @@ func runBatchProgram(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, prog
 	return out, nil
 }
 
-// BFSBatchContext advances K BFS sources in one batched engine run.
-func BFSBatchContext(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, specs []BatchSpec, variant Variant) (*BatchOutcome, error) {
+// BFSBatch advances K BFS sources in one batched engine run.
+func BFSBatch(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, specs []BatchSpec, variant Variant) (*BatchOutcome, error) {
 	return runBatchProgram(ctx, dev, dg, bfsProgram(), specs, variant)
 }
 
-// SSSPBatchContext advances K SSSP sources in one batched engine run.
-func SSSPBatchContext(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, specs []BatchSpec, variant Variant) (*BatchOutcome, error) {
+// SSSPBatch advances K SSSP sources in one batched engine run.
+func SSSPBatch(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, specs []BatchSpec, variant Variant) (*BatchOutcome, error) {
 	if dg.Weights == nil {
 		return nil, fmt.Errorf("core: SSSP requires a weighted graph")
 	}
 	return runBatchProgram(ctx, dev, dg, ssspProgram(), specs, variant)
 }
 
-// SSWPBatchContext advances K SSWP sources in one batched engine run.
-func SSWPBatchContext(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, specs []BatchSpec, variant Variant) (*BatchOutcome, error) {
+// SSWPBatch advances K SSWP sources in one batched engine run.
+func SSWPBatch(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, specs []BatchSpec, variant Variant) (*BatchOutcome, error) {
 	if dg.Weights == nil {
 		return nil, fmt.Errorf("core: SSWP requires a weighted graph")
 	}

@@ -34,15 +34,11 @@ func bfsProgram() *Program {
 // graph, one kernel launch per level (§4.2: "the total number of kernels
 // launched... is equal to the distance between the source vertex to the
 // furthest reachable vertex"). It returns each vertex's BFS level
-// (graph.InfDist for unreachable vertices).
-func BFS(dev *gpu.Device, dg *DeviceGraph, src int, variant Variant) (*Result, error) {
-	return BFSContext(context.Background(), dev, dg, src, variant)
-}
-
-// BFSContext is BFS with cooperative cancellation: when ctx is canceled or
-// its deadline passes, the run stops at the next round boundary and
-// returns a *CanceledError (see cancel.go for the contract).
-func BFSContext(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, variant Variant) (*Result, error) {
+// (graph.InfDist for unreachable vertices). When ctx is canceled or its
+// deadline passes, the run stops at the next round boundary and returns a
+// *CanceledError (see cancel.go for the contract); every traversal in this
+// package takes ctx first and honors it the same way.
+func BFS(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, variant Variant) (*Result, error) {
 	prog := bfsProgram()
 	name := "bfs/" + variant.String()
 	return runProgram(ctx, dev, dg.NumVertices(), prog, src, &engineConfig{

@@ -67,7 +67,7 @@ func TestCancelBeforeFirstRound(t *testing.T) {
 	kernels := len(dev.Kernels())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := BFSContext(ctx, dev, dg, src, MergedAligned)
+	res, err := BFS(ctx, dev, dg, src, MergedAligned)
 	if res != nil {
 		t.Fatalf("canceled run returned a result: %+v", res)
 	}
@@ -108,7 +108,7 @@ func TestCancelMidRunThenRerun(t *testing.T) {
 	defer cancel()
 	sink := &cancelAfterRound{after: 1, cancel: cancel}
 	dev.SetTelemetry(sink)
-	res, err := BFSContext(ctx, dev, dg, src, MergedAligned)
+	res, err := BFS(ctx, dev, dg, src, MergedAligned)
 	dev.SetTelemetry(nil)
 	if res != nil {
 		t.Fatalf("canceled run returned a result")
@@ -143,7 +143,7 @@ func TestCancelMidRunThenRerun(t *testing.T) {
 	// Rerun on the same device graph: the canceled attempt must be
 	// invisible. The pinned golden record is the arbiter — every counter
 	// of the rerun has to match results/golden-engine.json exactly.
-	res2, err := BFSContext(context.Background(), dev, dg, src, MergedAligned)
+	res2, err := BFS(context.Background(), dev, dg, src, MergedAligned)
 	if err != nil {
 		t.Fatalf("rerun after cancel: %v", err)
 	}
@@ -190,7 +190,7 @@ func TestCancelDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err = SSSPContext(ctx, dev, dg, src, MergedAligned)
+	_, err = SSSP(ctx, dev, dg, src, MergedAligned)
 	if !errors.Is(err, ErrCanceled) {
 		t.Errorf("errors.Is(err, ErrCanceled) = false for deadline, got %v", err)
 	}
@@ -213,11 +213,11 @@ func TestCancelSpecialtyTopologies(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer h.Free()
-		if _, err := h.BFSContext(ctx, src); !errors.Is(err, ErrCanceled) {
+		if _, err := h.BFS(ctx, src); !errors.Is(err, ErrCanceled) {
 			t.Errorf("hybrid: err = %v, want ErrCanceled", err)
 		}
 		// Still usable after the cancel.
-		if _, err := h.BFSContext(context.Background(), src); err != nil {
+		if _, err := h.BFS(context.Background(), src); err != nil {
 			t.Errorf("hybrid rerun: %v", err)
 		}
 	})
@@ -228,10 +228,10 @@ func TestCancelSpecialtyTopologies(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ms.Free()
-		if _, err := ms.BFSContext(ctx, src); !errors.Is(err, ErrCanceled) {
+		if _, err := ms.BFS(ctx, src); !errors.Is(err, ErrCanceled) {
 			t.Errorf("multi: err = %v, want ErrCanceled", err)
 		}
-		if _, err := ms.BFSContext(context.Background(), src); err != nil {
+		if _, err := ms.BFS(context.Background(), src); err != nil {
 			t.Errorf("multi rerun: %v", err)
 		}
 	})
@@ -248,7 +248,7 @@ func TestUnknownAlgorithmListsNames(t *testing.T) {
 	}
 	defer dg.Free(dev)
 
-	_, err = RunAlgoContext(context.Background(), dev, dg, "dfs", src, MergedAligned)
+	_, err = RunAlgo(context.Background(), dev, dg, "dfs", src, MergedAligned)
 	var ue *UnknownAlgorithmError
 	if !errors.As(err, &ue) {
 		t.Fatalf("err = %v, want *UnknownAlgorithmError", err)

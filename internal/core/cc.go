@@ -38,13 +38,7 @@ func ccProgram() *Program {
 //
 // The graph must be undirected; the paper excludes the directed SK and
 // UK5 graphs from CC for the same reason.
-func CC(dev *gpu.Device, dg *DeviceGraph, variant Variant) (*Result, error) {
-	return CCContext(context.Background(), dev, dg, variant)
-}
-
-// CCContext is CC with cooperative cancellation at round boundaries (see
-// cancel.go for the contract).
-func CCContext(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, variant Variant) (*Result, error) {
+func CC(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, variant Variant) (*Result, error) {
 	if dg.Graph.Directed {
 		return nil, fmt.Errorf("core: CC requires an undirected graph (got %s)", dg.Graph.Name)
 	}

@@ -191,13 +191,7 @@ func (c *CompressedDeviceGraph) DecodeList(v int) []uint32 {
 // Warps stream their vertex's compressed extent with 128-byte-aligned
 // requests and decompress with warp-parallel prefix sums (charged as extra
 // warp instructions — the "idling resources" of §6).
-func BFSCompressed(dev *gpu.Device, cdg *CompressedDeviceGraph, src int) (*Result, error) {
-	return BFSCompressedContext(context.Background(), dev, cdg, src)
-}
-
-// BFSCompressedContext is BFSCompressed with cooperative cancellation at
-// round boundaries (see cancel.go for the contract).
-func BFSCompressedContext(ctx context.Context, dev *gpu.Device, cdg *CompressedDeviceGraph, src int) (*Result, error) {
+func BFSCompressed(ctx context.Context, dev *gpu.Device, cdg *CompressedDeviceGraph, src int) (*Result, error) {
 	g := cdg.Graph
 	n := g.NumVertices()
 	prog := bfsProgram()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -66,7 +67,7 @@ func TestCompressedBFSAgreesWithPlainProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		plain, err := BFS(devA, dgA, src, MergedAligned)
+		plain, err := BFS(context.Background(), devA, dgA, src, MergedAligned)
 		if err != nil {
 			return false
 		}
@@ -75,7 +76,7 @@ func TestCompressedBFSAgreesWithPlainProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		comp, err := BFSCompressed(devB, cdg, src)
+		comp, err := BFSCompressed(context.Background(), devB, cdg, src)
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -91,7 +92,7 @@ func TestBFSCompressedCorrectness(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := graph.PickSources(g, 1, 41)[0]
-		res, err := BFSCompressed(dev, cdg, src)
+		res, err := BFSCompressed(context.Background(), dev, cdg, src)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
@@ -105,7 +106,7 @@ func TestBFSCompressedBadSource(t *testing.T) {
 	g := testGraphs()[0]
 	dev := testDevice()
 	cdg, _ := UploadCompressed(dev, g)
-	if _, err := BFSCompressed(dev, cdg, -1); err == nil {
+	if _, err := BFSCompressed(context.Background(), dev, cdg, -1); err == nil {
 		t.Errorf("bad source accepted")
 	}
 }
@@ -122,7 +123,7 @@ func TestCompressedMovesFewerBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := BFS(devPlain, dgPlain, src, MergedAligned)
+	plain, err := BFS(context.Background(), devPlain, dgPlain, src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestCompressedMovesFewerBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := BFSCompressed(devComp, cdg, src)
+	comp, err := BFSCompressed(context.Background(), devComp, cdg, src)
 	if err != nil {
 		t.Fatal(err)
 	}

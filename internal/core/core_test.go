@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/gpu"
@@ -132,7 +134,7 @@ func TestBFSCorrectnessMatrix(t *testing.T) {
 			}
 			src := graph.PickSources(g, 1, 11)[0]
 			for _, variant := range allVariants {
-				res, err := BFS(dev, dg, src, variant)
+				res, err := BFS(context.Background(), dev, dg, src, variant)
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", g.Name, transport, variant, err)
 				}
@@ -158,7 +160,7 @@ func TestSSSPCorrectnessMatrix(t *testing.T) {
 		}
 		src := graph.PickSources(g, 1, 13)[0]
 		for _, variant := range allVariants {
-			res, err := SSSP(dev, dg, src, variant)
+			res, err := SSSP(context.Background(), dev, dg, src, variant)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", g.Name, variant, err)
 			}
@@ -177,7 +179,7 @@ func TestSSSPUVMTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := graph.PickSources(g, 1, 13)[0]
-	res, err := SSSP(dev, dg, src, Merged)
+	res, err := SSSP(context.Background(), dev, dg, src, Merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +205,7 @@ func TestCCCorrectnessMatrix(t *testing.T) {
 				t.Fatalf("%s: upload: %v", g.Name, err)
 			}
 			for _, variant := range allVariants {
-				res, err := CC(dev, dg, variant)
+				res, err := CC(context.Background(), dev, dg, variant)
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", g.Name, transport, variant, err)
 				}
@@ -225,7 +227,7 @@ func TestCCRejectsDirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CC(dev, dg, Merged); err == nil {
+	if _, err := CC(context.Background(), dev, dg, Merged); err == nil {
 		t.Errorf("CC on a directed graph should error")
 	}
 }
@@ -234,13 +236,13 @@ func TestBFSBadSource(t *testing.T) {
 	g := testGraphs()[0]
 	dev := testDevice()
 	dg, _ := Upload(dev, g, ZeroCopy, 8)
-	if _, err := BFS(dev, dg, -1, Merged); err == nil {
+	if _, err := BFS(context.Background(), dev, dg, -1, Merged); err == nil {
 		t.Errorf("negative source accepted")
 	}
-	if _, err := BFS(dev, dg, g.NumVertices(), Merged); err == nil {
+	if _, err := BFS(context.Background(), dev, dg, g.NumVertices(), Merged); err == nil {
 		t.Errorf("out-of-range source accepted")
 	}
-	if _, err := SSSP(dev, dg, -1, Merged); err == nil {
+	if _, err := SSSP(context.Background(), dev, dg, -1, Merged); err == nil {
 		t.Errorf("SSSP negative source accepted")
 	}
 }
@@ -249,7 +251,7 @@ func TestSSSPRequiresWeights(t *testing.T) {
 	g := graph.Urand("u", 200, 8, 1) // no weights
 	dev := testDevice()
 	dg, _ := Upload(dev, g, ZeroCopy, 8)
-	if _, err := SSSP(dev, dg, 0, Merged); err == nil {
+	if _, err := SSSP(context.Background(), dev, dg, 0, Merged); err == nil {
 		t.Errorf("unweighted SSSP accepted")
 	}
 }
@@ -262,7 +264,7 @@ func TestBFSWith4ByteEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := graph.PickSources(g, 1, 11)[0]
-	res, err := BFS(dev, dg, src, MergedAligned)
+	res, err := BFS(context.Background(), dev, dg, src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +281,7 @@ func TestBFSIterationsEqualDepth(t *testing.T) {
 	dev := testDevice()
 	dg, _ := Upload(dev, g, ZeroCopy, 8)
 	src := graph.PickSources(g, 1, 1)[0]
-	res, err := BFS(dev, dg, src, MergedAligned)
+	res, err := BFS(context.Background(), dev, dg, src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +309,7 @@ func TestRequestCountOrdering(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := BFS(dev, dg, src, variant)
+			res, err := BFS(context.Background(), dev, dg, src, variant)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -337,7 +339,7 @@ func TestAlignedRequestSizeShift(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := BFS(dev, dg, src, variant); err != nil {
+			if _, err := BFS(context.Background(), dev, dg, src, variant); err != nil {
 				t.Fatal(err)
 			}
 			frac[variant] = dev.Monitor().SizeFraction(128)
@@ -362,7 +364,7 @@ func TestZeroCopyAmplificationBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := graph.PickSources(g, 1, 23)[0]
-		res, err := BFS(dev, dg, src, MergedAligned)
+		res, err := BFS(context.Background(), dev, dg, src, MergedAligned)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,15 +382,6 @@ func TestZeroCopyAmplificationBound(t *testing.T) {
 }
 
 func TestAppDispatcher(t *testing.T) {
-	if got := AllApps(); len(got) != 3 || got[0] != AppSSSP || got[1] != AppBFS || got[2] != AppCC {
-		t.Errorf("AllApps = %v (want Figure 11 order: SSSP, BFS, CC)", got)
-	}
-	if AppBFS.String() != "BFS" || AppSSSP.String() != "SSSP" || AppCC.String() != "CC" {
-		t.Errorf("app names wrong")
-	}
-	if App(9).String() == "" {
-		t.Errorf("unknown app should still render")
-	}
 	g := testGraphs()[1]
 	dev := testDevice()
 	dg, err := Upload(dev, g, ZeroCopy, 8)
@@ -396,17 +389,18 @@ func TestAppDispatcher(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := graph.PickSources(g, 1, 3)[0]
-	for _, app := range AllApps() {
-		res, err := Run(dev, dg, app, src, Merged)
+	for _, name := range []string{"sssp", "bfs", "cc"} {
+		res, err := RunAlgo(context.Background(), dev, dg, name, src, Merged)
 		if err != nil {
-			t.Fatalf("%s: %v", app, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if err := res.Validate(g); err != nil {
-			t.Errorf("%s: %v", app, err)
+			t.Errorf("%s: %v", name, err)
 		}
 	}
-	if _, err := Run(dev, dg, App(42), src, Merged); err == nil {
-		t.Errorf("unknown app accepted")
+	var unknown *UnknownAlgorithmError
+	if _, err := RunAlgo(context.Background(), dev, dg, "nope", src, Merged); !errors.As(err, &unknown) {
+		t.Errorf("unknown algorithm: got %v, want *UnknownAlgorithmError", err)
 	}
 	bad := &Result{App: "nope"}
 	if err := bad.Validate(g); err == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := BFS(dev, dg, src, v)
+			res, err := BFS(context.Background(), dev, dg, src, v)
 			if err != nil {
 				return nil, err
 			}
@@ -49,7 +50,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := BFS(dev, dg, src, Merged)
+			res, err := BFS(context.Background(), dev, dg, src, Merged)
 			if err != nil {
 				return nil, err
 			}
@@ -61,7 +62,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := BFS(dev, dg, src, MergedAligned)
+			res, err := BFS(context.Background(), dev, dg, src, MergedAligned)
 			if err != nil {
 				return nil, err
 			}
@@ -73,7 +74,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := BFSWithWorker(dev, dg, src, 8, true)
+			res, err := BFSWithWorker(context.Background(), dev, dg, src, 8, true)
 			if err != nil {
 				return nil, err
 			}
@@ -85,7 +86,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := BFSWithWorker(dev, dg, src, 16, false)
+			res, err := BFSWithWorker(context.Background(), dev, dg, src, 16, false)
 			if err != nil {
 				return nil, err
 			}
@@ -97,7 +98,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := BFSBalanced(dev, dg, src, 64)
+			res, err := BFSBalanced(context.Background(), dev, dg, src, 64)
 			if err != nil {
 				return nil, err
 			}
@@ -109,7 +110,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := BFSCompressed(dev, cdg, src)
+			res, err := BFSCompressed(context.Background(), dev, cdg, src)
 			if err != nil {
 				return nil, err
 			}
@@ -121,7 +122,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := BFSEdgeCentric(dev, ec, src)
+			res, err := BFSEdgeCentric(context.Background(), dev, ec, src)
 			if err != nil {
 				return nil, err
 			}
@@ -133,7 +134,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := BFSDirectionOptimized(dev, dg, src, DefaultPushPullConfig())
+			res, err := BFSDirectionOptimized(context.Background(), dev, dg, src, DefaultPushPullConfig())
 			if err != nil {
 				return nil, err
 			}
@@ -145,7 +146,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 				return nil, err
 			}
 			defer ms.Free()
-			res, err := ms.BFS(src)
+			res, err := ms.BFS(context.Background(), src)
 			if err != nil {
 				return nil, err
 			}
@@ -157,7 +158,7 @@ func TestAllBFSImplementationsAgree(t *testing.T) {
 				return nil, err
 			}
 			defer h.Free()
-			res, err := h.BFS(src)
+			res, err := h.BFS(context.Background(), src)
 			if err != nil {
 				return nil, err
 			}

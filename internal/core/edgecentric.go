@@ -72,13 +72,7 @@ func (ec *EdgeCentricGraph) Free(dev *gpu.Device) {
 // array every level: each warp reads 32 consecutive (src, dst) pairs —
 // perfectly coalesced 128-byte requests with no alignment logic — and
 // relaxes the edges whose source carries the current level.
-func BFSEdgeCentric(dev *gpu.Device, ec *EdgeCentricGraph, src int) (*Result, error) {
-	return BFSEdgeCentricContext(context.Background(), dev, ec, src)
-}
-
-// BFSEdgeCentricContext is BFSEdgeCentric with cooperative cancellation
-// at round boundaries (see cancel.go for the contract).
-func BFSEdgeCentricContext(ctx context.Context, dev *gpu.Device, ec *EdgeCentricGraph, src int) (*Result, error) {
+func BFSEdgeCentric(ctx context.Context, dev *gpu.Device, ec *EdgeCentricGraph, src int) (*Result, error) {
 	g := ec.Graph
 	n := g.NumVertices()
 	e := g.NumEdges()

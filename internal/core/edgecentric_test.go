@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -35,7 +36,7 @@ func TestBFSEdgeCentricCorrectness(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := graph.PickSources(g, 1, 59)[0]
-		res, err := BFSEdgeCentric(dev, ec, src)
+		res, err := BFSEdgeCentric(context.Background(), dev, ec, src)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
@@ -50,7 +51,7 @@ func TestBFSEdgeCentricBadSource(t *testing.T) {
 	g := testGraphs()[0]
 	dev := testDevice()
 	ec, _ := UploadEdgeCentric(dev, g)
-	if _, err := BFSEdgeCentric(dev, ec, -1); err == nil {
+	if _, err := BFSEdgeCentric(context.Background(), dev, ec, -1); err == nil {
 		t.Errorf("bad source accepted")
 	}
 }
@@ -76,7 +77,7 @@ func TestEdgeCentricStreamsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edgeRes, err := BFSEdgeCentric(devE, ec, src)
+	edgeRes, err := BFSEdgeCentric(context.Background(), devE, ec, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestEdgeCentricStreamsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vertRes, err := BFS(devV, dg, src, MergedAligned)
+	vertRes, err := BFS(context.Background(), devV, dg, src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}

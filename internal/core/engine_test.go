@@ -95,14 +95,16 @@ func TestEngineTelemetryCoverage(t *testing.T) {
 		app, variant string
 		run          func() (*Result, error)
 	}{
-		{"BFS", "Merged+Aligned", func() (*Result, error) { return BFS(dev, dg, src, MergedAligned) }},
-		{"SSSP", "Merged", func() (*Result, error) { return SSSP(dev, dg, src, Merged) }},
-		{"CC", "Merged+Aligned", func() (*Result, error) { return CC(dev, dg, MergedAligned) }},
-		{"SSWP", "Merged+Aligned", func() (*Result, error) { return SSWP(dev, dg, src, MergedAligned) }},
-		{"BFS", "worker8", func() (*Result, error) { return BFSWithWorker(dev, dg, src, 8, true) }},
-		{"BFS", "worker16-unaligned", func() (*Result, error) { return BFSWithWorker(dev, dg, src, 16, false) }},
-		{"BFS", "balanced", func() (*Result, error) { return BFSBalanced(dev, dg, src, 1024) }},
-		{"BFS", "pushpull", func() (*Result, error) { return BFSDirectionOptimized(dev, dg, src, DefaultPushPullConfig()) }},
+		{"BFS", "Merged+Aligned", func() (*Result, error) { return BFS(context.Background(), dev, dg, src, MergedAligned) }},
+		{"SSSP", "Merged", func() (*Result, error) { return SSSP(context.Background(), dev, dg, src, Merged) }},
+		{"CC", "Merged+Aligned", func() (*Result, error) { return CC(context.Background(), dev, dg, MergedAligned) }},
+		{"SSWP", "Merged+Aligned", func() (*Result, error) { return SSWP(context.Background(), dev, dg, src, MergedAligned) }},
+		{"BFS", "worker8", func() (*Result, error) { return BFSWithWorker(context.Background(), dev, dg, src, 8, true) }},
+		{"BFS", "worker16-unaligned", func() (*Result, error) { return BFSWithWorker(context.Background(), dev, dg, src, 16, false) }},
+		{"BFS", "balanced", func() (*Result, error) { return BFSBalanced(context.Background(), dev, dg, src, 1024) }},
+		{"BFS", "pushpull", func() (*Result, error) {
+			return BFSDirectionOptimized(context.Background(), dev, dg, src, DefaultPushPullConfig())
+		}},
 	}
 	for _, s := range singles {
 		if _, err := s.run(); err != nil {
@@ -117,7 +119,7 @@ func TestEngineTelemetryCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BFSCompressed(dev, cdg, src); err != nil {
+	if _, err := BFSCompressed(context.Background(), dev, cdg, src); err != nil {
 		t.Fatal(err)
 	}
 	cdg.Free(dev)
@@ -128,7 +130,7 @@ func TestEngineTelemetryCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BFSEdgeCentric(dev, ec, src); err != nil {
+	if _, err := BFSEdgeCentric(context.Background(), dev, ec, src); err != nil {
 		t.Fatal(err)
 	}
 	ec.Free(dev)
@@ -142,7 +144,7 @@ func TestEngineTelemetryCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.BFS(src); err != nil {
+	if _, err := h.BFS(context.Background(), src); err != nil {
 		t.Fatal(err)
 	}
 	h.Free()
@@ -158,13 +160,13 @@ func TestEngineTelemetryCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ms.BFS(src); err != nil {
+	if _, err := ms.BFS(context.Background(), src); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ms.SSSP(src); err != nil {
+	if _, err := ms.SSSP(context.Background(), src); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ms.CC(); err != nil {
+	if _, err := ms.CC(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ms.Free()
@@ -298,12 +300,12 @@ func TestAlgorithmRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := graph.PickSources(g, 1, 3)[0]
-	if _, err := RunAlgo(dev, dg, "no-such-algo", src, Merged); err == nil {
+	if _, err := RunAlgo(context.Background(), dev, dg, "no-such-algo", src, Merged); err == nil {
 		t.Errorf("unknown algorithm accepted")
 	} else if !strings.Contains(err.Error(), "no-such-algo") {
 		t.Errorf("error should name the unknown algorithm: %v", err)
 	}
-	res, err := RunAlgo(dev, dg, "BFS", src, Merged)
+	res, err := RunAlgo(context.Background(), dev, dg, "BFS", src, Merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +319,7 @@ func TestAlgorithmRegistry(t *testing.T) {
 				t.Errorf("duplicate registration should panic")
 			}
 		}()
-		RegisterAlgorithm(&Algorithm{Name: "bfs", Run: BFSContext})
+		RegisterAlgorithm(&Algorithm{Name: "bfs", Run: BFS})
 	}()
 	func() {
 		defer func() {
@@ -342,7 +344,7 @@ func TestSSWPCorrectnessMatrix(t *testing.T) {
 			}
 			src := graph.PickSources(g, 1, 29)[0]
 			for _, variant := range allVariants {
-				res, err := SSWP(dev, dg, src, variant)
+				res, err := SSWP(context.Background(), dev, dg, src, variant)
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", g.Name, transport, variant, err)
 				}
@@ -362,13 +364,13 @@ func TestSSWPErrors(t *testing.T) {
 	g := graph.Urand("u", 200, 8, 1) // no weights
 	dev := testDevice()
 	dg, _ := Upload(dev, g, ZeroCopy, 8)
-	if _, err := SSWP(dev, dg, 0, Merged); err == nil {
+	if _, err := SSWP(context.Background(), dev, dg, 0, Merged); err == nil {
 		t.Errorf("unweighted SSWP accepted")
 	}
-	if _, err := SSWP(dev, dg, -1, Merged); err == nil {
+	if _, err := SSWP(context.Background(), dev, dg, -1, Merged); err == nil {
 		t.Errorf("negative source accepted")
 	}
-	if _, err := SSWP(dev, dg, g.NumVertices(), Merged); err == nil {
+	if _, err := SSWP(context.Background(), dev, dg, g.NumVertices(), Merged); err == nil {
 		t.Errorf("out-of-range source accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gpu"
@@ -43,7 +44,7 @@ func TestBFSZeroUVMCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := graph.PickSources(g, 1, 1)[0]
-	res, err := BFS(dev, dg, src, Merged)
+	res, err := BFS(context.Background(), dev, dg, src, Merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestSingleVertexGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BFS(dev, dg, 0, MergedAligned)
+	res, err := BFS(context.Background(), dev, dg, 0, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestSingleVertexGraph(t *testing.T) {
 	if res.Iterations != 1 {
 		t.Errorf("iterations = %d, want 1 (empty first frontier)", res.Iterations)
 	}
-	cc, err := CC(dev, dg, Merged)
+	cc, err := CC(context.Background(), dev, dg, Merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestIsolatedSourceBFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BFS(dev, dg, 5, MergedAligned)
+	res, err := BFS(context.Background(), dev, dg, 5, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestAllVariantsOnPathGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := BFS(dev, dg, 0, variant)
+		res, err := BFS(context.Background(), dev, dg, 0, variant)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +131,7 @@ func TestAllVariantsOnPathGraph(t *testing.T) {
 		if res.Iterations != n {
 			t.Errorf("%s: iterations = %d, want %d", variant, res.Iterations, n)
 		}
-		sp, err := SSSP(dev, dg, 0, variant)
+		sp, err := SSSP(context.Background(), dev, dg, 0, variant)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +167,7 @@ func TestMisalignedEdgeBufferBase(t *testing.T) {
 	dg := &DeviceGraph{Graph: g, Transport: ZeroCopy, EdgeBytes: 8,
 		Offsets: offsets, Edges: edges}
 	src := graph.PickSources(g, 1, 1)[0]
-	res, err := BFS(dev, dg, src, MergedAligned)
+	res, err := BFS(context.Background(), dev, dg, src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestSelfLoopHeavyInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BFS(dev, dg, 0, Merged)
+	res, err := BFS(context.Background(), dev, dg, 0, Merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,12 +212,12 @@ func TestRepeatedRunsIndependent(t *testing.T) {
 	}
 	src := graph.PickSources(g, 1, 1)[0]
 	dev.ResetUVMResidency()
-	a, err := BFS(dev, dg, src, Merged)
+	a, err := BFS(context.Background(), dev, dg, src, Merged)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dev.ResetUVMResidency()
-	b, err := BFS(dev, dg, src, Merged)
+	b, err := BFS(context.Background(), dev, dg, src, Merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestRepeatedRunsIndependent(t *testing.T) {
 		}
 	}
 	// A warm second run must migrate less.
-	c, err := BFS(dev, dg, src, Merged)
+	c, err := BFS(context.Background(), dev, dg, src, Merged)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestTransientFaultSurfacesTyped(t *testing.T) {
 	defer dg.Free(dev)
 	usedBefore := dev.Arena().GPUUsed()
 
-	res, err := BFSContext(context.Background(), dev, dg, src, MergedAligned)
+	res, err := BFS(context.Background(), dev, dg, src, MergedAligned)
 	if res != nil {
 		t.Fatalf("faulted run returned a result: %+v", res)
 	}
@@ -106,7 +106,7 @@ func TestRetryUntilCleanMatchesGolden(t *testing.T) {
 	var res *Result
 	faulted := 0
 	for attempt := 0; attempt < 100; attempt++ {
-		r, err := BFSContext(context.Background(), dev, dg, src, MergedAligned)
+		r, err := BFS(context.Background(), dev, dg, src, MergedAligned)
 		if err == nil {
 			res = r
 			break
@@ -155,7 +155,7 @@ func TestFaultDeterminismAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer dg.Free(dev)
-		_, err = BFSContext(context.Background(), dev, dg, src, MergedAligned)
+		_, err = BFS(context.Background(), dev, dg, src, MergedAligned)
 		return inj.Counts().ReadFaults, err
 	}
 	serialFaults, serialErr := run(1)
@@ -196,7 +196,7 @@ func TestAllocFaultSurfacesTransient(t *testing.T) {
 	dev.Arena().SetAllocFaultHook(func(_ memsys.Space, size int64) error {
 		return inj.AllocFault(size)
 	})
-	_, err = BFSContext(context.Background(), dev, dg, src, MergedAligned)
+	_, err = BFS(context.Background(), dev, dg, src, MergedAligned)
 	dev.Arena().SetAllocFaultHook(nil)
 	if !errors.Is(err, fault.ErrTransient) {
 		t.Fatalf("alloc-faulted run: err = %v, want match for fault.ErrTransient", err)
@@ -207,7 +207,7 @@ func TestAllocFaultSurfacesTransient(t *testing.T) {
 
 	// With the hook lifted the same device graph traverses to the golden
 	// numbers.
-	res, err := BFSContext(context.Background(), dev, dg, src, MergedAligned)
+	res, err := BFS(context.Background(), dev, dg, src, MergedAligned)
 	if err != nil {
 		t.Fatalf("rerun after alloc fault: %v", err)
 	}

@@ -96,7 +96,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 			if err != nil {
 				return nil, err
 			}
-			return BFS(dev, dg, src, MergedAligned)
+			return BFS(context.Background(), dev, dg, src, MergedAligned)
 		})
 		run("sssp", func() (*Result, error) {
 			dev := mkdev()
@@ -104,7 +104,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 			if err != nil {
 				return nil, err
 			}
-			return SSSP(dev, dg, src, MergedAligned)
+			return SSSP(context.Background(), dev, dg, src, MergedAligned)
 		})
 		if !g.Directed {
 			run("cc", func() (*Result, error) {
@@ -113,7 +113,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 				if err != nil {
 					return nil, err
 				}
-				return CC(dev, dg, MergedAligned)
+				return CC(context.Background(), dev, dg, MergedAligned)
 			})
 		}
 		if sym != "GK" {
@@ -127,7 +127,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 			if err != nil {
 				return nil, err
 			}
-			return BFS(dev, dg, src, Merged)
+			return BFS(context.Background(), dev, dg, src, Merged)
 		})
 		run("bfs-naive", func() (*Result, error) {
 			dev := mkdev()
@@ -135,7 +135,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 			if err != nil {
 				return nil, err
 			}
-			return BFS(dev, dg, src, Naive)
+			return BFS(context.Background(), dev, dg, src, Naive)
 		})
 		run("bfs-worker8", func() (*Result, error) {
 			dev := mkdev()
@@ -143,7 +143,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 			if err != nil {
 				return nil, err
 			}
-			return BFSWithWorker(dev, dg, src, 8, true)
+			return BFSWithWorker(context.Background(), dev, dg, src, 8, true)
 		})
 		run("bfs-worker16-unaligned", func() (*Result, error) {
 			dev := mkdev()
@@ -151,7 +151,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 			if err != nil {
 				return nil, err
 			}
-			return BFSWithWorker(dev, dg, src, 16, false)
+			return BFSWithWorker(context.Background(), dev, dg, src, 16, false)
 		})
 		run("bfs-balanced", func() (*Result, error) {
 			dev := mkdev()
@@ -159,7 +159,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 			if err != nil {
 				return nil, err
 			}
-			return BFSBalanced(dev, dg, src, 64)
+			return BFSBalanced(context.Background(), dev, dg, src, 64)
 		})
 		run("bfs-compressed", func() (*Result, error) {
 			dev := mkdev()
@@ -167,7 +167,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 			if err != nil {
 				return nil, err
 			}
-			return BFSCompressed(dev, cdg, src)
+			return BFSCompressed(context.Background(), dev, cdg, src)
 		})
 		run("bfs-edgecentric", func() (*Result, error) {
 			dev := mkdev()
@@ -175,7 +175,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 			if err != nil {
 				return nil, err
 			}
-			return BFSEdgeCentric(dev, ec, src)
+			return BFSEdgeCentric(context.Background(), dev, ec, src)
 		})
 		run("bfs-pushpull", func() (*Result, error) {
 			dev := mkdev()
@@ -183,7 +183,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 			if err != nil {
 				return nil, err
 			}
-			return BFSDirectionOptimized(dev, dg, src, DefaultPushPullConfig())
+			return BFSDirectionOptimized(context.Background(), dev, dg, src, DefaultPushPullConfig())
 		})
 		run("bfs-hybrid0.3", func() (*Result, error) {
 			h, err := NewHybridSystem(mkdev(), g, 8, DefaultHybridConfig(0.3))
@@ -191,7 +191,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 				return nil, err
 			}
 			defer h.Free()
-			return h.BFS(src)
+			return h.BFS(context.Background(), src)
 		})
 		run("bfs-multigpu2", func() (*Result, error) {
 			ms, err := NewMultiSystem(mkmulti(2), g, 8)
@@ -199,7 +199,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 				return nil, err
 			}
 			defer ms.Free()
-			return ms.BFS(src)
+			return ms.BFS(context.Background(), src)
 		})
 		run("sssp-multigpu2", func() (*Result, error) {
 			ms, err := NewMultiSystem(mkmulti(2), g, 8)
@@ -207,7 +207,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 				return nil, err
 			}
 			defer ms.Free()
-			return ms.SSSP(src)
+			return ms.SSSP(context.Background(), src)
 		})
 		// Batched lanes, pinned on GK: each lane's record carries its own
 		// iteration count plus the batch's shared counters, so both the
@@ -243,7 +243,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 				return nil, err
 			}
 			defer ms.Free()
-			return ms.CC()
+			return ms.CC(context.Background())
 		})
 	}
 	return recs

@@ -84,12 +84,6 @@ func (h *HybridSystem) Free() { h.dg.Free(h.dev) }
 // own with merged+aligned zero-copy reads; the level costs the slower of
 // the two plus a label-replica reduction. The round loop is the frontier
 // engine's hybrid topology (engine.go) driving the standard BFS program.
-func (h *HybridSystem) BFS(src int) (*Result, error) {
-	return h.BFSContext(context.Background(), src)
-}
-
-// BFSContext is BFS with cooperative cancellation at round boundaries
-// (see cancel.go for the contract).
-func (h *HybridSystem) BFSContext(ctx context.Context, src int) (*Result, error) {
+func (h *HybridSystem) BFS(ctx context.Context, src int) (*Result, error) {
 	return runHybrid(ctx, h, bfsProgram(), src)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -16,7 +17,7 @@ func TestHybridBFSCorrectness(t *testing.T) {
 				t.Fatalf("%s share=%v: %v", g.Name, share, err)
 			}
 			src := graph.PickSources(g, 1, 47)[0]
-			res, err := h.BFS(src)
+			res, err := h.BFS(context.Background(), src)
 			if err != nil {
 				t.Fatalf("%s share=%v: %v", g.Name, share, err)
 			}
@@ -46,7 +47,7 @@ func TestHybridValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.BFS(-1); err == nil {
+	if _, err := h.BFS(context.Background(), -1); err == nil {
 		t.Errorf("bad source accepted")
 	}
 }
@@ -85,7 +86,7 @@ func TestHybridOffloadHelpsUpToAPoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := h.BFS(src)
+		res, err := h.BFS(context.Background(), src)
 		if err != nil {
 			t.Fatal(err)
 		}

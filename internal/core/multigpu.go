@@ -76,23 +76,12 @@ func (ms *MultiSystem) Partition(i int) (lo, hi int) {
 }
 
 // BFS runs multi-GPU breadth-first search from src.
-func (ms *MultiSystem) BFS(src int) (*Result, error) {
-	return ms.BFSContext(context.Background(), src)
-}
-
-// BFSContext is BFS with cooperative cancellation at round boundaries
-// (see cancel.go for the contract).
-func (ms *MultiSystem) BFSContext(ctx context.Context, src int) (*Result, error) {
+func (ms *MultiSystem) BFS(ctx context.Context, src int) (*Result, error) {
 	return runMulti(ctx, ms, bfsProgram(), src)
 }
 
 // SSSP runs multi-GPU single-source shortest path from src.
-func (ms *MultiSystem) SSSP(src int) (*Result, error) {
-	return ms.SSSPContext(context.Background(), src)
-}
-
-// SSSPContext is SSSP with cooperative cancellation at round boundaries.
-func (ms *MultiSystem) SSSPContext(ctx context.Context, src int) (*Result, error) {
+func (ms *MultiSystem) SSSP(ctx context.Context, src int) (*Result, error) {
 	if ms.graph.Weights == nil {
 		return nil, fmt.Errorf("core: SSSP requires a weighted graph")
 	}
@@ -100,12 +89,7 @@ func (ms *MultiSystem) SSSPContext(ctx context.Context, src int) (*Result, error
 }
 
 // CC runs multi-GPU connected components (undirected graphs only).
-func (ms *MultiSystem) CC() (*Result, error) {
-	return ms.CCContext(context.Background())
-}
-
-// CCContext is CC with cooperative cancellation at round boundaries.
-func (ms *MultiSystem) CCContext(ctx context.Context) (*Result, error) {
+func (ms *MultiSystem) CC(ctx context.Context) (*Result, error) {
 	if ms.graph.Directed {
 		return nil, fmt.Errorf("core: CC requires an undirected graph")
 	}

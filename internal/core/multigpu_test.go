@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -31,7 +32,7 @@ func TestMultiGPUBFSCorrectness(t *testing.T) {
 				t.Fatalf("%s x%d: %v", g.Name, n, err)
 			}
 			src := graph.PickSources(g, 1, 43)[0]
-			res, err := ms.BFS(src)
+			res, err := ms.BFS(context.Background(), src)
 			if err != nil {
 				t.Fatalf("%s x%d: %v", g.Name, n, err)
 			}
@@ -56,7 +57,7 @@ func TestMultiSystemValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ms.BFS(-1); err == nil {
+	if _, err := ms.BFS(context.Background(), -1); err == nil {
 		t.Errorf("bad source accepted")
 	}
 }
@@ -105,7 +106,7 @@ func TestMultiGPUScalesTraversal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ms.BFS(src)
+		res, err := ms.BFS(context.Background(), src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,13 +136,13 @@ func TestMultiGPUSingleMatchesPlainValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := ms.BFS(src)
+	multi, err := ms.BFS(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dev := testDevice()
 	dg, _ := Upload(dev, g, ZeroCopy, 8)
-	plain, err := BFS(dev, dg, src, MergedAligned)
+	plain, err := BFS(context.Background(), dev, dg, src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestMultiGPUSSSPCorrectness(t *testing.T) {
 				t.Fatal(err)
 			}
 			src := graph.PickSources(g, 1, 53)[0]
-			res, err := ms.SSSP(src)
+			res, err := ms.SSSP(context.Background(), src)
 			if err != nil {
 				t.Fatalf("%s x%d: %v", g.Name, n, err)
 			}
@@ -181,7 +182,7 @@ func TestMultiGPUCCCorrectness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ms.CC()
+		res, err := ms.CC(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
@@ -201,7 +202,7 @@ func TestMultiGPUAppValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ms.SSSP(0); err == nil {
+	if _, err := ms.SSSP(context.Background(), 0); err == nil {
 		t.Errorf("unweighted multi-GPU SSSP accepted")
 	}
 	directed := graph.Web("w", 300, 8, 2)
@@ -209,7 +210,7 @@ func TestMultiGPUAppValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ms2.CC(); err == nil {
+	if _, err := ms2.CC(context.Background()); err == nil {
 		t.Errorf("directed multi-GPU CC accepted")
 	}
 }

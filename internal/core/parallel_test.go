@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/gpu"
@@ -77,8 +79,8 @@ func TestSerialParallelEquivalence(t *testing.T) {
 		src := graph.PickSources(g, 1, 71)[0]
 		for _, transport := range []Transport{ZeroCopy, UVM} {
 			for _, variant := range allVariants {
-				for _, app := range []App{AppBFS, AppSSSP, AppCC} {
-					name := fmt.Sprintf("%s/%s/%s/%s", g.Name, transport, variant, app)
+				for _, app := range []string{"bfs", "sssp", "cc"} {
+					name := fmt.Sprintf("%s/%s/%s/%s", g.Name, transport, variant, strings.ToUpper(app))
 					t.Run(name, func(t *testing.T) {
 						run := func(workers int) *Result {
 							dev := workerDevice(workers)
@@ -86,7 +88,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							res, err := Run(dev, dg, app, src, variant)
+							res, err := RunAlgo(context.Background(), dev, dg, app, src, variant)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -121,35 +123,35 @@ func TestSerialParallelEquivalenceExtensions(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return BFSWithWorker(dev, dg, src, 8, true)
+			return BFSWithWorker(context.Background(), dev, dg, src, 8, true)
 		}},
 		{"balanced", func(dev *gpu.Device) (*Result, error) {
 			dg, err := Upload(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
 			}
-			return BFSBalanced(dev, dg, src, 64)
+			return BFSBalanced(context.Background(), dev, dg, src, 64)
 		}},
 		{"compressed", func(dev *gpu.Device) (*Result, error) {
 			cdg, err := UploadCompressed(dev, g)
 			if err != nil {
 				return nil, err
 			}
-			return BFSCompressed(dev, cdg, src)
+			return BFSCompressed(context.Background(), dev, cdg, src)
 		}},
 		{"edge-centric", func(dev *gpu.Device) (*Result, error) {
 			ec, err := UploadEdgeCentric(dev, g)
 			if err != nil {
 				return nil, err
 			}
-			return BFSEdgeCentric(dev, ec, src)
+			return BFSEdgeCentric(context.Background(), dev, ec, src)
 		}},
 		{"direction-optimized", func(dev *gpu.Device) (*Result, error) {
 			dg, err := Upload(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
 			}
-			return BFSDirectionOptimized(dev, dg, src, DefaultPushPullConfig())
+			return BFSDirectionOptimized(context.Background(), dev, dg, src, DefaultPushPullConfig())
 		}},
 		{"hybrid-0.3", func(dev *gpu.Device) (*Result, error) {
 			h, err := NewHybridSystem(dev, g, 8, DefaultHybridConfig(0.3))
@@ -157,7 +159,7 @@ func TestSerialParallelEquivalenceExtensions(t *testing.T) {
 				return nil, err
 			}
 			defer h.Free()
-			return h.BFS(src)
+			return h.BFS(context.Background(), src)
 		}},
 		{"toy-strided", func(dev *gpu.Device) (*Result, error) {
 			tr, err := ToyTraverse(dev, 1<<14, ToyStrided, ZeroCopy)

@@ -263,7 +263,7 @@ func TestAdaptiveFaultRetryReplaysDecisions(t *testing.T) {
 	var res *Result
 	for attempt := 0; attempt < 100; attempt++ {
 		log.rounds = log.rounds[:0]
-		r, err := BFSContext(context.Background(), dev, dg, src, Naive)
+		r, err := BFS(context.Background(), dev, dg, src, Naive)
 		if err == nil {
 			res = r
 			break

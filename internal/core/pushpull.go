@@ -42,13 +42,7 @@ func DefaultPushPullConfig() PushPullConfig {
 
 // BFSDirectionOptimized runs push/pull BFS from src over zero-copy memory.
 // It returns the same levels as plain BFS; only the traffic differs.
-func BFSDirectionOptimized(dev *gpu.Device, dg *DeviceGraph, src int, cfg PushPullConfig) (*Result, error) {
-	return BFSDirectionOptimizedContext(context.Background(), dev, dg, src, cfg)
-}
-
-// BFSDirectionOptimizedContext is BFSDirectionOptimized with cooperative
-// cancellation at round boundaries (see cancel.go for the contract).
-func BFSDirectionOptimizedContext(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, cfg PushPullConfig) (*Result, error) {
+func BFSDirectionOptimized(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, cfg PushPullConfig) (*Result, error) {
 	g := dg.Graph
 	if g.Directed {
 		return nil, fmt.Errorf("core: direction-optimized BFS requires an undirected graph")

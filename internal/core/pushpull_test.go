@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestDirectionOptimizedCorrectness(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := graph.PickSources(g, 1, 67)[0]
-		res, err := BFSDirectionOptimized(dev, dg, src, DefaultPushPullConfig())
+		res, err := BFSDirectionOptimized(context.Background(), dev, dg, src, DefaultPushPullConfig())
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
@@ -32,7 +33,7 @@ func TestDirectionOptimizedRejectsDirected(t *testing.T) {
 	g := graph.Web("w", 300, 8, 1)
 	dev := testDevice()
 	dg, _ := Upload(dev, g, ZeroCopy, 8)
-	if _, err := BFSDirectionOptimized(dev, dg, 0, DefaultPushPullConfig()); err == nil {
+	if _, err := BFSDirectionOptimized(context.Background(), dev, dg, 0, DefaultPushPullConfig()); err == nil {
 		t.Errorf("directed graph accepted")
 	}
 }
@@ -41,7 +42,7 @@ func TestDirectionOptimizedBadSource(t *testing.T) {
 	g := testGraphs()[1]
 	dev := testDevice()
 	dg, _ := Upload(dev, g, ZeroCopy, 8)
-	if _, err := BFSDirectionOptimized(dev, dg, -1, DefaultPushPullConfig()); err == nil {
+	if _, err := BFSDirectionOptimized(context.Background(), dev, dg, -1, DefaultPushPullConfig()); err == nil {
 		t.Errorf("bad source accepted")
 	}
 }
@@ -55,7 +56,7 @@ func TestDirectionOptimizedUsesPull(t *testing.T) {
 
 	devD := testDevice()
 	dgD, _ := Upload(devD, g, ZeroCopy, 8)
-	do, err := BFSDirectionOptimized(devD, dgD, src, DefaultPushPullConfig())
+	do, err := BFSDirectionOptimized(context.Background(), devD, dgD, src, DefaultPushPullConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestDirectionOptimizedUsesPull(t *testing.T) {
 
 	devP := testDevice()
 	dgP, _ := Upload(devP, g, ZeroCopy, 8)
-	push, err := BFS(devP, dgP, src, MergedAligned)
+	push, err := BFS(context.Background(), devP, dgP, src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +93,13 @@ func TestDirectionOptimizedAllPushMatchesPlain(t *testing.T) {
 
 	devA := testDevice()
 	dgA, _ := Upload(devA, g, ZeroCopy, 8)
-	a, err := BFSDirectionOptimized(devA, dgA, src, PushPullConfig{PullThreshold: 2.0})
+	a, err := BFSDirectionOptimized(context.Background(), devA, dgA, src, PushPullConfig{PullThreshold: 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	devB := testDevice()
 	dgB, _ := Upload(devB, g, ZeroCopy, 8)
-	b, err := BFS(devB, dgB, src, MergedAligned)
+	b, err := BFS(context.Background(), devB, dgB, src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}

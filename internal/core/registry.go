@@ -11,7 +11,7 @@ import (
 
 // This file is the algorithm registry: every traversal entry point —
 // the paper's applications and the specialty configurations — registered
-// under a stable name so callers (core.Run, the public emogi API, the
+// under a stable name so callers (RunAlgo, the public emogi API, the
 // emogi and emogi-bench commands, the traversal service) dispatch by name
 // instead of hard-coded switches. Registering an Algorithm is the second
 // half of adding an app to the frontier engine (the first is its Program
@@ -99,15 +99,10 @@ func (e *UnknownAlgorithmError) Error() string {
 		e.Name, strings.Join(AlgorithmNames(), ", "))
 }
 
-// RunAlgo dispatches a traversal by registry name.
-func RunAlgo(dev *gpu.Device, dg *DeviceGraph, name string, src int, variant Variant) (*Result, error) {
-	return RunAlgoContext(context.Background(), dev, dg, name, src, variant)
-}
-
-// RunAlgoContext dispatches a traversal by registry name with cooperative
+// RunAlgo dispatches a traversal by registry name with cooperative
 // cancellation at round boundaries. An unknown name returns an
 // *UnknownAlgorithmError listing the valid names.
-func RunAlgoContext(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, name string, src int, variant Variant) (*Result, error) {
+func RunAlgo(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, name string, src int, variant Variant) (*Result, error) {
 	a := LookupAlgorithm(name)
 	if a == nil {
 		return nil, &UnknownAlgorithmError{Name: name}
@@ -119,15 +114,15 @@ func init() {
 	RegisterAlgorithm(&Algorithm{
 		Name:        "bfs",
 		Description: "breadth-first search (match-by-level frontier)",
-		Run:         BFSContext,
-		Batch:       BFSBatchContext,
+		Run:         BFS,
+		Batch:       BFSBatch,
 	})
 	RegisterAlgorithm(&Algorithm{
 		Name:         "sssp",
 		Description:  "single-source shortest path (atomic-min + add)",
 		NeedsWeights: true,
-		Run:          SSSPContext,
-		Batch:        SSSPBatchContext,
+		Run:          SSSP,
+		Batch:        SSSPBatch,
 	})
 	RegisterAlgorithm(&Algorithm{
 		Name:            "cc",
@@ -135,15 +130,15 @@ func init() {
 		NeedsUndirected: true,
 		NoSource:        true,
 		Run: func(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, _ int, variant Variant) (*Result, error) {
-			return CCContext(ctx, dev, dg, variant)
+			return CC(ctx, dev, dg, variant)
 		},
 	})
 	RegisterAlgorithm(&Algorithm{
 		Name:         "sswp",
 		Description:  "single-source widest path (atomic-max + min)",
 		NeedsWeights: true,
-		Run:          SSWPContext,
-		Batch:        SSWPBatchContext,
+		Run:          SSWP,
+		Batch:        SSWPBatch,
 	})
 	for _, lanes := range []int{4, 8, 16} {
 		lanes := lanes
@@ -152,7 +147,7 @@ func init() {
 			Description:  fmt.Sprintf("BFS with %d-lane sub-warp workers (§4.3.1 study)", lanes),
 			FixedVariant: true,
 			Run: func(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, _ Variant) (*Result, error) {
-				return BFSWithWorkerContext(ctx, dev, dg, src, lanes, true)
+				return BFSWithWorker(ctx, dev, dg, src, lanes, true)
 			},
 		})
 	}
@@ -161,7 +156,7 @@ func init() {
 		Description:  "BFS with hub-list splitting across virtual workers (§6)",
 		FixedVariant: true,
 		Run: func(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, _ Variant) (*Result, error) {
-			return BFSBalancedContext(ctx, dev, dg, src, 1024)
+			return BFSBalanced(ctx, dev, dg, src, 1024)
 		},
 	})
 	RegisterAlgorithm(&Algorithm{
@@ -170,7 +165,7 @@ func init() {
 		NeedsUndirected: true,
 		FixedVariant:    true,
 		Run: func(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, _ Variant) (*Result, error) {
-			return BFSDirectionOptimizedContext(ctx, dev, dg, src, DefaultPushPullConfig())
+			return BFSDirectionOptimized(ctx, dev, dg, src, DefaultPushPullConfig())
 		},
 	})
 	RegisterAlgorithm(&Algorithm{
@@ -183,7 +178,7 @@ func init() {
 				return nil, err
 			}
 			defer cdg.Free(dev)
-			return BFSCompressedContext(ctx, dev, cdg, src)
+			return BFSCompressed(ctx, dev, cdg, src)
 		},
 	})
 	RegisterAlgorithm(&Algorithm{
@@ -196,7 +191,7 @@ func init() {
 				return nil, err
 			}
 			defer ec.Free(dev)
-			return BFSEdgeCentricContext(ctx, dev, ec, src)
+			return BFSEdgeCentric(ctx, dev, ec, src)
 		},
 	})
 }

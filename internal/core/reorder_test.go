@@ -143,13 +143,13 @@ func TestReorderWindowZeroMatchesGolden(t *testing.T) {
 		run  func(dev *gpu.Device, dg *DeviceGraph) (*Result, error)
 	}{
 		{"GK/bfs", func(dev *gpu.Device, dg *DeviceGraph) (*Result, error) {
-			return BFS(dev, dg, src, MergedAligned)
+			return BFS(context.Background(), dev, dg, src, MergedAligned)
 		}},
 		{"GK/sssp", func(dev *gpu.Device, dg *DeviceGraph) (*Result, error) {
-			return SSSP(dev, dg, src, MergedAligned)
+			return SSSP(context.Background(), dev, dg, src, MergedAligned)
 		}},
 		{"GK/bfs-naive", func(dev *gpu.Device, dg *DeviceGraph) (*Result, error) {
-			return BFS(dev, dg, src, Naive)
+			return BFS(context.Background(), dev, dg, src, Naive)
 		}},
 	} {
 		dev := reorderDevice(0, 0)

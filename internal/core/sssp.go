@@ -43,13 +43,7 @@ func ssspProgram() *Program {
 // engine's FrontierActive policy). Intra-round chaining (a warp reusing a
 // distance another warp lowered moments earlier) is given up; the fixed
 // point is identical, reached in a few more launches.
-func SSSP(dev *gpu.Device, dg *DeviceGraph, src int, variant Variant) (*Result, error) {
-	return SSSPContext(context.Background(), dev, dg, src, variant)
-}
-
-// SSSPContext is SSSP with cooperative cancellation at round boundaries
-// (see cancel.go for the contract).
-func SSSPContext(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, variant Variant) (*Result, error) {
+func SSSP(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, variant Variant) (*Result, error) {
 	n := dg.NumVertices()
 	if src < 0 || src >= n {
 		return nil, fmt.Errorf("core: SSSP source %d out of range [0,%d)", src, n)

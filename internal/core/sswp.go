@@ -43,13 +43,7 @@ func sswpProgram() *Program {
 // SSWP runs single-source widest path from src. Like SSSP it iterates
 // explicit-active-set relaxation rounds to a fixed point with
 // round-boundary snapshots; edge weights stream from host memory.
-func SSWP(dev *gpu.Device, dg *DeviceGraph, src int, variant Variant) (*Result, error) {
-	return SSWPContext(context.Background(), dev, dg, src, variant)
-}
-
-// SSWPContext is SSWP with cooperative cancellation at round boundaries
-// (see cancel.go for the contract).
-func SSWPContext(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, variant Variant) (*Result, error) {
+func SSWP(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, variant Variant) (*Result, error) {
 	n := dg.NumVertices()
 	if src < 0 || src >= n {
 		return nil, fmt.Errorf("core: SSWP source %d out of range [0,%d)", src, n)

@@ -110,7 +110,7 @@ func TestOversubscriptionSpillsToCXL(t *testing.T) {
 			t.Errorf("%s: PlaceAuto should fill DRAM before spilling", g.Name)
 		}
 		src := graph.PickSources(g, 1, 43)[0]
-		res, err := BFS(dev, dg, src, MergedAligned)
+		res, err := BFS(context.Background(), dev, dg, src, MergedAligned)
 		if err != nil {
 			t.Fatalf("%s: BFS over spilled edges: %v", g.Name, err)
 		}
@@ -141,7 +141,7 @@ func TestPlacementForcedCXL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resD, err := BFS(devD, dgD, src, MergedAligned)
+	resD, err := BFS(context.Background(), devD, dgD, src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestPlacementForcedCXL(t *testing.T) {
 	if got := dgC.Edges.HomedBytes(memsys.SpaceHostPinned); got != 0 {
 		t.Fatalf("PlaceCXL left %d bytes in DRAM", got)
 	}
-	resC, err := BFS(devC, dgC, src, MergedAligned)
+	resC, err := BFS(context.Background(), devC, dgC, src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestApplyPlacementMoves(t *testing.T) {
 	if got := dg.Edges.HomedBytes(memsys.SpaceHostPinned); got != 0 {
 		t.Fatalf("after PlaceCXL, %d edge bytes still DRAM-homed", got)
 	}
-	res, err := BFS(dev, dg, src, MergedAligned)
+	res, err := BFS(context.Background(), dev, dg, src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestApplyPlacementMoves(t *testing.T) {
 	if got := dev.Arena().CXLUsed(); got != 0 {
 		t.Fatalf("CXL accounting nonzero after move back: %d", got)
 	}
-	res2, err := BFS(dev, dg, src, MergedAligned)
+	res2, err := BFS(context.Background(), dev, dg, src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestPagingDeterminism(t *testing.T) {
 		if err != nil {
 			return outcome{err: err}
 		}
-		res, err := BFS(dev, dg, srcs[0], Merged)
+		res, err := BFS(context.Background(), dev, dg, srcs[0], Merged)
 		return outcome{res: res, err: err}
 	}
 	for _, gpuDriven := range []bool{false, true} {
@@ -361,7 +361,7 @@ func TestWeightedSpillHomes(t *testing.T) {
 		t.Errorf("weight list overcommitted DRAM: %d weight bytes in DRAM, %d free", wDRAM, free)
 	}
 	src := graph.PickSources(g, 1, 43)[0]
-	res, err := SSSP(dev, dg, src, MergedAligned)
+	res, err := SSSP(context.Background(), dev, dg, src, MergedAligned)
 	if err != nil {
 		t.Fatalf("SSSP over split weighted layout: %v", err)
 	}
@@ -409,7 +409,7 @@ func TestWeightsJustOverflowHomes(t *testing.T) {
 		t.Errorf("weight homes do not cover the list: DRAM %d + CXL %d != %d", wDRAM, wCXL, wBytes)
 	}
 	src := graph.PickSources(g, 1, 43)[0]
-	res, err := SSSP(dev, dg, src, MergedAligned)
+	res, err := SSSP(context.Background(), dev, dg, src, MergedAligned)
 	if err != nil {
 		t.Fatalf("SSSP over spilled weights: %v", err)
 	}

@@ -27,13 +27,7 @@ import (
 // (4, 8, 16, or 32; 32 equals the Merged/MergedAligned variants). Each
 // warp processes 32/workerLanes vertices concurrently, so a worker's
 // maximum coalesced request is workerLanes*elemBytes bytes.
-func BFSWithWorker(dev *gpu.Device, dg *DeviceGraph, src int, workerLanes int, aligned bool) (*Result, error) {
-	return BFSWithWorkerContext(context.Background(), dev, dg, src, workerLanes, aligned)
-}
-
-// BFSWithWorkerContext is BFSWithWorker with cooperative cancellation at
-// round boundaries (see cancel.go for the contract).
-func BFSWithWorkerContext(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, workerLanes int, aligned bool) (*Result, error) {
+func BFSWithWorker(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, workerLanes int, aligned bool) (*Result, error) {
 	switch workerLanes {
 	case 4, 8, 16, 32:
 	default:
@@ -158,13 +152,7 @@ func walkGrouped(w *gpu.Warp, dg *DeviceGraph, vbase int64, groups, workerLanes 
 // multiple virtual workers, bounding any single worker's latency-critical
 // path at splitLen elements. Traffic is identical to MergedAligned; only
 // the critical-path attribution changes.
-func BFSBalanced(dev *gpu.Device, dg *DeviceGraph, src int, splitLen int64) (*Result, error) {
-	return BFSBalancedContext(context.Background(), dev, dg, src, splitLen)
-}
-
-// BFSBalancedContext is BFSBalanced with cooperative cancellation at
-// round boundaries (see cancel.go for the contract).
-func BFSBalancedContext(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, splitLen int64) (*Result, error) {
+func BFSBalanced(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, splitLen int64) (*Result, error) {
 	n := dg.NumVertices()
 	if src < 0 || src >= n {
 		return nil, fmt.Errorf("core: BFS source %d out of range [0,%d)", src, n)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -16,7 +17,7 @@ func TestBFSWithWorkerCorrectness(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := BFSWithWorker(dev, dg, src, worker, aligned)
+				res, err := BFSWithWorker(context.Background(), dev, dg, src, worker, aligned)
 				if err != nil {
 					t.Fatalf("%s worker=%d aligned=%v: %v", g.Name, worker, aligned, err)
 				}
@@ -32,10 +33,10 @@ func TestBFSWithWorkerBadArgs(t *testing.T) {
 	g := testGraphs()[0]
 	dev := testDevice()
 	dg, _ := Upload(dev, g, ZeroCopy, 8)
-	if _, err := BFSWithWorker(dev, dg, 0, 5, true); err == nil {
+	if _, err := BFSWithWorker(context.Background(), dev, dg, 0, 5, true); err == nil {
 		t.Errorf("worker size 5 accepted")
 	}
-	if _, err := BFSWithWorker(dev, dg, -1, 8, true); err == nil {
+	if _, err := BFSWithWorker(context.Background(), dev, dg, -1, 8, true); err == nil {
 		t.Errorf("bad source accepted")
 	}
 }
@@ -54,7 +55,7 @@ func TestWorkerSizeRequestShrink(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := BFSWithWorker(dev, dg, src, worker, true)
+		res, err := BFSWithWorker(context.Background(), dev, dg, src, worker, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,13 +75,13 @@ func TestWorker32MatchesMergedAligned(t *testing.T) {
 
 	devA := testDevice()
 	dgA, _ := Upload(devA, g, ZeroCopy, 8)
-	a, err := BFSWithWorker(devA, dgA, src, 32, true)
+	a, err := BFSWithWorker(context.Background(), devA, dgA, src, 32, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	devB := testDevice()
 	dgB, _ := Upload(devB, g, ZeroCopy, 8)
-	b, err := BFS(devB, dgB, src, MergedAligned)
+	b, err := BFS(context.Background(), devB, dgB, src, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestBFSBalancedCorrectness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := BFSBalanced(dev, dg, src, 128)
+		res, err := BFSBalanced(context.Background(), dev, dg, src, 128)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
@@ -116,10 +117,10 @@ func TestBFSBalancedBadArgs(t *testing.T) {
 	g := testGraphs()[0]
 	dev := testDevice()
 	dg, _ := Upload(dev, g, ZeroCopy, 8)
-	if _, err := BFSBalanced(dev, dg, 0, 16); err == nil {
+	if _, err := BFSBalanced(context.Background(), dev, dg, 0, 16); err == nil {
 		t.Errorf("split below warp size accepted")
 	}
-	if _, err := BFSBalanced(dev, dg, -1, 128); err == nil {
+	if _, err := BFSBalanced(context.Background(), dev, dg, -1, 128); err == nil {
 		t.Errorf("bad source accepted")
 	}
 }
@@ -137,13 +138,13 @@ func TestBalancedShortensCriticalPath(t *testing.T) {
 
 	devPlain := testDevice()
 	dgPlain, _ := Upload(devPlain, g, ZeroCopy, 8)
-	plain, err := BFS(devPlain, dgPlain, 0, MergedAligned)
+	plain, err := BFS(context.Background(), devPlain, dgPlain, 0, MergedAligned)
 	if err != nil {
 		t.Fatal(err)
 	}
 	devBal := testDevice()
 	dgBal, _ := Upload(devBal, g, ZeroCopy, 8)
-	bal, err := BFSBalanced(devBal, dgBal, 0, 256)
+	bal, err := BFSBalanced(context.Background(), devBal, dgBal, 0, 256)
 	if err != nil {
 		t.Fatal(err)
 	}

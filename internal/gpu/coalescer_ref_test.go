@@ -134,8 +134,7 @@ func (r *refWarp) dispatch(buf *memsys.Buffer, addr uint64, size int) {
 	case memsys.SpaceUVM:
 		off := int64(addr - buf.Base)
 		pb := int64(d.uvmgr.Config().PageBytes)
-		pagesTouched := int((off+int64(size)-1)/pb - off/pb + 1)
-		migrated := d.uvmgr.Touch(buf, off, size)
+		migrated, hits := d.uvmgr.Touch(buf, off, size)
 		if migrated > 0 {
 			bytes := d.uvmgr.MigrationWireBytes(migrated)
 			ks.UVMMigrations += uint64(migrated)
@@ -165,7 +164,7 @@ func (r *refWarp) dispatch(buf *memsys.Buffer, addr uint64, size int) {
 					lnk.BulkSeconds(bytes)
 			}
 		}
-		ks.UVMHits += uint64(pagesTouched - migrated)
+		ks.UVMHits += uint64(hits)
 		ks.HBMBytes += uint64(size)
 
 	case memsys.SpaceCXL:

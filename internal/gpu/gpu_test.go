@@ -136,6 +136,23 @@ func TestUVMAccess(t *testing.T) {
 	}
 }
 
+// TestUVMHitsCountResidentPages: UVMHits counts touched pages that were
+// already resident, never pages the prefetch block migrated — a cold
+// 32-byte read that migrates a whole block scores no hit.
+func TestUVMHitsCountResidentPages(t *testing.T) {
+	d := testDevice()
+	buf := d.Arena().MustAlloc("uvm", memsys.SpaceUVM, 4*memsys.PageBytes)
+	read := func(w *Warp) { w.ScalarU32(buf, 0) }
+	cold := d.Launch("cold", 1, read)
+	if cold.UVMMigrations == 0 || cold.UVMHits != 0 {
+		t.Errorf("cold read: migrations %d hits %d, want >0 and 0", cold.UVMMigrations, cold.UVMHits)
+	}
+	warm := d.Launch("warm", 1, read)
+	if warm.UVMMigrations != 0 || warm.UVMHits != 1 {
+		t.Errorf("repeat read: migrations %d hits %d, want 0 and 1", warm.UVMMigrations, warm.UVMHits)
+	}
+}
+
 // TestUVMReadAmplification: a sparse access pattern (one sector per page)
 // moves 4KB per 32B of useful data — the paper's 4KB-page amplification.
 func TestUVMReadAmplification(t *testing.T) {

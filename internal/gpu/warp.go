@@ -320,8 +320,7 @@ func (w *Warp) dispatch(buf *memsys.Buffer, sp memsys.Space, addr uint64, size i
 	case memsys.SpaceUVM:
 		off := int64(addr - buf.Base)
 		pb := int64(d.uvmgr.Config().PageBytes)
-		pagesTouched := int((off+int64(size)-1)/pb - off/pb + 1)
-		migrated := d.uvmgr.Touch(buf, off, size)
+		migrated, hits := d.uvmgr.Touch(buf, off, size)
 		if migrated > 0 {
 			bytes := d.uvmgr.MigrationWireBytes(migrated)
 			ks.UVMMigrations += uint64(migrated)
@@ -366,7 +365,7 @@ func (w *Warp) dispatch(buf *memsys.Buffer, sp memsys.Space, addr uint64, size i
 					lnk.BulkSeconds(bytes)
 			}
 		}
-		ks.UVMHits += uint64(pagesTouched - migrated)
+		ks.UVMHits += uint64(hits)
 		// After migration the access is served from GPU memory.
 		ks.HBMBytes += uint64(size)
 

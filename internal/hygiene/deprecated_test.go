@@ -12,50 +12,15 @@ import (
 	"testing"
 )
 
-// deprecatedRule flags internal callers of a deprecated API. Pattern is a
-// plain substring matched against non-comment source lines of non-test .go
-// files; allowedFiles (slash-separated, repo-relative) may still contain it
-// — the declaration site and deliberate compatibility shims.
-type deprecatedRule struct {
-	pattern      string
-	allowedFiles []string
-	reason       string
-}
+// deprecatedMarker is Go's deprecation paragraph opener, spelled in two
+// parts so that a repo-wide grep for the marker finds no .go file at all.
+const deprecatedMarker = "Deprecated" + ":"
 
-// deprecatedRules is the guard list: every entry is a Deprecated symbol
-// whose internal non-test callers should have migrated. Shims stay for API
-// stability, but production code paths must not route through them (the
-// PR 9 review found NewTieredArena itself calling the deprecated NewArena).
-var deprecatedRules = []deprecatedRule{
-	{
-		pattern:      "memsys.NewArena(",
-		allowedFiles: nil,
-		reason:       "use memsys.NewTieredArena with an explicit TierStack",
-	},
-	{
-		pattern: "NewArena(",
-		// Only the declaration and its doc live here; the shim delegates to
-		// NewTieredArena, never the other way around.
-		allowedFiles: []string{"internal/memsys/memsys.go"},
-		reason:       "use NewTieredArena (memsys-internal callers included)",
-	},
-	{
-		pattern:      ".RecordN(",
-		allowedFiles: []string{"internal/pcie/monitor.go"},
-		reason:       "use Monitor.RecordClassN with an explicit TransferClass",
-	},
-	{
-		pattern:      "uvm.DefaultConfig(",
-		allowedFiles: nil,
-		reason:       "use uvm.ConfigWithPaging",
-	},
-}
-
-// TestNoInternalDeprecatedCallers walks every non-test .go file in the repo
-// and fails on non-comment lines that call a deprecated API outside its
-// allowed files. It is string-based by design — fast, dependency-free, and
-// the patterns are chosen so declarations don't self-match (method decls
-// read ") Name(", not ".Name(").
+// TestNoInternalDeprecatedCallers keeps one way to do each thing: no
+// non-test .go file in the repo may carry a deprecatedMarker comment. An
+// API that is superseded is deleted and its callers moved to the
+// replacement in the same change, so no deprecated API — and therefore no
+// internal caller of one — can exist.
 func TestNoInternalDeprecatedCallers(t *testing.T) {
 	root := repoRoot(t)
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -64,7 +29,7 @@ func TestNoInternalDeprecatedCallers(t *testing.T) {
 		}
 		name := d.Name()
 		if d.IsDir() {
-			if name == ".git" || name == "testdata" || name == "results" {
+			if path != root && (strings.HasPrefix(name, ".") || name == "testdata" || name == "results") {
 				return filepath.SkipDir
 			}
 			return nil
@@ -76,8 +41,7 @@ func TestNoInternalDeprecatedCallers(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		rel = filepath.ToSlash(rel)
-		checkFile(t, path, rel)
+		checkFile(t, path, filepath.ToSlash(rel))
 		return nil
 	})
 	if err != nil {
@@ -85,6 +49,8 @@ func TestNoInternalDeprecatedCallers(t *testing.T) {
 	}
 }
 
+// checkFile reports every line of the file whose comment text opens with
+// the Go deprecation marker.
 func checkFile(t *testing.T, path, rel string) {
 	t.Helper()
 	f, err := os.Open(path)
@@ -97,65 +63,17 @@ func checkFile(t *testing.T, path, rel string) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := sc.Text()
-		code := stripLineComment(line)
-		if strings.TrimSpace(code) == "" {
+		line := strings.TrimSpace(sc.Text())
+		if !strings.HasPrefix(line, "//") {
 			continue
 		}
-		for _, r := range deprecatedRules {
-			if !strings.Contains(code, r.pattern) {
-				continue
-			}
-			if r.pattern == "NewArena(" {
-				if !strings.Contains(rel, "internal/memsys/") {
-					continue // cross-package callers are the memsys.NewArena( rule
-				}
-				if strings.Contains(code, "NewTieredArena(") &&
-					!strings.Contains(strings.ReplaceAll(code, "NewTieredArena(", ""), "NewArena(") {
-					continue
-				}
-			}
-			if allowed(rel, r.allowedFiles) {
-				continue
-			}
-			t.Errorf("%s:%d: calls deprecated API %q — %s", rel, lineNo, r.pattern, r.reason)
+		if strings.HasPrefix(strings.TrimSpace(strings.TrimPrefix(line, "//")), deprecatedMarker) {
+			t.Errorf("%s:%d: Deprecated marker — delete the API and move its callers to the replacement", rel, lineNo)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatalf("scan %s: %v", rel, err)
 	}
-}
-
-func allowed(rel string, files []string) bool {
-	for _, f := range files {
-		if rel == f {
-			return true
-		}
-	}
-	return false
-}
-
-// stripLineComment removes a trailing // comment, respecting string
-// literals well enough for this repo's code (no // inside backquoted
-// strings containing quotes).
-func stripLineComment(line string) string {
-	inStr := byte(0)
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		switch {
-		case inStr != 0:
-			if c == '\\' && inStr == '"' {
-				i++
-			} else if c == inStr {
-				inStr = 0
-			}
-		case c == '"' || c == '`' || c == '\'':
-			inStr = c
-		case c == '/' && i+1 < len(line) && line[i+1] == '/':
-			return line[:i]
-		}
-	}
-	return line
 }
 
 // repoRoot locates the module root by walking up to go.mod.

@@ -11,8 +11,6 @@ package memsys
 import (
 	"encoding/binary"
 	"fmt"
-
-	"repro/internal/pcie"
 )
 
 // Space identifies where a buffer physically lives and therefore which
@@ -297,26 +295,6 @@ type Arena struct {
 	allocFault func(space Space, size int64) error
 }
 
-// NewArena creates a two-tier arena with the given capacities in bytes. A
-// zero capacity means unlimited (useful in unit tests).
-//
-// Deprecated: use NewTieredArena, which takes the capacities from a
-// validated TierStack and also attaches an external tier's cost model when
-// the stack has one. NewTieredArena on a two-tier stack is equivalent.
-func NewArena(gpuCapacity, hostCapacity int64) *Arena {
-	// Delegate through the tiered constructor with placeholder models: the
-	// arena only consumes the stack's capacities, so the shim stays
-	// infallible (the synthesized stack always validates) and zero
-	// capacities keep meaning "unlimited".
-	a, err := NewTieredArena(TwoTier(gpuCapacity, hostCapacity,
-		DRAMModel{Name: "hbm"}, DRAMModel{Name: "dram"},
-		pcie.LinkConfig{RawBytesPerSec: 1}))
-	if err != nil {
-		panic("memsys: " + err.Error()) // unreachable: the synthesized stack is well-formed
-	}
-	return a
-}
-
 // AllocOption adjusts allocation placement.
 type AllocOption func(*allocConfig)
 
@@ -559,10 +537,13 @@ func (a *Arena) SetSegmentHome(b *Buffer, seg int, home Space) error {
 	}
 	a.uncharge(old, n)
 	if b.segHome == nil {
-		b.segHome = make([]Space, b.Segments())
-		for i := range b.segHome {
-			b.segHome[i] = b.HomeAt(int64(i) * SegmentBytes)
+		// Read every segment's current home before installing the slice:
+		// HomeAt consults segHome once it is non-nil.
+		homes := make([]Space, b.Segments())
+		for i := range homes {
+			homes[i] = b.HomeAt(int64(i) * SegmentBytes)
 		}
+		b.segHome = homes
 	}
 	b.segHome[seg] = home
 	return nil

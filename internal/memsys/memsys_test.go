@@ -5,7 +5,19 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/pcie"
 )
+
+// newTestArena builds a two-tier arena with the given capacities in bytes;
+// a zero capacity means unlimited.
+func newTestArena(gpuCapacity, hostCapacity int64) *Arena {
+	a, err := NewTieredArena(TwoTier(gpuCapacity, hostCapacity, HBM2V100(), DDR4Quad(), pcie.Gen3x16()))
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
 
 func TestSpaceString(t *testing.T) {
 	cases := map[Space]string{
@@ -22,7 +34,7 @@ func TestSpaceString(t *testing.T) {
 }
 
 func TestArenaAllocBasics(t *testing.T) {
-	a := NewArena(1<<20, 1<<20)
+	a := newTestArena(1<<20, 1<<20)
 	b, err := a.Alloc("edges", SpaceHostPinned, 1000)
 	if err != nil {
 		t.Fatalf("Alloc: %v", err)
@@ -45,7 +57,7 @@ func TestArenaAllocBasics(t *testing.T) {
 }
 
 func TestArenaNonOverlapping(t *testing.T) {
-	a := NewArena(0, 0)
+	a := newTestArena(0, 0)
 	var prevEnd uint64
 	for i := 0; i < 20; i++ {
 		b, err := a.Alloc("b", SpaceGPU, 777)
@@ -60,7 +72,7 @@ func TestArenaNonOverlapping(t *testing.T) {
 }
 
 func TestArenaCapacityEnforced(t *testing.T) {
-	a := NewArena(100, 200)
+	a := newTestArena(100, 200)
 	if _, err := a.Alloc("big", SpaceGPU, 101); err == nil {
 		t.Fatalf("expected GPU OOM")
 	} else {
@@ -88,7 +100,7 @@ func TestArenaCapacityEnforced(t *testing.T) {
 }
 
 func TestArenaZeroCapacityUnlimited(t *testing.T) {
-	a := NewArena(0, 0)
+	a := newTestArena(0, 0)
 	if _, err := a.Alloc("huge", SpaceGPU, 1<<30); err != nil {
 		t.Fatalf("uncapped arena refused allocation: %v", err)
 	}
@@ -98,7 +110,7 @@ func TestArenaZeroCapacityUnlimited(t *testing.T) {
 }
 
 func TestArenaFree(t *testing.T) {
-	a := NewArena(100, 0)
+	a := newTestArena(100, 0)
 	b := a.MustAlloc("x", SpaceGPU, 60)
 	if _, err := a.Alloc("y", SpaceGPU, 60); err == nil {
 		t.Fatalf("expected OOM before free")
@@ -113,7 +125,7 @@ func TestArenaFree(t *testing.T) {
 }
 
 func TestArenaFreeForeignPanics(t *testing.T) {
-	a := NewArena(0, 0)
+	a := newTestArena(0, 0)
 	b := &Buffer{Name: "foreign"}
 	defer func() {
 		if recover() == nil {
@@ -124,7 +136,7 @@ func TestArenaFreeForeignPanics(t *testing.T) {
 }
 
 func TestAllocOptions(t *testing.T) {
-	a := NewArena(0, 0)
+	a := newTestArena(0, 0)
 	b, err := a.Alloc("aligned", SpaceHostPinned, 64, WithAlign(128), WithBaseOffset(32), WithElem(4))
 	if err != nil {
 		t.Fatalf("Alloc: %v", err)
@@ -147,7 +159,7 @@ func TestAllocOptions(t *testing.T) {
 }
 
 func TestBufferTypedAccessors(t *testing.T) {
-	a := NewArena(0, 0)
+	a := newTestArena(0, 0)
 	b := a.MustAlloc("t", SpaceGPU, 64)
 	b.PutU64(2, 0xdeadbeefcafe)
 	if got := b.U64(2); got != 0xdeadbeefcafe {
@@ -160,7 +172,7 @@ func TestBufferTypedAccessors(t *testing.T) {
 }
 
 func TestBufferPages(t *testing.T) {
-	a := NewArena(0, 0)
+	a := newTestArena(0, 0)
 	cases := []struct {
 		size int64
 		want int
@@ -180,7 +192,7 @@ func TestBufferPages(t *testing.T) {
 }
 
 func TestBufferPageResidency(t *testing.T) {
-	a := NewArena(0, 0)
+	a := newTestArena(0, 0)
 	b := a.MustAlloc("uvm", SpaceUVM, 3*PageBytes)
 	if b.PageResident(0) || b.PageResident(2) {
 		t.Errorf("pages should start non-resident")
@@ -266,7 +278,7 @@ func TestDRAMServedBytesProperty(t *testing.T) {
 // Property: allocations never overlap and never violate alignment.
 func TestArenaAllocProperty(t *testing.T) {
 	f := func(sizes []uint16) bool {
-		a := NewArena(0, 0)
+		a := newTestArena(0, 0)
 		type rng struct{ lo, hi uint64 }
 		var ranges []rng
 		for _, s := range sizes {
@@ -324,7 +336,7 @@ func TestErrOutOfMemoryMessage(t *testing.T) {
 }
 
 func TestMustAllocPanicsOnOOM(t *testing.T) {
-	a := NewArena(16, 0)
+	a := newTestArena(16, 0)
 	defer func() {
 		if recover() == nil {
 			t.Errorf("MustAlloc should panic on OOM")
@@ -334,7 +346,7 @@ func TestMustAllocPanicsOnOOM(t *testing.T) {
 }
 
 func TestGPUFreeAndBuffers(t *testing.T) {
-	a := NewArena(1000, 0)
+	a := newTestArena(1000, 0)
 	if got := a.GPUFree(); got != 1000 {
 		t.Errorf("GPUFree = %d, want 1000", got)
 	}

@@ -173,8 +173,7 @@ func CXLExpander() DRAMModel {
 // NewTieredArena creates an arena whose capacities come from a tier stack:
 // HBM capacity for GPU allocations, DRAM capacity for pinned/UVM backing,
 // and — when the stack has one — the CXL tier attached for SpaceCXL homes.
-// This is the arena's primary constructor; the deprecated NewArena shim
-// delegates here through a synthesized two-tier stack.
+// It is the arena's only constructor; zero capacities mean unlimited.
 func NewTieredArena(ts TierStack) (*Arena, error) {
 	if err := ts.Validate(); err != nil {
 		return nil, err

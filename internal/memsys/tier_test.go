@@ -198,22 +198,26 @@ func TestSetSegmentHomeMovesAccounting(t *testing.T) {
 	}
 }
 
-// TestNewTieredArenaDelegation pins the deprecated-style equivalence: a
-// two-tier arena from NewTieredArena is indistinguishable from the classic
-// NewArena construction.
-func TestNewTieredArenaDelegation(t *testing.T) {
-	classic := NewArena(4096, 8192)
-	tiered, err := NewTieredArena(TwoTier(4096, 8192, HBM2V100(), DDR4Quad(), pcie.Gen3x16()))
+// TestSetSegmentHomeKeepsOtherHomes: the first re-home of a buffer with
+// no per-segment homes must leave the untouched segments on their
+// allocation space, and move exactly the re-homed bytes between tiers.
+func TestSetSegmentHomeKeepsOtherHomes(t *testing.T) {
+	two := TwoTier(0, 0, HBM2V100(), DDR4Quad(), pcie.Gen3x16())
+	a, err := NewTieredArena(ThreeTierCXL(two, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if classic.GPUCapacity != tiered.GPUCapacity || classic.HostCapacity != tiered.HostCapacity ||
-		classic.CXLCapacity != tiered.CXLCapacity {
-		t.Errorf("capacities differ: classic %d/%d/%d tiered %d/%d/%d",
-			classic.GPUCapacity, classic.HostCapacity, classic.CXLCapacity,
-			tiered.GPUCapacity, tiered.HostCapacity, tiered.CXLCapacity)
+	b := a.MustAlloc("edges", SpaceHostPinned, 3*SegmentBytes)
+	for seg := 0; seg < 2; seg++ {
+		if err := a.SetSegmentHome(b, seg, SpaceCXL); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if tiered.CXLTier() != nil {
-		t.Error("two-tier arena should have no CXL tier")
+	if got := b.SegmentHome(2); got != SpaceHostPinned {
+		t.Errorf("untouched segment 2 home = %s, want %s", got, SpaceHostPinned)
+	}
+	if a.GPUUsed() != 0 || a.HostUsed() != SegmentBytes || a.CXLUsed() != 2*SegmentBytes {
+		t.Errorf("accounting gpu/host/cxl = %d/%d/%d, want 0/%d/%d",
+			a.GPUUsed(), a.HostUsed(), a.CXLUsed(), SegmentBytes, 2*SegmentBytes)
 	}
 }

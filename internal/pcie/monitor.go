@@ -91,17 +91,10 @@ func (m *Monitor) Record(payloadBytes, overheadBytes int) {
 	m.RecordClassN(payloadBytes, overheadBytes, 1, ClassZeroCopy)
 }
 
-// RecordN notes n identical requests of the given payload size, attributed
-// to the zero-copy transfer class.
-//
-// Deprecated: use RecordClassN with an explicit TransferClass; tiered
-// traffic (ClassCXL) cannot be expressed through this wrapper.
-func (m *Monitor) RecordN(payloadBytes, overheadBytes int, n uint64) {
-	m.RecordClassN(payloadBytes, overheadBytes, n, ClassZeroCopy)
-}
-
-// RecordClassN is RecordN with an explicit transfer class: ClassCXL for
-// coalesced reads served by the external tier's link.
+// RecordClassN notes n identical requests of the given payload size and
+// wire overhead bytes in the given transfer class: ClassZeroCopy for
+// host-pinned reads, ClassCXL for coalesced reads served by the external
+// tier's link.
 func (m *Monitor) RecordClassN(payloadBytes, overheadBytes int, n uint64, class TransferClass) {
 	if n == 0 {
 		return

@@ -205,7 +205,7 @@ func TestMonitorTrace(t *testing.T) {
 func TestMonitorTraceTruncation(t *testing.T) {
 	var m Monitor
 	m.EnableTrace(3)
-	m.RecordN(32, 24, 5) // 3 kept, 2 dropped
+	m.RecordClassN(32, 24, 5, ClassZeroCopy) // 3 kept, 2 dropped
 	if got := len(m.Trace()); got != 3 {
 		t.Fatalf("trace length = %d, want 3", got)
 	}
@@ -225,7 +225,7 @@ func TestMonitorTraceTruncation(t *testing.T) {
 		t.Errorf("EnableTrace should reset trace state")
 	}
 	// Reset clears the dropped count too.
-	m.RecordN(32, 24, 10)
+	m.RecordClassN(32, 24, 10, ClassZeroCopy)
 	m.Reset()
 	if m.TraceDropped() != 0 {
 		t.Errorf("Reset should clear TraceDropped, got %d", m.TraceDropped())
@@ -236,7 +236,7 @@ func TestMonitorTraceTruncation(t *testing.T) {
 // reports drops (nothing was offered to a trace buffer).
 func TestMonitorTraceDroppedDisabled(t *testing.T) {
 	var m Monitor
-	m.RecordN(32, 24, 100)
+	m.RecordClassN(32, 24, 100, ClassZeroCopy)
 	if got := m.TraceDropped(); got != 0 {
 		t.Errorf("TraceDropped with tracing off = %d, want 0", got)
 	}
@@ -251,10 +251,10 @@ func TestMonitorMergeTraceDropped(t *testing.T) {
 	var a, b Monitor
 	a.EnableTrace(4)
 	b.EnableTrace(4)
-	a.RecordN(32, 24, 3) // 3 kept in a
-	b.RecordN(64, 24, 6) // 4 kept, 2 dropped in b
-	dst.Merge(&a)        // 3 kept
-	dst.Merge(&b)        // 1 kept, 3 truncated at merge + 2 from b
+	a.RecordClassN(32, 24, 3, ClassZeroCopy) // 3 kept in a
+	b.RecordClassN(64, 24, 6, ClassZeroCopy) // 4 kept, 2 dropped in b
+	dst.Merge(&a)                            // 3 kept
+	dst.Merge(&b)                            // 1 kept, 3 truncated at merge + 2 from b
 	if got := len(dst.Trace()); got != 4 {
 		t.Fatalf("merged trace length = %d, want 4", got)
 	}
@@ -279,21 +279,6 @@ func TestMonitorTraceOffByDefault(t *testing.T) {
 	}
 	if m.Trace() != nil {
 		t.Errorf("tracing must be opt-in")
-	}
-}
-
-// TestRecordNDelegation pins the deprecated-style wrapper: RecordN is
-// exactly RecordClassN with ClassZeroCopy.
-func TestRecordNDelegation(t *testing.T) {
-	var a, b Monitor
-	a.RecordN(128, 24, 3)
-	b.RecordClassN(128, 24, 3, ClassZeroCopy)
-	if a.WireBytes() != b.WireBytes() {
-		t.Errorf("wire bytes differ: %d vs %d", a.WireBytes(), b.WireBytes())
-	}
-	if a.ClassRequests(ClassZeroCopy) != b.ClassRequests(ClassZeroCopy) || a.ClassRequests(ClassZeroCopy) != 3 {
-		t.Errorf("zero-copy class requests differ: %d vs %d",
-			a.ClassRequests(ClassZeroCopy), b.ClassRequests(ClassZeroCopy))
 	}
 }
 

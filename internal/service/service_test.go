@@ -456,7 +456,7 @@ func TestServiceMetrics(t *testing.T) {
 func TestServiceDatasets(t *testing.T) {
 	svc, _ := newTestService(t, Config{Concurrency: 1})
 	defer svc.Close()
-	if err := svc.AddGraph("AA", testGraph(t), emogi.WithTransport(emogi.UVM)); err != nil {
+	if err := svc.AddGraph("AA", testGraph(t), emogi.WithTransportPolicy(emogi.StaticPolicy(emogi.UVM))); err != nil {
 		t.Fatal(err)
 	}
 	ds := svc.Datasets()

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestCollectorMatchesDeviceCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Run(dev, dg, core.AppBFS, src, core.MergedAligned)
+		res, err := core.RunAlgo(context.Background(), dev, dg, "bfs", src, core.MergedAligned)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +135,7 @@ func TestCollectorReorderCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.Run(dev, dg, core.AppBFS, src, core.MergedAligned); err != nil {
+	if _, err := core.RunAlgo(context.Background(), dev, dg, "bfs", src, core.MergedAligned); err != nil {
 		t.Fatal(err)
 	}
 
@@ -170,7 +171,7 @@ func TestCollectorTraceDroppedMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.Run(dev, dg, core.AppBFS, src, core.MergedAligned); err != nil {
+	if _, err := core.RunAlgo(context.Background(), dev, dg, "bfs", src, core.MergedAligned); err != nil {
 		t.Fatal(err)
 	}
 	if dev.Monitor().TraceDropped() == 0 {
@@ -196,7 +197,7 @@ func TestCollectorSurvivesStatsReset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := core.Run(dev, dg, core.AppBFS, src, core.Merged); err != nil {
+		if _, err := core.RunAlgo(context.Background(), dev, dg, "bfs", src, core.Merged); err != nil {
 			t.Fatal(err)
 		}
 		return dev.Monitor().Snapshot().WireBytes
@@ -255,7 +256,7 @@ func TestCollectorSerialParallelEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := core.Run(dev, dg, core.AppSSSP, src, core.MergedAligned); err != nil {
+			if _, err := core.RunAlgo(context.Background(), dev, dg, "sssp", src, core.MergedAligned); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ func TestTracerWriteJSONSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.Run(dev, dg, core.AppBFS, src, core.MergedAligned); err != nil {
+	if _, err := core.RunAlgo(context.Background(), dev, dg, "bfs", src, core.MergedAligned); err != nil {
 		t.Fatal(err)
 	}
 

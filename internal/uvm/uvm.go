@@ -71,15 +71,6 @@ func ConfigWithPaging(capacityPages int, gpuDriven bool) Config {
 	}
 }
 
-// DefaultConfig returns the calibrated driver model: 4KB pages migrated in
-// 64KB prefetch blocks, CPU-driven fault handling.
-//
-// Deprecated: use ConfigWithPaging, which makes the paging mode explicit.
-// DefaultConfig(c) is exactly ConfigWithPaging(c, false).
-func DefaultConfig(capacityPages int) Config {
-	return ConfigWithPaging(capacityPages, false)
-}
-
 // Stats aggregates UVM activity. Times are accounted by the GPU device's
 // kernel roofline; Stats only counts events and bytes.
 type Stats struct {
@@ -142,11 +133,13 @@ func (m *Manager) Resident() int { return m.resident }
 // Touch services a GPU access of size bytes at byte offset off within buf,
 // migrating any non-resident pages the access overlaps — plus, for each
 // faulting page, the rest of its aligned prefetch block (BlockPages). It
-// returns the number of pages migrated now (0 if fully resident).
-// Residency recency is updated for every overlapped page.
-func (m *Manager) Touch(buf *memsys.Buffer, off int64, size int) (migrated int) {
+// returns the number of pages migrated now (0 if fully resident) and the
+// number of overlapped pages that were already resident when the access
+// reached them (the hits counted in Stats.HBMHits). Residency recency is
+// updated for every overlapped page.
+func (m *Manager) Touch(buf *memsys.Buffer, off int64, size int) (migrated, hits int) {
 	if size <= 0 {
-		return 0
+		return 0, 0
 	}
 	pb := int64(m.cfg.PageBytes)
 	first := off / pb
@@ -156,11 +149,12 @@ func (m *Manager) Touch(buf *memsys.Buffer, off int64, size int) (migrated int) 
 		if node, ok := m.lru[key]; ok {
 			m.moveToFront(node)
 			m.stats.HBMHits++
+			hits++
 			continue
 		}
 		migrated += m.faultBlock(buf, p)
 	}
-	return migrated
+	return migrated, hits
 }
 
 // PrefetchRange migrates every non-resident page overlapping the byte range

@@ -5,30 +5,34 @@ import (
 	"testing"
 
 	"repro/internal/memsys"
+	"repro/internal/pcie"
 )
 
 // noPrefetch returns a config with block prefetching disabled, for tests
 // that exercise single-page mechanics.
 func noPrefetch(capacity int) Config {
-	cfg := DefaultConfig(capacity)
+	cfg := ConfigWithPaging(capacity, false)
 	cfg.BlockPages = 1
 	return cfg
 }
 
 func newTestBuffer(t *testing.T, pages int) *memsys.Buffer {
 	t.Helper()
-	a := memsys.NewArena(0, 0)
+	a, err := memsys.NewTieredArena(memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	return a.MustAlloc("uvm", memsys.SpaceUVM, int64(pages*memsys.PageBytes))
 }
 
 func TestTouchMigratesOnFirstAccess(t *testing.T) {
 	b := newTestBuffer(t, 4)
 	m := NewManager(noPrefetch(-1))
-	if got := m.Touch(b, 0, 32); got != 1 {
+	if got, _ := m.Touch(b, 0, 32); got != 1 {
 		t.Errorf("first touch migrated %d pages, want 1", got)
 	}
-	if got := m.Touch(b, 64, 32); got != 0 {
-		t.Errorf("same-page touch migrated %d pages, want 0", got)
+	if got, hits := m.Touch(b, 64, 32); got != 0 || hits != 1 {
+		t.Errorf("same-page touch migrated %d pages with %d hits, want 0 and 1", got, hits)
 	}
 	st := m.Stats()
 	if st.Migrations != 1 || st.Faults != 1 {
@@ -49,7 +53,7 @@ func TestTouchSpanningPages(t *testing.T) {
 	b := newTestBuffer(t, 4)
 	m := NewManager(noPrefetch(-1))
 	// Access crossing a page boundary: offset 4090, 32 bytes -> pages 0,1.
-	if got := m.Touch(b, 4090, 32); got != 2 {
+	if got, _ := m.Touch(b, 4090, 32); got != 2 {
 		t.Errorf("boundary-crossing touch migrated %d pages, want 2", got)
 	}
 	if !b.PageResident(0) || !b.PageResident(1) {
@@ -60,7 +64,7 @@ func TestTouchSpanningPages(t *testing.T) {
 func TestTouchZeroSize(t *testing.T) {
 	b := newTestBuffer(t, 1)
 	m := NewManager(noPrefetch(-1))
-	if got := m.Touch(b, 0, 0); got != 0 {
+	if got, _ := m.Touch(b, 0, 0); got != 0 {
 		t.Errorf("zero-size touch migrated %d pages", got)
 	}
 	if m.Stats().Faults != 0 {
@@ -71,7 +75,10 @@ func TestTouchZeroSize(t *testing.T) {
 func TestLRUEvictionOrder(t *testing.T) {
 	b := newTestBuffer(t, 4)
 	m := NewManager(Config{PageBytes: memsys.PageBytes, CapacityPages: 2})
-	touchPage := func(p int) int { return m.Touch(b, int64(p*memsys.PageBytes), 8) }
+	touchPage := func(p int) int {
+		migrated, _ := m.Touch(b, int64(p*memsys.PageBytes), 8)
+		return migrated
+	}
 
 	touchPage(0)
 	touchPage(1)
@@ -100,7 +107,7 @@ func TestThrashing(t *testing.T) {
 	m := NewManager(Config{PageBytes: memsys.PageBytes, CapacityPages: 2})
 	for round := 0; round < 3; round++ {
 		for p := 0; p < 8; p++ {
-			if got := m.Touch(b, int64(p*memsys.PageBytes), 8); got != 1 {
+			if got, _ := m.Touch(b, int64(p*memsys.PageBytes), 8); got != 1 {
 				t.Fatalf("round %d page %d: migrated %d, want 1 (thrash)", round, p, got)
 			}
 		}
@@ -118,7 +125,7 @@ func TestZeroCapacityBounces(t *testing.T) {
 	b := newTestBuffer(t, 2)
 	m := NewManager(Config{PageBytes: memsys.PageBytes, CapacityPages: 0})
 	for i := 0; i < 5; i++ {
-		if got := m.Touch(b, 0, 8); got != 1 {
+		if got, _ := m.Touch(b, 0, 8); got != 1 {
 			t.Fatalf("touch %d migrated %d, want 1 (bounce)", i, got)
 		}
 	}
@@ -164,7 +171,7 @@ func TestReset(t *testing.T) {
 		t.Errorf("buffer residency not cleared by Reset")
 	}
 	// Pages fault again after reset.
-	if got := m.Touch(b, 0, 8); got != 1 {
+	if got, _ := m.Touch(b, 0, 8); got != 1 {
 		t.Errorf("post-reset touch migrated %d, want 1", got)
 	}
 }
@@ -194,7 +201,7 @@ func TestStatsAdd(t *testing.T) {
 }
 
 func TestDefaultConfigCalibration(t *testing.T) {
-	cfg := DefaultConfig(100)
+	cfg := ConfigWithPaging(100, false)
 	if cfg.PageBytes != 4096 {
 		t.Errorf("PageBytes = %d, want 4096", cfg.PageBytes)
 	}
@@ -204,6 +211,14 @@ func TestDefaultConfigCalibration(t *testing.T) {
 	bw := 4096.0 / (wire + cfg.FaultCPUSeconds)
 	if bw < 8.6e9 || bw > 9.6e9 {
 		t.Errorf("streaming UVM bandwidth = %.2f GB/s, want ~9.1", bw/1e9)
+	}
+	g := ConfigWithPaging(100, true)
+	if !g.GPUDriven {
+		t.Error("ConfigWithPaging(_, true) should select GPU-driven paging")
+	}
+	g.GPUDriven = false
+	if g != cfg {
+		t.Error("paging selector must be the only difference between the models")
 	}
 }
 
@@ -243,11 +258,11 @@ func TestLRUInvariantsRandomized(t *testing.T) {
 
 func TestBlockPrefetch(t *testing.T) {
 	b := newTestBuffer(t, 64)
-	cfg := DefaultConfig(-1)
+	cfg := ConfigWithPaging(-1, false)
 	cfg.BlockPages = 16
 	m := NewManager(cfg)
 	// Touching one byte in page 3 migrates its whole aligned 16-page block.
-	if got := m.Touch(b, 3*memsys.PageBytes, 8); got != 16 {
+	if got, _ := m.Touch(b, 3*memsys.PageBytes, 8); got != 16 {
 		t.Fatalf("block fault migrated %d pages, want 16", got)
 	}
 	for p := 0; p < 16; p++ {
@@ -259,21 +274,21 @@ func TestBlockPrefetch(t *testing.T) {
 		t.Errorf("page outside the block should not be resident")
 	}
 	// Any further touch within the block is free.
-	if got := m.Touch(b, 15*memsys.PageBytes, 8); got != 0 {
+	if got, _ := m.Touch(b, 15*memsys.PageBytes, 8); got != 0 {
 		t.Errorf("in-block touch migrated %d pages, want 0", got)
 	}
 	// A touch in the next block pulls exactly that block.
-	if got := m.Touch(b, 20*memsys.PageBytes, 8); got != 16 {
+	if got, _ := m.Touch(b, 20*memsys.PageBytes, 8); got != 16 {
 		t.Errorf("next-block touch migrated %d pages, want 16", got)
 	}
 }
 
 func TestBlockPrefetchClippedAtBufferEnd(t *testing.T) {
 	b := newTestBuffer(t, 20) // last block has only 4 pages
-	cfg := DefaultConfig(-1)
+	cfg := ConfigWithPaging(-1, false)
 	cfg.BlockPages = 16
 	m := NewManager(cfg)
-	if got := m.Touch(b, 17*memsys.PageBytes, 8); got != 4 {
+	if got, _ := m.Touch(b, 17*memsys.PageBytes, 8); got != 4 {
 		t.Errorf("clipped block migrated %d pages, want 4", got)
 	}
 }
@@ -283,7 +298,7 @@ func TestBlockPrefetchSkipsResident(t *testing.T) {
 	m := NewManager(Config{PageBytes: memsys.PageBytes, CapacityPages: -1,
 		FaultCPUSeconds: 117e-9, BlockPages: 4})
 	m.Touch(b, 1*memsys.PageBytes, 8) // pages 0-3 via block fault
-	if got := m.Touch(b, 2*memsys.PageBytes, 8); got != 0 {
+	if got, _ := m.Touch(b, 2*memsys.PageBytes, 8); got != 0 {
 		t.Errorf("resident block re-migrated %d pages", got)
 	}
 	if m.Resident() != 4 {
@@ -293,7 +308,7 @@ func TestBlockPrefetchSkipsResident(t *testing.T) {
 	// into a 3-page budget leaves 3 resident.
 	m2 := NewManager(Config{PageBytes: memsys.PageBytes, CapacityPages: 3,
 		FaultCPUSeconds: 117e-9, BlockPages: 4})
-	if got := m2.Touch(b, 0, 8); got != 4 {
+	if got, _ := m2.Touch(b, 0, 8); got != 4 {
 		t.Fatalf("block fault migrated %d, want 4", got)
 	}
 	if m2.Resident() != 3 {
@@ -307,32 +322,19 @@ func TestBlockPrefetchSkipsResident(t *testing.T) {
 func TestBlockPrefetchStreamingNoWaste(t *testing.T) {
 	pages := 64
 	b := newTestBuffer(t, pages)
-	cfg := DefaultConfig(-1)
+	cfg := ConfigWithPaging(-1, false)
 	m := NewManager(cfg)
-	total := 0
+	total, hits := 0, 0
 	for p := 0; p < pages; p++ {
-		total += m.Touch(b, int64(p*memsys.PageBytes), 8)
+		migrated, h := m.Touch(b, int64(p*memsys.PageBytes), 8)
+		total += migrated
+		hits += h
 	}
 	if total != pages {
 		t.Errorf("streaming migrated %d pages, want %d", total, pages)
 	}
-}
-
-// TestDefaultConfigDelegation pins the deprecated wrapper: DefaultConfig(c)
-// is exactly ConfigWithPaging(c, false).
-func TestDefaultConfigDelegation(t *testing.T) {
-	for _, c := range []int{-1, 0, 7, 4096} {
-		if got, want := DefaultConfig(c), ConfigWithPaging(c, false); got != want {
-			t.Errorf("DefaultConfig(%d) = %+v, want %+v", c, got, want)
-		}
-	}
-	g := ConfigWithPaging(16, true)
-	if !g.GPUDriven {
-		t.Error("ConfigWithPaging(_, true) should select GPU-driven paging")
-	}
-	c := ConfigWithPaging(16, false)
-	g.GPUDriven = false
-	if g != c {
-		t.Error("paging selector must be the only difference between the models")
+	// Every page but the first of each prefetch block was already resident.
+	if want := pages - pages/cfg.BlockPages; hits != want {
+		t.Errorf("streaming hits = %d, want %d", hits, want)
 	}
 }

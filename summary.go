@@ -3,7 +3,6 @@ package emogi
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -16,7 +15,6 @@ import (
 // pick 64 random vertices from each graph as the starting sources... the
 // final execution time is calculated by averaging the execution times".
 type RunSummary struct {
-	App       App
 	Algo      string // algorithm registry name the runs dispatched through
 	Variant   Variant
 	Transport Transport
@@ -49,24 +47,12 @@ func (rs *RunSummary) IOAmplification(datasetBytes int64) float64 {
 	return perRun / float64(datasetBytes)
 }
 
-// RunMany measures app over the given sources (ignored for CC, which runs
-// once per "source" to preserve averaging semantics) and averages, with
-// cold caches before each run. Every run is validated against the CPU
+// RunMany measures the named algorithm (built-in application or specialty
+// traversal; see Algorithms) over the given sources and averages, with
+// cold caches before each run. Source-free algorithms run once to
+// preserve averaging semantics. Every run is validated against the CPU
 // reference; a wrong result aborts the measurement.
-func (s *System) RunMany(dg *DeviceGraph, app App, sources []int, v Variant) (*RunSummary, error) {
-	sum, err := s.RunManyAlgo(dg, strings.ToLower(app.String()), sources, v)
-	if err != nil {
-		return nil, err
-	}
-	sum.App = app
-	return sum, nil
-}
-
-// RunManyAlgo is RunMany over the algorithm registry: it measures the
-// named algorithm (built-in application or specialty traversal; see
-// Algorithms) over the given sources. Source-free algorithms run once to
-// preserve averaging semantics.
-func (s *System) RunManyAlgo(dg *DeviceGraph, name string, sources []int, v Variant) (*RunSummary, error) {
+func (s *System) RunMany(dg *DeviceGraph, name string, sources []int, v Variant) (*RunSummary, error) {
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("emogi: RunMany needs at least one source")
 	}

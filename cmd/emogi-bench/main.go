@@ -37,7 +37,7 @@ func main() {
 		quick   = flag.Bool("quick", false, "use the reduced quick configuration")
 		workers = flag.Int("workers", 0, "host goroutines per kernel launch (0 = GOMAXPROCS, 1 = serial; results are identical)")
 		only    = flag.String("only", "", "comma-separated subset: table1,table2,table3,transport,reorder,fig3..fig12,ablation-*")
-		reorder = flag.Int("reorder-window", 32,
+		reorder = flag.Int("reorder-window", bench.DefaultReorderWindow,
 			"window size in 32B sectors for the -only reorder comparison (off-vs-on legs)")
 		ablations = flag.Bool("ablations", false, "also run the design-choice ablations")
 		outDir    = flag.String("o", "", "also write each table to <dir>/<id>.txt")
@@ -97,40 +97,26 @@ func main() {
 			want[strings.TrimSpace(strings.ToLower(id))] = true
 		}
 	}
-	selected := func(id string) bool { return len(want) == 0 || want[id] }
+	// The ablations run only when named (or under -ablations with no
+	// -only); every other table runs unless -only leaves it out.
+	selected := func(id string) bool {
+		if strings.HasPrefix(id, "ablation-") {
+			if len(want) == 0 {
+				return *ablations
+			}
+			return want[id] || want["ablations"]
+		}
+		return len(want) == 0 || want[id]
+	}
 
 	ds := bench.NewDatasets(cfg)
 	var emitted []string
-	emit := func(id string, t *bench.Table, err error) {
-		if err != nil {
-			log.Fatalf("%s: %v", id, err)
-		}
+	emit := func(id string, t *bench.Table) {
 		emitted = append(emitted, id)
-		out := t.Render()
-		fmt.Println(out)
+		fmt.Println(t.Render())
 		if *outDir != "" {
-			if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			if err := bench.WriteTable(*outDir, id, t, *csv, *jsonOut); err != nil {
 				log.Fatal(err)
-			}
-			path := filepath.Join(*outDir, id+".txt")
-			if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
-				log.Fatal(err)
-			}
-			if *csv {
-				cpath := filepath.Join(*outDir, id+".csv")
-				if err := os.WriteFile(cpath, []byte(t.RenderCSV()), 0o644); err != nil {
-					log.Fatal(err)
-				}
-			}
-			if *jsonOut {
-				data, err := json.MarshalIndent(t, "", "  ")
-				if err != nil {
-					log.Fatal(err)
-				}
-				jpath := filepath.Join(*outDir, id+".json")
-				if err := os.WriteFile(jpath, append(data, '\n'), 0o644); err != nil {
-					log.Fatal(err)
-				}
 			}
 		}
 	}
@@ -139,111 +125,8 @@ func main() {
 	fmt.Printf("EMOGI evaluation harness  scale=%.3g sources=%d seed=%d\n\n",
 		cfg.Scale, cfg.Sources, cfg.Seed)
 
-	if selected("table1") {
-		emit("table1", bench.Table1(cfg), nil)
-	}
-	if selected("table2") {
-		emit("table2", bench.Table2(ds), nil)
-	}
-	if selected("fig3") {
-		t, err := bench.Figure3(cfg)
-		emit("fig3", t, err)
-	}
-	if selected("fig4") {
-		t, err := bench.Figure4(cfg)
-		emit("fig4", t, err)
-	}
-	if selected("fig6") {
-		emit("fig6", bench.Figure6(ds), nil)
-	}
-
-	needSweep := selected("fig5") || selected("fig7") || selected("fig8") ||
-		selected("fig9") || selected("fig10")
-	if needSweep {
-		log.Printf("running BFS case-study sweep (6 graphs x 4 systems x %d sources)...", cfg.Sources)
-		sweep, err := bench.RunBFSSweep(ds)
-		if err != nil {
-			log.Fatalf("BFS sweep: %v", err)
-		}
-		if selected("fig5") {
-			emit("fig5", bench.Figure5(sweep), nil)
-		}
-		if selected("fig7") {
-			emit("fig7", bench.Figure7(sweep), nil)
-		}
-		if selected("fig8") {
-			emit("fig8", bench.Figure8(sweep), nil)
-		}
-		if selected("fig9") {
-			emit("fig9", bench.Figure9(sweep), nil)
-		}
-		if selected("fig10") {
-			emit("fig10", bench.Figure10(sweep, ds), nil)
-		}
-	}
-
-	if selected("fig11") {
-		log.Printf("running all-applications sweep on V100...")
-		sweep, err := bench.RunAppSweep(ds, emogi.V100PCIe3)
-		if err != nil {
-			log.Fatalf("app sweep: %v", err)
-		}
-		emit("fig11", bench.Figure11(sweep), nil)
-	}
-	if selected("fig12") {
-		log.Printf("running PCIe 3.0 vs 4.0 sweeps on A100...")
-		t, err := bench.Figure12(ds)
-		emit("fig12", t, err)
-	}
-	if selected("claims") {
-		log.Printf("running the paper-claims check...")
-		t, err := bench.Claims(ds)
-		emit("claims", t, err)
-	}
-	if selected("table3") {
-		log.Printf("running prior-work comparison (HALO, Subway)...")
-		t, err := bench.Table3(ds)
-		emit("table3", t, err)
-	}
-	if selected("transport") {
-		log.Printf("running transport-policy comparison (static-zc, static-uvm, adaptive)...")
-		t, err := bench.TransportComparison(ds, bench.AllSyms(), []string{"bfs", "sssp"})
-		emit("transport", t, err)
-	}
-	if selected("paging") {
-		log.Printf("running UVM paging-model comparison (cpu fault handler vs gpu-driven)...")
-		t, err := bench.PagingComparison(ds, bench.AllSyms(), []string{"bfs", "sssp"})
-		emit("paging", t, err)
-	}
-	if selected("reorder") {
-		log.Printf("running reorder-window comparison (off vs %d sectors)...", *reorder)
-		t, err := bench.ReorderComparison(ds, bench.AllSyms(), []string{"bfs", "sssp"}, *reorder)
-		emit("reorder", t, err)
-	}
-
-	type ablation struct {
-		id  string
-		run func(*bench.Datasets) (*bench.Table, error)
-	}
-	for _, ab := range []ablation{
-		{"ablation-uvm", bench.AblationUVMBlock},
-		{"ablation-worker", bench.AblationWorkerSize},
-		{"ablation-balance", bench.AblationBalance},
-		{"ablation-compress", bench.AblationCompression},
-		{"ablation-multigpu", bench.AblationMultiGPU},
-		{"ablation-hybrid", bench.AblationHybrid},
-		{"ablation-link", bench.AblationLink},
-		{"ablation-edgecentric", bench.AblationEdgeCentric},
-		{"ablation-directionopt", bench.AblationDirectionOpt},
-		{"ablation-thrash", bench.AblationThrash},
-	} {
-		if selected(ab.id) || (len(want) != 0 && want["ablations"]) {
-			if len(want) == 0 && !*ablations {
-				continue
-			}
-			t, err := ab.run(ds)
-			emit(ab.id, t, err)
-		}
+	if err := bench.Generate(ds, selected, *reorder, log.Printf, emit); err != nil {
+		log.Fatal(err)
 	}
 
 	elapsed := time.Since(start).Round(time.Millisecond)

@@ -36,9 +36,9 @@ func (c *TransportCell) BestStatic() time.Duration {
 }
 
 // RunTransportComparison measures every (graph, algo) cell under all
-// transport policies. Each policy gets a fresh system so one policy's
-// residency never leaks into another's measurement.
-func RunTransportComparison(ds *Datasets, syms, algos []string) ([]TransportCell, error) {
+// transport policies with the given kernel variant. Each policy gets a fresh
+// system so one policy's residency never leaks into another's measurement.
+func RunTransportComparison(ds *Datasets, syms, algos []string, variant emogi.Variant) ([]TransportCell, error) {
 	cfg := ds.Config()
 	var cells []TransportCell
 	for _, sym := range syms {
@@ -59,7 +59,7 @@ func RunTransportComparison(ds *Datasets, syms, algos []string) ([]TransportCell
 				var total time.Duration
 				for _, src := range sources {
 					res, err := sys.Do(context.Background(),
-						emogi.Request{Graph: dg, Algo: algo, Src: src, Cold: true})
+						emogi.Request{Graph: dg, Algo: algo, Src: src, Variant: variant, Cold: true})
 					if err != nil {
 						return nil, fmt.Errorf("bench: %s %s/%s: %w", algo, sym, pname, err)
 					}
@@ -73,12 +73,13 @@ func RunTransportComparison(ds *Datasets, syms, algos []string) ([]TransportCell
 	return cells, nil
 }
 
-// TransportComparison renders the comparison as a table: one row per
-// (graph, algo), the per-policy times, and the adaptive policy's speedup
-// over the better static choice (>1.0 means adaptive wins even against an
-// oracle that picked the right static transport per graph).
+// TransportComparison renders the comparison with the Naive kernel variant
+// as a table: one row per (graph, algo), the per-policy times, and the
+// adaptive policy's speedup over the better static choice (>1.0 means
+// adaptive wins even against an oracle that picked the right static
+// transport per graph).
 func TransportComparison(ds *Datasets, syms, algos []string) (*Table, error) {
-	cells, err := RunTransportComparison(ds, syms, algos)
+	cells, err := RunTransportComparison(ds, syms, algos, emogi.Naive)
 	if err != nil {
 		return nil, err
 	}

@@ -74,20 +74,10 @@ type PartitionStats struct {
 	// requests are tag-limited, not wire-limited (paper §3.3), so request
 	// count — not bytes — is what dominates skewed-graph cost.
 	Requests int64
-	// MaxVertexRequests is the largest request count any single frontier
-	// vertex contributes to Requests — the partition's share of the busiest
-	// warp's latency critical path. One warp walks one vertex's neighbor
-	// list with a bounded number of reads in flight, so a hub vertex
-	// serializes on round trips no matter how idle the wire is; on skewed
-	// graphs this term, not bytes or tags, is the real zero-copy cost.
-	MaxVertexRequests int64
-	// ActiveVertices counts frontier vertices whose neighbor list starts in
-	// this partition.
-	ActiveVertices int
 	// CXLHome reports that the partition's backing bytes live on the
 	// external CXL-class tier (a three-tier placement spilled it there).
-	// Its in-place read and migration costs then use the CXL constants of
-	// CostParams, and ChoiceHostCached becomes available.
+	// Its in-place read and migration costs are then priced at
+	// CostParams.CXL, and ChoiceHostCached becomes available.
 	CXLHome bool
 }
 
@@ -133,30 +123,44 @@ type PartitionState struct {
 	SpentSeconds float64
 }
 
-// CostParams carries the platform-derived constants a policy's cost model
-// needs. The engine fills it once per run from the device configuration, so
-// Decide stays a pure function of its arguments.
-type CostParams struct {
-	// SegmentBytes is the partition granule.
-	SegmentBytes int64
-	// ZCBytesPerSec is the effective zero-copy streaming rate for
+// LinkCosts prices the substrates of partitions homed behind one link.
+type LinkCosts struct {
+	// ReadBytesPerSec is the effective zero-copy streaming rate for
 	// cache-line requests (wire + tag overhead included).
-	ZCBytesPerSec float64
-	// ZCSecondsPerRequest is the tag-occupancy cost of one outstanding
-	// zero-copy read (RTT over the in-flight tag budget). A partition's
-	// zero-copy cost is the larger of its wire time and its tag time,
-	// mirroring the link's stream model.
-	ZCSecondsPerRequest float64
-	// CritSecondsPerRequest is the latency critical-path cost of one
-	// host-memory request on the warp that issues it (RTT over the per-warp
-	// outstanding-read budget). Multiplied by MaxVertexRequests it bounds
-	// the serialization a hub vertex's warp imposes on a zero-copy round.
-	CritSecondsPerRequest float64
-	// BulkBytesPerSec is the explicit-copy (DMA) rate.
+	ReadBytesPerSec float64
+	// TagSeconds is the tag-occupancy cost of one outstanding zero-copy
+	// read (RTT over the in-flight tag budget).
+	TagSeconds float64
+	// BulkBytesPerSec is the explicit-copy (DMA) rate, paid by staging
+	// copies and host-cache promotions out of the tier.
 	BulkBytesPerSec float64
 	// UVMBytesPerSec is the effective page-migration rate (transfer plus
 	// serialized fault handling).
 	UVMBytesPerSec float64
+}
+
+// readSeconds is the zero-copy cost of reading bytes as requests over the
+// link: a pipelined request stream finishes when both the wire and the tag
+// window drain, so it is the larger of the two occupancies, mirroring the
+// link's stream model.
+func (l LinkCosts) readSeconds(bytes, requests int64) float64 {
+	t := float64(bytes) / l.ReadBytesPerSec
+	if tag := float64(requests) * l.TagSeconds; tag > t {
+		t = tag
+	}
+	return t
+}
+
+// CostParams carries the platform-derived constants a policy's cost model
+// needs. The engine fills it once per run from the device configuration, so
+// Decide stays a pure function of its arguments.
+type CostParams struct {
+	// Host prices partitions homed in pinned host DRAM, read over PCIe.
+	Host LinkCosts
+	// CXL prices CXL-homed partitions, read over the CXL link. Zero on
+	// two-tier systems, where no partition is CXL-homed and it is never
+	// read.
+	CXL LinkCosts
 	// UVMChunkBytes is the migration amplification granule: touching a cold
 	// UVM-bound partition drags in at least this many bytes (the driver's
 	// aligned prefetch block).
@@ -171,36 +175,23 @@ type CostParams struct {
 	// re-migrates chunks, so an over-budget UVM incumbent costs its
 	// migration again instead of zero. Negative means unlimited.
 	UVMBudgetBytes int64
+	// HostCacheBudgetBytes caps the total bytes of CXL-homed partitions
+	// promoted into host DRAM copies. Negative means unlimited.
+	HostCacheBudgetBytes int64
 	// HoldRounds is the hysteresis dwell: a partition keeps its substrate
 	// for at least this many rounds before switching again.
 	HoldRounds int
 	// SwitchMargin is the hysteresis margin: a new substrate must beat the
 	// current one's estimated cost by this factor to displace it.
 	SwitchMargin float64
+}
 
-	// CXL-tier constants, the external-link analogues of the fields above.
-	// All zero on two-tier systems, where no partition is CXL-homed and
-	// they are never read.
-
-	// CXLBytesPerSec is the effective in-place read rate for cache-line
-	// requests over the CXL link.
-	CXLBytesPerSec float64
-	// CXLSecondsPerRequest is the CXL link's tag-occupancy cost per
-	// outstanding read. The microsecond RTT makes this the dominant
-	// in-place cost for sparse access.
-	CXLSecondsPerRequest float64
-	// CXLCritSecondsPerRequest is the per-warp latency critical-path cost
-	// of one CXL request.
-	CXLCritSecondsPerRequest float64
-	// CXLBulkBytesPerSec is the CXL link's bulk (DMA) rate, paid by
-	// staging copies and host-cache promotions out of the tier.
-	CXLBulkBytesPerSec float64
-	// CXLUVMBytesPerSec is the effective page-migration rate out of the
-	// CXL tier.
-	CXLUVMBytesPerSec float64
-	// HostCacheBudgetBytes caps the total bytes of CXL-homed partitions
-	// promoted into host DRAM copies. Negative means unlimited.
-	HostCacheBudgetBytes int64
+// home returns the costs of the link a partition's in-place reads cross.
+func (c *CostParams) home(cxl bool) LinkCosts {
+	if cxl {
+		return c.CXL
+	}
+	return c.Host
 }
 
 // TransportPolicy decides, per partition per round, which substrate serves
@@ -276,9 +267,10 @@ func StaticPolicyFor(t Transport) TransportPolicy { return staticPolicy{t} }
 // estimated transfer cost of each substrate against the bytes the coming
 // round is expected to access, and pick the cheapest — with hysteresis (a
 // dwell time plus a switch margin) so oscillating frontiers don't thrash
-// partitions between substrates. The explicit-copy substrate is bounded by
-// a staged-bytes budget (free GPU memory); dense partitions that overflow
-// the budget fall back to the next-cheapest substrate.
+// partitions between substrates. The two copy substrates (staging in GPU
+// memory, host-DRAM copies of CXL-homed partitions) are each bounded by a
+// budget; partitions that overflow one fall back to the cheaper of in-place
+// reads and UVM.
 type adaptivePolicy struct{}
 
 func (adaptivePolicy) Name() string { return "adaptive" }
@@ -293,32 +285,17 @@ func (adaptivePolicy) Static() (Transport, bool) { return ZeroCopy, false }
 // round's AccessedBytes through each substrate. uvmThrash reports that the
 // UVM-bound working set exceeds the page cache, so an incumbent's residency
 // cannot be trusted: it pays its chunk migration every round like a
-// newcomer. CXL-homed partitions price their in-place reads, staging
-// copies, and page migrations with the CXL-tier constants; cached is the
-// host-cache substrate's cost (promotion plus DRAM-rate reads), +Inf for
-// DRAM-homed partitions, which have nothing to promote.
+// newcomer. In-place reads, staging copies and page migrations are priced at
+// the partition's home link; cached is the host-cache substrate's cost
+// (promotion plus DRAM-rate reads), +Inf for DRAM-homed partitions, which
+// have nothing to promote.
 func adaptiveCosts(p PartitionStats, st PartitionState, costs CostParams, uvmThrash bool) (zc, staged, uvmc, cached float64) {
-	zcRate, tagSec, critSec := costs.ZCBytesPerSec, costs.ZCSecondsPerRequest, costs.CritSecondsPerRequest
-	bulkRate, uvmRate := costs.BulkBytesPerSec, costs.UVMBytesPerSec
-	if p.CXLHome {
-		zcRate, tagSec, critSec = costs.CXLBytesPerSec, costs.CXLSecondsPerRequest, costs.CXLCritSecondsPerRequest
-		bulkRate, uvmRate = costs.CXLBulkBytesPerSec, costs.CXLUVMBytesPerSec
-	}
-	// In-place reads: a pipelined request stream finishes when the wire, the
-	// tag window, and the busiest warp's latency chain all drain — max of
-	// the three occupancies. Uniform graphs are wire- or tag-bound; skewed
-	// graphs are bound by the hub warp's serialized round trips.
-	zc = float64(p.AccessedBytes) / zcRate
-	if tag := float64(p.Requests) * tagSec; tag > zc {
-		zc = tag
-	}
-	if crit := float64(p.MaxVertexRequests) * critSec; crit > zc {
-		zc = crit
-	}
+	link := costs.home(p.CXLHome)
+	zc = link.readSeconds(p.AccessedBytes, p.Requests)
 	if st.Staged {
 		staged = 0 // copy already resident: served from HBM
 	} else {
-		staged = float64(p.Bytes) / bulkRate
+		staged = float64(p.Bytes) / link.BulkBytesPerSec
 	}
 	if st.Choice == ChoiceUVM && !uvmThrash {
 		uvmc = 0 // pages migrated when the partition was bound: served from HBM
@@ -327,7 +304,7 @@ func adaptiveCosts(p PartitionStats, st PartitionState, costs CostParams, uvmThr
 		if chunk < p.Bytes {
 			chunk = p.Bytes
 		}
-		uvmc = float64(chunk) / uvmRate
+		uvmc = float64(chunk) / link.UVMBytesPerSec
 	}
 	if !p.CXLHome {
 		cached = math.Inf(1)
@@ -335,15 +312,9 @@ func adaptiveCosts(p PartitionStats, st PartitionState, costs CostParams, uvmThr
 		// Host cache: DRAM-rate zero-copy reads, plus — when the copy is
 		// not already resident — the one-time bulk promotion over the CXL
 		// link.
-		cached = float64(p.AccessedBytes) / costs.ZCBytesPerSec
-		if tag := float64(p.Requests) * costs.ZCSecondsPerRequest; tag > cached {
-			cached = tag
-		}
-		if crit := float64(p.MaxVertexRequests) * costs.CritSecondsPerRequest; crit > cached {
-			cached = crit
-		}
+		cached = costs.Host.readSeconds(p.AccessedBytes, p.Requests)
 		if !st.HostCached {
-			cached += float64(p.Bytes) / costs.CXLBulkBytesPerSec
+			cached += float64(p.Bytes) / costs.CXL.BulkBytesPerSec
 		}
 	}
 	return zc, staged, uvmc, cached
@@ -366,11 +337,6 @@ func (adaptivePolicy) Decide(round int, parts []PartitionStats, state []Partitio
 	uvmThrash := costs.UVMBudgetBytes >= 0 && uvmBound > costs.UVMBudgetBytes
 	// Phase 1: per-partition desired substrate by cost, with hysteresis
 	// against the current binding.
-	type stager struct {
-		idx int
-		acc int64
-	}
-	var wantStaged, wantCached []stager
 	for i := range parts {
 		st := state[i]
 		out[i] = st.Choice
@@ -379,19 +345,11 @@ func (adaptivePolicy) Decide(round int, parts []PartitionStats, state []Partitio
 		if parts[i].AccessedBytes == 0 {
 			// Cold partition: after the dwell, release non-zero-copy
 			// bindings so staged budget, host-cache budget, and UVM
-			// capacity go to live ones.
+			// capacity go to live ones. A cold copy still held occupies
+			// its budget; phase 2 sees it at density zero, so it is the
+			// first evicted when the budget tightens.
 			if st.Choice != ChoiceZeroCopy && dwellOK {
 				out[i] = ChoiceZeroCopy
-			}
-			if out[i] == ChoiceStaged {
-				// A cold staged incumbent still occupies budget; phase 2
-				// must see it or new admissions overflow the cap. Zero
-				// density sorts it behind every live resident, so it is
-				// the first evicted when the budget tightens.
-				wantStaged = append(wantStaged, stager{i, 0})
-			}
-			if out[i] == ChoiceHostCached {
-				wantCached = append(wantCached, stager{i, 0})
 			}
 			continue
 		}
@@ -431,79 +389,53 @@ func (adaptivePolicy) Decide(round int, parts []PartitionStats, state []Partitio
 			}
 		}
 		out[i] = best
-		if best == ChoiceStaged {
-			wantStaged = append(wantStaged, stager{i, parts[i].AccessedBytes})
-		}
-		if best == ChoiceHostCached {
-			wantCached = append(wantCached, stager{i, parts[i].AccessedBytes})
-		}
 	}
-	// budgetSort orders admission candidates: already-resident copies keep
-	// their slot first (stability); new admissions go densest-first.
-	budgetSort := func(want []stager, resident func(i int) bool) {
+	// Phase 2: enforce the budget of each copy substrate. Already-resident
+	// copies keep their slot first (stability); new admissions go
+	// densest-first. An over-budget partition falls back to the cheaper of
+	// in-place reads and UVM, charging a zero-copy incumbent its accumulated
+	// rent (the same ski-rental comparison phase 1 applies); a UVM incumbent
+	// keeps its pages. It never falls back to the other copy substrate,
+	// whose budget is settled without it.
+	admit := func(c Choice, budget int64, resident func(PartitionState) bool) {
+		if budget < 0 {
+			return
+		}
+		var want []int
+		for i := range out {
+			if out[i] == c {
+				want = append(want, i)
+			}
+		}
 		sort.Slice(want, func(a, b int) bool {
-			sa, sb := want[a], want[b]
-			ra, rb := resident(sa.idx), resident(sb.idx)
-			if ra != rb {
+			ia, ib := want[a], want[b]
+			if ra, rb := resident(state[ia]), resident(state[ib]); ra != rb {
 				return ra
 			}
-			if sa.acc != sb.acc {
-				return sa.acc > sb.acc
+			if parts[ia].AccessedBytes != parts[ib].AccessedBytes {
+				return parts[ia].AccessedBytes > parts[ib].AccessedBytes
 			}
-			return sa.idx < sb.idx
+			return ia < ib
 		})
-	}
-	// Phase 2: enforce the staged budget.
-	if costs.StagedBudgetBytes >= 0 {
-		budgetSort(wantStaged, func(i int) bool { return state[i].Staged })
 		var used int64
-		for _, s := range wantStaged {
-			if used+parts[s.idx].Bytes <= costs.StagedBudgetBytes {
-				used += parts[s.idx].Bytes
+		for _, i := range want {
+			if used+parts[i].Bytes <= budget {
+				used += parts[i].Bytes
 				continue
 			}
-			// Over budget: fall back to the cheaper of in-place reads and
-			// UVM, charging a zero-copy incumbent its accumulated rent (the
-			// same ski-rental comparison phase 1 applies).
-			zc, _, uvmc, _ := adaptiveCosts(parts[s.idx], state[s.idx], costs, uvmThrash)
-			if state[s.idx].Choice == ChoiceZeroCopy {
-				zc += state[s.idx].SpentSeconds
+			zc, _, uvmc, _ := adaptiveCosts(parts[i], state[i], costs, uvmThrash)
+			if state[i].Choice == ChoiceZeroCopy {
+				zc += state[i].SpentSeconds
 			}
-			if uvmc*margin < zc {
-				out[s.idx] = ChoiceUVM
-			} else if state[s.idx].Choice == ChoiceStaged {
-				out[s.idx] = ChoiceZeroCopy
+			if uvmc*margin < zc || state[i].Choice == ChoiceUVM {
+				out[i] = ChoiceUVM
 			} else {
-				out[s.idx] = state[s.idx].Choice
+				out[i] = ChoiceZeroCopy
 			}
 		}
 	}
-	// Phase 3: enforce the host-cache budget the same way; overflow falls
-	// back to reading the partition in place over the CXL link.
-	if costs.HostCacheBudgetBytes >= 0 {
-		budgetSort(wantCached, func(i int) bool { return state[i].HostCached })
-		var used int64
-		for _, s := range wantCached {
-			if out[s.idx] != ChoiceHostCached {
-				continue // phase 2 already rerouted it
-			}
-			if used+parts[s.idx].Bytes <= costs.HostCacheBudgetBytes {
-				used += parts[s.idx].Bytes
-				continue
-			}
-			zc, _, uvmc, _ := adaptiveCosts(parts[s.idx], state[s.idx], costs, uvmThrash)
-			if state[s.idx].Choice == ChoiceZeroCopy {
-				zc += state[s.idx].SpentSeconds
-			}
-			if uvmc*margin < zc {
-				out[s.idx] = ChoiceUVM
-			} else if state[s.idx].Choice == ChoiceHostCached {
-				out[s.idx] = ChoiceZeroCopy
-			} else {
-				out[s.idx] = state[s.idx].Choice
-			}
-		}
-	}
+	admit(ChoiceStaged, costs.StagedBudgetBytes, func(st PartitionState) bool { return st.Staged })
+	admit(ChoiceHostCached, costs.HostCacheBudgetBytes, func(st PartitionState) bool { return st.HostCached })
 }
 
 // AdaptivePolicy returns the HyTGraph-style cost-model policy.

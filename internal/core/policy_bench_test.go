@@ -10,27 +10,20 @@ import "testing"
 func BenchmarkAdaptiveDecide(b *testing.B) {
 	const nParts = 64
 	costs := CostParams{
-		SegmentBytes:          64 << 10,
-		ZCBytesPerSec:         12.3e9,
-		ZCSecondsPerRequest:   6.74e-9,
-		CritSecondsPerRequest: 45.3e-9,
-		BulkBytesPerSec:       12.3e9,
-		UVMBytesPerSec:        9.12e9,
-		UVMChunkBytes:         128 << 10,
-		StagedBudgetBytes:     512 << 10,
-		UVMBudgetBytes:        768 << 10,
-		HoldRounds:            2,
-		SwitchMargin:          1.25,
+		Host:              testHostLink,
+		UVMChunkBytes:     128 << 10,
+		StagedBudgetBytes: 512 << 10,
+		UVMBudgetBytes:    768 << 10,
+		HoldRounds:        2,
+		SwitchMargin:      1.25,
 	}
 	parts := make([]PartitionStats, nParts)
 	state := make([]PartitionState, nParts)
 	for i := range parts {
 		parts[i] = PartitionStats{
-			Bytes:             64 << 10,
-			AccessedBytes:     int64(i) * 1024,
-			Requests:          int64(i) * 40,
-			MaxVertexRequests: int64(i),
-			ActiveVertices:    i * 10,
+			Bytes:         64 << 10,
+			AccessedBytes: int64(i) * 1024,
+			Requests:      int64(i) * 40,
 		}
 		state[i] = PartitionState{Choice: Choice(i % 3), Since: i % 5, SpentSeconds: float64(i) * 1e-6}
 		state[i].Staged = state[i].Choice == ChoiceStaged

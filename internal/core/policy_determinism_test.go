@@ -88,30 +88,32 @@ func adaptiveRun(t *testing.T, g *graph.CSR, algo string, src, workers int, vari
 	return res, log.rounds
 }
 
+// testHostLink and testCXLLink are PCIe 3.0- and CXL-shaped link costs for
+// the pure Decide tests.
+var (
+	testHostLink = LinkCosts{ReadBytesPerSec: 12.3e9, TagSeconds: 6.74e-9, BulkBytesPerSec: 12.3e9, UVMBytesPerSec: 9.12e9}
+	testCXLLink  = LinkCosts{ReadBytesPerSec: 11.5e9, TagSeconds: 9.77e-9, BulkBytesPerSec: 14.4e9, UVMBytesPerSec: 8e9}
+)
+
 // TestAdaptiveDecidePure: Decide is a pure function — repeated calls with
 // identical inputs produce identical outputs, garbage in the out slice is
 // fully overwritten, and the inputs are never mutated.
 func TestAdaptiveDecidePure(t *testing.T) {
 	pol := AdaptivePolicy()
 	costs := CostParams{
-		SegmentBytes:          64 << 10,
-		ZCBytesPerSec:         12.3e9,
-		ZCSecondsPerRequest:   6.74e-9,
-		CritSecondsPerRequest: 45.3e-9,
-		BulkBytesPerSec:       12.3e9,
-		UVMBytesPerSec:        9.12e9,
-		UVMChunkBytes:         128 << 10,
-		StagedBudgetBytes:     160 << 10,
-		UVMBudgetBytes:        512 << 10,
-		HoldRounds:            2,
-		SwitchMargin:          1.25,
+		Host:              testHostLink,
+		UVMChunkBytes:     128 << 10,
+		StagedBudgetBytes: 160 << 10,
+		UVMBudgetBytes:    512 << 10,
+		HoldRounds:        2,
+		SwitchMargin:      1.25,
 	}
 	parts := []PartitionStats{
-		{Bytes: 64 << 10, AccessedBytes: 60 << 10, Requests: 500, MaxVertexRequests: 40, ActiveVertices: 900},
-		{Bytes: 64 << 10, AccessedBytes: 2 << 10, Requests: 64, MaxVertexRequests: 2, ActiveVertices: 3},
+		{Bytes: 64 << 10, AccessedBytes: 60 << 10, Requests: 500},
+		{Bytes: 64 << 10, AccessedBytes: 2 << 10, Requests: 64},
 		{Bytes: 64 << 10, AccessedBytes: 0, Requests: 0},
-		{Bytes: 64 << 10, AccessedBytes: 30 << 10, Requests: 4000, MaxVertexRequests: 800, ActiveVertices: 400},
-		{Bytes: 32 << 10, AccessedBytes: 31 << 10, Requests: 250, MaxVertexRequests: 9, ActiveVertices: 500},
+		{Bytes: 64 << 10, AccessedBytes: 30 << 10, Requests: 4000},
+		{Bytes: 32 << 10, AccessedBytes: 31 << 10, Requests: 250},
 	}
 	state := []PartitionState{
 		{Choice: ChoiceZeroCopy, Since: -1, SpentSeconds: 4e-5},
@@ -143,6 +145,39 @@ func TestAdaptiveDecidePure(t *testing.T) {
 	for i := range parts {
 		if parts[i] != partsCopy[i] || state[i] != stateCopy[i] {
 			t.Fatalf("Decide mutated its inputs at partition %d", i)
+		}
+	}
+}
+
+// TestAdaptiveBudgetFallbackStaysInBudget: a partition that overflows one
+// copy substrate's budget must not fall back to the other copy substrate,
+// whose budget was settled without it. Two CXL-homed partitions served from
+// resident host-DRAM copies find staging cheapest; with both budgets at
+// zero, neither may end on staging nor keep its host copy.
+func TestAdaptiveBudgetFallbackStaysInBudget(t *testing.T) {
+	costs := CostParams{
+		Host:                 testHostLink,
+		CXL:                  testCXLLink,
+		UVMChunkBytes:        128 << 10,
+		StagedBudgetBytes:    0,
+		UVMBudgetBytes:       -1,
+		HostCacheBudgetBytes: 0,
+		HoldRounds:           2,
+		SwitchMargin:         1.25,
+	}
+	parts := []PartitionStats{
+		{Bytes: 64 << 10, AccessedBytes: 60 << 10, Requests: 1500, CXLHome: true},
+		{Bytes: 64 << 10, AccessedBytes: 60 << 10, Requests: 1500, CXLHome: true},
+	}
+	state := []PartitionState{
+		{Choice: ChoiceHostCached, Since: -1, HostCached: true},
+		{Choice: ChoiceHostCached, Since: -1, HostCached: true},
+	}
+	out := make([]Choice, len(parts))
+	AdaptivePolicy().Decide(4, parts, state, costs, out)
+	for i, c := range out {
+		if c == ChoiceStaged || c == ChoiceHostCached {
+			t.Errorf("partition %d bound to %v over a 0-byte budget (decisions %v)", i, c, out)
 		}
 	}
 }
@@ -329,9 +364,10 @@ func TestColdCachesEvictsStagedSegments(t *testing.T) {
 	}
 }
 
-// FuzzTransportPolicy: under arbitrary partition shapes the adaptive
-// policy must stay deterministic, emit only valid choices, and respect
-// the staged budget.
+// FuzzTransportPolicy: under arbitrary partition shapes, DRAM- and
+// CXL-homed, the adaptive policy must stay deterministic, emit only valid
+// choices, offer host-DRAM copies only to CXL-homed partitions, and respect
+// both the staged and the host-cache budget.
 func FuzzTransportPolicy(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint64(3), int64(192<<10), 4)
 	f.Add(uint64(0), uint64(0), uint64(0), int64(0), 1)
@@ -339,19 +375,6 @@ func FuzzTransportPolicy(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b, c uint64, budget int64, nParts int) {
 		if nParts < 1 || nParts > 64 {
 			return
-		}
-		costs := CostParams{
-			SegmentBytes:          64 << 10,
-			ZCBytesPerSec:         12.3e9,
-			ZCSecondsPerRequest:   6.74e-9,
-			CritSecondsPerRequest: 45.3e-9,
-			BulkBytesPerSec:       12.3e9,
-			UVMBytesPerSec:        9.12e9,
-			UVMChunkBytes:         128 << 10,
-			StagedBudgetBytes:     budget,
-			UVMBudgetBytes:        budget * 2,
-			HoldRounds:            2,
-			SwitchMargin:          1.25,
 		}
 		// Derive partitions from the seed words with an xorshift mix; the
 		// generator is deterministic so failures minimize and replay.
@@ -362,23 +385,37 @@ func FuzzTransportPolicy(f *testing.F) {
 			x ^= x << 17
 			return x
 		}
+		costs := CostParams{
+			Host:                 testHostLink,
+			CXL:                  testCXLLink,
+			UVMChunkBytes:        128 << 10,
+			StagedBudgetBytes:    budget,
+			UVMBudgetBytes:       budget * 2,
+			HostCacheBudgetBytes: int64(next() % (256 << 10)),
+			HoldRounds:           2,
+			SwitchMargin:         1.25,
+		}
 		parts := make([]PartitionStats, nParts)
 		state := make([]PartitionState, nParts)
 		for i := range parts {
 			bytes := int64(next()%(64<<10)) + 1
 			parts[i] = PartitionStats{
-				Bytes:             bytes,
-				AccessedBytes:     int64(next() % uint64(bytes+1)),
-				Requests:          int64(next() % 5000),
-				MaxVertexRequests: int64(next() % 1000),
-				ActiveVertices:    int(next() % 2000),
+				Bytes:         bytes,
+				AccessedBytes: int64(next() % uint64(bytes+1)),
+				Requests:      int64(next() % 5000),
+				CXLHome:       next()%2 == 0,
+			}
+			choices := uint64(ChoiceHostCached) // host copies exist only for CXL homes
+			if parts[i].CXLHome {
+				choices = uint64(numChoices)
 			}
 			state[i] = PartitionState{
-				Choice:       Choice(next() % 3),
+				Choice:       Choice(next() % choices),
 				Since:        int(next()%8) - 1,
 				SpentSeconds: float64(next()%1000) * 1e-6,
 			}
 			state[i].Staged = state[i].Choice == ChoiceStaged
+			state[i].HostCached = state[i].Choice == ChoiceHostCached
 		}
 		pol := AdaptivePolicy()
 		out1 := make([]Choice, nParts)
@@ -389,20 +426,29 @@ func FuzzTransportPolicy(f *testing.F) {
 		round := int(next() % 16)
 		pol.Decide(round, parts, state, costs, out1)
 		pol.Decide(round, parts, state, costs, out2)
-		var stagedBytes int64
+		var stagedBytes, cachedBytes int64
 		for i := range out1 {
 			if out1[i] != out2[i] {
 				t.Fatalf("nondeterministic decision at partition %d: %v vs %v", i, out1[i], out2[i])
 			}
-			if out1[i] > ChoiceStaged {
-				t.Fatalf("invalid choice %d at partition %d", out1[i], i)
-			}
-			if out1[i] == ChoiceStaged {
+			switch out1[i] {
+			case ChoiceZeroCopy, ChoiceUVM:
+			case ChoiceStaged:
 				stagedBytes += parts[i].Bytes
+			case ChoiceHostCached:
+				if !parts[i].CXLHome {
+					t.Fatalf("host-DRAM copy chosen for DRAM-homed partition %d", i)
+				}
+				cachedBytes += parts[i].Bytes
+			default:
+				t.Fatalf("invalid choice %d at partition %d", out1[i], i)
 			}
 		}
 		if costs.StagedBudgetBytes >= 0 && stagedBytes > costs.StagedBudgetBytes {
 			t.Fatalf("staged %d bytes over the %d budget", stagedBytes, costs.StagedBudgetBytes)
+		}
+		if cachedBytes > costs.HostCacheBudgetBytes {
+			t.Fatalf("host-cached %d bytes over the %d budget", cachedBytes, costs.HostCacheBudgetBytes)
 		}
 	})
 }

@@ -158,11 +158,12 @@ func (rt *policyRuntime) spaceAt(off int64) memsys.Space {
 // frontier densifies almost immediately (a handful of BFS rounds reach most
 // vertices), so the recurring zero-copy rent the adaptive rule waits to
 // observe is a near-certainty at round 0. Seeding SpentSeconds with ~2
-// rounds of full-partition reads (scaled by how confidently degree predicts
-// immediate densification) lets the first decisions buy UVM or staging
-// directly instead of paying the zero-copy ramp HyTGraph-style hysteresis
-// otherwise imposes — the BENCH_8 SK-class residual. Static policies ignore
-// partition state, so the prior only shapes routed cost-model policies.
+// rounds of full-partition reads at the home link's wire rate (scaled by how
+// confidently degree predicts immediate densification) lets the first
+// decisions buy UVM or staging directly instead of paying the zero-copy ramp
+// HyTGraph-style hysteresis otherwise imposes — the BENCH_8 SK-class
+// residual. Static policies ignore partition state, so the prior only shapes
+// routed cost-model policies.
 func (rt *policyRuntime) seedDegreePrior() {
 	g := rt.dg.Graph
 	nv := g.NumVertices()
@@ -176,44 +177,8 @@ func (rt *policyRuntime) seedDegreePrior() {
 	if confidence <= 0 {
 		return
 	}
-	// The distribution's tail matters as much as its mean: a hub vertex's
-	// adjacency walk is served as one warp's serialized request chain, so a
-	// hub-dominated partition's real zero-copy rent is latency-bound, not
-	// wire-bound. Pre-compute each partition's worst single-vertex request
-	// chain from the CSR (the same per-line count beforeRound charges) so
-	// hub partitions are seeded with the rent they will actually pay.
-	ew := int64(rt.dg.EdgeBytes)
-	maxReqs := make([]int64, len(rt.state))
-	for v := 0; v < nv; v++ {
-		lo := g.Offsets[v] * ew
-		hi := g.Offsets[v+1] * ew
-		if lo == hi {
-			continue
-		}
-		for p := lo / rt.segBytes; p <= (hi-1)/rt.segBytes; p++ {
-			segLo := p * rt.segBytes
-			a, b := lo, hi
-			if a < segLo {
-				a = segLo
-			}
-			if end := segLo + rt.parts[p].Bytes; b > end {
-				b = end
-			}
-			la := a &^ (memsys.CacheLineBytes - 1)
-			if req := (b - la + memsys.CacheLineBytes - 1) / memsys.CacheLineBytes; req > maxReqs[p] {
-				maxReqs[p] = req
-			}
-		}
-	}
 	for p := range rt.state {
-		rate, critSec := rt.costs.ZCBytesPerSec, rt.costs.CritSecondsPerRequest
-		if rt.parts[p].CXLHome && rt.costs.CXLBytesPerSec > 0 {
-			rate, critSec = rt.costs.CXLBytesPerSec, rt.costs.CXLCritSecondsPerRequest
-		}
-		rent := float64(rt.parts[p].Bytes) / rate
-		if crit := float64(maxReqs[p]) * critSec; crit > rent {
-			rent = crit
-		}
+		rent := rt.costs.home(rt.parts[p].CXLHome).readSeconds(rt.parts[p].Bytes, 0)
 		rt.state[p].SpentSeconds = 2 * rent * confidence
 	}
 }
@@ -227,11 +192,6 @@ func (rt *policyRuntime) deriveCosts() CostParams {
 	if chunk < pageBytes {
 		chunk = pageBytes
 	}
-	// Effective UVM rate: page transfer at bulk rate plus — under the CPU
-	// fault handler — the serialized handler cost per page. GPU-driven
-	// paging pays link tag occupancy instead, so its rate is the larger of
-	// the wire and tag occupancies, mirroring the device's accounting.
-	pageSeconds := uvmPageSeconds(cfg.Link, pageBytes, uvmCfg.FaultCPUSeconds, uvmCfg.GPUDriven)
 	budget := rt.dev.Arena().GPUFree()
 	// The UVM page cache holds at most the GPU's free memory; binding more
 	// than that makes the driver's LRU evict between rounds, so residency
@@ -257,31 +217,17 @@ func (rt *policyRuntime) deriveCosts() CostParams {
 			uvmBudget = uvmBudget * ew / (ew + 4)
 		}
 	}
-	perWarp := cfg.PerWarpOutstanding
-	if perWarp < 1 {
-		perWarp = 1
-	}
 	cp := CostParams{
-		SegmentBytes:          rt.segBytes,
-		ZCBytesPerSec:         cfg.Link.EffectiveBandwidth(memsys.CacheLineBytes),
-		ZCSecondsPerRequest:   cfg.Link.TagSeconds(),
-		CritSecondsPerRequest: cfg.Link.RTT.Seconds() / float64(perWarp),
-		BulkBytesPerSec:       cfg.Link.MemcpyPeak(),
-		UVMBytesPerSec:        float64(pageBytes) / pageSeconds,
-		UVMChunkBytes:         chunk,
-		StagedBudgetBytes:     budget,
-		UVMBudgetBytes:        uvmBudget,
-		HoldRounds:            2,
-		SwitchMargin:          1.25,
-		HostCacheBudgetBytes:  -1,
+		Host:                 rt.linkCosts(cfg.Link),
+		UVMChunkBytes:        chunk,
+		StagedBudgetBytes:    budget,
+		UVMBudgetBytes:       uvmBudget,
+		HostCacheBudgetBytes: -1,
+		HoldRounds:           2,
+		SwitchMargin:         1.25,
 	}
 	if cxlT := rt.dev.Arena().CXLTier(); cxlT != nil {
-		cp.CXLBytesPerSec = cxlT.Link.EffectiveBandwidth(memsys.CacheLineBytes)
-		cp.CXLSecondsPerRequest = cxlT.Link.TagSeconds()
-		cp.CXLCritSecondsPerRequest = cxlT.Link.RTT.Seconds() / float64(perWarp)
-		cp.CXLBulkBytesPerSec = cxlT.Link.MemcpyPeak()
-		cxlPageSeconds := uvmPageSeconds(cxlT.Link, pageBytes, uvmCfg.FaultCPUSeconds, uvmCfg.GPUDriven)
-		cp.CXLUVMBytesPerSec = float64(pageBytes) / cxlPageSeconds
+		cp.CXL = rt.linkCosts(cxlT.Link)
 		// Host-cache promotions compete with pinned allocations for host
 		// DRAM; leave the same headroom fraction the staged budget does.
 		hostBudget := rt.dev.Arena().HostFree()
@@ -291,6 +237,22 @@ func (rt *policyRuntime) deriveCosts() CostParams {
 		cp.HostCacheBudgetBytes = hostBudget
 	}
 	return cp
+}
+
+// linkCosts derives the cost model of one link from its configuration and
+// the device's paging engine. The effective UVM rate is page transfer at
+// bulk rate plus — under the CPU fault handler — the serialized handler cost
+// per page; GPU-driven paging pays link tag occupancy instead, mirroring the
+// device's accounting (see uvmPageSeconds).
+func (rt *policyRuntime) linkCosts(lnk pcie.LinkConfig) LinkCosts {
+	uvmCfg := rt.dev.UVM().Config()
+	pageBytes := int64(uvmCfg.PageBytes)
+	return LinkCosts{
+		ReadBytesPerSec: lnk.EffectiveBandwidth(memsys.CacheLineBytes),
+		TagSeconds:      lnk.TagSeconds(),
+		BulkBytesPerSec: lnk.MemcpyPeak(),
+		UVMBytesPerSec:  float64(pageBytes) / uvmPageSeconds(lnk, pageBytes, uvmCfg.FaultCPUSeconds, uvmCfg.GPUDriven),
+	}
 }
 
 // uvmPageSeconds returns the effective per-page migration time over lnk:
@@ -317,8 +279,6 @@ func (rt *policyRuntime) beforeRound(round int, active func(v int) bool) {
 	for i := range rt.parts {
 		rt.parts[i].AccessedBytes = 0
 		rt.parts[i].Requests = 0
-		rt.parts[i].MaxVertexRequests = 0
-		rt.parts[i].ActiveVertices = 0
 		rt.reuses[i] = 0
 	}
 	g := rt.dg.Graph
@@ -334,15 +294,12 @@ func (rt *policyRuntime) beforeRound(round int, active func(v int) bool) {
 		if lo == hi {
 			continue
 		}
-		p0 := lo / rt.segBytes
-		p1 := (hi - 1) / rt.segBytes
-		rt.parts[p0].ActiveVertices++
 		if rt.naive {
 			zcLanes++ // one lane walks this vertex's list
 		} else {
 			zcLanes += int64(gpu.WarpSize) // a whole warp gathers it
 		}
-		for p := p0; p <= p1; p++ {
+		for p := lo / rt.segBytes; p <= (hi-1)/rt.segBytes; p++ {
 			segLo := p * rt.segBytes
 			segHi := segLo + rt.parts[p].Bytes
 			a, b := lo, hi
@@ -394,9 +351,6 @@ func (rt *policyRuntime) beforeRound(round int, active func(v int) bool) {
 			}
 			rt.parts[p].AccessedBytes += acc
 			rt.parts[p].Requests += req
-			if req > rt.parts[p].MaxVertexRequests {
-				rt.parts[p].MaxVertexRequests = req
-			}
 		}
 	}
 
@@ -428,24 +382,12 @@ func (rt *policyRuntime) beforeRound(round int, active func(v int) bool) {
 
 	// Accrue this round's zero-copy rent on the partitions that will serve
 	// it zero-copy — the ski-rental balance the next decision sees. Rent is
-	// priced at the link the reads actually cross: the CXL constants for
-	// CXL-homed partitions.
+	// priced at the link the reads actually cross.
 	for p := range rt.parts {
 		if rt.state[p].Choice != ChoiceZeroCopy || rt.parts[p].AccessedBytes == 0 {
 			continue
 		}
-		rate, tagSec, critSec := rt.costs.ZCBytesPerSec, rt.costs.ZCSecondsPerRequest, rt.costs.CritSecondsPerRequest
-		if rt.parts[p].CXLHome {
-			rate, tagSec, critSec = rt.costs.CXLBytesPerSec, rt.costs.CXLSecondsPerRequest, rt.costs.CXLCritSecondsPerRequest
-		}
-		rent := float64(rt.parts[p].AccessedBytes) / rate
-		if tag := float64(rt.parts[p].Requests) * tagSec; tag > rent {
-			rent = tag
-		}
-		if crit := float64(rt.parts[p].MaxVertexRequests) * critSec; crit > rent {
-			rent = crit
-		}
-		rt.state[p].SpentSeconds += rent
+		rt.state[p].SpentSeconds += rt.costs.home(rt.parts[p].CXLHome).readSeconds(rt.parts[p].AccessedBytes, rt.parts[p].Requests)
 	}
 	if len(rt.moves) > 0 {
 		rt.dev.EmitTransportDecisions(round, rt.moves, start, rt.dev.Clock())

@@ -16,12 +16,9 @@ const DefaultReorderWindow = 32
 // Generate runs the selected evaluation tables in the harness's fixed order
 // and hands each one to emit as soon as it is ready. selected reports
 // whether a table ID is wanted; reorderWindow sizes the reorder table's
-// window in 32B sectors; logf, when non-nil, announces each long sweep.
+// window in 32B sectors; logf announces each long sweep.
 func Generate(ds *Datasets, selected func(id string) bool, reorderWindow int,
 	logf func(format string, args ...any), emit func(id string, t *Table)) error {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	var err error
 	add := func(id string, run func() (*Table, error)) {
 		if err != nil || !selected(id) {

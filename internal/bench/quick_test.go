@@ -36,7 +36,7 @@ func TestQuickResults(t *testing.T) {
 	var werr error
 	err := Generate(NewDatasets(QuickConfig()),
 		func(id string) bool { return !strings.HasPrefix(id, "ablation-") },
-		DefaultReorderWindow, nil,
+		DefaultReorderWindow, t.Logf,
 		func(id string, tb *Table) {
 			if werr == nil {
 				werr = WriteTable(dir, id, tb, true, false)

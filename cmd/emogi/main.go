@@ -46,7 +46,7 @@ func main() {
 		placement = flag.String("placement", "auto",
 			"edge-list tier placement: auto (DRAM with CXL spill), dram, or cxl")
 		validate = flag.Bool("validate", true, "validate results against CPU references")
-		kernels  = flag.Bool("kernels", false, "print the per-kernel (per-level) breakdown of the last run")
+		kernels  = flag.Bool("kernels", false, "print the per-kernel (per-level) breakdown of every run")
 		reorder  = flag.Int("reorder-window", 0,
 			"IARU-style reorder window in 32B sectors (0 disables; >0 buffers off-device accesses and re-groups them by 128B line before dispatch)")
 		compare = flag.Bool("compare", false, "run the UVM baseline alongside and print the speedup")
@@ -118,6 +118,10 @@ func main() {
 	cfg.ReorderWindow = *reorder
 
 	sys := emogi.NewSystem(cfg)
+	var klog kernelLog
+	if *kernels {
+		sys.Device().SetTelemetry(&klog)
+	}
 	dg, err := sys.Load(g, emogi.WithTransportPolicy(pol), emogi.WithElemBytes(*elemBytes),
 		emogi.WithPlacement(place))
 	if err != nil {
@@ -183,7 +187,7 @@ func main() {
 			uvmSum.MeanElapsed, emogi.Speedup(uvmSum, sum))
 	}
 	if *kernels {
-		printKernelLog(sys.Device())
+		klog.print()
 	}
 	os.Exit(0)
 }
@@ -244,13 +248,25 @@ func runMultiGPU(g *emogi.Graph, app string, cfg emogi.SystemConfig, n, sources 
 	}
 }
 
-// printKernelLog dumps the simulated device's per-launch statistics — the
-// level-by-level view of how traffic and time evolve over a traversal.
-func printKernelLog(dev *gpu.Device) {
+// kernelLog is a telemetry sink that keeps every kernel launch's
+// statistics, for -kernels: the level-by-level view of how traffic and
+// time evolve over a traversal.
+type kernelLog struct{ kernels []gpu.KernelStats }
+
+func (l *kernelLog) KernelDone(_ *gpu.Device, ks *gpu.KernelStats, _, _ int, _, _ time.Duration) {
+	l.kernels = append(l.kernels, *ks)
+}
+
+func (*kernelLog) RunBegin(*gpu.Device, gpu.RunLabels)                              {}
+func (*kernelLog) RunEnd(*gpu.Device)                                               {}
+func (*kernelLog) CopyDone(*gpu.Device, bool, int64, time.Duration, time.Duration)  {}
+func (*kernelLog) RoundDone(*gpu.Device, string, int, time.Duration, time.Duration) {}
+
+func (l *kernelLog) print() {
 	fmt.Println("\nper-kernel breakdown (all runs):")
 	fmt.Printf("%-28s %8s %10s %12s %12s %10s\n",
 		"kernel", "warps", "PCIe reqs", "payload KB", "migrations", "elapsed")
-	for _, ks := range dev.Kernels() {
+	for _, ks := range l.kernels {
 		fmt.Printf("%-28s %8d %10d %12.1f %12d %10v\n",
 			ks.Name, ks.Warps, ks.PCIeRequests,
 			float64(ks.PCIePayloadBytes)/1e3, ks.UVMMigrations, ks.Elapsed)

@@ -307,8 +307,8 @@ func (s *System) Faults() FaultInjector { return s.cfg.Faults }
 func (s *System) Config() SystemConfig { return s.cfg }
 
 // Device exposes the underlying simulated GPU (traffic monitor, clock,
-// kernel log) for instrumentation-heavy callers like the benchmark
-// harness.
+// statistics, telemetry attachment) for instrumentation-heavy callers like
+// the benchmark harness.
 func (s *System) Device() *gpu.Device { return s.dev }
 
 // LoadOption configures Load.

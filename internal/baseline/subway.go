@@ -101,8 +101,8 @@ func SubwayRun(dev *gpu.Device, g *graph.CSR, name string, src int, cfg SubwayCo
 		return nil, fmt.Errorf("baseline: source %d out of range", src)
 	}
 
-	clock0 := dev.Clock()
-	stats0 := dev.Mark()
+	dev.BeginRun(gpu.RunLabels{App: app, Variant: "subway", Transport: "bulk", Graph: g.Name})
+	defer dev.EndRun()
 	arena := dev.Arena()
 
 	// Persistent device state: the value array lives in GPU memory for the
@@ -197,6 +197,7 @@ func SubwayRun(dev *gpu.Device, g *graph.CSR, name string, src int, cfg SubwayCo
 	if a.NoSource {
 		resSrc = -1
 	}
+	stats := dev.RunStats()
 	return &core.Result{
 		App:        app,
 		Variant:    core.Merged,
@@ -204,8 +205,8 @@ func SubwayRun(dev *gpu.Device, g *graph.CSR, name string, src int, cfg SubwayCo
 		Source:     resSrc,
 		Values:     out,
 		Iterations: iterations,
-		Elapsed:    dev.Clock() - clock0,
-		Stats:      dev.Since(stats0),
+		Elapsed:    stats.Elapsed,
+		Stats:      stats,
 	}, nil
 }
 
@@ -281,7 +282,7 @@ func stageAndRunChunk(dev *gpu.Device, cfg SubwayConfig, sub *graph.Subgraph, a 
 // memory, updating the global value array and marking updated destinations
 // active for the next iteration.
 func launchSubwayKernel(dev *gpu.Device, sub *graph.Subgraph, a *core.Algorithm, lo int,
-	offBuf, dstBuf, wgtBuf, values *memsys.Buffer, active []bool) *gpu.KernelStats {
+	offBuf, dstBuf, wgtBuf, values *memsys.Buffer, active []bool) gpu.KernelStats {
 
 	edgeBytes := dstBuf.Elem
 	nAct := int(offBuf.Size()/8) - 1

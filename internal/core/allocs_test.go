@@ -8,13 +8,16 @@ import (
 	"repro/internal/graph"
 	"repro/internal/memsys"
 	"repro/internal/pcie"
+	"repro/internal/race"
 )
 
 // This file pins the engine's zero-alloc round contract: once a run's
-// first round has warmed the per-worker scratch and the device's
-// capacity-preserving stat buffers, a steady-state round performs NO heap
-// allocation — not in the round loop, not in the kernel bodies, not in
-// the visitors, not in the coalescer or its reorder stage.
+// first round has warmed the per-worker scratch, a steady-state round
+// performs NO heap allocation — not in the round loop, not in the kernel
+// bodies, not in the visitors, not in the coalescer or its reorder stage.
+// The runs are measured back to back on one device, without a ResetStats
+// between them: the device's run statistics are fixed-size, so nothing
+// grows with the number of launches it has seen.
 //
 // The contract is asserted with a delta method built on
 // testing.AllocsPerRun (the testing-package form of AllocsPerOp): two
@@ -26,7 +29,9 @@ import (
 //
 // The contract covers the serial engine (Workers=1): parallel launches
 // spawn worker goroutines per launch by design, which Go runtime
-// machinery charges allocations for outside the engine's control.
+// machinery charges allocations for outside the engine's control. Race
+// builds skip the gates (see internal/race); the race-free CI job runs
+// them.
 
 // allocDevice returns a single-worker device, optionally with the
 // coalescer's reorder stage enabled, so the contract covers both paths.
@@ -74,6 +79,16 @@ func measureRunAllocs(run func(src int), srcA, srcB int) (float64, float64) {
 	return a, b
 }
 
+// skipUnderRace skips an allocation gate in race builds: the race runtime
+// allocates on its own schedule, so AllocsPerRun counts are not
+// reproducible there.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if race.Enabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+}
+
 func assertEqualAllocs(t *testing.T, name string, a, b float64, itersA, itersB int) {
 	t.Helper()
 	if itersA == itersB {
@@ -89,6 +104,7 @@ func assertEqualAllocs(t *testing.T, name string, a, b float64, itersA, itersB i
 // FrontierMatch (BFS) and FrontierActive (SSSP) disciplines, with the
 // reorder stage off and on.
 func TestSteadyStateRoundAllocsEngine(t *testing.T) {
+	skipUnderRace(t)
 	g := graph.Urand("alloc-u", 800, 8, 3)
 	g.InitWeights(7, 8, 72)
 	for _, rw := range []int{0, 16} {
@@ -107,7 +123,6 @@ func TestSteadyStateRoundAllocsEngine(t *testing.T) {
 		} {
 			iters := map[int]int{}
 			run := func(src int) {
-				dev.ResetStats()
 				res, err := tc.algo(src)
 				if err != nil {
 					t.Fatalf("reorder=%d/%s: %v", rw, tc.name, err)
@@ -123,6 +138,7 @@ func TestSteadyStateRoundAllocsEngine(t *testing.T) {
 // TestSteadyStateRoundAllocsBatch covers the batched lane loop: the
 // match (BFS) and active (SSSP) batched kernels with K=4 lanes.
 func TestSteadyStateRoundAllocsBatch(t *testing.T) {
+	skipUnderRace(t)
 	g := graph.Urand("alloc-b", 800, 8, 3)
 	g.InitWeights(7, 8, 72)
 	for _, rw := range []int{0, 16} {
@@ -135,7 +151,6 @@ func TestSteadyStateRoundAllocsBatch(t *testing.T) {
 		for _, app := range []string{"bfs", "sssp"} {
 			iters := map[int]int{}
 			run := func(src int) {
-				dev.ResetStats()
 				specs := []BatchSpec{{Src: src}, {Src: src}, {Src: src}, {Src: src}}
 				out, err := RunBatchAlgo(context.Background(), dev, dg, app, specs, MergedAligned)
 				if err != nil {

@@ -469,8 +469,6 @@ func runBatchProgram(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, prog
 		Variant:   fmt.Sprintf("batch%d/%s", k, variant),
 		Transport: labelTransport, Graph: dg.Graph.Name})
 	defer dev.EndRun()
-	clockStart := dev.Clock()
-	statStart := dev.Mark()
 
 	br := &batchRun{
 		dev: dev, dg: dg, prog: prog,
@@ -570,8 +568,7 @@ func runBatchProgram(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, prog
 
 	// Download the lane-major array once and slice it per lane.
 	dev.CopyToHost(int64(n) * int64(k) * 4)
-	elapsed := dev.Clock() - clockStart
-	stats := dev.Since(statStart)
+	stats := dev.RunStats()
 	out := &BatchOutcome{
 		Results:        make([]BatchItem, k),
 		BatchedRun:     true,
@@ -599,7 +596,7 @@ func runBatchProgram(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, prog
 			Source:     specs[q].Src,
 			Values:     vals,
 			Iterations: ln.rounds,
-			Elapsed:    elapsed,
+			Elapsed:    stats.Elapsed,
 			Stats:      stats,
 			BatchSize:  k,
 			Policy:     policyName,

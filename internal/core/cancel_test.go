@@ -64,7 +64,7 @@ func TestCancelBeforeFirstRound(t *testing.T) {
 	}
 	defer dg.Free(dev)
 
-	kernels := len(dev.Kernels())
+	before := dev.Total()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := BFS(ctx, dev, dg, src, MergedAligned)
@@ -84,8 +84,8 @@ func TestCancelBeforeFirstRound(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("errors.Is(err, context.Canceled) = false")
 	}
-	if got := len(dev.Kernels()); got != kernels {
-		t.Errorf("pre-canceled run launched %d kernel(s)", got-kernels)
+	if got := dev.Total(); got.Warps != before.Warps {
+		t.Errorf("pre-canceled run launched %d warp(s)", got.Warps-before.Warps)
 	}
 }
 

@@ -589,7 +589,6 @@ func runHybrid(ctx context.Context, h *HybridSystem, prog *Program, src int) (*R
 	dev.BeginRun(gpu.RunLabels{App: prog.App, Variant: "hybrid",
 		Transport: ZeroCopy.String(), Graph: g.Name})
 	defer dev.EndRun()
-	statStart := dev.Mark()
 
 	labels, err := dev.Arena().Alloc("hbfs.labels", memsys.SpaceGPU, int64(n)*4)
 	if err != nil {
@@ -640,7 +639,7 @@ func runHybrid(ctx context.Context, h *HybridSystem, prog *Program, src int) (*R
 		Values:     out,
 		Iterations: iterations,
 		Elapsed:    hr.elapsed,
-		Stats:      dev.Since(statStart),
+		Stats:      dev.RunStats(),
 	}, nil
 }
 
@@ -785,9 +784,7 @@ func runMulti(ctx context.Context, ms *MultiSystem, prog *Program, src int) (*Re
 			}
 		}
 	}
-	statStart := make([]gpu.RunMark, nd)
 	for i, dev := range ms.devs {
-		statStart[i] = dev.Mark()
 		var err error
 		mr.values[i], err = dev.Arena().Alloc("mgpu.values", memsys.SpaceGPU, int64(n)*4)
 		if err != nil {
@@ -838,8 +835,8 @@ func runMulti(ctx context.Context, ms *MultiSystem, prog *Program, src int) (*Re
 	out := make([]uint32, n)
 	copy(out, mr.prev)
 	var stats gpu.KernelStats
-	for i, dev := range ms.devs {
-		d := dev.Since(statStart[i])
+	for _, dev := range ms.devs {
+		d := dev.RunStats()
 		stats.Add(&d)
 	}
 	freeAll()
@@ -859,14 +856,12 @@ func runMulti(ctx context.Context, ms *MultiSystem, prog *Program, src int) (*Re
 	}, nil
 }
 
-// runState carries the engine's shared plumbing: the convergence flag,
-// the device clock/stat baseline, and per-run GPU buffers to free.
+// runState carries the engine's shared plumbing: the convergence flag and
+// the per-run GPU buffers to free.
 type runState struct {
-	dev        *gpu.Device
-	flag       *memsys.Buffer
-	freeList   []*memsys.Buffer
-	clockStart time.Duration
-	statStart  gpu.RunMark
+	dev      *gpu.Device
+	flag     *memsys.Buffer
+	freeList []*memsys.Buffer
 }
 
 func newRunState(dev *gpu.Device) (*runState, error) {
@@ -874,12 +869,7 @@ func newRunState(dev *gpu.Device) (*runState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: allocating convergence flag: %w", err)
 	}
-	rs := &runState{
-		dev:        dev,
-		flag:       flag,
-		clockStart: dev.Clock(),
-		statStart:  dev.Mark(),
-	}
+	rs := &runState{dev: dev, flag: flag}
 	rs.freeList = append(rs.freeList, flag)
 	return rs, nil
 }
@@ -929,6 +919,7 @@ func (rs *runState) finish(app string, variant Variant, transport Transport, src
 	for _, b := range rs.freeList {
 		rs.dev.Arena().Free(b)
 	}
+	stats := rs.dev.RunStats()
 	return &Result{
 		App:        app,
 		Variant:    variant,
@@ -936,7 +927,7 @@ func (rs *runState) finish(app string, variant Variant, transport Transport, src
 		Source:     src,
 		Values:     out,
 		Iterations: iterations,
-		Elapsed:    rs.dev.Clock() - rs.clockStart,
-		Stats:      rs.dev.Since(rs.statStart),
+		Elapsed:    stats.Elapsed,
+		Stats:      stats,
 	}
 }

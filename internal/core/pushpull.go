@@ -77,8 +77,8 @@ func BFSDirectionOptimized(ctx context.Context, dev *gpu.Device, dg *DeviceGraph
 			}
 		}
 	}
-	// Which levels ran bottom-up is visible in the device's kernel log
-	// ("bfs/pull" vs "bfs/push" entries).
+	// Which levels ran bottom-up is visible to a telemetry sink's
+	// KernelDone ("bfs/pull" vs "bfs/push" launches).
 	return runProgram(ctx, dev, n, prog, src, &engineConfig{
 		variant:      MergedAligned,
 		transport:    dg.Transport,

@@ -108,11 +108,9 @@ func ToyTraverse(dev *gpu.Device, elems int, pattern ToyPattern, transport Trans
 	dev.BeginRun(gpu.RunLabels{App: "toy", Variant: pattern.String(),
 		Transport: transport.String(), Graph: "1d-array"})
 	defer dev.EndRun()
-	clock0 := dev.Clock()
-	stats0 := dev.Mark()
 	mon0 := dev.Monitor().Snapshot()
 
-	var ks *gpu.KernelStats
+	var ks gpu.KernelStats
 	switch pattern {
 	case ToyStrided:
 		ks = dev.Launch("toy/strided", warps, func(w *gpu.Warp) {
@@ -151,37 +149,19 @@ func ToyTraverse(dev *gpu.Device, elems int, pattern ToyPattern, transport Trans
 		return nil, fmt.Errorf("core: unknown toy pattern %d", pattern)
 	}
 
-	elapsed := dev.Clock() - clock0
 	kernelTime := ks.Elapsed - dev.Config().LaunchOverhead
+	stats := dev.RunStats()
 	res := &ToyResult{
 		Pattern:   pattern,
 		Transport: transport,
 		Elems:     elems,
-		Elapsed:   elapsed,
-		Stats:     dev.Since(stats0),
+		Elapsed:   stats.Elapsed,
+		Stats:     stats,
+		Snapshot:  dev.Monitor().Snapshot().Delta(mon0),
 	}
-	snap := dev.Monitor().Snapshot()
-	res.Snapshot = subtractSnapshots(snap, mon0)
 	if kernelTime > 0 {
 		res.PCIeBandwidth = float64(res.Stats.PCIePayloadBytes) / kernelTime.Seconds()
 		res.DRAMBandwidth = float64(res.Stats.HostDRAMBytes) / kernelTime.Seconds()
 	}
 	return res, nil
-}
-
-// subtractSnapshots returns the delta of two monitor snapshots.
-func subtractSnapshots(now, before pcie.Snapshot) pcie.Snapshot {
-	by := make(map[int64]uint64)
-	for k, v := range now.BySize {
-		if d := v - before.BySize[k]; d > 0 {
-			by[k] = d
-		}
-	}
-	return pcie.Snapshot{
-		Requests:     now.Requests - before.Requests,
-		PayloadBytes: now.PayloadBytes - before.PayloadBytes,
-		WireBytes:    now.WireBytes - before.WireBytes,
-		BySize:       by,
-		AvgBandwidth: now.AvgBandwidth,
-	}
 }

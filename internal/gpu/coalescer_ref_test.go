@@ -486,7 +486,7 @@ func runCoalescer(layout, window int, seed int64, warps int, ops []byte, ref boo
 	d, bufs := coalDevice(layout, window)
 	var out coalOutcome
 	for launch := 0; launch < 2; launch++ {
-		d.Launch("coalesce", warps, func(w *Warp) {
+		ks := d.Launch("coalesce", warps, func(w *Warp) {
 			r := rand.New(rand.NewSource(seed*1_000_003 + int64(launch*warps+w.ID())))
 			var rw *refWarp
 			if ref {
@@ -505,11 +505,9 @@ func runCoalescer(layout, window int, seed int64, warps int, ops []byte, ref boo
 				rw.flushReorder()
 			}
 		})
+		out.Kernels = append(out.Kernels, ks)
 		out.ZC = append(out.ZC, d.serialZC)
 		out.CXL = append(out.CXL, d.serialCXL)
-	}
-	for _, ks := range d.Kernels() {
-		out.Kernels = append(out.Kernels, *ks)
 	}
 	out.Total = d.Total()
 	out.Clock = d.Clock()

@@ -242,42 +242,6 @@ func (s *KernelStats) Add(o *KernelStats) {
 	s.Elapsed += o.Elapsed
 }
 
-// Sub returns s - prev, field by field. The max-aggregated critical-path
-// fields (MaxWarpHostReqs, MaxWarpCXLReqs) cannot be differenced and keep
-// s's value; Device.Since isolates a run's activity including those.
-func (s KernelStats) Sub(prev KernelStats) KernelStats {
-	return KernelStats{
-		Name:                 s.Name,
-		Warps:                s.Warps - prev.Warps,
-		WarpInstrs:           s.WarpInstrs - prev.WarpInstrs,
-		HBMBytes:             s.HBMBytes - prev.HBMBytes,
-		PCIeRequests:         s.PCIeRequests - prev.PCIeRequests,
-		PCIePayloadBytes:     s.PCIePayloadBytes - prev.PCIePayloadBytes,
-		HostDRAMBytes:        s.HostDRAMBytes - prev.HostDRAMBytes,
-		CXLRequests:          s.CXLRequests - prev.CXLRequests,
-		CXLPayloadBytes:      s.CXLPayloadBytes - prev.CXLPayloadBytes,
-		CXLMemBytes:          s.CXLMemBytes - prev.CXLMemBytes,
-		UVMMigrations:        s.UVMMigrations - prev.UVMMigrations,
-		UVMHits:              s.UVMHits - prev.UVMHits,
-		ZCSectorReuses:       s.ZCSectorReuses - prev.ZCSectorReuses,
-		ZCActiveLanes:        s.ZCActiveLanes - prev.ZCActiveLanes,
-		ZCRefetches:          s.ZCRefetches - prev.ZCRefetches,
-		MaxWarpHostReqs:      s.MaxWarpHostReqs, // max-aggregated; delta is the value itself
-		MaxWarpCXLReqs:       s.MaxWarpCXLReqs,
-		FaultedReads:         s.FaultedReads - prev.FaultedReads,
-		LatencySpikes:        s.LatencySpikes - prev.LatencySpikes,
-		ReorderMerged:        s.ReorderMerged - prev.ReorderMerged,
-		ReorderFlushes:       s.ReorderFlushes - prev.ReorderFlushes,
-		ReorderWindowSectors: s.ReorderWindowSectors - prev.ReorderWindowSectors,
-		WireSeconds:          s.WireSeconds - prev.WireSeconds,
-		TagSeconds:           s.TagSeconds - prev.TagSeconds,
-		CXLWireSeconds:       s.CXLWireSeconds - prev.CXLWireSeconds,
-		CXLTagSeconds:        s.CXLTagSeconds - prev.CXLTagSeconds,
-		UVMSerialSeconds:     s.UVMSerialSeconds - prev.UVMSerialSeconds,
-		Elapsed:              s.Elapsed - prev.Elapsed,
-	}
-}
-
 // Device is one simulated GPU attached to host memory over a PCIe link.
 type Device struct {
 	cfg   Config
@@ -293,9 +257,14 @@ type Device struct {
 	// Exclusive. Single-goroutine callers never touch it.
 	runMu sync.Mutex
 
-	clock   time.Duration
-	kernels []*KernelStats
-	total   KernelStats
+	clock time.Duration
+	total KernelStats
+
+	// run accumulates the activity since the last BeginRun (see RunStats):
+	// every counter and roofline float summed from zero and the
+	// critical-path maxima taken over the run's own kernels, so a run's
+	// statistics do not depend on what the device ran before it.
+	run KernelStats
 
 	// runEpoch counts traversal runs on this device (incremented by
 	// BeginRun). It is mixed into fault-injection decisions so a retry of
@@ -309,17 +278,14 @@ type Device struct {
 	// bookkeeping is order-dependent, so such launches must not be sharded.
 	forceSerial bool
 
-	// Reused launch scratch (launch.go): the persistent serial-path warp
-	// with its size-class counters, the parallel shard pool, and a chunked
-	// KernelStats slab, so steady-state launches allocate nothing. Chunks
-	// are never moved or shrunk; ResetStats just rewinds ksUsed, which
-	// invalidates KernelStats pointers handed out before the reset.
+	// Reused launch scratch (launch.go): the in-flight launch's stats, the
+	// persistent serial-path warp with its size-class counters, and the
+	// parallel shard pool, so steady-state launches allocate nothing.
+	ks         KernelStats
 	serialWarp Warp
 	serialZC   [zcSizeClasses]uint64
 	serialCXL  [zcSizeClasses]uint64
 	shardPool  []*launchShard
-	ksChunks   [][]KernelStats
-	ksUsed     int
 	lc         launchConfig
 }
 
@@ -430,7 +396,7 @@ func (d *Device) SetTiers(ts memsys.TierStack) error {
 
 // Exclusive runs fn while holding the device's run mutex. The simulated
 // device, like a real CUDA context, is a single-caller resource: its
-// clock, arena, kernel log, and UVM residency are unsynchronized state
+// clock, arena, run statistics, and UVM residency are unsynchronized state
 // that concurrent traversals would interleave on. Callers that share a
 // device across goroutines (the traversal service, emogi.System.Do)
 // wrap each whole run — BeginRun through EndRun, every launch and copy —
@@ -453,47 +419,22 @@ func (d *Device) Monitor() *pcie.Monitor { return &d.mon }
 // Clock returns the simulated time elapsed on this device.
 func (d *Device) Clock() time.Duration { return d.clock }
 
-// Kernels returns per-launch statistics in launch order.
-func (d *Device) Kernels() []*KernelStats { return d.kernels }
-
 // Total returns aggregate statistics over all launches and copies.
 func (d *Device) Total() KernelStats { return d.total }
 
-// RunMark is a device statistics baseline taken by Mark at the start of a
-// run, for Since.
-type RunMark struct {
-	total   KernelStats
-	kernels int
-}
+// RunStats returns the activity since the last BeginRun: the launches and
+// copies of the run in flight (or of the last one, after EndRun). Every
+// field is accumulated from zero at BeginRun, so a run's statistics are
+// the same whatever the device ran before it.
+func (d *Device) RunStats() KernelStats { return d.run }
 
-// Mark returns the baseline for Since.
-func (d *Device) Mark() RunMark { return RunMark{total: d.total, kernels: len(d.kernels)} }
-
-// Since returns the device's activity after m: the summed counters as
-// differences of Total, and the critical-path maxima (MaxWarpHostReqs,
-// MaxWarpCXLReqs) over the kernels launched since m — the run's own
-// maxima, not the device's lifetime ones.
-func (d *Device) Since(m RunMark) KernelStats {
-	s := d.total.Sub(m.total)
-	s.MaxWarpHostReqs, s.MaxWarpCXLReqs = 0, 0
-	for _, ks := range d.kernels[min(m.kernels, len(d.kernels)):] {
-		s.MaxWarpHostReqs = max(s.MaxWarpHostReqs, ks.MaxWarpHostReqs)
-		s.MaxWarpCXLReqs = max(s.MaxWarpCXLReqs, ks.MaxWarpCXLReqs)
-	}
-	return s
-}
-
-// ResetStats clears the clock, kernel log, monitor, and UVM statistics,
-// but keeps allocations and UVM residency. Use ResetUVMResidency for a cold
-// run. Capacity is retained — the kernel log and the stats slab behind it
-// are rewound, not freed — so steady-state reset+run cycles allocate
-// nothing; KernelStats pointers obtained from Kernels before the reset are
-// invalidated (their backing slots will be reused).
+// ResetStats clears the clock, the run and total statistics, and the
+// monitor, but keeps allocations and UVM residency. Use ResetUVMResidency
+// for a cold run.
 func (d *Device) ResetStats() {
 	d.clock = 0
-	d.kernels = d.kernels[:0]
-	d.ksUsed = 0
 	d.total = KernelStats{}
+	d.run = KernelStats{}
 	d.mon.Reset()
 }
 
@@ -580,8 +521,8 @@ func (d *Device) finish(ks *KernelStats, zc, cxl *[zcSizeClasses]uint64, workers
 	}
 	start := d.clock
 	d.clock += ks.Elapsed
-	d.kernels = append(d.kernels, ks)
 	d.total.Add(ks)
+	d.run.Add(ks)
 	d.mon.Sample(d.clock)
 	if d.tel != nil {
 		d.tel.KernelDone(d, ks, workers, d.maxWorkers(), start, d.clock)
@@ -687,8 +628,7 @@ func (d *Device) bulkLink(lnk pcie.LinkConfig, n int64, record bool, class pcie.
 		d.mon.RecordBulkClass(n, lnk.TLPOverheadBytes, class)
 	}
 	start := d.clock
-	d.clock += dt
-	d.total.Elapsed += dt
+	d.advance(dt)
 	d.mon.Sample(d.clock)
 	if d.tel != nil {
 		d.tel.CopyDone(d, record, n, start, d.clock)
@@ -709,8 +649,7 @@ func (d *Device) CopyOnDevice(dst, src *memsys.Buffer) {
 	}
 	copy(dst.Data, src.Data)
 	dt := time.Duration(d.cfg.HBM.ServiceSeconds(2*src.Size()) * float64(time.Second))
-	d.clock += dt
-	d.total.Elapsed += dt
+	d.advance(dt)
 }
 
 // Memset fills a GPU-resident buffer with v, modeling a cudaMemsetAsync:
@@ -721,8 +660,7 @@ func (d *Device) Memset(b *memsys.Buffer, v byte) {
 		b.Data[i] = v
 	}
 	dt := time.Duration(d.cfg.HBM.ServiceSeconds(b.Size()) * float64(time.Second))
-	d.clock += dt
-	d.total.Elapsed += dt
+	d.advance(dt)
 }
 
 // HostCompute advances the clock by a host-side CPU cost (e.g. Subway's
@@ -731,6 +669,13 @@ func (d *Device) HostCompute(dt time.Duration) {
 	if dt < 0 {
 		panic("gpu: negative host compute time")
 	}
+	d.advance(dt)
+}
+
+// advance moves the clock by dt of non-kernel work (a copy, a memset, host
+// compute), charging it to the device total and to the current run.
+func (d *Device) advance(dt time.Duration) {
 	d.clock += dt
 	d.total.Elapsed += dt
+	d.run.Elapsed += dt
 }

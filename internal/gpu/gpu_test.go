@@ -38,8 +38,8 @@ func TestLaunchAdvancesClock(t *testing.T) {
 	if ks.Warps != 4 {
 		t.Errorf("Warps = %d, want 4", ks.Warps)
 	}
-	if len(d.Kernels()) != 1 {
-		t.Errorf("kernel log length = %d, want 1", len(d.Kernels()))
+	if got := d.Total(); got.Warps != 4 || got.Elapsed != ks.Elapsed {
+		t.Errorf("device total = %+v, want exactly the one launch", got)
 	}
 }
 
@@ -247,11 +247,11 @@ func TestResetStats(t *testing.T) {
 		w.GatherU64(buf, &idx, MaskFirstN(1))
 	})
 	d.ResetStats()
-	if d.Clock() != 0 || len(d.Kernels()) != 0 || d.Monitor().Requests() != 0 {
+	if d.Clock() != 0 || d.Monitor().Requests() != 0 {
 		t.Errorf("ResetStats incomplete")
 	}
-	if d.Total().PCIeRequests != 0 {
-		t.Errorf("total not reset")
+	if d.Total() != (KernelStats{}) || d.RunStats() != (KernelStats{}) {
+		t.Errorf("total or run stats not reset")
 	}
 	// Allocations survive.
 	if len(d.Arena().Buffers()) != 1 {
@@ -311,26 +311,47 @@ func TestCoalescerCoverageProperty(t *testing.T) {
 	}
 }
 
-func TestKernelStatsSub(t *testing.T) {
-	a := KernelStats{Warps: 5, WarpInstrs: 10, HBMBytes: 20, PCIeRequests: 7,
-		PCIePayloadBytes: 224, HostDRAMBytes: 256, UVMMigrations: 3, UVMHits: 4,
-		WireSeconds: 2, TagSeconds: 3, UVMSerialSeconds: 4, Elapsed: 10 * time.Second,
-		ZCSectorReuses: 6, ZCActiveLanes: 8, ZCRefetches: 2, MaxWarpHostReqs: 9}
-	b := KernelStats{Warps: 2, WarpInstrs: 4, HBMBytes: 8, PCIeRequests: 3,
-		PCIePayloadBytes: 96, HostDRAMBytes: 128, UVMMigrations: 1, UVMHits: 2,
-		WireSeconds: 1, TagSeconds: 1, UVMSerialSeconds: 1, Elapsed: 4 * time.Second,
-		ZCSectorReuses: 1, ZCActiveLanes: 2, ZCRefetches: 1, MaxWarpHostReqs: 4}
-	d := a.Sub(b)
-	if d.Warps != 3 || d.WarpInstrs != 6 || d.HBMBytes != 12 || d.PCIeRequests != 4 ||
-		d.PCIePayloadBytes != 128 || d.HostDRAMBytes != 128 || d.UVMMigrations != 2 ||
-		d.UVMHits != 2 || d.WireSeconds != 1 || d.TagSeconds != 2 ||
-		d.UVMSerialSeconds != 3 || d.Elapsed != 6*time.Second ||
-		d.ZCSectorReuses != 5 || d.ZCActiveLanes != 6 || d.ZCRefetches != 1 {
-		t.Errorf("Sub wrong: %+v", d)
+// TestRunStatsFromBeginRun: RunStats covers exactly the launches and copies
+// since BeginRun, summed from zero, so a run after unrelated earlier work
+// reports bit-for-bit what the same run reports on a fresh device —
+// roofline floats and the run's own critical-path maxima included.
+func TestRunStatsFromBeginRun(t *testing.T) {
+	gather := func(d *Device, buf *memsys.Buffer, warps, stride int) {
+		d.Launch("k", warps, func(w *Warp) {
+			var idx [WarpSize]int64
+			for l := range idx {
+				idx[l] = int64((w.ID()*WarpSize + l*stride) % 4096)
+			}
+			w.GatherU64(buf, &idx, MaskFull)
+		})
 	}
-	// MaxWarpHostReqs is max-aggregated: Sub keeps the current value.
-	if d.MaxWarpHostReqs != 9 {
-		t.Errorf("MaxWarpHostReqs = %d, want 9 (kept, not subtracted)", d.MaxWarpHostReqs)
+	run := func(d *Device, buf *memsys.Buffer) KernelStats {
+		d.BeginRun(RunLabels{App: "test"})
+		defer d.EndRun()
+		start := d.Clock()
+		d.CopyToDevice(4096)
+		gather(d, buf, 3, 5)
+		d.HostCompute(time.Microsecond)
+		st := d.RunStats()
+		if st.Elapsed != d.Clock()-start {
+			t.Errorf("run Elapsed %v, want the clock's advance %v", st.Elapsed, d.Clock()-start)
+		}
+		return st
+	}
+
+	fresh := testDevice()
+	want := run(fresh, fresh.Arena().MustAlloc("zc", memsys.SpaceHostPinned, 4096*8))
+
+	d := testDevice()
+	buf := d.Arena().MustAlloc("zc", memsys.SpaceHostPinned, 4096*8)
+	gather(d, buf, 64, 97) // a busier warp than any in the run
+	d.CopyToHost(1 << 20)
+	run(d, buf)
+	if got := run(d, buf); got != want {
+		t.Errorf("run stats depend on history:\n got %+v\nwant %+v", got, want)
+	}
+	if want.MaxWarpHostReqs == 0 || want.WireSeconds == 0 {
+		t.Errorf("run did no zero-copy work: %+v", want)
 	}
 }
 

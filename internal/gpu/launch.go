@@ -62,25 +62,6 @@ type launchShard struct {
 	w         Warp
 }
 
-// ksChunkSize is the KernelStats slab chunk: big enough that multi-round
-// traversals stop growing the slab quickly, small enough not to matter on
-// tiny devices.
-const ksChunkSize = 64
-
-// newLaunchStats hands out a zeroed *KernelStats from the device's chunked
-// slab. Chunks are never moved, so the pointer stays valid until ResetStats
-// rewinds the slab.
-func (d *Device) newLaunchStats(name string, warps int) *KernelStats {
-	ci, cj := d.ksUsed/ksChunkSize, d.ksUsed%ksChunkSize
-	if ci == len(d.ksChunks) {
-		d.ksChunks = append(d.ksChunks, make([]KernelStats, ksChunkSize))
-	}
-	d.ksUsed++
-	ks := &d.ksChunks[ci][cj]
-	*ks = KernelStats{Name: name, Warps: warps}
-	return ks
-}
-
 // reorderCap resolves the effective reorder-window bound: 0 when the stage
 // is off, otherwise at least one full 128B line so any single coalesced run
 // fits an empty window.
@@ -139,8 +120,9 @@ func runWarpRange(w *Warp, lo, hi int, body func(w *Warp)) {
 // 0..warps-1, partitioned into contiguous shards across the worker pool
 // (Config.Workers). Bodies therefore run concurrently unless the launch is
 // serial — see Serial and the package comment for the safety contract. It
-// returns the launch's statistics after advancing the simulated clock.
-func (d *Device) Launch(name string, warps int, body func(w *Warp), opts ...LaunchOption) *KernelStats {
+// returns a copy of the launch's statistics after advancing the simulated
+// clock.
+func (d *Device) Launch(name string, warps int, body func(w *Warp), opts ...LaunchOption) KernelStats {
 	if warps < 0 {
 		panic(fmt.Sprintf("gpu: Launch %q with negative warp count %d", name, warps))
 	}
@@ -156,7 +138,8 @@ func (d *Device) Launch(name string, warps int, body func(w *Warp), opts ...Laun
 	workers := d.workerCount(warps, lc)
 	rcap := d.reorderCap()
 
-	ks := d.newLaunchStats(name, warps)
+	d.ks = KernelStats{Name: name, Warps: warps}
+	ks := &d.ks
 	if workers == 1 {
 		// Serial fast path: accumulate straight into the launch stats and
 		// the device monitor through the device's persistent warp, exactly
@@ -172,7 +155,7 @@ func (d *Device) Launch(name string, warps int, body func(w *Warp), opts ...Laun
 		w.reorderCap = rcap
 		runWarpRange(w, 0, warps, body)
 		d.finish(ks, &d.serialZC, &d.serialCXL, 1)
-		return ks
+		return *ks
 	}
 
 	for len(d.shardPool) < workers {
@@ -222,5 +205,5 @@ func (d *Device) Launch(name string, warps int, body func(w *Warp), opts ...Laun
 		d.mon.Merge(&sh.mon)
 	}
 	d.finish(ks, &zc, &cxl, workers)
-	return ks
+	return *ks
 }

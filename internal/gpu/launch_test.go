@@ -45,7 +45,7 @@ func TestShardRangeProperties(t *testing.T) {
 // store — on a fresh device with the given worker count and returns the
 // launch stats, the monitor snapshot, the recorded trace, and the final
 // contents of the relax target.
-func launchStatsForWorkers(t *testing.T, workers int) (*KernelStats, pcie.Snapshot, []pcie.TraceEntry, []uint32) {
+func launchStatsForWorkers(t *testing.T, workers int) (KernelStats, pcie.Snapshot, []pcie.TraceEntry, []uint32) {
 	t.Helper()
 	d := NewDevice(Config{
 		Name:     fmt.Sprintf("w%d", workers),
@@ -97,10 +97,9 @@ func TestLaunchWorkerEquivalence(t *testing.T) {
 	}
 	for _, workers := range []int{2, 5, 8} {
 		ks, snap, trace, vals := launchStatsForWorkers(t, workers)
-		ksCopy, refCopy := *ks, *refKS
-		ksCopy.Name, refCopy.Name = "", ""
-		if ksCopy != refCopy {
-			t.Errorf("workers=%d stats differ:\nserial:   %+v\nparallel: %+v", workers, refCopy, ksCopy)
+		ks.Name, refKS.Name = "", ""
+		if ks != refKS {
+			t.Errorf("workers=%d stats differ:\nserial:   %+v\nparallel: %+v", workers, refKS, ks)
 		}
 		if snap.Requests != refSnap.Requests || snap.PayloadBytes != refSnap.PayloadBytes ||
 			snap.WireBytes != refSnap.WireBytes || snap.AvgBandwidth != refSnap.AvgBandwidth ||
@@ -133,7 +132,7 @@ func TestLaunchWorkerEquivalence(t *testing.T) {
 // order-dependent (and not thread-safe), so under -race this test also
 // proves the engine never runs such a launch concurrently.
 func TestUVMLaunchForcedSerial(t *testing.T) {
-	run := func(workers int) (*KernelStats, []uint64) {
+	run := func(workers int) (KernelStats, []uint64) {
 		d := NewDevice(Config{
 			Name:     "uvm",
 			Workers:  workers,
@@ -164,7 +163,7 @@ func TestUVMLaunchForcedSerial(t *testing.T) {
 	ks1, v1 := run(1)
 	ks8, v8 := run(8)
 	ks8.Name = ks1.Name
-	if *ks1 != *ks8 {
+	if ks1 != ks8 {
 		t.Errorf("UVM launch stats differ across worker counts:\nw1: %+v\nw8: %+v", ks1, ks8)
 	}
 	if ks1.UVMMigrations == 0 {

@@ -19,7 +19,7 @@ import (
 type RunLabels struct {
 	App       string // "BFS", "SSSP", "CC", "toy", ...
 	Variant   string // kernel access variant, e.g. "Merged+Aligned"
-	Transport string // "zerocopy" or "uvm"
+	Transport string // "zerocopy", "uvm", a routed policy's name, or "bulk" (Subway)
 	Graph     string // dataset name
 }
 
@@ -39,7 +39,9 @@ type Telemetry interface {
 	// merged and the clock advanced. workers is the worker-goroutine count
 	// the launch actually used; maxWorkers is the count the device was
 	// configured for (a serial-forced launch reports workers < maxWorkers).
-	// start and end bound the launch on the simulated clock.
+	// start and end bound the launch on the simulated clock. ks is the
+	// device's launch scratch: it is valid only for the duration of the
+	// call.
 	KernelDone(dev *Device, ks *KernelStats, workers, maxWorkers int, start, end time.Duration)
 
 	// CopyDone fires once per explicit bulk transfer (CopyToDevice /
@@ -88,11 +90,11 @@ func (d *Device) SetTelemetry(t Telemetry) { d.tel = t }
 // Telemetry returns the attached sink, or nil when telemetry is disabled.
 func (d *Device) Telemetry() Telemetry { return d.tel }
 
-// BeginRun reports the start of a traversal run to the attached telemetry
-// sink and advances the device's run epoch. It does not allocate; with
-// telemetry and fault injection both disabled the epoch increment is the
-// only work.
+// BeginRun starts a traversal run: it zeroes the run statistics that
+// RunStats returns, advances the device's run epoch, and reports the run to
+// the attached telemetry sink. It does not allocate.
 func (d *Device) BeginRun(labels RunLabels) {
+	d.run = KernelStats{}
 	d.runEpoch++
 	if d.tel != nil {
 		d.tel.RunBegin(d, labels)

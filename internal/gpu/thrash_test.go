@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/memsys"
 	"repro/internal/pcie"
@@ -23,7 +24,7 @@ func thrashDevice(l2 int64, lanes int, sensitivity float64) *Device {
 
 // stridedKernel runs the naive-style sequential walk: every lane streams
 // its own 64-element (8B) chunk, producing 3 sector reuses per sector.
-func stridedKernel(d *Device, buf *memsys.Buffer, warps int) *KernelStats {
+func stridedKernel(d *Device, buf *memsys.Buffer, warps int) KernelStats {
 	return d.Launch("strided", warps, func(w *Warp) {
 		base := int64(w.ID()) * WarpSize * 64
 		var idx [WarpSize]int64
@@ -137,11 +138,13 @@ func TestThrashSensitivityScalesLinearly(t *testing.T) {
 func TestThrashPreservesBandwidthRate(t *testing.T) {
 	clean := thrashDevice(1<<30, 1<<20, 1.0)
 	dirty := thrashDevice(1024, 1<<20, 1.0)
-	for _, d := range []*Device{clean, dirty} {
+	var elapsed [2]time.Duration
+	for i, d := range []*Device{clean, dirty} {
 		buf := d.Arena().MustAlloc("zc", memsys.SpaceHostPinned, 1<<20)
 		// Enough warps that aggregate parallelism hides the per-warp
 		// latency critical path.
 		ks := stridedKernel(d, buf, 64)
+		elapsed[i] = ks.Elapsed
 		dataTime := (ks.Elapsed - d.Config().LaunchOverhead).Seconds()
 		bw := float64(ks.PCIePayloadBytes) / dataTime / 1e9
 		if bw < 4.4 || bw > 5.1 {
@@ -149,10 +152,7 @@ func TestThrashPreservesBandwidthRate(t *testing.T) {
 		}
 	}
 	// But the thrashing run takes longer for the same useful data.
-	cleanKS := clean.Kernels()[0]
-	dirtyKS := dirty.Kernels()[0]
-	if dirtyKS.Elapsed <= cleanKS.Elapsed {
-		t.Errorf("thrash should increase elapsed time: %v vs %v",
-			dirtyKS.Elapsed, cleanKS.Elapsed)
+	if elapsed[1] <= elapsed[0] {
+		t.Errorf("thrash should increase elapsed time: %v vs %v", elapsed[1], elapsed[0])
 	}
 }

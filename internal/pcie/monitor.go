@@ -59,20 +59,22 @@ func TransferClasses() []TransferClass {
 
 // Monitor observes the request stream crossing the link, playing the role
 // of the paper's FPGA-based PCIe traffic monitor (§3.2): it records request
-// counts by size, payload and wire bytes, and per-interval bandwidth
-// samples, without perturbing the stream.
+// counts by size, payload and wire bytes, and the sampled bandwidth,
+// without perturbing the stream.
 type Monitor struct {
 	sizeHist  stats.Histogram
 	wireBytes uint64
-	series    stats.TimeSeries
 
 	// per-transfer-class request and payload-byte attribution
 	classReqs  [numTransferClasses]uint64
 	classBytes [numTransferClasses]uint64
 
-	// interval state for bandwidth sampling
+	// interval state for bandwidth sampling, and the payload bytes and
+	// time of every closed interval so far
 	intervalBytes uint64
 	intervalStart time.Duration
+	sampledBytes  uint64
+	sampledTime   time.Duration
 
 	// bounded raw request trace (see EnableTrace)
 	trace        []TraceEntry
@@ -145,12 +147,12 @@ func (m *Monitor) ClassRequests(c TransferClass) uint64 { return m.classReqs[c] 
 func (m *Monitor) ClassBytes(c TransferClass) uint64 { return m.classBytes[c] }
 
 // Sample closes the current bandwidth-sampling interval at simulated time
-// now, appending (now, bytes/elapsed) to the time series. Intervals are
-// typically kernel launches.
+// now. Intervals are typically kernel launches; a zero-width interval
+// samples nothing and its bytes are dropped.
 func (m *Monitor) Sample(now time.Duration) {
-	elapsed := now - m.intervalStart
-	if elapsed > 0 {
-		m.series.Append(now, float64(m.intervalBytes)/elapsed.Seconds())
+	if elapsed := now - m.intervalStart; elapsed > 0 {
+		m.sampledBytes += m.intervalBytes
+		m.sampledTime += elapsed
 	}
 	m.intervalStart = now
 	m.intervalBytes = 0
@@ -173,20 +175,26 @@ func (m *Monitor) SizeFraction(size int) float64 {
 	return m.sizeHist.Fraction(int64(size))
 }
 
-// Bandwidth returns the bandwidth time series sampled via Sample.
-func (m *Monitor) Bandwidth() *stats.TimeSeries { return &m.series }
-
-// AverageBandwidth returns the time-weighted mean of the sampled bandwidth.
-func (m *Monitor) AverageBandwidth() float64 { return m.series.TimeWeightedMean() }
+// AverageBandwidth returns the time-weighted mean of the sampled bandwidth:
+// since each sample covers exactly the interval since the previous one,
+// that is the sampled bytes over the sampled time. It is 0 before the
+// first non-empty interval.
+func (m *Monitor) AverageBandwidth() float64 {
+	if m.sampledTime <= 0 {
+		return 0
+	}
+	return float64(m.sampledBytes) / m.sampledTime.Seconds()
+}
 
 // Reset clears all observations — counters, samples, recorded trace
 // entries, and the dropped-entry count — keeping the trace configuration.
 func (m *Monitor) Reset() {
 	m.sizeHist.Reset()
 	m.wireBytes = 0
-	m.series.Reset()
 	m.intervalBytes = 0
 	m.intervalStart = 0
+	m.sampledBytes = 0
+	m.sampledTime = 0
 	m.classReqs = [numTransferClasses]uint64{}
 	m.classBytes = [numTransferClasses]uint64{}
 	m.traceDropped = 0
@@ -205,7 +213,7 @@ func (m *Monitor) Generation() uint64 { return m.generation }
 // already dropped — are added to m's dropped count when m is tracing, so
 // the invariant "entries kept + entries dropped = entries offered" holds
 // across the parallel launch engine's shard merge exactly as it does on the
-// serial path. Bandwidth time series are not merged (they are per-device
+// serial path. Bandwidth samples are not merged (they are per-device
 // observations).
 func (m *Monitor) Merge(other *Monitor) {
 	if other == nil {
@@ -260,6 +268,26 @@ func (m *Monitor) Snapshot() Snapshot {
 		BySize:       by,
 		ByClass:      byClass,
 		AvgBandwidth: m.AverageBandwidth(),
+	}
+}
+
+// Delta returns the growth from before, an earlier snapshot of the same
+// monitor, to s: the request and byte counters are differenced, BySize
+// keeps only the sizes that grew, and AvgBandwidth is s's own (a rate, not
+// a counter). ByClass is left nil.
+func (s Snapshot) Delta(before Snapshot) Snapshot {
+	by := make(map[int64]uint64)
+	for k, v := range s.BySize {
+		if d := v - before.BySize[k]; d > 0 {
+			by[k] = d
+		}
+	}
+	return Snapshot{
+		Requests:     s.Requests - before.Requests,
+		PayloadBytes: s.PayloadBytes - before.PayloadBytes,
+		WireBytes:    s.WireBytes - before.WireBytes,
+		BySize:       by,
+		AvgBandwidth: s.AvgBandwidth,
 	}
 }
 

@@ -59,16 +59,6 @@ func TestMonitorBandwidthSampling(t *testing.T) {
 	m.Sample(1 * time.Microsecond) // 256 B over 1us = 256 MB/s
 	m.Record(128, 0)
 	m.Sample(2 * time.Microsecond) // 128 B over 1us = 128 MB/s
-	pts := m.Bandwidth().Points()
-	if len(pts) != 2 {
-		t.Fatalf("samples = %d, want 2", len(pts))
-	}
-	if pts[0].V != 256e6 {
-		t.Errorf("first sample = %v, want 256e6", pts[0].V)
-	}
-	if pts[1].V != 128e6 {
-		t.Errorf("second sample = %v, want 128e6", pts[1].V)
-	}
 	if got := m.AverageBandwidth(); got != 192e6 {
 		t.Errorf("AverageBandwidth = %v, want 192e6", got)
 	}
@@ -78,8 +68,17 @@ func TestMonitorSampleZeroElapsed(t *testing.T) {
 	var m Monitor
 	m.Record(32, 0)
 	m.Sample(0) // zero-width interval must not panic or record
-	if m.Bandwidth().Len() != 0 {
-		t.Errorf("zero-width interval should not produce a sample")
+	if got := m.AverageBandwidth(); got != 0 {
+		t.Errorf("AverageBandwidth after a zero-width interval = %v, want 0", got)
+	}
+	// The zero-width interval's bytes are dropped, not carried into the
+	// next one, and a later zero-width interval does not dilute the mean.
+	m.Record(64, 0)
+	m.Sample(time.Microsecond)
+	m.Record(32, 0)
+	m.Sample(time.Microsecond)
+	if got := m.AverageBandwidth(); got != 64e6 {
+		t.Errorf("AverageBandwidth = %v, want 64e6", got)
 	}
 }
 
@@ -88,7 +87,7 @@ func TestMonitorReset(t *testing.T) {
 	m.Record(64, 24)
 	m.Sample(time.Microsecond)
 	m.Reset()
-	if m.Requests() != 0 || m.WireBytes() != 0 || m.Bandwidth().Len() != 0 {
+	if m.Requests() != 0 || m.WireBytes() != 0 || m.AverageBandwidth() != 0 {
 		t.Errorf("Reset did not clear state")
 	}
 }
@@ -124,6 +123,28 @@ func TestSnapshot(t *testing.T) {
 		if !strings.Contains(str, want) {
 			t.Errorf("String() = %q missing %q", str, want)
 		}
+	}
+}
+
+func TestSnapshotDelta(t *testing.T) {
+	var m Monitor
+	m.Record(32, 24)
+	m.RecordBulk(256, 24)
+	m.Sample(time.Microsecond)
+	before := m.Snapshot()
+	m.Record(32, 24)
+	m.Record(64, 24)
+	m.Sample(2 * time.Microsecond)
+	now := m.Snapshot()
+	d := now.Delta(before)
+	if d.Requests != 2 || d.PayloadBytes != 96 || d.WireBytes != 96+2*24 {
+		t.Errorf("delta counters wrong: %+v", d)
+	}
+	if len(d.BySize) != 2 || d.BySize[32] != 1 || d.BySize[64] != 1 {
+		t.Errorf("delta BySize = %v, want only the grown sizes", d.BySize)
+	}
+	if d.AvgBandwidth != now.AvgBandwidth {
+		t.Errorf("delta AvgBandwidth = %v, want the later snapshot's %v", d.AvgBandwidth, now.AvgBandwidth)
 	}
 }
 

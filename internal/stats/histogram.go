@@ -1,6 +1,6 @@
 // Package stats provides the small statistics substrate shared by the
 // simulator's traffic monitor and the experiment harness: integer-keyed
-// histograms, weighted CDFs, running summaries, and time series.
+// histograms, weighted CDFs, and running summaries.
 //
 // Everything in this package is deterministic and allocation-conscious; the
 // hot path (Histogram.Add) is called once per simulated PCIe request.

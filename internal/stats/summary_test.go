@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 func TestSummaryBasic(t *testing.T) {
@@ -115,49 +114,5 @@ func TestMean(t *testing.T) {
 	}
 	if got := Mean(nil); got != 0 {
 		t.Errorf("Mean(nil) = %v, want 0", got)
-	}
-}
-
-func TestTimeSeriesBasic(t *testing.T) {
-	var ts TimeSeries
-	ts.Append(1*time.Second, 10)
-	ts.Append(2*time.Second, 20)
-	ts.Append(4*time.Second, 5)
-	if ts.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", ts.Len())
-	}
-	// Windows: [0,1s]@10, [1s,2s]@20, [2s,4s]@5 -> (10 + 20 + 10) / 4.
-	if got, want := ts.TimeWeightedMean(), 10.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("TimeWeightedMean = %v, want %v", got, want)
-	}
-	if got := ts.Peak(); got != 20 {
-		t.Errorf("Peak = %v, want 20", got)
-	}
-}
-
-func TestTimeSeriesEmpty(t *testing.T) {
-	var ts TimeSeries
-	if ts.TimeWeightedMean() != 0 || ts.Peak() != 0 || ts.Len() != 0 {
-		t.Errorf("empty time series should be zeros")
-	}
-}
-
-func TestTimeSeriesOutOfOrderPanics(t *testing.T) {
-	var ts TimeSeries
-	ts.Append(2*time.Second, 1)
-	defer func() {
-		if recover() == nil {
-			t.Errorf("expected panic on out-of-order append")
-		}
-	}()
-	ts.Append(1*time.Second, 2)
-}
-
-func TestTimeSeriesAllAtZero(t *testing.T) {
-	var ts TimeSeries
-	ts.Append(0, 4)
-	ts.Append(0, 8)
-	if got := ts.TimeWeightedMean(); got != 6 {
-		t.Errorf("degenerate series mean = %v, want 6", got)
 	}
 }

@@ -146,7 +146,7 @@ func (c *Collector) KernelDone(dev *gpu.Device, ks *gpu.KernelStats, workers, ma
 	c.mu.Lock()
 	st := c.state(dev)
 	ls := st.runLabels()
-	monDelta, droppedDelta, avgBandwidth := c.monitorDelta(dev, st)
+	monDelta, droppedDelta := c.monitorDelta(dev, st)
 	uvmDelta := c.uvmDelta(dev, st)
 	newEntries := c.traceEntriesDelta(dev, st)
 
@@ -195,7 +195,7 @@ func (c *Collector) KernelDone(dev *gpu.Device, ks *gpu.KernelStats, workers, ma
 	reg.Gauge("emogi_launch_worker_utilization_ratio",
 		"Workers used over workers available, averaged over launches.", ls).Set(utilization)
 
-	c.foldMonitor(ls, devName, monDelta, droppedDelta, avgBandwidth)
+	c.foldMonitor(ls, devName, monDelta, droppedDelta)
 	reg.Counter("emogi_uvm_faults_total",
 		"UVM page faults taken.", ls).Add(uvmDelta.Faults)
 	reg.Counter("emogi_uvm_evictions_total",
@@ -222,7 +222,7 @@ func (c *Collector) CopyDone(dev *gpu.Device, toDevice bool, bytes int64, start,
 	c.mu.Lock()
 	st := c.state(dev)
 	ls := st.runLabels()
-	monDelta, droppedDelta, avgBandwidth := c.monitorDelta(dev, st)
+	monDelta, droppedDelta := c.monitorDelta(dev, st)
 	// Bulk copies are traced by the monitor too; keep the timeline's raw
 	// request cursor in step even though copy events don't embed them.
 	c.traceEntriesDelta(dev, st)
@@ -239,7 +239,7 @@ func (c *Collector) CopyDone(dev *gpu.Device, toDevice bool, bytes int64, start,
 	}
 	c.reg.Counter("emogi_copy_bytes_total",
 		"Explicit bulk transfer payload bytes by direction.", lsDir).Add(uint64(bytes))
-	c.foldMonitor(ls, devName, monDelta, droppedDelta, avgBandwidth)
+	c.foldMonitor(ls, devName, monDelta, droppedDelta)
 
 	if c.tracer != nil {
 		c.tracer.Copy(devName, toDevice, bytes, start, end)
@@ -317,7 +317,7 @@ func (c *Collector) UnbindTrace() {
 // foldMonitor writes one monitor growth delta into the registry: wire
 // bytes, the request-size histogram, trace drops, and the device's
 // time-weighted bandwidth gauge.
-func (c *Collector) foldMonitor(ls Labels, devName string, delta pcie.Snapshot, droppedDelta uint64, avgBandwidth float64) {
+func (c *Collector) foldMonitor(ls Labels, devName string, delta pcie.Snapshot, droppedDelta uint64) {
 	reg := c.reg
 	reg.Counter("emogi_pcie_wire_bytes_total",
 		"PCIe wire bytes (payload plus per-request TLP overhead) crossing the link.", ls).Add(delta.WireBytes)
@@ -330,13 +330,13 @@ func (c *Collector) foldMonitor(ls Labels, devName string, delta pcie.Snapshot, 
 	}
 	reg.Gauge("emogi_pcie_bandwidth_bytes_per_second",
 		"Time-weighted mean PCIe payload bandwidth since the device's last stats reset.",
-		Labels{"device": devName}).Set(avgBandwidth)
+		Labels{"device": devName}).Set(delta.AvgBandwidth)
 }
 
 // monitorDelta returns the monitor's growth since the device's previous
 // telemetry event, resetting the baseline when the monitor itself was
 // Reset in between. Callers hold c.mu.
-func (c *Collector) monitorDelta(dev *gpu.Device, st *devState) (delta pcie.Snapshot, droppedDelta uint64, avgBandwidth float64) {
+func (c *Collector) monitorDelta(dev *gpu.Device, st *devState) (delta pcie.Snapshot, droppedDelta uint64) {
 	mon := dev.Monitor()
 	now := mon.Snapshot()
 	dropped := mon.TraceDropped()
@@ -346,25 +346,14 @@ func (c *Collector) monitorDelta(dev *gpu.Device, st *devState) (delta pcie.Snap
 		st.dropped = 0
 		st.traceLen = 0
 	}
-	by := make(map[int64]uint64)
-	for k, v := range now.BySize {
-		if d := v - st.mon.BySize[k]; d > 0 {
-			by[k] = d
-		}
-	}
-	delta = pcie.Snapshot{
-		Requests:     now.Requests - st.mon.Requests,
-		PayloadBytes: now.PayloadBytes - st.mon.PayloadBytes,
-		WireBytes:    now.WireBytes - st.mon.WireBytes,
-		BySize:       by,
-	}
+	delta = now.Delta(st.mon)
 	if dropped < st.dropped {
 		st.dropped = 0 // EnableTrace re-armed the trace without a Reset
 	}
 	droppedDelta = dropped - st.dropped
 	st.mon = now
 	st.dropped = dropped
-	return delta, droppedDelta, now.AvgBandwidth
+	return delta, droppedDelta
 }
 
 // uvmDelta returns the UVM manager's stats growth since the previous

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/gpu"
@@ -25,6 +26,18 @@ func testDevice(t *testing.T, workers int, col *Collector) *gpu.Device {
 	})
 	dev.SetTelemetry(col)
 	return dev
+}
+
+// launchCounter forwards every event to its Collector and counts kernel
+// launches: the reference the exported launch counters are checked against.
+type launchCounter struct {
+	*Collector
+	launches uint64
+}
+
+func (l *launchCounter) KernelDone(dev *gpu.Device, ks *gpu.KernelStats, workers, maxWorkers int, start, end time.Duration) {
+	l.launches++
+	l.Collector.KernelDone(dev, ks, workers, maxWorkers, start, end)
 }
 
 func testGraph(t *testing.T) *graph.CSR {
@@ -54,6 +67,8 @@ func sumSeries(t *testing.T, series map[string]string, name string) uint64 {
 func TestCollectorMatchesDeviceCounters(t *testing.T) {
 	col := NewCollector(nil, NewTracer())
 	dev := testDevice(t, 4, col)
+	lc := &launchCounter{Collector: col}
+	dev.SetTelemetry(lc)
 	dev.Monitor().EnableTrace(1 << 16)
 	g := testGraph(t)
 	src := graph.PickSources(g, 1, 71)[0]
@@ -75,8 +90,8 @@ func TestCollectorMatchesDeviceCounters(t *testing.T) {
 	validateExposition(t, out)
 	series := parseSeries(t, out)
 
-	if got, want := sumSeries(t, series, "emogi_kernel_launches_total"), uint64(len(dev.Kernels())); got != want {
-		t.Errorf("emogi_kernel_launches_total = %d, want %d (len(dev.Kernels()))", got, want)
+	if got, want := sumSeries(t, series, "emogi_kernel_launches_total"), lc.launches; got != want {
+		t.Errorf("emogi_kernel_launches_total = %d, want %d launches", got, want)
 	}
 	snap := dev.Monitor().Snapshot()
 	if got := sumSeries(t, series, "emogi_pcie_wire_bytes_total"); got != snap.WireBytes {

@@ -18,6 +18,8 @@ func TestTracerWriteJSONSchema(t *testing.T) {
 	tracer := NewTracer()
 	col := NewCollector(nil, tracer)
 	dev := testDevice(t, 4, col)
+	lc := &launchCounter{Collector: col}
+	dev.SetTelemetry(lc)
 	dev.Monitor().EnableTrace(1 << 12)
 	g := testGraph(t)
 	src := graph.PickSources(g, 1, 71)[0]
@@ -91,7 +93,7 @@ func TestTracerWriteJSONSchema(t *testing.T) {
 			t.Errorf("event %d: unexpected phase %q", i, ev.Ph)
 		}
 	}
-	if got, want := kernels, len(dev.Kernels()); got != want {
+	if got, want := uint64(kernels), lc.launches; got != want {
 		t.Errorf("trace has %d kernel events, device ran %d kernels", got, want)
 	}
 	if rounds == 0 {

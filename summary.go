@@ -87,26 +87,8 @@ func (s *System) RunMany(dg *DeviceGraph, name string, sources []int, v Variant)
 		}
 	}
 	rs.MeanElapsed = total / time.Duration(len(rs.Results))
-	mon1 := s.dev.Monitor().Snapshot()
-	rs.Monitor = subtractSnap(mon1, mon0)
+	rs.Monitor = s.dev.Monitor().Snapshot().Delta(mon0)
 	return rs, nil
-}
-
-// subtractSnap returns the delta of two monitor snapshots.
-func subtractSnap(now, before pcie.Snapshot) pcie.Snapshot {
-	by := make(map[int64]uint64)
-	for k, v := range now.BySize {
-		if d := v - before.BySize[k]; d > 0 {
-			by[k] = d
-		}
-	}
-	return pcie.Snapshot{
-		Requests:     now.Requests - before.Requests,
-		PayloadBytes: now.PayloadBytes - before.PayloadBytes,
-		WireBytes:    now.WireBytes - before.WireBytes,
-		BySize:       by,
-		AvgBandwidth: now.AvgBandwidth,
-	}
 }
 
 // Speedup returns how many times faster b completed than a (a is the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/gpu"
@@ -70,10 +71,15 @@ func depthSources(t *testing.T, g *graph.CSR) (int, int) {
 }
 
 // measureRunAllocs returns the average total allocations of run(src),
-// after warming both sources so capacity growth is excluded.
+// after warming both sources so capacity growth is excluded. The forced GC
+// keeps the process's first collection out of the measured window: that
+// cycle starts the runtime's mark-worker goroutines, whose one-time
+// allocations count in MemStats.Mallocs and would land on whichever run
+// it happens to hit.
 func measureRunAllocs(run func(src int), srcA, srcB int) (float64, float64) {
 	run(srcA)
 	run(srcB)
+	runtime.GC()
 	a := testing.AllocsPerRun(5, func() { run(srcA) })
 	b := testing.AllocsPerRun(5, func() { run(srcB) })
 	return a, b

@@ -8,7 +8,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // CSR is a graph in compressed sparse row form: Offsets[v]..Offsets[v+1]
@@ -115,58 +115,54 @@ type Edge struct {
 
 // FromEdges builds a CSR from an arc list. Self-loops are dropped and
 // duplicate arcs are merged. If undirected, the reverse of every arc is
-// added before deduplication, so both endpoints see the edge.
+// added before deduplication, so both endpoints see the edge. Each list is
+// sorted, so the result does not depend on the order of edges.
 func FromEdges(name string, n int, edges []Edge, directed bool) *CSR {
-	if !directed {
-		rev := make([]Edge, 0, len(edges))
-		for _, e := range edges {
-			rev = append(rev, Edge{e.Dst, e.Src})
-		}
-		edges = append(edges, rev...)
-	}
-	// Counting sort by source.
+	// Counting sort by source; an undirected arc also scatters its reverse.
 	counts := make([]int64, n+1)
 	for _, e := range edges {
 		if e.Src == e.Dst {
 			continue
 		}
 		counts[e.Src+1]++
+		if !directed {
+			counts[e.Dst+1]++
+		}
 	}
 	for v := 0; v < n; v++ {
 		counts[v+1] += counts[v]
 	}
 	dst := make([]uint32, counts[n])
-	cursor := make([]int64, n)
+	next := slices.Clone(counts[:n])
 	for _, e := range edges {
 		if e.Src == e.Dst {
 			continue
 		}
-		dst[counts[e.Src]+cursor[e.Src]] = e.Dst
-		cursor[e.Src]++
+		dst[next[e.Src]] = e.Dst
+		next[e.Src]++
+		if !directed {
+			dst[next[e.Dst]] = e.Src
+			next[e.Dst]++
+		}
 	}
-	// Sort each adjacency list and deduplicate in place.
-	offsets := make([]int64, n+1)
+	// Sort each adjacency list and deduplicate in place, turning counts
+	// into the offsets of the compacted lists as they are written.
+	offsets := counts
 	w := int64(0)
 	for v := 0; v < n; v++ {
+		adj := dst[offsets[v]:offsets[v+1]]
 		offsets[v] = w
-		lo, hi := counts[v], counts[v]+cursor[v]
-		adj := dst[lo:hi]
-		sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
-		for i := range adj {
-			if i > 0 && adj[i] == adj[i-1] {
-				continue
-			}
-			dst[w] = adj[i]
-			w++
-		}
+		slices.Sort(adj)
+		w += int64(copy(dst[w:], slices.Compact(adj)))
 	}
 	offsets[n] = w
 	g := &CSR{
 		Name:     name,
 		Directed: directed,
 		Offsets:  offsets,
-		Dst:      dst[:w:w],
+		Dst:      make([]uint32, w),
 	}
+	copy(g.Dst, dst) // exact length: the pre-deduplication array is not retained
 	if err := g.Validate(); err != nil {
 		panic("graph: FromEdges produced invalid CSR: " + err.Error())
 	}

@@ -25,27 +25,38 @@ func RMAT(name string, n int, avgDeg int, a, b, c float64, undirected bool, seed
 	rng := rand.New(rand.NewSource(seed))
 	edges := make([]Edge, 0, m)
 	for len(edges) < m {
-		src, dst := 0, 0
-		for bit := scale - 1; bit >= 0; bit-- {
-			r := rng.Float64()
-			switch {
-			case r < a:
-				// top-left: no bits set
-			case r < a+b:
-				dst |= 1 << uint(bit)
-			case r < a+b+c:
-				src |= 1 << uint(bit)
-			default:
-				src |= 1 << uint(bit)
-				dst |= 1 << uint(bit)
-			}
-		}
+		src, dst := quadrants(rng, scale, a, a+b, a+b+c)
 		if src >= n || dst >= n {
 			continue
 		}
 		edges = append(edges, Edge{uint32(src), uint32(dst)})
 	}
 	return FromEdges(name, n, edges, !undirected)
+}
+
+// quadrants draws one R-MAT cell of the 2^scale grid, one rng.Float64()
+// per bit from the most significant down. t1 <= t2 <= t3 are the
+// cumulative quadrant probabilities: a draw below t1 picks top-left, below
+// t2 top-right (dst bit), below t3 bottom-left (src bit), else
+// bottom-right (both). The bits come from comparisons, not a switch,
+// because random draws make every branch on them a coin flip.
+func quadrants(rng *rand.Rand, scale int, t1, t2, t3 float64) (src, dst int) {
+	for i := 0; i < scale; i++ {
+		r := rng.Float64()
+		s := b2i(r >= t2)
+		src = src<<1 | s
+		dst = dst<<1 | b2i(r >= t1)&^s | b2i(r >= t3)
+	}
+	return src, dst
+}
+
+// b2i converts a bool to 0 or 1; the compiler lowers it to a flag set,
+// not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // ceilLog2 returns the smallest k with 2^k >= n.
@@ -120,20 +131,7 @@ func Social(name string, n int, avgDeg int, seed int64) *CSR {
 	}
 	for len(edges) < m {
 		// Milder R-MAT quadrants soften the hub skew relative to GK.
-		src, dst := 0, 0
-		for bit := scale - 1; bit >= 0; bit-- {
-			r := rng.Float64()
-			switch {
-			case r < 0.45:
-			case r < 0.45+0.22:
-				dst |= 1 << uint(bit)
-			case r < 0.45+0.44:
-				src |= 1 << uint(bit)
-			default:
-				src |= 1 << uint(bit)
-				dst |= 1 << uint(bit)
-			}
-		}
+		src, dst := quadrants(rng, scale, 0.45, 0.45+0.22, 0.45+0.44)
 		if src >= n || dst >= n {
 			continue
 		}

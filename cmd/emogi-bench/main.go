@@ -61,12 +61,9 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg.TierStack = *tiers
-	switch strings.ToLower(*paging) {
-	case "cpu", "":
-	case "gpu":
-		cfg.GPUDrivenPaging = true
-	default:
-		log.Fatalf("unknown paging model %q (want cpu or gpu)", *paging)
+	var err error
+	if cfg.GPUDrivenPaging, err = emogi.ParsePaging(*paging); err != nil {
+		log.Fatal(err)
 	}
 
 	// Telemetry: one collector observes every system the harness builds.

@@ -93,7 +93,7 @@ func main() {
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 
-	cfg, err := parsePlatform(*platform, *scale)
+	cfg, err := emogi.ParsePlatform(*platform, *scale)
 	if err != nil {
 		fatal(logger, "bad platform", err)
 	}
@@ -102,11 +102,9 @@ func main() {
 	if err != nil {
 		fatal(logger, "bad tier stack", err)
 	}
-	gpuPaging, err := parsePaging(*paging)
-	if err != nil {
+	if cfg.GPU.GPUDrivenPaging, err = emogi.ParsePaging(*paging); err != nil {
 		fatal(logger, "bad paging model", err)
 	}
-	cfg.GPUDrivenPaging = gpuPaging
 	place, err := emogi.ParsePlacement(*placement)
 	if err != nil {
 		fatal(logger, "bad placement", err)
@@ -375,7 +373,7 @@ func handleTraverse(svc *service.Service, logger *slog.Logger) http.HandlerFunc 
 		variant := emogi.MergedAligned
 		if req.Variant != "" {
 			var err error
-			if variant, err = parseVariant(req.Variant); err != nil {
+			if variant, err = emogi.ParseVariant(req.Variant); err != nil {
 				log.Warn("bad variant", "variant", req.Variant)
 				writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 				return
@@ -557,29 +555,6 @@ func handleTiers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, emogi.TierStacks())
 }
 
-// parsePaging maps the -paging flag to the UVM paging model selector.
-func parsePaging(s string) (bool, error) {
-	switch strings.ToLower(s) {
-	case "cpu", "":
-		return false, nil
-	case "gpu":
-		return true, nil
-	}
-	return false, fmt.Errorf("unknown paging model %q (want cpu or gpu)", s)
-}
-
-func parseVariant(s string) (emogi.Variant, error) {
-	switch strings.ToLower(s) {
-	case "naive":
-		return emogi.Naive, nil
-	case "merged":
-		return emogi.Merged, nil
-	case "merged+aligned", "aligned", "mergedaligned":
-		return emogi.MergedAligned, nil
-	}
-	return 0, fmt.Errorf("unknown variant %q (want naive, merged, or merged+aligned)", s)
-}
-
 // effectiveTransport names the policy the run actually executed under.
 // Results from entry points that predate the policy layer carry no policy
 // name; the base transport still tells the story there.
@@ -588,18 +563,4 @@ func effectiveTransport(res *emogi.Result) string {
 		return res.Policy
 	}
 	return res.Transport.String()
-}
-
-func parsePlatform(s string, scale float64) (emogi.SystemConfig, error) {
-	switch strings.ToLower(s) {
-	case "v100":
-		return emogi.V100PCIe3(scale), nil
-	case "titanxp":
-		return emogi.TitanXpPCIe3(scale), nil
-	case "a100-pcie3":
-		return emogi.A100PCIe3(scale), nil
-	case "a100-pcie4", "a100":
-		return emogi.A100PCIe4(scale), nil
-	}
-	return emogi.SystemConfig{}, fmt.Errorf("unknown platform %q", s)
 }

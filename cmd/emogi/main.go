@@ -78,7 +78,7 @@ func main() {
 
 	algoName := strings.ToLower(*algo)
 	if *gpus > 1 {
-		cfg, err := parsePlatform(*platform, *scale)
+		cfg, err := emogi.ParsePlatform(*platform, *scale)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func main() {
 		runMultiGPU(g, algoName, cfg, *gpus, *sources, *seed, *elemBytes, *validate)
 		return
 	}
-	v, err := parseVariant(*variant)
+	v, err := emogi.ParseVariant(*variant)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg, err := parsePlatform(*platform, *scale)
+	cfg, err := emogi.ParsePlatform(*platform, *scale)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,18 +104,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	switch strings.ToLower(*paging) {
-	case "cpu", "":
-	case "gpu":
-		cfg.GPUDrivenPaging = true
-	default:
-		log.Fatalf("unknown paging model %q (want cpu or gpu)", *paging)
+	if cfg.GPU.GPUDrivenPaging, err = emogi.ParsePaging(*paging); err != nil {
+		log.Fatal(err)
 	}
 	place, err := emogi.ParsePlacement(*placement)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg.ReorderWindow = *reorder
+	cfg.GPU.ReorderWindow = *reorder
 
 	sys := emogi.NewSystem(cfg)
 	var klog kernelLog
@@ -271,30 +267,4 @@ func (l *kernelLog) print() {
 			ks.Name, ks.Warps, ks.PCIeRequests,
 			float64(ks.PCIePayloadBytes)/1e3, ks.UVMMigrations, ks.Elapsed)
 	}
-}
-
-func parseVariant(s string) (emogi.Variant, error) {
-	switch strings.ToLower(s) {
-	case "naive":
-		return emogi.Naive, nil
-	case "merged":
-		return emogi.Merged, nil
-	case "merged+aligned", "aligned", "mergedaligned":
-		return emogi.MergedAligned, nil
-	}
-	return 0, fmt.Errorf("unknown variant %q (want naive, merged, or merged+aligned)", s)
-}
-
-func parsePlatform(s string, scale float64) (emogi.SystemConfig, error) {
-	switch strings.ToLower(s) {
-	case "v100":
-		return emogi.V100PCIe3(scale), nil
-	case "titanxp":
-		return emogi.TitanXpPCIe3(scale), nil
-	case "a100-pcie3":
-		return emogi.A100PCIe3(scale), nil
-	case "a100-pcie4", "a100":
-		return emogi.A100PCIe4(scale), nil
-	}
-	return emogi.SystemConfig{}, fmt.Errorf("unknown platform %q", s)
 }

@@ -146,29 +146,12 @@ type SystemConfig struct {
 	// catalog stack with ApplyTierStack.
 	Tiers TierStack
 
-	// GPUDrivenPaging selects the GPUVM-style paging model for UVM
-	// migrations: page fetches issue from the GPU as tag-limited link
-	// transfers with no serialized CPU fault handler. False (the default)
-	// keeps the classic CPU fault-handler model. Migration counts and
-	// traversal results are identical either way; only the time model
-	// changes.
-	GPUDrivenPaging bool
-
 	// Workers, when non-zero, overrides GPU.Workers: the number of host
 	// goroutines each kernel launch spreads its warps over (0 selects
 	// GOMAXPROCS, 1 runs warps serially). Simulated results — values,
 	// iteration counts, elapsed time, every counter — are bit-for-bit
 	// identical for every worker count; only host wall-clock time changes.
 	Workers int
-
-	// ReorderWindow, when non-zero, overrides GPU.ReorderWindow: the
-	// IARU-style reorder stage's per-warp window, in 32-byte sectors.
-	// Off-device accesses buffer in the window and are re-grouped by
-	// 128-byte line before dispatch, merging requests that different
-	// virtual-warp slices aimed at the same line. 0 (the default) disables
-	// the stage and is bit-identical to the historical engine; results are
-	// identical either way, only request shape and simulated time change.
-	ReorderWindow int
 
 	// Telemetry, when non-nil, observes every kernel launch, traversal
 	// round, and bulk copy on the system's device. Nil (the default) keeps
@@ -276,13 +259,9 @@ func NewSystem(cfg SystemConfig) *System {
 	if cfg.Workers != 0 {
 		cfg.GPU.Workers = cfg.Workers
 	}
-	if cfg.ReorderWindow != 0 {
-		cfg.GPU.ReorderWindow = cfg.ReorderWindow
-	}
 	if cfg.Tiers != nil {
 		cfg.GPU.Tiers = cfg.Tiers
 	}
-	cfg.GPU.GPUDrivenPaging = cfg.GPUDrivenPaging
 	if cfg.Faults != nil {
 		cfg.GPU.Link.Faults = cfg.Faults
 	}

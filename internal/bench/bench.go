@@ -81,7 +81,7 @@ func (c Config) System(sc emogi.SystemConfig) *emogi.System {
 			panic(err) // names are validated at flag-parse time
 		}
 	}
-	sc.GPUDrivenPaging = c.GPUDrivenPaging
+	sc.GPU.GPUDrivenPaging = c.GPUDrivenPaging
 	return emogi.NewSystem(sc)
 }
 

@@ -56,7 +56,7 @@ func RunReorderComparison(ds *Datasets, syms, algos []string, window int) ([]Reo
 			cell := ReorderCell{Graph: sym, Algo: algo, Window: window}
 			for _, w := range []int{0, window} {
 				sc := emogi.V100PCIe3(cfg.Scale)
-				sc.ReorderWindow = w
+				sc.GPU.ReorderWindow = w
 				sys := cfg.System(sc)
 				dg, err := sys.Load(g)
 				if err != nil {

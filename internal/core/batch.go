@@ -460,14 +460,10 @@ func runBatchProgram(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, prog
 	// Same policy resolution as runProgram: static policies matching the
 	// graph's base transport take the historical fast path, anything else
 	// routes per partition per round.
-	pol, routed := effectivePolicy(ctx, dg)
-	labelTransport := dg.Transport.String()
-	if routed {
-		labelTransport = pol.Name()
-	}
+	rp := effectivePolicy(ctx, dg, dg.Transport)
 	dev.BeginRun(gpu.RunLabels{App: prog.App,
 		Variant:   fmt.Sprintf("batch%d/%s", k, variant),
-		Transport: labelTransport, Graph: dg.Graph.Name})
+		Transport: rp.label, Graph: dg.Graph.Name})
 	defer dev.EndRun()
 
 	br := &batchRun{
@@ -552,12 +548,12 @@ func runBatchProgram(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, prog
 	}
 	dev.CopyToDevice(uploadBytes)
 
-	if routed {
+	if rp.routed {
 		// Built after the per-run buffers exist so the staged budget sees
 		// the GPU memory actually left for this run.
 		// The batched kernel always walks merged (the variant selects only
 		// the alignment shift), so the density model uses merged coalescing.
-		br.prt = newPolicyRuntime(dev, dg, pol, Merged, prog.Weighted)
+		br.prt = newPolicyRuntime(dev, dg, rp.pol, Merged, prog.Weighted)
 		defer br.prt.close()
 	}
 
@@ -574,10 +570,6 @@ func runBatchProgram(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, prog
 		BatchedRun:     true,
 		EdgeScans:      br.scans,
 		EdgeScansSaved: br.saved,
-	}
-	policyName := dg.PolicyName()
-	if pol != nil {
-		policyName = pol.Name()
 	}
 	for q, ln := range br.lanes {
 		if ln.err != nil {
@@ -599,7 +591,7 @@ func runBatchProgram(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, prog
 			Elapsed:    stats.Elapsed,
 			Stats:      stats,
 			BatchSize:  k,
-			Policy:     policyName,
+			Policy:     rp.name,
 		}}
 	}
 	freeAll()

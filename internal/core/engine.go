@@ -409,13 +409,9 @@ func runProgram(ctx context.Context, dev *gpu.Device, n int, prog *Program, src 
 	// the graph's base transport take the historical fast path (no router,
 	// no density accounting — bit-for-bit the pre-policy engine); anything
 	// else routes per partition per round.
-	pol, routed := effectivePolicy(ctx, cfg.dg)
-	labelTransport := cfg.transport.String()
-	if routed {
-		labelTransport = pol.Name()
-	}
+	rp := effectivePolicy(ctx, cfg.dg, cfg.transport)
 	dev.BeginRun(gpu.RunLabels{App: prog.App, Variant: labelVariant,
-		Transport: labelTransport, Graph: cfg.graphName})
+		Transport: rp.label, Graph: cfg.graphName})
 	defer dev.EndRun()
 	rs, err := newRunState(dev)
 	if err != nil {
@@ -465,10 +461,10 @@ func runProgram(ctx context.Context, dev *gpu.Device, n int, prog *Program, src 
 	}
 	dev.CopyToDevice(int64(n) * 4 * uploadWords)
 
-	if routed {
+	if rp.routed {
 		// Built after the per-run buffers exist so the staged budget sees
 		// the GPU memory actually left for this run.
-		e.prt = newPolicyRuntime(dev, cfg.dg, pol, cfg.variant, prog.Weighted)
+		e.prt = newPolicyRuntime(dev, cfg.dg, rp.pol, cfg.variant, prog.Weighted)
 		defer e.prt.close()
 	}
 
@@ -481,11 +477,7 @@ func runProgram(ctx context.Context, dev *gpu.Device, n int, prog *Program, src 
 	if prog.NoSource {
 		res.Source = -1 // source-free programs (CC) have no source vertex
 	}
-	if pol != nil {
-		res.Policy = pol.Name()
-	} else if cfg.dg != nil {
-		res.Policy = cfg.dg.PolicyName()
-	}
+	res.Policy = rp.name
 	return res, nil
 }
 

@@ -493,25 +493,38 @@ func PolicyOverrideFrom(ctx context.Context) TransportPolicy {
 	return p
 }
 
+// runPolicy is one run's resolved transport policy.
+type runPolicy struct {
+	pol    TransportPolicy // nil when neither the graph nor ctx names one
+	routed bool            // per-partition runtime instead of the static fast path
+	label  string          // the run's telemetry transport label
+	name   string          // Result.Policy
+}
+
 // effectivePolicy resolves the policy governing one run of dg under ctx and
 // whether the run must be routed (per-partition runtime) rather than taking
 // the static fast path. The fast path requires a static policy whose
 // transport matches the space the graph was actually allocated in;
 // everything else routes. memsys guarantees the router granule exists for
-// any buffer, so routing needs no re-upload.
-func effectivePolicy(ctx context.Context, dg *DeviceGraph) (pol TransportPolicy, routed bool) {
+// any buffer, so routing needs no re-upload. A fast-path run is labeled
+// with base, its transport; a routed run with the policy's name.
+func effectivePolicy(ctx context.Context, dg *DeviceGraph, base Transport) runPolicy {
+	rp := runPolicy{label: base.String()}
 	if dg == nil {
-		return nil, false
+		return rp
 	}
-	pol = dg.Policy
+	rp.pol = dg.Policy
 	if o := PolicyOverrideFrom(ctx); o != nil {
-		pol = o
+		rp.pol = o
 	}
-	if pol == nil {
-		return nil, false
+	if rp.pol == nil {
+		rp.name = dg.PolicyName()
+		return rp
 	}
-	if t, ok := pol.Static(); ok {
-		return pol, t != dg.Transport
+	rp.name = rp.pol.Name()
+	t, static := rp.pol.Static()
+	if rp.routed = !static || t != dg.Transport; rp.routed {
+		rp.label = rp.name
 	}
-	return pol, true
+	return rp
 }

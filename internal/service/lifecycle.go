@@ -11,17 +11,17 @@ import (
 // Request-lifecycle instrumentation: every request carries a
 // telemetry.RequestTrace from admission to delivery, and every trace ends
 // in finishRequest — the single place a completed request becomes a
-// flight-recorder record, a Chrome-trace request track, and a health
-// observation. Stage spans and the emogi_request_stage_seconds histograms
-// are recorded together (stageSpan / replaySpan), so a stage's histogram
-// count always equals the number of spans requests recorded for it.
+// flight-recorder record, a Chrome-trace request track, a health
+// observation and one emogi_request_stage_seconds observation per
+// recorded span, so a stage's histogram count always equals the number of
+// spans requests recorded for it.
 
-// requestOutcome carries one finished request's disposition into
-// finishRequest.
+// requestOutcome is one finished request's disposition: what a worker
+// delivers to a waiter, and what finishRequest records.
 type requestOutcome struct {
 	// outcome is the emogi_serve_requests_total label value the request
-	// was counted under (the counters themselves are incremented at the
-	// existing sites, not here).
+	// was counted under (the counters are incremented where the outcome
+	// is decided, not in finishRequest).
 	outcome string
 	res     *emogi.Result
 	err     error
@@ -51,42 +51,18 @@ func outcomeOf(err error) string {
 	}
 }
 
-// stageSpan records one completed lifecycle stage on a task: a span on the
-// task's trace and — for single requests — a histogram observation. Batch
-// tasks record the span only; runBatch later replays the batch's shared
-// spans into every waiter, observing the histograms once per waiter so
-// stage counts stay per-request. Returns the measured duration.
-func (s *Service) stageSpan(t *task, stage string, attempt int, start time.Time, detail string) time.Duration {
-	d := t.trace.Observe(stage, attempt, start, detail)
-	if t.batch == nil {
-		s.met.stageObserve(stage, d.Seconds())
-	}
-	return d
-}
-
-// observeStage records one completed lifecycle stage directly on a
-// request trace plus its histogram (the pre-worker path, where there is
-// no task yet).
-func (s *Service) observeStage(rt *telemetry.RequestTrace, stage string, attempt int, start time.Time, detail string) time.Duration {
-	d := rt.Observe(stage, attempt, start, detail)
-	s.met.stageObserve(stage, d.Seconds())
-	return d
-}
-
-// replaySpan copies one shared batch span into a waiter's trace and
-// observes its stage histogram for that waiter.
-func (s *Service) replaySpan(rt *telemetry.RequestTrace, sp telemetry.Span) {
-	rt.ObserveSpan(sp)
-	s.met.stageObserve(sp.Stage, float64(sp.DurNS)/float64(time.Second))
-}
-
-// finishRequest closes out one request's trace: it assembles the
-// flight-recorder record, emits the per-request track to the Chrome
-// tracer, and folds executed runs into the device health window. It is
-// called exactly once per request, on the caller's goroutine, after the
-// result is determined. Nil recorder / tracer / health are each inert.
+// finishRequest closes out one request's trace: it folds the request's
+// spans into the stage histograms, assembles the flight-recorder record,
+// emits the per-request track to the Chrome tracer, and folds executed
+// runs into the device health window. It is called exactly once per
+// request, on the caller's goroutine, after the result is determined.
+// Nil recorder / tracer / health are each inert.
 func (s *Service) finishRequest(rt *telemetry.RequestTrace, req Request, ro requestOutcome) {
 	wall := time.Since(rt.Begin())
+	spans := rt.Spans()
+	for _, sp := range spans {
+		s.met.stageObserve(sp.Stage, time.Duration(sp.DurNS).Seconds())
+	}
 	degraded := ro.res != nil && ro.res.Degraded
 	if s.cfg.Health != nil && ro.executed {
 		s.cfg.Health.ObserveRun(s.devName, telemetry.RunObservation{
@@ -98,7 +74,6 @@ func (s *Service) finishRequest(rt *telemetry.RequestTrace, req Request, ro requ
 	if s.cfg.Recorder == nil && s.cfg.Tracer == nil {
 		return
 	}
-	spans := rt.Spans()
 	if s.cfg.Recorder != nil {
 		rounds, totalRounds := rt.Rounds()
 		rec := telemetry.RequestRecord{

@@ -169,41 +169,52 @@ type DatasetInfo struct {
 	Weighted bool
 }
 
-// task is one admitted unit moving through the queue: a single request,
-// or (batch != nil) a sealed batch of coalesced requests occupying one
-// admission slot together.
+// task is one admission unit moving through the queue: the lanes of one
+// run, each with the callers waiting on it, occupying a single queue slot
+// together. A coalesced task gathers lanes in a pending batch until its
+// window seals it (batch.go) and runs them in one System.DoBatch; any
+// other request is a sealed one-lane task with one waiter that runs
+// through System.Do.
 type task struct {
-	ctx      context.Context
-	req      Request
-	dg       *emogi.DeviceGraph
-	pol      emogi.TransportPolicy // per-request policy override, nil = dataset's
-	key      cacheKey
-	cachable bool
-	batch    *pendingBatch
-	enqueued time.Time
-	done     chan taskResult // buffered: workers never block on delivery
+	// base is the run every lane shares; each lane adds its Src and Ctx.
+	base      emogi.Request
+	coalesced bool
+	lanes     []*lane
 
-	// trace collects the task's lifecycle spans: the request's own trace
-	// for single tasks, a shared batch-scoped trace for batch tasks
-	// (runBatch replays it into every waiter). The executing worker owns
-	// the fields below until it delivers on done; the channel receive
-	// orders the caller's reads after them.
+	// Coalescing state, guarded by Service.bmu while the batch is open.
+	key    batchKey
+	bySrc  map[int]*lane
+	timer  *time.Timer
+	sealed bool
+
+	enqueued time.Time // when the sealed task entered admission
+
+	// trace collects the task's lifecycle spans and round events: the
+	// waiter's own trace for a task that was not coalesced, a shared
+	// batch-scoped trace otherwise (runTask replays it into every
+	// waiter's). The executing worker owns the fields below until it
+	// delivers; the channel receive orders the callers' reads after them.
 	trace    *telemetry.RequestTrace
 	attempts int    // execution attempts made (retries = attempts - 1)
 	faults   uint64 // injected read faults absorbed by failed attempts
 }
 
-type taskResult struct {
-	res *emogi.Result
-	err error
-	// Batch deliveries carry the shared run's recovery tallies so each
-	// waiter's finishRequest can report them (single requests read them
-	// off their own task instead).
-	executed bool
-	retries  int
-	faults   uint64
-	lanes    int
-	batched  bool
+// lane is one distinct source inside a task.
+type lane struct {
+	src     int
+	key     cacheKey
+	waiters []*waiter
+}
+
+// waiter is one caller blocked in Do waiting for its lane.
+type waiter struct {
+	ctx  context.Context
+	done chan requestOutcome // buffered: delivery never blocks
+
+	// trace is the waiter's own request trace; joined is when it entered
+	// the pending batch (coalesced tasks only).
+	trace  *telemetry.RequestTrace
+	joined time.Time
 }
 
 // Service executes traversal requests over one System.
@@ -231,7 +242,7 @@ type Service struct {
 
 	// bmu guards pending, the open (unsealed) coalescing batches by key.
 	bmu     sync.Mutex
-	pending map[batchKey]*pendingBatch
+	pending map[batchKey]*task
 
 	mu     sync.Mutex
 	graphs map[string]*emogi.DeviceGraph
@@ -279,7 +290,7 @@ func New(sys *emogi.System, cfg Config) *Service {
 		devName: sys.Config().GPU.Name,
 		queue:   make(chan *task, cfg.QueueDepth),
 		graphs:  make(map[string]*emogi.DeviceGraph),
-		pending: make(map[batchKey]*pendingBatch),
+		pending: make(map[batchKey]*task),
 	}
 	// List the device healthy before traffic, so /healthz names it from
 	// the first scrape.
@@ -380,7 +391,7 @@ func (s *Service) Do(ctx context.Context, req Request) (*emogi.Result, error) {
 	// span covers whatever validation rejected it.
 	fail := func(outcome string, err error) (*emogi.Result, error) {
 		s.met.outcome(outcome)
-		s.observeStage(rt, telemetry.StageAdmission, 0, admitStart, err.Error())
+		rt.Observe(telemetry.StageAdmission, 0, admitStart, err.Error())
 		s.finishRequest(rt, req, requestOutcome{outcome: outcome, err: err})
 		return nil, err
 	}
@@ -429,39 +440,46 @@ func (s *Service) Do(ctx context.Context, req Request) (*emogi.Result, error) {
 		if res, ok := s.cache.get(key); ok {
 			s.met.cacheHits.Inc()
 			s.met.outcome(outcomeCached)
-			s.observeStage(rt, telemetry.StageAdmission, 0, admitStart, "cache hit")
+			rt.Observe(telemetry.StageAdmission, 0, admitStart, "cache hit")
 			s.finishRequest(rt, req, requestOutcome{outcome: outcomeCached, res: res})
 			return res, nil
 		}
 		s.met.cacheMiss.Inc()
 	}
-	s.observeStage(rt, telemetry.StageAdmission, 0, admitStart, "")
+	rt.Observe(telemetry.StageAdmission, 0, admitStart, "")
 
 	// Coalescing: batchable algorithms join the pending batch for their
-	// key instead of queueing alone (see batch.go).
+	// key (see batch.go); any other request is admitted as a one-lane
+	// task. Either way the worker always delivers, including for canceled
+	// requests (the engine observes ctx at the next round boundary), so
+	// waiting here cannot hang on an abandoned context.
+	w := &waiter{ctx: ctx, done: make(chan requestOutcome, 1), trace: rt}
 	if s.cfg.BatchWindow > 0 && algo.Batch != nil {
-		return s.doBatched(ctx, req, dg, pol, key, rt)
+		s.coalesce(w, dg, pol, key)
+	} else {
+		s.dispatch(&task{
+			base:  emogi.Request{Graph: dg, Algo: req.Algo, Variant: req.Variant, Cold: true, Policy: pol},
+			lanes: []*lane{{src: req.Src, key: key, waiters: []*waiter{w}}},
+			trace: rt,
+		})
 	}
+	r := <-w.done
+	s.finishRequest(rt, req, r)
+	return r.res, r.err
+}
 
-	t := &task{
-		ctx:      ctx,
-		req:      req,
-		dg:       dg,
-		pol:      pol,
-		key:      key,
-		cachable: s.cache != nil,
-		enqueued: time.Now(),
-		done:     make(chan taskResult, 1),
-		trace:    rt,
-	}
-	// Admission: the closed check and the send share the mutex so Close
-	// cannot close the queue between them.
+// dispatch admits a sealed task to the worker queue: one slot however
+// many lanes it carries, which is exactly the load-shedding win
+// coalescing buys. The closed check and the send share the mutex so Close
+// cannot close the queue between them. Rejection (queue full, service
+// stopped) fails every waiter.
+func (s *Service) dispatch(t *task) {
+	t.enqueued = time.Now()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		s.met.outcome(outcomeRejected)
-		s.finishRequest(rt, req, requestOutcome{outcome: outcomeRejected, err: ErrStopped})
-		return nil, ErrStopped
+		s.reject(t, ErrStopped)
+		return
 	}
 	select {
 	case s.queue <- t:
@@ -469,25 +487,24 @@ func (s *Service) Do(ctx context.Context, req Request) (*emogi.Result, error) {
 		s.mu.Unlock()
 	default:
 		s.mu.Unlock()
-		s.met.outcome(outcomeRejected)
-		s.finishRequest(rt, req, requestOutcome{outcome: outcomeRejected, err: ErrOverloaded})
-		return nil, ErrOverloaded
+		s.reject(t, ErrOverloaded)
 	}
+}
 
-	// Admitted: the worker always delivers, including for canceled
-	// requests (the engine observes ctx at the next round boundary), so
-	// waiting here cannot hang on an abandoned context. The receive
-	// orders our reads of the worker-owned task fields.
-	r := <-t.done
-	s.finishRequest(rt, req, requestOutcome{
-		outcome:  outcomeOf(r.err),
-		res:      r.res,
-		err:      r.err,
-		executed: true,
-		retries:  t.attempts - 1,
-		faults:   t.faults,
-	})
-	return r.res, r.err
+// reject delivers one error to every waiter of every lane.
+func (s *Service) reject(t *task, err error) {
+	for _, ln := range t.lanes {
+		for _, w := range ln.waiters {
+			s.deliver(w, requestOutcome{err: err})
+		}
+	}
+}
+
+// deliver counts one waiter's outcome and hands it over.
+func (s *Service) deliver(w *waiter, ro requestOutcome) {
+	ro.outcome = outcomeOf(ro.err)
+	s.met.outcome(ro.outcome)
+	w.done <- ro
 }
 
 // worker executes admitted tasks until the queue closes.
@@ -495,49 +512,86 @@ func (s *Service) worker() {
 	defer s.wg.Done()
 	for t := range s.queue {
 		s.met.queued.Set(float64(len(s.queue)))
-		qd := s.stageSpan(t, telemetry.StageQueue, 0, t.enqueued, "")
-		s.met.queueWait.Observe(qd.Seconds())
-		if t.batch != nil {
-			s.runBatch(t)
-			continue
-		}
-		s.met.inflight.Set(float64(s.inflight.Add(1)))
-		start := time.Now()
-		res, err := s.execute(t)
-		elapsed := time.Since(start)
-		s.met.runTime.Observe(elapsed.Seconds())
-		s.observeRunTime(elapsed)
-		s.met.inflight.Set(float64(s.inflight.Add(-1)))
-		switch {
-		case err == nil:
-			s.met.outcome(outcomeOK)
-			// Degraded results ran on a transport the cache key does not
-			// name; caching them would poison later healthy hits.
-			if t.cachable && !res.Degraded {
-				s.cache.put(t.key, res)
+		s.met.queueWait.Observe(t.trace.Observe(telemetry.StageQueue, 0, t.enqueued, "").Seconds())
+		s.runTask(t)
+	}
+}
+
+// runTask executes one admitted task and delivers per-lane results, cache
+// fills and metrics to every waiter. Only lanes that completed cleanly
+// under the requested transport policy are cached: a degraded lane ran
+// rerouted onto static-uvm, a policy its cache key does not name, so it
+// is never cached even when its batchmates are. Duplicates of a lane each
+// get a private copy, since waiters legitimately mutate their response.
+func (s *Service) runTask(t *task) {
+	s.met.inflight.Set(float64(s.inflight.Add(1)))
+	start := time.Now()
+	out, err := s.execute(t)
+	elapsed := time.Since(start)
+	s.met.runTime.Observe(elapsed.Seconds())
+	s.observeRunTime(elapsed)
+	s.met.inflight.Set(float64(s.inflight.Add(-1)))
+
+	meta := requestOutcome{executed: true, retries: t.attempts - 1, faults: t.faults}
+	if t.coalesced {
+		s.met.batchSize.Observe(float64(len(t.lanes)))
+		meta.batched, meta.lanes = true, len(t.lanes)
+	}
+	if err == nil && out.BatchedRun {
+		s.met.batchedRuns.Inc()
+		s.met.edgeScansSaved.Add(out.EdgeScansSaved)
+	}
+	replay := t.replayer()
+	for i, ln := range t.lanes {
+		ro := meta
+		ro.err = err
+		if err == nil {
+			ro.res, ro.err = out.Results[i].Res, out.Results[i].Err
+			if ro.err == nil && s.cache != nil && !ro.res.Degraded {
+				s.cache.put(ln.key, ro.res)
 			}
-		case errors.Is(err, emogi.ErrCanceled):
-			s.met.outcome(outcomeCanceled)
-		default:
-			s.met.outcome(outcomeError)
 		}
-		t.done <- taskResult{res: res, err: err}
+		for wi, w := range ln.waiters {
+			r := ro
+			if wi > 0 {
+				r.res = cloneResult(r.res)
+			}
+			replay(w)
+			s.deliver(w, r)
+		}
 	}
 }
 
 // execute runs one admitted task with retry, backoff, and transport
-// degradation. Attempts that fail with an error matching
-// emogi.ErrTransient (aborted traversals, injected allocation failures)
-// are retried after an exponential, jittered backoff until the budget
-// (Config.RetryAttempts) runs out; after Config.DegradeAfter consecutive
-// transient zero-copy failures the remaining attempts run under the
-// static-uvm policy override — a transport-policy transition, not a
-// reload: the policy layer rebinds the same pinned edge list to page
-// migration, whose bulk traffic the per-request link faults cannot touch
-// — and a success is marked Degraded. Every other error — cancellation
-// included — returns immediately.
-func (s *Service) execute(t *task) (*emogi.Result, error) {
-	pol := t.pol
+// degradation. A coalesced task runs its lanes in one System.DoBatch, any
+// other task its one lane through System.Do. Attempts that fail with an
+// error matching emogi.ErrTransient (aborted traversals, injected
+// allocation failures) are retried after an exponential, jittered backoff
+// until the budget (Config.RetryAttempts) runs out; after
+// Config.DegradeAfter consecutive transient zero-copy failures the
+// remaining attempts run every lane under the static-uvm policy override —
+// a transport-policy transition, not a reload: the policy layer rebinds
+// the same pinned edge list to page migration, whose bulk traffic the
+// per-request link faults cannot touch — and each delivered Result is
+// marked Degraded. Every other error — cancellation included — returns
+// immediately.
+//
+// A task that was not coalesced runs and backs off under its caller's
+// context. A coalesced task never carries a caller context: each lane
+// detaches through its own waiters' contexts instead.
+func (s *Service) execute(t *task) (*emogi.BatchOutcome, error) {
+	stop := make(chan struct{})
+	defer close(stop)
+	reqs := make([]emogi.Request, len(t.lanes))
+	for i, ln := range t.lanes {
+		reqs[i] = t.base
+		reqs[i].Src = ln.src
+		reqs[i].Ctx = laneContext(ln.waiters, stop)
+	}
+	ctx := context.Background()
+	if !t.coalesced {
+		ctx = reqs[0].Ctx
+	}
 	degraded := false
 	consecutive := 0
 	var lastErr error
@@ -545,32 +599,38 @@ func (s *Service) execute(t *task) (*emogi.Result, error) {
 		t.attempts = attempt + 1
 		if attempt > 0 {
 			s.met.retries.Inc()
-			if err := s.backoff(t, attempt); err != nil {
+			if err := s.backoff(ctx, t, attempt); err != nil {
 				return nil, err
 			}
 		}
 		// Cold caches make every run independent of queue order: UVM
 		// residency and staged segments are device-global state the LRU
-		// cache key could not otherwise account for. The trace rides the
-		// context so the collector attributes the run's rounds to this
-		// request.
+		// cache key could not otherwise account for. The task trace rides
+		// the context so the collector attributes the run's rounds to it.
 		execStart := time.Now()
-		res, err := s.sys.Do(telemetry.WithTrace(t.ctx, t.trace), emogi.Request{
-			Graph:   t.dg,
-			Algo:    t.req.Algo,
-			Src:     t.req.Src,
-			Variant: t.req.Variant,
-			Cold:    true,
-			Policy:  pol,
-		})
+		runCtx := telemetry.WithTrace(ctx, t.trace)
+		var out *emogi.BatchOutcome
+		var err error
+		if t.coalesced {
+			out, err = s.sys.DoBatch(runCtx, reqs)
+		} else {
+			var res *emogi.Result
+			if res, err = s.sys.Do(runCtx, reqs[0]); err == nil {
+				out = &emogi.BatchOutcome{Results: []emogi.BatchItem{{Res: res}}}
+			}
+		}
 		s.syncFaultCounters()
-		s.stageSpan(t, telemetry.StageExecute, attempt+1, execStart, executeDetail(degraded, err))
+		t.trace.Observe(telemetry.StageExecute, attempt+1, execStart, executeDetail(degraded, err))
 		if err == nil {
 			if degraded {
-				res.Degraded = true
-				s.met.degraded.Inc()
+				for _, item := range out.Results {
+					if item.Res != nil {
+						item.Res.Degraded = true
+						s.met.degraded.Inc()
+					}
+				}
 			}
-			return res, nil
+			return out, nil
 		}
 		var te *emogi.TransientError
 		if errors.As(err, &te) {
@@ -583,9 +643,11 @@ func (s *Service) execute(t *task) (*emogi.Result, error) {
 		consecutive++
 		if !degraded && consecutive >= s.cfg.DegradeAfter && attempt+1 < s.cfg.RetryAttempts {
 			degStart := time.Now()
-			pol = emogi.StaticPolicy(emogi.UVM)
+			for i := range reqs {
+				reqs[i].Policy = emogi.StaticPolicy(emogi.UVM)
+			}
 			degraded = true
-			s.stageSpan(t, telemetry.StageDegrade, attempt+1, degStart, "rerouted onto static-uvm policy")
+			t.trace.Observe(telemetry.StageDegrade, attempt+1, degStart, "rerouted onto static-uvm policy")
 		}
 	}
 	return nil, fmt.Errorf("service: retry budget exhausted after %d attempts: %w",
@@ -611,29 +673,29 @@ func executeDetail(degraded bool, err error) string {
 	}
 }
 
-// backoff sleeps before retry number attempt (>= 1), honoring the request
-// context: an exponential base delay (doubling per retry, capped at 64x)
+// backoff sleeps before retry number attempt (>= 1), honoring ctx: an
+// exponential base delay (doubling per retry, capped at 64x)
 // whose upper half is jittered deterministically from the request key and
 // attempt number, so identical request streams reproduce identical
 // schedules while distinct requests decorrelate.
-func (s *Service) backoff(t *task, attempt int) error {
+func (s *Service) backoff(ctx context.Context, t *task, attempt int) error {
 	shift := attempt - 1
 	if shift > 6 {
 		shift = 6
 	}
 	base := s.cfg.RetryBackoff << uint(shift)
-	delay := base/2 + time.Duration(retryJitter(t.key, attempt)%uint64(base/2+1))
+	delay := base/2 + time.Duration(retryJitter(t.lanes[0].key, attempt)%uint64(base/2+1))
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
 	// The backoff span carries the attempt it precedes (1-based, matching
 	// the execute span it delays).
 	start := time.Now()
 	select {
-	case <-t.ctx.Done():
-		s.stageSpan(t, telemetry.StageBackoff, attempt+1, start, "canceled")
-		return &emogi.CanceledError{App: t.req.Algo, Cause: t.ctx.Err()}
+	case <-ctx.Done():
+		t.trace.Observe(telemetry.StageBackoff, attempt+1, start, "canceled")
+		return &emogi.CanceledError{App: t.base.Algo, Cause: ctx.Err()}
 	case <-timer.C:
-		s.stageSpan(t, telemetry.StageBackoff, attempt+1, start, "")
+		t.trace.Observe(telemetry.StageBackoff, attempt+1, start, "")
 		return nil
 	}
 }
@@ -728,16 +790,16 @@ func (s *Service) Close() {
 	// concurrently firing timer a no-op; sealed batches already in (or
 	// racing into) the queue drain normally below.
 	s.bmu.Lock()
-	var orphaned []*pendingBatch
-	for k, b := range s.pending {
-		b.sealed = true
-		orphaned = append(orphaned, b)
+	var orphaned []*task
+	for k, t := range s.pending {
+		t.sealed = true
+		orphaned = append(orphaned, t)
 		delete(s.pending, k)
 	}
 	s.bmu.Unlock()
-	for _, b := range orphaned {
-		b.timer.Stop()
-		s.failBatch(b, ErrStopped, outcomeRejected)
+	for _, t := range orphaned {
+		t.timer.Stop()
+		s.reject(t, ErrStopped)
 	}
 	// No sender can reach the queue after closed is set (the admission
 	// send happens under the mutex), so closing here is race-free.

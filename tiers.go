@@ -54,6 +54,50 @@ func ThreeTierCXL(base TierStack, cxlBytes int64) TierStack {
 // ParsePlacement maps a wire name ("auto", "dram", "cxl") to a Placement.
 func ParsePlacement(s string) (Placement, error) { return core.ParsePlacement(s) }
 
+// ParseVariant maps a variant name ("naive", "merged", "merged+aligned";
+// "aligned" and "mergedaligned" are aliases) to a Variant.
+func ParseVariant(s string) (Variant, error) {
+	switch strings.ToLower(s) {
+	case "naive":
+		return Naive, nil
+	case "merged":
+		return Merged, nil
+	case "merged+aligned", "aligned", "mergedaligned":
+		return MergedAligned, nil
+	}
+	return 0, fmt.Errorf("unknown variant %q (want naive, merged, or merged+aligned)", s)
+}
+
+// ParsePlatform maps a platform name ("v100", "titanxp", "a100-pcie3",
+// "a100-pcie4"; "a100" is an alias of the last) to its SystemConfig at
+// the given dataset scale.
+func ParsePlatform(s string, scale float64) (SystemConfig, error) {
+	switch strings.ToLower(s) {
+	case "v100":
+		return V100PCIe3(scale), nil
+	case "titanxp":
+		return TitanXpPCIe3(scale), nil
+	case "a100-pcie3":
+		return A100PCIe3(scale), nil
+	case "a100-pcie4", "a100":
+		return A100PCIe4(scale), nil
+	}
+	return SystemConfig{}, fmt.Errorf("unknown platform %q", s)
+}
+
+// ParsePaging maps a UVM paging model name to the GPU.GPUDrivenPaging
+// selector: "cpu" (or empty) is the serialized CPU fault handler, "gpu"
+// GPU-driven page fetch.
+func ParsePaging(s string) (bool, error) {
+	switch strings.ToLower(s) {
+	case "cpu", "":
+		return false, nil
+	case "gpu":
+		return true, nil
+	}
+	return false, fmt.Errorf("unknown paging model %q (want cpu or gpu)", s)
+}
+
 // TierStack returns the machine's memory hierarchy as a tier stack: the
 // explicit SystemConfig.Tiers when set, otherwise the canonical two-tier
 // stack derived from the classic GPU fields. Consumers that need the

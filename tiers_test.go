@@ -167,7 +167,8 @@ func TestWithTierStackAtLoad(t *testing.T) {
 }
 
 // TestGPUDrivenPagingSystem checks the system-level paging selector: same
-// migrations, faster UVM-bound runs.
+// migrations, faster UVM-bound runs. The selector is GPU.GPUDrivenPaging,
+// and NewSystem must carry it to the device as set.
 func TestGPUDrivenPagingSystem(t *testing.T) {
 	g, err := BuildDataset("GK", 0.02, 42)
 	if err != nil {
@@ -176,8 +177,11 @@ func TestGPUDrivenPagingSystem(t *testing.T) {
 	src := PickSources(g, 1, 71)[0]
 	run := func(gpuDriven bool) *Result {
 		cfg := V100PCIe3(0.02)
-		cfg.GPUDrivenPaging = gpuDriven
+		cfg.GPU.GPUDrivenPaging = gpuDriven
 		sys := NewSystem(cfg)
+		if got := sys.Config().GPU.GPUDrivenPaging; got != gpuDriven {
+			t.Fatalf("NewSystem ran GPU.GPUDrivenPaging = %v, want %v", got, gpuDriven)
+		}
 		dg, err := sys.Load(g, WithTransportPolicy(StaticPolicy(UVM)))
 		if err != nil {
 			t.Fatal(err)
@@ -199,5 +203,54 @@ func TestGPUDrivenPagingSystem(t *testing.T) {
 	if gpu.Elapsed >= cpu.Elapsed {
 		t.Errorf("GPU-driven paging should beat the CPU fault handler on a UVM run: %v vs %v",
 			gpu.Elapsed, cpu.Elapsed)
+	}
+}
+
+// TestParseFlags covers the shared CLI parsers: every name and alias
+// (any case), and the error text for an unknown name.
+func TestParseFlags(t *testing.T) {
+	for _, tc := range []struct {
+		parser, in string
+		want       any
+		err        string
+	}{
+		{"variant", "naive", Naive, ""},
+		{"variant", "Merged", Merged, ""},
+		{"variant", "merged+aligned", MergedAligned, ""},
+		{"variant", "aligned", MergedAligned, ""},
+		{"variant", "MERGEDALIGNED", MergedAligned, ""},
+		{"variant", "coalesced", nil, `unknown variant "coalesced" (want naive, merged, or merged+aligned)`},
+		{"platform", "v100", "V100 + PCIe 3.0", ""},
+		{"platform", "TitanXp", "Titan Xp + PCIe 3.0", ""},
+		{"platform", "a100-pcie3", "A100 + PCIe 3.0", ""},
+		{"platform", "a100-pcie4", "A100 + PCIe 4.0", ""},
+		{"platform", "a100", "A100 + PCIe 4.0", ""},
+		{"platform", "h100", nil, `unknown platform "h100"`},
+		{"paging", "cpu", false, ""},
+		{"paging", "", false, ""},
+		{"paging", "GPU", true, ""},
+		{"paging", "host", nil, `unknown paging model "host" (want cpu or gpu)`},
+	} {
+		var got any
+		var err error
+		switch tc.parser {
+		case "variant":
+			got, err = ParseVariant(tc.in)
+		case "platform":
+			var cfg SystemConfig
+			cfg, err = ParsePlatform(tc.in, 0.02)
+			got = cfg.Name
+		case "paging":
+			got, err = ParsePaging(tc.in)
+		}
+		if tc.err != "" {
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("%s %q: err = %v, want %q", tc.parser, tc.in, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("%s %q = %v, %v; want %v", tc.parser, tc.in, got, err, tc.want)
+		}
 	}
 }

@@ -12,7 +12,7 @@
 // Determinism contract. Every decision is a pure function of the injector's
 // seed and the coordinates of the event being decided — (runEpoch, warp,
 // per-warp request sequence) for link requests — never of wall-clock time or
-// global call order. The parallel launch engine shards warps across host
+// global call order. The parallel launch engine spreads warps across host
 // workers in nondeterministic order; because decisions are coordinate-keyed,
 // the set of injected faults (and therefore every merged kernel statistic)
 // is bit-for-bit identical across worker counts and runs. The run epoch is

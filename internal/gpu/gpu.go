@@ -7,10 +7,11 @@
 //
 // The simulator is deterministic and, since the parallel execution engine,
 // that determinism no longer depends on running warps one at a time: Launch
-// shards the warp ID range across a pool of host worker goroutines
-// (Config.Workers; 1 reproduces the historical serial path), each worker
-// accumulates into a private stats shard, and shards are merged in
-// ascending shard order at the launch barrier. Every merged quantity is
+// cuts the warp ID range into a fixed grid of contiguous chunks that a pool
+// of host worker goroutines claims as it goes (Config.Workers; 1 reproduces
+// the historical serial path), each chunk accumulates into a private stats
+// slot, and the slots are merged in ascending chunk order at the launch
+// barrier, whichever worker ran which chunk. Every merged quantity is
 // either a commutative integer reduction (sums, a max) or a float derived
 // from merged integers after the barrier, so totals, thrash charging, and
 // the simulated clock are bit-for-bit identical for every worker count.
@@ -23,6 +24,7 @@ package gpu
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/memsys"
@@ -279,14 +281,17 @@ type Device struct {
 	forceSerial bool
 
 	// Reused launch scratch (launch.go): the in-flight launch's stats, the
-	// persistent serial-path warp with its size-class counters, and the
-	// parallel shard pool, so steady-state launches allocate nothing.
-	ks         KernelStats
-	serialWarp Warp
-	serialZC   [zcSizeClasses]uint64
-	serialCXL  [zcSizeClasses]uint64
-	shardPool  []*launchShard
-	lc         launchConfig
+	// persistent serial-path warp with its size-class counters, the
+	// parallel path's per-chunk slots, per-worker warps and chunk claim
+	// counter, so steady-state launches allocate nothing.
+	ks          KernelStats
+	serialWarp  Warp
+	serialZC    [zcSizeClasses]uint64
+	serialCXL   [zcSizeClasses]uint64
+	slotPool    []*chunkSlot
+	workerWarps []*Warp
+	nextChunk   atomic.Int64
+	lc          launchConfig
 }
 
 // NewDevice creates a device with a fresh memory arena and UVM manager.
@@ -458,7 +463,7 @@ func (d *Device) SetSerialLaunches(on bool) { d.forceSerial = on }
 // terms, converts the kernel's traffic into elapsed time, and advances the
 // clock. zc holds the count of 32/64/96/128-byte zero-copy requests and cxl
 // the same for requests served by the external CXL-class tier; the wire and
-// tag seconds are derived here, after the shard merge, so the float
+// tag seconds are derived here, after the chunk merge, so the float
 // accumulation order — and therefore the simulated time — is independent of
 // how the launch was partitioned across workers. workers is the worker
 // count the launch used, reported to telemetry.

@@ -29,16 +29,23 @@ type launchConfig struct {
 // parallel execution to keep results bit-for-bit reproducible.
 func Serial() LaunchOption { return func(c *launchConfig) { c.serial = true } }
 
-// ShardRange splits the warp ID range [0, warps) into workers contiguous
-// shards and returns shard i as the half-open interval [lo, hi). The first
-// warps%workers shards hold one extra warp, so every ID is covered exactly
-// once and shard sizes differ by at most one.
-func ShardRange(warps, workers, i int) (lo, hi int) {
-	if workers <= 0 || i < 0 || i >= workers {
-		panic(fmt.Sprintf("gpu: ShardRange(%d, %d, %d) out of range", warps, workers, i))
+// chunksPerWorker is how many chunks the parallel path cuts a launch into
+// per worker. Workers claim chunks as they finish the previous one, so a
+// worker stuck on a run of hub warps (R-MAT graphs keep their hubs at the
+// low IDs) no longer holds up the barrier while the others sit idle.
+const chunksPerWorker = 16
+
+// ShardRange splits the warp ID range [0, warps) into parts contiguous
+// ranges and returns range i as the half-open interval [lo, hi). The first
+// warps%parts ranges hold one extra warp, so every ID is covered exactly
+// once and range sizes differ by at most one. Launch uses it to cut the
+// chunk grid.
+func ShardRange(warps, parts, i int) (lo, hi int) {
+	if parts <= 0 || i < 0 || i >= parts {
+		panic(fmt.Sprintf("gpu: ShardRange(%d, %d, %d) out of range", warps, parts, i))
 	}
-	base := warps / workers
-	rem := warps % workers
+	base := warps / parts
+	rem := warps % parts
 	lo = i*base + min(i, rem)
 	hi = lo + base
 	if i < rem {
@@ -47,19 +54,16 @@ func ShardRange(warps, workers, i int) (lo, hi int) {
 	return lo, hi
 }
 
-// launchShard is one worker's private accumulation state: a stats shard, a
-// private traffic monitor, the per-size zero-copy request counts, and the
-// worker's persistent warp. All counting fields merge commutatively (or in
-// ascending shard order, for traces) at the launch barrier. Shards live in
-// the device's pool and are reused across launches, so a worker index keeps
-// its warp — and the warp's kernel-private Local scratch — for the lifetime
-// of the device.
-type launchShard struct {
+// chunkSlot is one chunk's private accumulation slot: launch stats, a
+// private traffic monitor, and the per-size zero-copy request counts. All
+// counting fields merge commutatively (or in ascending chunk order, for
+// traces) at the launch barrier. Slots live in the device's pool and are
+// reused across launches.
+type chunkSlot struct {
 	ks        KernelStats
 	mon       pcie.Monitor
 	zcBySize  [zcSizeClasses]uint64
 	cxlBySize [zcSizeClasses]uint64
-	w         Warp
 }
 
 // reorderCap resolves the effective reorder-window bound: 0 when the stage
@@ -98,7 +102,7 @@ func (d *Device) workerCount(warps int, lc *launchConfig) int {
 // runWarpRange executes warp IDs [lo, hi) on w in ascending order. The
 // reorder window drains at each warp's end — before the critical-path fold,
 // since flushed requests still belong to the warp that buffered them — so
-// no request ever crosses a warp boundary and sharded launches stay
+// no request ever crosses a warp boundary and chunked launches stay
 // bit-identical to serial ones. w.Local is deliberately not reset: it is
 // the kernel's per-worker scratch.
 func runWarpRange(w *Warp, lo, hi int, body func(w *Warp)) {
@@ -117,11 +121,11 @@ func runWarpRange(w *Warp, lo, hi int, body func(w *Warp)) {
 }
 
 // Launch executes a kernel: body is invoked once per warp with warp IDs
-// 0..warps-1, partitioned into contiguous shards across the worker pool
-// (Config.Workers). Bodies therefore run concurrently unless the launch is
-// serial — see Serial and the package comment for the safety contract. It
-// returns a copy of the launch's statistics after advancing the simulated
-// clock.
+// 0..warps-1. The parallel path cuts the ID range into a fixed grid of
+// contiguous chunks that the worker pool (Config.Workers) claims as it
+// goes, so bodies run concurrently unless the launch is serial — see
+// Serial and the package comment for the safety contract. It returns a
+// copy of the launch's statistics after advancing the simulated clock.
 func (d *Device) Launch(name string, warps int, body func(w *Warp), opts ...LaunchOption) KernelStats {
 	if warps < 0 {
 		panic(fmt.Sprintf("gpu: Launch %q with negative warp count %d", name, warps))
@@ -158,51 +162,67 @@ func (d *Device) Launch(name string, warps int, body func(w *Warp), opts ...Laun
 		return *ks
 	}
 
-	for len(d.shardPool) < workers {
-		d.shardPool = append(d.shardPool, &launchShard{})
+	chunks := min(warps, workers*chunksPerWorker)
+	for len(d.slotPool) < chunks {
+		d.slotPool = append(d.slotPool, &chunkSlot{})
 	}
-	shards := d.shardPool[:workers]
+	for len(d.workerWarps) < workers {
+		d.workerWarps = append(d.workerWarps, &Warp{})
+	}
+	slots := d.slotPool[:chunks]
 	traceLimit := d.mon.TraceLimit()
-	var wg sync.WaitGroup
-	for i, sh := range shards {
-		sh.ks = KernelStats{}
-		sh.zcBySize = [zcSizeClasses]uint64{}
-		sh.cxlBySize = [zcSizeClasses]uint64{}
-		sh.mon.Reset()
-		if traceLimit != sh.mon.TraceLimit() {
-			// Give each shard the full budget; the ordered merge below
+	for _, sl := range slots {
+		sl.ks = KernelStats{}
+		sl.zcBySize = [zcSizeClasses]uint64{}
+		sl.cxlBySize = [zcSizeClasses]uint64{}
+		sl.mon.Reset()
+		if traceLimit != sl.mon.TraceLimit() {
+			// Give each chunk the full budget; the ordered merge below
 			// truncates at the device monitor's remaining capacity.
-			sh.mon.EnableTrace(traceLimit)
+			sl.mon.EnableTrace(traceLimit)
 		}
-		lo, hi := ShardRange(warps, workers, i)
-		w := &sh.w
+	}
+	// Each worker keeps its own warp for the device's lifetime, so the
+	// warp's kernel-private Local scratch is per worker, not per chunk.
+	d.nextChunk.Store(0)
+	var wg sync.WaitGroup
+	for _, w := range d.workerWarps[:workers] {
 		w.dev = d
-		w.ks = &sh.ks
-		w.mon = &sh.mon
-		w.zcBySize = &sh.zcBySize
-		w.cxlBySize = &sh.cxlBySize
 		w.reorderCap = rcap
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runWarpRange(w, lo, hi, body)
+			for {
+				c := int(d.nextChunk.Add(1)) - 1
+				if c >= chunks {
+					return
+				}
+				sl := slots[c]
+				w.ks = &sl.ks
+				w.mon = &sl.mon
+				w.zcBySize = &sl.zcBySize
+				w.cxlBySize = &sl.cxlBySize
+				lo, hi := ShardRange(warps, chunks, c)
+				runWarpRange(w, lo, hi, body)
+			}
 		}()
 	}
 	wg.Wait()
 
-	// Merge in ascending shard order. Since shards are contiguous warp
+	// Merge in ascending chunk order. Since chunks are contiguous warp
 	// ranges, concatenating their monitor traces reproduces the serial
-	// arrival order; every counter merge is a sum or a max.
+	// arrival order whichever worker ran which chunk; every counter merge
+	// is a sum or a max.
 	var zc, cxl [zcSizeClasses]uint64
-	for _, sh := range shards {
-		ks.Add(&sh.ks)
-		for j, n := range sh.zcBySize {
+	for _, sl := range slots {
+		ks.Add(&sl.ks)
+		for j, n := range sl.zcBySize {
 			zc[j] += n
 		}
-		for j, n := range sh.cxlBySize {
+		for j, n := range sl.cxlBySize {
 			cxl[j] += n
 		}
-		d.mon.Merge(&sh.mon)
+		d.mon.Merge(&sl.mon)
 	}
 	d.finish(ks, &zc, &cxl, workers)
 	return *ks

@@ -2,7 +2,11 @@ package gpu
 
 import (
 	"fmt"
+	"maps"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/memsys"
 	"repro/internal/pcie"
@@ -40,12 +44,38 @@ func TestShardRangeProperties(t *testing.T) {
 	}
 }
 
+// launchCase is one kernel shape for TestLaunchWorkerEquivalence: the
+// grid size, how many low warp IDs are hubs that do hubGathers extra
+// scattered gathers each, and the monitor's trace bound.
+type launchCase struct {
+	name       string
+	warps      int
+	hubs       int
+	traceLimit int
+}
+
+// hubGathers is the extra gather count of a hub warp: enough that the
+// chunks holding the hubs finish long after the rest.
+const hubGathers = 24
+
+// launchRun is what one launch leaves behind for comparison.
+type launchRun struct {
+	ks      KernelStats
+	snap    pcie.Snapshot
+	trace   []pcie.TraceEntry
+	dropped uint64
+	vals    []uint32
+}
+
 // launchStatsForWorkers runs a mixed zero-copy + HBM kernel — strided
 // gathers from pinned memory, atomic mins into a GPU array, a scalar flag
 // store — on a fresh device with the given worker count and returns the
-// launch stats, the monitor snapshot, the recorded trace, and the final
-// contents of the relax target.
-func launchStatsForWorkers(t *testing.T, workers int) (KernelStats, pcie.Snapshot, []pcie.TraceEntry, []uint32) {
+// launch stats, the monitor snapshot, the recorded trace with its dropped
+// count, and the final contents of the relax target. Hub warps add
+// scattered gathers in contiguous groups of 8 to 128 bytes, so their
+// requests differ in size from the other warps' and any reordering shows
+// in the trace.
+func launchStatsForWorkers(t *testing.T, lc launchCase, workers int) launchRun {
 	t.Helper()
 	d := NewDevice(Config{
 		Name:     fmt.Sprintf("w%d", workers),
@@ -54,8 +84,8 @@ func launchStatsForWorkers(t *testing.T, workers int) (KernelStats, pcie.Snapsho
 		HostDRAM: memsys.DDR4Quad(),
 		Link:     pcie.Gen3x16(),
 	})
-	d.Monitor().EnableTrace(4096)
-	const n = 1 << 12
+	d.Monitor().EnableTrace(lc.traceLimit)
+	n := int64(lc.warps) * WarpSize
 	edges := d.Arena().MustAlloc("edges", memsys.SpaceHostPinned, n*8)
 	vals := d.Arena().MustAlloc("vals", memsys.SpaceGPU, n*4, memsys.WithElem(4))
 	flag := d.Arena().MustAlloc("flag", memsys.SpaceGPU, 4, memsys.WithElem(4))
@@ -63,14 +93,22 @@ func launchStatsForWorkers(t *testing.T, workers int) (KernelStats, pcie.Snapsho
 		edges.PutU64(i, uint64((i*2654435761)%n))
 		vals.PutU32(i, ^uint32(0))
 	}
-	warps := n / WarpSize
-	ks := d.Launch("mixed", warps, func(w *Warp) {
+	ks := d.Launch("mixed", lc.warps, func(w *Warp) {
 		base := int64(w.ID()) * WarpSize
 		var idx [WarpSize]int64
 		for l := 0; l < WarpSize; l++ {
 			idx[l] = base + int64(l)
 		}
 		dst := w.GatherU64(edges, &idx, MaskFull)
+		if w.ID() < lc.hubs {
+			for k := 0; k < hubGathers; k++ {
+				g := int64(1) << (k % 5) // lanes per contiguous group
+				for l := 0; l < WarpSize; l++ {
+					idx[l] = int64(dst[(l+k)%WarpSize])&^(g-1) + int64(l)%g
+				}
+				w.GatherU64(edges, &idx, MaskFull)
+			}
+		}
 		var tgt [WarpSize]int64
 		var cand [WarpSize]uint32
 		for l := 0; l < WarpSize; l++ {
@@ -84,45 +122,122 @@ func launchStatsForWorkers(t *testing.T, workers int) (KernelStats, pcie.Snapsho
 	for i := int64(0); i < n; i++ {
 		out[i] = vals.U32(i)
 	}
-	return ks, d.Monitor().Snapshot(), d.Monitor().Trace(), out
+	return launchRun{ks, d.Monitor().Snapshot(), d.Monitor().Trace(), d.Monitor().TraceDropped(), out}
 }
 
 // TestLaunchWorkerEquivalence checks the engine contract directly at the
-// gpu layer: stats, clock, monitor counters, trace order, and functional
-// buffer contents are identical for 1, 2, 5, and 8 workers.
+// gpu layer: stats, clock, monitor counters, trace order and dropped
+// count, and functional buffer contents are identical for 1, 2, 3, 5, and
+// 8 workers. Besides a uniform kernel it runs a skewed one whose hub warps
+// at the low IDs are far costlier than the rest, so workers finish their
+// chunks out of order; the warp counts are not multiples of the chunk grid
+// (4099) or are below it (21), and the trace bound cuts the launch's
+// stream in the middle.
 func TestLaunchWorkerEquivalence(t *testing.T) {
-	refKS, refSnap, refTrace, refVals := launchStatsForWorkers(t, 1)
-	if refKS.PCIeRequests == 0 || refKS.HBMBytes == 0 {
-		t.Fatalf("reference kernel produced no traffic: %+v", refKS)
+	for _, lc := range []launchCase{
+		{name: "uniform", warps: 1 << 12 / WarpSize, traceLimit: 4096},
+		{name: "skewed", warps: 4099, hubs: 256, traceLimit: 100000},
+		{name: "few-warps", warps: 21, hubs: 3, traceLimit: 1100},
+	} {
+		t.Run(lc.name, func(t *testing.T) {
+			ref := launchStatsForWorkers(t, lc, 1)
+			refKS, refSnap, refTrace, refVals := ref.ks, ref.snap, ref.trace, ref.vals
+			if refKS.PCIeRequests == 0 || refKS.HBMBytes == 0 {
+				t.Fatalf("reference kernel produced no traffic: %+v", refKS)
+			}
+			if lc.hubs > 0 && ref.dropped == 0 {
+				t.Fatalf("trace bound %d does not cut the launch's %d requests", lc.traceLimit, refKS.PCIeRequests)
+			}
+			for _, workers := range []int{2, 3, 5, 8} {
+				run := launchStatsForWorkers(t, lc, workers)
+				ks, snap, trace, vals := run.ks, run.snap, run.trace, run.vals
+				ks.Name, refKS.Name = "", ""
+				if ks != refKS {
+					t.Errorf("workers=%d stats differ:\nserial:   %+v\nparallel: %+v", workers, refKS, ks)
+				}
+				if snap.Requests != refSnap.Requests || snap.PayloadBytes != refSnap.PayloadBytes ||
+					snap.WireBytes != refSnap.WireBytes || snap.AvgBandwidth != refSnap.AvgBandwidth ||
+					len(snap.BySize) != len(refSnap.BySize) {
+					t.Errorf("workers=%d monitor counters differ: %+v vs %+v", workers, refSnap, snap)
+				}
+				for size, count := range refSnap.BySize {
+					if snap.BySize[size] != count {
+						t.Errorf("workers=%d monitor BySize[%d] = %d, want %d", workers, size, snap.BySize[size], count)
+					}
+				}
+				if run.dropped != ref.dropped {
+					t.Errorf("workers=%d trace dropped %d, want %d", workers, run.dropped, ref.dropped)
+				}
+				if len(trace) != len(refTrace) {
+					t.Fatalf("workers=%d trace length %d, want %d", workers, len(trace), len(refTrace))
+				}
+				for i := range refTrace {
+					if trace[i] != refTrace[i] {
+						t.Fatalf("workers=%d trace[%d] = %+v, want %+v (arrival order)", workers, i, trace[i], refTrace[i])
+					}
+				}
+				for i := range refVals {
+					if vals[i] != refVals[i] {
+						t.Fatalf("workers=%d vals[%d] = %d, want %d", workers, i, vals[i], refVals[i])
+					}
+				}
+			}
+		})
 	}
-	for _, workers := range []int{2, 5, 8} {
-		ks, snap, trace, vals := launchStatsForWorkers(t, workers)
-		ks.Name, refKS.Name = "", ""
-		if ks != refKS {
-			t.Errorf("workers=%d stats differ:\nserial:   %+v\nparallel: %+v", workers, refKS, ks)
-		}
-		if snap.Requests != refSnap.Requests || snap.PayloadBytes != refSnap.PayloadBytes ||
-			snap.WireBytes != refSnap.WireBytes || snap.AvgBandwidth != refSnap.AvgBandwidth ||
-			len(snap.BySize) != len(refSnap.BySize) {
-			t.Errorf("workers=%d monitor counters differ: %+v vs %+v", workers, refSnap, snap)
-		}
-		for size, count := range refSnap.BySize {
-			if snap.BySize[size] != count {
-				t.Errorf("workers=%d monitor BySize[%d] = %d, want %d", workers, size, snap.BySize[size], count)
+}
+
+// TestLaunchLocalPerWorker pins the per-worker scratch contract that the
+// traversal engine's zero-alloc rounds rest on (internal/core/scratch.go):
+// Warp.Local belongs to the worker that runs a chunk, not to the chunk, so
+// a launch sees at most one Local per worker, and the next launch sees the
+// same ones. Each worker's first warp of a launch waits until every worker
+// has checked in, which makes all of them claim a chunk whatever the
+// scheduler does.
+func TestLaunchLocalPerWorker(t *testing.T) {
+	for _, workers := range []int{2, 3, 5, 8} {
+		d := NewDevice(Config{
+			Name:     fmt.Sprintf("locals-w%d", workers),
+			Workers:  workers,
+			HBM:      memsys.HBM2V100(),
+			HostDRAM: memsys.DDR4Quad(),
+			Link:     pcie.Gen3x16(),
+		})
+		var prev map[*int]bool
+		for launch := 0; launch < 2; launch++ {
+			var mu sync.Mutex
+			seen := map[*int]bool{}
+			timedOut := false
+			deadline := time.Now().Add(10 * time.Second)
+			d.Launch("locals", 4099, func(w *Warp) {
+				if w.Local == nil {
+					w.Local = new(int)
+				}
+				p := w.Local.(*int)
+				mu.Lock()
+				defer mu.Unlock()
+				if seen[p] {
+					return
+				}
+				seen[p] = true
+				for len(seen) < workers && !timedOut {
+					mu.Unlock()
+					runtime.Gosched()
+					mu.Lock()
+					timedOut = timedOut || time.Now().After(deadline)
+				}
+			})
+			if timedOut {
+				t.Fatalf("workers=%d launch %d: only %d workers claimed a chunk", workers, launch, len(seen))
 			}
-		}
-		if len(trace) != len(refTrace) {
-			t.Fatalf("workers=%d trace length %d, want %d", workers, len(trace), len(refTrace))
-		}
-		for i := range refTrace {
-			if trace[i] != refTrace[i] {
-				t.Fatalf("workers=%d trace[%d] = %+v, want %+v (arrival order)", workers, i, trace[i], refTrace[i])
+			if len(seen) > workers {
+				t.Errorf("workers=%d launch %d: body saw %d distinct Locals, want at most %d (a chunk got a fresh warp)",
+					workers, launch, len(seen), workers)
 			}
-		}
-		for i := range refVals {
-			if vals[i] != refVals[i] {
-				t.Fatalf("workers=%d vals[%d] = %d, want %d", workers, i, vals[i], refVals[i])
+			if prev != nil && !maps.Equal(prev, seen) {
+				t.Errorf("workers=%d: the two launches saw different Locals (%d, then %d); want the same per-worker scratch",
+					workers, len(prev), len(seen))
 			}
+			prev = seen
 		}
 	}
 }

@@ -58,11 +58,11 @@ type Warp struct {
 
 	// mon receives this warp's individual PCIe request records. On the
 	// serial path it is the device monitor; on the parallel path it is the
-	// executing worker's private shard monitor, merged in shard order at
-	// the launch barrier.
+	// running chunk's private monitor, merged in chunk order at the launch
+	// barrier.
 	mon *pcie.Monitor
 
-	// zcBySize counts this worker's zero-copy requests per size class
+	// zcBySize counts the running chunk's zero-copy requests per size class
 	// (32/64/96/128 bytes). The launch barrier merges the counts and
 	// derives the wire/tag roofline seconds from the totals, keeping the
 	// float arithmetic independent of the warp partitioning.
@@ -98,7 +98,7 @@ type Warp struct {
 	// faultSeq numbers this warp's zero-copy requests within the current
 	// launch, giving the fault injector a coordinate — (run epoch, warp ID,
 	// request seq) — that identifies a request independently of how the
-	// launch was sharded across host workers. Reset per warp by
+	// launch was split across host workers. Reset per warp by
 	// runWarpRange; unused when no FaultHook is attached.
 	faultSeq uint64
 

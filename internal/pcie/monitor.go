@@ -212,7 +212,7 @@ func (m *Monitor) Generation() uint64 { return m.generation }
 // m's own trace limit). Entries that do not fit — and entries other itself
 // already dropped — are added to m's dropped count when m is tracing, so
 // the invariant "entries kept + entries dropped = entries offered" holds
-// across the parallel launch engine's shard merge exactly as it does on the
+// across the parallel launch engine's chunk merge exactly as it does on the
 // serial path. Bandwidth samples are not merged (they are per-device
 // observations).
 func (m *Monitor) Merge(other *Monitor) {

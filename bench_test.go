@@ -54,7 +54,7 @@ func BenchmarkFig4ToyBandwidth(b *testing.B) {
 			{core.ToyMergedMisaligned, &misaligned},
 		} {
 			gcfg := emogi.V100PCIe3(cfg.Scale).GPU
-			gcfg.MemBytes = 0 // the toy's output array is not under test
+			gcfg.Tiers.HBM().CapacityBytes = 0 // the toy's output array is not under test
 			dev := gpu.NewDevice(gcfg)
 			r, err := core.ToyTraverse(dev, 1<<20, tc.p, core.ZeroCopy)
 			if err != nil {
@@ -519,7 +519,7 @@ func BenchmarkBatchRun(b *testing.B) {
 	for _, k := range []int{1, 8, 32, 64} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			gcfg := emogi.V100PCIe3(0.3).GPU
-			gcfg.MemBytes = 0
+			gcfg.Tiers.HBM().CapacityBytes = 0
 			dev := gpu.NewDevice(gcfg)
 			dg, err := core.Upload(dev, g, core.ZeroCopy, 8)
 			if err != nil {

@@ -60,7 +60,7 @@ func main() {
 		log.Fatalf("unknown pattern %q", *pattern)
 	}
 
-	link := emogi.V100PCIe3(*scale).TierStack().DRAM().Link
+	link := emogi.V100PCIe3(*scale).GPU.Tiers.DRAM().Link
 	fmt.Printf("link: %s, memcpy peak %.2f GB/s, RTT %v, %d tags\n\n",
 		link.Name, link.MemcpyPeak()/1e9, link.RTT, link.MaxTags)
 

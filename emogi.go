@@ -25,6 +25,7 @@ package emogi
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -135,16 +136,12 @@ const Scale = 1.0 / 1000.0
 // SystemConfig describes one simulated machine.
 type SystemConfig struct {
 	Name string
-	GPU  gpu.Config
 
-	// Tiers, when non-nil, describes the machine's memory hierarchy as an
-	// explicit tier stack (HBM → host DRAM → optional CXL-class external
-	// memory); it overrides the classic GPU.MemBytes/HostMemBytes/HBM/
-	// HostDRAM/Link fields. Nil (the default) synthesizes the canonical
-	// two-tier stack from those fields — bit-for-bit the historical
-	// machine. Build stacks with TwoTier / ThreeTierCXL, or apply a named
-	// catalog stack with ApplyTierStack.
-	Tiers TierStack
+	// GPU is the simulated device. Its Tiers field is the machine's memory
+	// hierarchy (HBM → host DRAM → optional CXL-class external memory);
+	// build stacks with TwoTier / ThreeTierCXL, or apply a named catalog
+	// stack with ApplyTierStack.
+	GPU gpu.Config
 
 	// Workers, when non-zero, overrides GPU.Workers: the number of host
 	// goroutines each kernel launch spreads its warps over (0 selects
@@ -159,11 +156,12 @@ type SystemConfig struct {
 	Telemetry Telemetry
 
 	// Faults, when non-nil, injects deterministic faults into the system:
-	// per-request transient read failures and latency spikes on the PCIe
-	// link, a steady wire derating, and allocation failures in the memory
-	// arena (see internal/fault for the profiles and the determinism
-	// contract). Nil (the default) keeps every hot path zero-overhead and
-	// bit-for-bit identical to the fault-free system.
+	// per-request transient read failures and latency spikes on the host
+	// DRAM tier's PCIe link, a steady wire derating, and allocation
+	// failures in the memory arena (see internal/fault for the profiles
+	// and the determinism contract). Nil (the default) keeps every hot
+	// path zero-overhead and bit-for-bit identical to the fault-free
+	// system.
 	Faults FaultInjector
 }
 
@@ -180,14 +178,11 @@ func V100PCIe3(datasetScale float64) SystemConfig {
 	return SystemConfig{
 		Name: "V100 + PCIe 3.0",
 		GPU: gpu.Config{
-			Name:               "Tesla V100 16GB",
-			MemBytes:           scaleBytes(16<<30, datasetScale),
-			HostMemBytes:       scaleBytes(256<<30, datasetScale),
+			Name: "Tesla V100 16GB",
+			Tiers: memsys.TwoTier(scaleBytes(16<<30, datasetScale), scaleBytes(256<<30, datasetScale),
+				memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 			L2Bytes:            scaleBytes(6<<20, datasetScale),
 			MaxConcurrentLanes: scaleLanes(80*2048, datasetScale),
-			HBM:                memsys.HBM2V100(),
-			HostDRAM:           memsys.DDR4Quad(),
-			Link:               pcie.Gen3x16(),
 		},
 	}
 }
@@ -209,14 +204,11 @@ func TitanXpPCIe3(datasetScale float64) SystemConfig {
 	return SystemConfig{
 		Name: "Titan Xp + PCIe 3.0",
 		GPU: gpu.Config{
-			Name:               "Titan Xp 12GB",
-			MemBytes:           scaleBytes(12<<30, datasetScale),
-			HostMemBytes:       scaleBytes(256<<30, datasetScale),
+			Name: "Titan Xp 12GB",
+			Tiers: memsys.TwoTier(scaleBytes(12<<30, datasetScale), scaleBytes(256<<30, datasetScale),
+				memsys.GDDR5XTitanXp(), memsys.DDR4Quad(), pcie.Gen3x16()),
 			L2Bytes:            scaleBytes(3<<20, datasetScale),
 			MaxConcurrentLanes: scaleLanes(60*2048, datasetScale),
-			HBM:                memsys.GDDR5XTitanXp(),
-			HostDRAM:           memsys.DDR4Quad(),
-			Link:               pcie.Gen3x16(),
 		},
 	}
 }
@@ -226,7 +218,7 @@ func TitanXpPCIe3(datasetScale float64) SystemConfig {
 func A100PCIe3(datasetScale float64) SystemConfig {
 	cfg := A100PCIe4(datasetScale)
 	cfg.Name = "A100 + PCIe 3.0"
-	cfg.GPU.Link = pcie.Gen3x16()
+	cfg.GPU.Tiers.DRAM().Link = pcie.Gen3x16()
 	return cfg
 }
 
@@ -236,14 +228,11 @@ func A100PCIe4(datasetScale float64) SystemConfig {
 	return SystemConfig{
 		Name: "A100 + PCIe 4.0",
 		GPU: gpu.Config{
-			Name:               "A100 40GB",
-			MemBytes:           scaleBytes(40<<30, datasetScale),
-			HostMemBytes:       scaleBytes(1<<40, datasetScale),
+			Name: "A100 40GB",
+			Tiers: memsys.TwoTier(scaleBytes(40<<30, datasetScale), scaleBytes(1<<40, datasetScale),
+				memsys.HBM2eA100(), memsys.DDR4Quad(), pcie.Gen4x16()),
 			L2Bytes:            scaleBytes(40<<20, datasetScale),
 			MaxConcurrentLanes: scaleLanes(108*2048, datasetScale),
-			HBM:                memsys.HBM2eA100(),
-			HostDRAM:           memsys.DDR4Quad(),
-			Link:               pcie.Gen4x16(),
 		},
 	}
 }
@@ -259,11 +248,11 @@ func NewSystem(cfg SystemConfig) *System {
 	if cfg.Workers != 0 {
 		cfg.GPU.Workers = cfg.Workers
 	}
-	if cfg.Tiers != nil {
-		cfg.GPU.Tiers = cfg.Tiers
-	}
-	if cfg.Faults != nil {
-		cfg.GPU.Link.Faults = cfg.Faults
+	if dram := cfg.GPU.Tiers.DRAM(); cfg.Faults != nil && dram != nil {
+		// The injector rides the host link of a private copy of the stack,
+		// so the caller's configuration stays fault-free.
+		cfg.GPU.Tiers = slices.Clone(cfg.GPU.Tiers)
+		cfg.GPU.Tiers.DRAM().Link.Faults = cfg.Faults
 	}
 	s := &System{cfg: cfg, dev: gpu.NewDevice(cfg.GPU)}
 	if cfg.Telemetry != nil {
@@ -318,9 +307,9 @@ func WithElemBytes(n int) LoadOption {
 
 // WithTierStack replaces the system's memory-tier stack before placing the
 // graph — the load-time route to a CXL-class external tier on a system
-// built without one. The stack's HBM and DRAM tiers must match the system's
-// configured capacities; Load fails otherwise. Systems that set
-// SystemConfig.Tiers up front don't need this option.
+// built without one. The stack's HBM and DRAM tiers must equal the
+// system's (only the CXL tier may differ); Load fails otherwise. Systems
+// whose GPU.Tiers already has a CXL tier don't need this option.
 func WithTierStack(ts TierStack) LoadOption {
 	return func(c *loadConfig) { c.tiers = ts }
 }

@@ -12,24 +12,25 @@ import (
 const smallScale = 0.02
 
 func TestSystemConfigs(t *testing.T) {
+	gpuBytes := func(cfg SystemConfig) int64 { return cfg.GPU.Tiers.HBM().CapacityBytes }
 	v100 := V100PCIe3(1.0)
-	if v100.GPU.MemBytes != 16<<30/1000 {
-		t.Errorf("V100 memory = %d, want 1:1000 of 16GB", v100.GPU.MemBytes)
+	if gpuBytes(v100) != 16<<30/1000 {
+		t.Errorf("V100 memory = %d, want 1:1000 of 16GB", gpuBytes(v100))
 	}
 	xp := TitanXpPCIe3(1.0)
-	if xp.GPU.MemBytes >= v100.GPU.MemBytes {
+	if gpuBytes(xp) >= gpuBytes(v100) {
 		t.Errorf("Titan Xp should have less memory than V100")
 	}
 	a3, a4 := A100PCIe3(1.0), A100PCIe4(1.0)
-	if a3.GPU.MemBytes != a4.GPU.MemBytes {
+	if gpuBytes(a3) != gpuBytes(a4) {
 		t.Errorf("A100 memory should not depend on link generation")
 	}
-	if a3.GPU.Link.Gen == a4.GPU.Link.Gen {
+	if a3.GPU.Tiers.DRAM().Link.Gen == a4.GPU.Tiers.DRAM().Link.Gen {
 		t.Errorf("A100 configs should differ in link generation")
 	}
 	// Scaling scales memory too.
 	half := V100PCIe3(0.5)
-	if half.GPU.MemBytes != v100.GPU.MemBytes/2 {
+	if gpuBytes(half) != gpuBytes(v100)/2 {
 		t.Errorf("dataset scale should scale GPU memory")
 	}
 }

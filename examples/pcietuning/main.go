@@ -35,7 +35,7 @@ func main() {
 	}
 
 	for _, p := range platforms {
-		link := p.cfg.GPU.Link
+		link := p.cfg.GPU.Tiers.DRAM().Link
 		fmt.Printf("%s — memcpy ceiling %.2f GB/s\n", p.name, link.MemcpyPeak()/1e9)
 		for _, pat := range patterns {
 			dev := gpu.NewDevice(p.cfg.GPU)

@@ -14,11 +14,8 @@ import (
 
 func testDevice(memBytes int64) *gpu.Device {
 	return gpu.NewDevice(gpu.Config{
-		Name:     "test-v100",
-		MemBytes: memBytes,
-		HBM:      memsys.HBM2V100(),
-		HostDRAM: memsys.DDR4Quad(),
-		Link:     pcie.Gen3x16(),
+		Name:  "test-v100",
+		Tiers: memsys.TwoTier(memBytes, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 	})
 }
 

@@ -268,8 +268,9 @@ func stageAndRunChunk(dev *gpu.Device, cfg SubwayConfig, sub *graph.Subgraph, a 
 	if wgtBuf != nil {
 		chunkBytes += nEdges * 4
 	}
-	transferTime := time.Duration(dev.Config().Link.BulkSeconds(chunkBytes) * float64(time.Second))
-	dev.Monitor().RecordBulk(chunkBytes, dev.Config().Link.TLPOverheadBytes)
+	link := dev.Config().Tiers.DRAM().Link
+	transferTime := time.Duration(link.BulkSeconds(chunkBytes) * float64(time.Second))
+	dev.Monitor().RecordBulk(chunkBytes, link.TLPOverheadBytes)
 	if cfg.Async && transferTime > kernelTime {
 		dev.HostCompute(transferTime - kernelTime)
 	} else if !cfg.Async {

@@ -8,7 +8,6 @@ import (
 	emogi "repro"
 	"repro/internal/core"
 	"repro/internal/gpu"
-	"repro/internal/memsys"
 	"repro/internal/pcie"
 	"repro/internal/uvm"
 )
@@ -309,11 +308,10 @@ func AblationLink(ds *Datasets) (*Table, error) {
 	for _, l := range links {
 		link := pcie.Link(l.gen, l.lanes)
 
-		// Swap the interconnect by rebuilding the two-tier stack around the
-		// swept link — the tier interface is the canonical route to the
-		// device's link model.
+		// Swap the interconnect on the host DRAM tier, the one place the
+		// device's link model lives.
 		gcfg := emogi.V100PCIe3(cfg.Scale).GPU
-		gcfg.Tiers = memsys.TwoTier(gcfg.MemBytes, gcfg.HostMemBytes, gcfg.HBM, gcfg.HostDRAM, link)
+		gcfg.Tiers.DRAM().Link = link
 		devE := cfg.Device(gcfg)
 		dgE, err := core.Upload(devE, g, core.ZeroCopy, 8)
 		if err != nil {

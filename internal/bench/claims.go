@@ -33,7 +33,7 @@ func Claims(ds *Datasets) (*Table, error) {
 	}
 
 	// --- §3.3 toy claims ---
-	link := emogi.V100PCIe3(cfg.Scale).TierStack().DRAM().Link
+	link := emogi.V100PCIe3(cfg.Scale).GPU.Tiers.DRAM().Link
 	toy := func(p core.ToyPattern, tr core.Transport) *core.ToyResult {
 		dev := newToyDevice(cfg)
 		r, err := core.ToyTraverse(dev, toyElems(cfg), p, tr)

@@ -14,7 +14,7 @@ import (
 // capacity is not what the experiment characterizes.
 func newToyDevice(cfg Config) *gpu.Device {
 	gc := emogi.V100PCIe3(cfg.Scale).GPU
-	gc.MemBytes = 0
+	gc.Tiers.HBM().CapacityBytes = 0
 	return cfg.Device(gc)
 }
 
@@ -76,7 +76,7 @@ func Figure4(cfg Config) (*Table, error) {
 		}
 		t.AddRow(v.name, gb(r.PCIeBandwidth), gb(r.DRAMBandwidth))
 	}
-	peak := emogi.V100PCIe3(cfg.Scale).TierStack().DRAM().Link.MemcpyPeak()
+	peak := emogi.V100PCIe3(cfg.Scale).GPU.Tiers.DRAM().Link.MemcpyPeak()
 	t.Notes = append(t.Notes, "cudaMemcpy peak: "+gb(peak)+" GB/s")
 	return t, nil
 }
@@ -88,7 +88,7 @@ func Table1(cfg Config) *Table {
 		Title:  "Table 1: evaluation system configuration (simulated)",
 		Header: []string{"category", "specification"},
 	}
-	ts := sys.TierStack()
+	ts := sys.GPU.Tiers
 	hbm, dram := ts.HBM(), ts.DRAM()
 	t.AddRow("GPU", sys.GPU.Name)
 	t.AddRow("GPU memory", fmt.Sprintf("%d bytes (1:1000 of 16GB at scale %.2g)", hbm.CapacityBytes, cfg.Scale))

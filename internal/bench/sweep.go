@@ -60,7 +60,7 @@ func RunBFSSweep(ds *Datasets) (*BFSSweep, error) {
 	cfg := ds.Config()
 	sweep := &BFSSweep{
 		Config:     cfg,
-		MemcpyPeak: emogi.V100PCIe3(cfg.Scale).TierStack().DRAM().Link.MemcpyPeak(),
+		MemcpyPeak: emogi.V100PCIe3(cfg.Scale).GPU.Tiers.DRAM().Link.MemcpyPeak(),
 		cells:      make(map[string]map[string]*Cell),
 	}
 	for _, sym := range AllSyms() {

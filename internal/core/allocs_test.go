@@ -39,9 +39,7 @@ import (
 func allocDevice(reorderWindow int) *gpu.Device {
 	return gpu.NewDevice(gpu.Config{
 		Name:          "alloc-test",
-		HBM:           memsys.HBM2V100(),
-		HostDRAM:      memsys.DDR4Quad(),
-		Link:          pcie.Gen3x16(),
+		Tiers:         memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 		Workers:       1,
 		ReorderWindow: reorderWindow,
 	})

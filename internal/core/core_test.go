@@ -14,10 +14,8 @@ import (
 // testDevice returns an uncapped device on the calibrated Gen3 link.
 func testDevice() *gpu.Device {
 	return gpu.NewDevice(gpu.Config{
-		Name:     "test-v100",
-		HBM:      memsys.HBM2V100(),
-		HostDRAM: memsys.DDR4Quad(),
-		Link:     pcie.Gen3x16(),
+		Name:  "test-v100",
+		Tiers: memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 	})
 }
 
@@ -25,11 +23,8 @@ func testDevice() *gpu.Device {
 // oversubscription paths get exercised.
 func smallDevice(memBytes int64) *gpu.Device {
 	return gpu.NewDevice(gpu.Config{
-		Name:     "test-small",
-		MemBytes: memBytes,
-		HBM:      memsys.HBM2V100(),
-		HostDRAM: memsys.DDR4Quad(),
-		Link:     pcie.Gen3x16(),
+		Name:  "test-small",
+		Tiers: memsys.TwoTier(memBytes, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 	})
 }
 

@@ -210,11 +210,9 @@ func TestEngineMatrix(t *testing.T) {
 			}
 			for _, transport := range []Transport{ZeroCopy, UVM} {
 				dev := gpu.NewDevice(gpu.Config{
-					Name:     "matrix",
-					Workers:  workers,
-					HBM:      memsys.HBM2V100(),
-					HostDRAM: memsys.DDR4Quad(),
-					Link:     pcie.Gen3x16(),
+					Name:    "matrix",
+					Workers: workers,
+					Tiers:   memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 				})
 				dg, err := Upload(dev, g, transport, 8)
 				if err != nil {

@@ -17,10 +17,8 @@ import (
 func TestUploadHostMemoryExhausted(t *testing.T) {
 	g := testGraphs()[0]
 	dev := gpu.NewDevice(gpu.Config{
-		HostMemBytes: 1024, // host cannot hold the edge list
-		HBM:          memsys.HBM2V100(),
-		HostDRAM:     memsys.DDR4Quad(),
-		Link:         pcie.Gen3x16(),
+		// 1 KB of host DRAM cannot hold the edge list.
+		Tiers: memsys.TwoTier(0, 1024, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 	})
 	if _, err := Upload(dev, g, ZeroCopy, 8); err == nil {
 		t.Errorf("expected host OOM")
@@ -34,10 +32,7 @@ func TestBFSZeroUVMCache(t *testing.T) {
 	g.InitWeights(1, 8, 72)
 	need := int64(g.NumVertices()+1)*8 + int64(g.NumVertices())*4*2 + 4096*4
 	dev := gpu.NewDevice(gpu.Config{
-		MemBytes: need,
-		HBM:      memsys.HBM2V100(),
-		HostDRAM: memsys.DDR4Quad(),
-		Link:     pcie.Gen3x16(),
+		Tiers: memsys.TwoTier(need, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 	})
 	dg, err := Upload(dev, g, UVM, 8)
 	if err != nil {

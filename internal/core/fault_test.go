@@ -18,11 +18,9 @@ func faultDevice(inj fault.Injector, workers int) *gpu.Device {
 	link := pcie.Gen3x16()
 	link.Faults = inj
 	return gpu.NewDevice(gpu.Config{
-		Name:     "test-v100-faulty",
-		HBM:      memsys.HBM2V100(),
-		HostDRAM: memsys.DDR4Quad(),
-		Link:     link,
-		Workers:  workers,
+		Name:    "test-v100-faulty",
+		Tiers:   memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Quad(), link),
+		Workers: workers,
 	})
 }
 

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/gpu"
 	"repro/internal/graph"
 )
 
@@ -63,14 +62,6 @@ func recordOf(name string, res *Result) goldenRecord {
 // specialty traversal on GK. Each run gets a fresh device so records are
 // independent of suite ordering.
 func goldenRuns(t *testing.T) []goldenRecord {
-	return goldenRunsWith(t, testDevice, multiDevices)
-}
-
-// goldenRunsWith runs the matrix on devices from the given factories, so the
-// same pinned records can assert equivalence of differently-configured but
-// supposedly identical machines (e.g. explicit two-tier stacks vs. the
-// classic config fields).
-func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []*gpu.Device) []goldenRecord {
 	t.Helper()
 	var recs []goldenRecord
 	for _, sym := range []string{"GK", "GU", "FS", "ML", "SK", "UK5"} {
@@ -91,7 +82,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 			recs = append(recs, recordOf(sym+"/"+name, res))
 		}
 		run("bfs", func() (*Result, error) {
-			dev := mkdev()
+			dev := testDevice()
 			dg, err := Upload(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
@@ -99,7 +90,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 			return BFS(context.Background(), dev, dg, src, MergedAligned)
 		})
 		run("sssp", func() (*Result, error) {
-			dev := mkdev()
+			dev := testDevice()
 			dg, err := Upload(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
@@ -108,7 +99,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 		})
 		if !g.Directed {
 			run("cc", func() (*Result, error) {
-				dev := mkdev()
+				dev := testDevice()
 				dg, err := Upload(dev, g, ZeroCopy, 8)
 				if err != nil {
 					return nil, err
@@ -122,7 +113,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 		// Specialty paths, pinned on GK: every other round-loop entry point
 		// in the repository.
 		run("bfs-uvm", func() (*Result, error) {
-			dev := mkdev()
+			dev := testDevice()
 			dg, err := Upload(dev, g, UVM, 8)
 			if err != nil {
 				return nil, err
@@ -130,7 +121,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 			return BFS(context.Background(), dev, dg, src, Merged)
 		})
 		run("bfs-naive", func() (*Result, error) {
-			dev := mkdev()
+			dev := testDevice()
 			dg, err := Upload(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
@@ -138,7 +129,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 			return BFS(context.Background(), dev, dg, src, Naive)
 		})
 		run("bfs-worker8", func() (*Result, error) {
-			dev := mkdev()
+			dev := testDevice()
 			dg, err := Upload(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
@@ -146,7 +137,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 			return BFSWithWorker(context.Background(), dev, dg, src, 8, true)
 		})
 		run("bfs-worker16-unaligned", func() (*Result, error) {
-			dev := mkdev()
+			dev := testDevice()
 			dg, err := Upload(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
@@ -154,7 +145,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 			return BFSWithWorker(context.Background(), dev, dg, src, 16, false)
 		})
 		run("bfs-balanced", func() (*Result, error) {
-			dev := mkdev()
+			dev := testDevice()
 			dg, err := Upload(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
@@ -162,7 +153,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 			return BFSBalanced(context.Background(), dev, dg, src, 64)
 		})
 		run("bfs-compressed", func() (*Result, error) {
-			dev := mkdev()
+			dev := testDevice()
 			cdg, err := UploadCompressed(dev, g)
 			if err != nil {
 				return nil, err
@@ -170,7 +161,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 			return BFSCompressed(context.Background(), dev, cdg, src)
 		})
 		run("bfs-edgecentric", func() (*Result, error) {
-			dev := mkdev()
+			dev := testDevice()
 			ec, err := UploadEdgeCentric(dev, g)
 			if err != nil {
 				return nil, err
@@ -178,7 +169,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 			return BFSEdgeCentric(context.Background(), dev, ec, src)
 		})
 		run("bfs-pushpull", func() (*Result, error) {
-			dev := mkdev()
+			dev := testDevice()
 			dg, err := Upload(dev, g, ZeroCopy, 8)
 			if err != nil {
 				return nil, err
@@ -186,7 +177,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 			return BFSDirectionOptimized(context.Background(), dev, dg, src, DefaultPushPullConfig())
 		})
 		run("bfs-hybrid0.3", func() (*Result, error) {
-			h, err := NewHybridSystem(mkdev(), g, 8, DefaultHybridConfig(0.3))
+			h, err := NewHybridSystem(testDevice(), g, 8, DefaultHybridConfig(0.3))
 			if err != nil {
 				return nil, err
 			}
@@ -194,7 +185,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 			return h.BFS(context.Background(), src)
 		})
 		run("bfs-multigpu2", func() (*Result, error) {
-			ms, err := NewMultiSystem(mkmulti(2), g, 8)
+			ms, err := NewMultiSystem(multiDevices(2), g, 8)
 			if err != nil {
 				return nil, err
 			}
@@ -202,7 +193,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 			return ms.BFS(context.Background(), src)
 		})
 		run("sssp-multigpu2", func() (*Result, error) {
-			ms, err := NewMultiSystem(mkmulti(2), g, 8)
+			ms, err := NewMultiSystem(multiDevices(2), g, 8)
 			if err != nil {
 				return nil, err
 			}
@@ -214,7 +205,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 		// per-lane convergence and the amortized traffic are pinned.
 		bsrcs := graph.PickSources(g, 4, 71)
 		for _, app := range []string{"bfs", "sssp", "sswp"} {
-			dev := mkdev()
+			dev := testDevice()
 			dg, err := Upload(dev, g, ZeroCopy, 8)
 			if err != nil {
 				t.Fatalf("GK/%s-batch4: %v", app, err)
@@ -238,7 +229,7 @@ func goldenRunsWith(t *testing.T, mkdev func() *gpu.Device, mkmulti func(int) []
 			}
 		}
 		run("cc-multigpu2", func() (*Result, error) {
-			ms, err := NewMultiSystem(mkmulti(2), g, 8)
+			ms, err := NewMultiSystem(multiDevices(2), g, 8)
 			if err != nil {
 				return nil, err
 			}

@@ -182,13 +182,3 @@ func launchMatchKernel(dev *gpu.Device, dg *DeviceGraph, variant Variant, name s
 	k.state, k.match, k.pushVal, k.visit = state, match, pushVal, visit
 	k.launch()
 }
-
-// launchActiveKernel runs one SSSP/CC-style iteration through a throwaway
-// activeKernel; see launchMatchKernel for when to prefer a held kernel.
-func launchActiveKernel(dev *gpu.Device, dg *DeviceGraph, variant Variant, name string,
-	state, active *memsys.Buffer, needW bool, ident uint32, visit visitFn) {
-
-	k := newActiveKernel(dev, dg, variant, name, needW, ident)
-	k.state, k.active, k.visit = state, active, visit
-	k.launch()
-}

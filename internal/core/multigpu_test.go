@@ -15,10 +15,8 @@ func multiDevices(n int) []*gpu.Device {
 	devs := make([]*gpu.Device, n)
 	for i := range devs {
 		devs[i] = gpu.NewDevice(gpu.Config{
-			Name:     "mgpu",
-			HBM:      memsys.HBM2V100(),
-			HostDRAM: memsys.DDR4Quad(),
-			Link:     pcie.Gen3x16(),
+			Name:  "mgpu",
+			Tiers: memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 		})
 	}
 	return devs

@@ -24,11 +24,9 @@ import (
 // the given per-launch worker count.
 func workerDevice(workers int) *gpu.Device {
 	return gpu.NewDevice(gpu.Config{
-		Name:     fmt.Sprintf("test-v100-w%d", workers),
-		Workers:  workers,
-		HBM:      memsys.HBM2V100(),
-		HostDRAM: memsys.DDR4Quad(),
-		Link:     pcie.Gen3x16(),
+		Name:    fmt.Sprintf("test-v100-w%d", workers),
+		Workers: workers,
+		Tiers:   memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 	})
 }
 

@@ -29,15 +29,12 @@ import (
 func adaptDevice(workers int) *gpu.Device {
 	s := 0.05 / 1000.0 // dataset scale x the repo's 1:1000 reduction
 	return gpu.NewDevice(gpu.Config{
-		Name:               "test-v100-capped",
-		Workers:            workers,
-		MemBytes:           int64(float64(int64(16)<<30) * s),
-		HostMemBytes:       int64(float64(int64(256)<<30) * s),
+		Name:    "test-v100-capped",
+		Workers: workers,
+		Tiers: memsys.TwoTier(int64(float64(int64(16)<<30)*s), int64(float64(int64(256)<<30)*s),
+			memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 		L2Bytes:            int64(float64(int64(6)<<20) * s),
 		MaxConcurrentLanes: int(float64(80*2048) * s),
-		HBM:                memsys.HBM2V100(),
-		HostDRAM:           memsys.DDR4Quad(),
-		Link:               pcie.Gen3x16(),
 	})
 }
 
@@ -277,15 +274,12 @@ func TestAdaptiveFaultRetryReplaysDecisions(t *testing.T) {
 	link := pcie.Gen3x16()
 	link.Faults = inj
 	dev := gpu.NewDevice(gpu.Config{
-		Name:               "test-v100-capped-faulty",
-		Workers:            1,
-		MemBytes:           int64(float64(int64(16)<<30) * s),
-		HostMemBytes:       int64(float64(int64(256)<<30) * s),
+		Name:    "test-v100-capped-faulty",
+		Workers: 1,
+		Tiers: memsys.TwoTier(int64(float64(int64(16)<<30)*s), int64(float64(int64(256)<<30)*s),
+			memsys.HBM2V100(), memsys.DDR4Quad(), link),
 		L2Bytes:            int64(float64(int64(6)<<20) * s),
 		MaxConcurrentLanes: int(float64(80*2048) * s),
-		HBM:                memsys.HBM2V100(),
-		HostDRAM:           memsys.DDR4Quad(),
-		Link:               link,
 	})
 	log := &decisionLog{}
 	dev.SetTelemetry(log)

@@ -218,7 +218,7 @@ func (rt *policyRuntime) deriveCosts() CostParams {
 		}
 	}
 	cp := CostParams{
-		Host:                 rt.linkCosts(cfg.Link),
+		Host:                 rt.linkCosts(cfg.Tiers.DRAM().Link),
 		UVMChunkBytes:        chunk,
 		StagedBudgetBytes:    budget,
 		UVMBudgetBytes:       uvmBudget,

@@ -35,9 +35,7 @@ import (
 func reorderDevice(workers, window int) *gpu.Device {
 	return gpu.NewDevice(gpu.Config{
 		Name:          "reorder-test",
-		HBM:           memsys.HBM2V100(),
-		HostDRAM:      memsys.DDR4Quad(),
-		Link:          pcie.Gen3x16(),
+		Tiers:         memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 		Workers:       workers,
 		ReorderWindow: window,
 	})

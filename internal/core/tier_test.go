@@ -2,9 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/gpu"
@@ -12,62 +9,6 @@ import (
 	"repro/internal/memsys"
 	"repro/internal/pcie"
 )
-
-// tieredTestDevice is testDevice expressed through the tier API: an explicit
-// two-tier stack carrying the identical models. Every simulated number must
-// be bit-for-bit the classic device's.
-func tieredTestDevice() *gpu.Device {
-	return gpu.NewDevice(gpu.Config{
-		Name:  "test-v100",
-		Tiers: memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
-	})
-}
-
-func tieredMultiDevices(n int) []*gpu.Device {
-	devs := make([]*gpu.Device, n)
-	for i := range devs {
-		devs[i] = gpu.NewDevice(gpu.Config{
-			Name:  "mgpu",
-			Tiers: memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
-		})
-	}
-	return devs
-}
-
-// TestGoldenTierStackEquivalence runs the full pinned golden matrix on
-// devices configured through explicit two-tier TierStacks and demands every
-// record match results/golden-engine.json bit-for-bit: the tier refactor
-// must be invisible on the two-tier default path.
-func TestGoldenTierStackEquivalence(t *testing.T) {
-	t.Parallel()
-	data, err := os.ReadFile(filepath.FromSlash(goldenPath))
-	if err != nil {
-		t.Fatalf("reading golden file: %v", err)
-	}
-	var want []goldenRecord
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	byName := make(map[string]goldenRecord, len(want))
-	for _, r := range want {
-		byName[r.Name] = r
-	}
-	recs := goldenRunsWith(t, tieredTestDevice, tieredMultiDevices)
-	if len(recs) != len(want) {
-		t.Errorf("tiered run matrix has %d records, golden file has %d", len(recs), len(want))
-	}
-	for _, got := range recs {
-		exp, ok := byName[got.Name]
-		if !ok {
-			t.Errorf("%s: no golden record", got.Name)
-			continue
-		}
-		if got != exp {
-			t.Errorf("%s: explicit TierStack drifted from the classic two-tier device:\n got:  %s\n want: %s",
-				got.Name, mustJSON(got), mustJSON(exp))
-		}
-	}
-}
 
 // threeTierDevice builds a device whose host DRAM is capped small enough
 // that sizeable edge lists oversubscribe it, backed by a CXL tier that can
@@ -234,10 +175,7 @@ func TestApplyPlacementMoves(t *testing.T) {
 func pagingDevice(workers int, gpuDriven bool) *gpu.Device {
 	return gpu.NewDevice(gpu.Config{
 		Name:            "test-paging",
-		MemBytes:        96 << 10,
-		HBM:             memsys.HBM2V100(),
-		HostDRAM:        memsys.DDR4Quad(),
-		Link:            pcie.Gen3x16(),
+		Tiers:           memsys.TwoTier(96<<10, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 		Workers:         workers,
 		GPUDrivenPaging: gpuDriven,
 	})

@@ -50,9 +50,6 @@ type Counts struct {
 	AllocFaults uint64
 }
 
-// Total returns the sum over all kinds.
-func (c Counts) Total() uint64 { return c.ReadFaults + c.Spikes + c.AllocFaults }
-
 // Injector is a seeded, reproducible source of faults. It plugs into the
 // link model as a pcie.FaultHook and into the memory system through an
 // allocation hook adapter. Implementations are safe for concurrent use. A

@@ -119,9 +119,9 @@ func (r *refWarp) dispatch(buf *memsys.Buffer, addr uint64, size int) {
 		ks.PCIeRequests++
 		ks.PCIePayloadBytes += uint64(size)
 		r.zcBySize[size/memsys.SectorBytes-1]++
-		ks.HostDRAMBytes += uint64(d.cfg.HostDRAM.ServedBytes(size))
-		r.mon.Record(size, d.cfg.Link.TLPOverheadBytes)
-		if h := d.cfg.Link.Faults; h != nil {
+		ks.HostDRAMBytes += uint64(d.hostDRAM.ServedBytes(size))
+		r.mon.Record(size, d.link.TLPOverheadBytes)
+		if h := d.link.Faults; h != nil {
 			switch h.RequestFault(d.runEpoch, r.id, r.faultSeq, size) {
 			case pcie.ReqFail:
 				ks.FaultedReads++
@@ -138,7 +138,7 @@ func (r *refWarp) dispatch(buf *memsys.Buffer, addr uint64, size int) {
 		if migrated > 0 {
 			bytes := d.uvmgr.MigrationWireBytes(migrated)
 			ks.UVMMigrations += uint64(migrated)
-			lnk := d.cfg.Link
+			lnk := d.link
 			fromCXL := buf.HomeAt(off) == memsys.SpaceCXL
 			if fromCXL {
 				lnk = d.cfg.Tiers.CXL().Link

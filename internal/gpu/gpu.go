@@ -23,6 +23,7 @@ package gpu
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,13 +40,10 @@ const WarpSize = 32
 type Config struct {
 	Name string
 
-	// Tiers, when non-empty, is the authoritative description of the
-	// device's memory hierarchy: capacities, interconnects, and DRAM
-	// models for HBM, host DRAM, and (optionally) a CXL-class external
-	// tier. NewDevice derives the classic per-field configuration below
-	// from it (and validates the stack). When empty, the classic fields
-	// are used directly and an equivalent two-tier stack is synthesized —
-	// both directions are bit-for-bit identical for two-tier systems.
+	// Tiers is the device's memory hierarchy: capacities, interconnects,
+	// and DRAM models for HBM, host DRAM, and (optionally) a CXL-class
+	// external tier. Build it with memsys.TwoTier / memsys.ThreeTierCXL;
+	// NewDevice validates it. A zero HBM or DRAM capacity is uncapped.
 	Tiers memsys.TierStack
 
 	// GPUDrivenPaging selects GPUVM-style GPU-driven paging for UVM
@@ -54,23 +52,6 @@ type Config struct {
 	// fault handler. Migration counts are unchanged; only the time model
 	// differs. See uvm.Config.GPUDriven.
 	GPUDrivenPaging bool
-
-	// MemBytes is the GPU global memory capacity. Explicit allocations and
-	// migrated UVM pages share it.
-	MemBytes int64
-
-	// HostMemBytes is the host DRAM capacity backing pinned and UVM
-	// allocations.
-	HostMemBytes int64
-
-	// HBM models GPU global memory bandwidth.
-	HBM memsys.DRAMModel
-
-	// HostDRAM models the host memory behind the PCIe root complex.
-	HostDRAM memsys.DRAMModel
-
-	// Link is the CPU-GPU interconnect.
-	Link pcie.LinkConfig
 
 	// LaunchOverhead is the fixed driver+hardware cost of one kernel launch.
 	LaunchOverhead time.Duration
@@ -85,16 +66,17 @@ type Config struct {
 
 	// L2Bytes is the GPU cache capacity available to hold zero-copy
 	// sectors between a thread's sequential touches. Scaled along with
-	// MemBytes in scaled systems. When the concurrent stream footprint
-	// exceeds it, per-thread sector reuse is lost and elements are
+	// the HBM capacity in scaled systems. When the concurrent stream
+	// footprint exceeds it, per-thread sector reuse is lost and elements are
 	// re-fetched — the paper's §3.3 "frequent cacheline evictions ...
 	// transferring more bytes to the GPU compared to the original
 	// dataset".
 	L2Bytes int64
 
 	// MaxConcurrentLanes is the hardware thread concurrency (V100: 80 SMs
-	// x 2048 threads). Scaled along with MemBytes in scaled systems so
-	// the streams-vs-cache ratio of the full-size machine is preserved.
+	// x 2048 threads). Scaled along with the HBM capacity in scaled
+	// systems so the streams-vs-cache ratio of the full-size machine is
+	// preserved.
 	MaxConcurrentLanes int
 
 	// PerWarpOutstanding is the number of host-memory read requests one
@@ -248,6 +230,16 @@ func (s *KernelStats) Add(o *KernelStats) {
 type Device struct {
 	cfg   Config
 	arena *memsys.Arena
+
+	// The HBM and host-DRAM tiers of cfg.Tiers, resolved once by
+	// NewDevice so the per-request paths read fields instead of walking
+	// the stack: HBM capacity and model, host DRAM model, and the host
+	// link (with its fault hook, if any).
+	memBytes int64
+	hbm      memsys.DRAMModel
+	hostDRAM memsys.DRAMModel
+	link     pcie.LinkConfig
+
 	uvmgr *uvm.Manager
 	mon   pcie.Monitor
 
@@ -294,32 +286,10 @@ type Device struct {
 	lc          launchConfig
 }
 
-// NewDevice creates a device with a fresh memory arena and UVM manager.
-//
-// The memory hierarchy comes from cfg.Tiers when set (the stack is
-// validated, and MemBytes/HostMemBytes/HBM/HostDRAM/Link are derived from
-// it; a fault hook already installed on cfg.Link survives the derivation).
-// Otherwise the classic fields are used as-is and an equivalent two-tier
-// stack is synthesized, so Device.Tiers always describes the hierarchy.
+// NewDevice creates a device with a fresh memory arena and UVM manager for
+// the memory hierarchy cfg.Tiers describes. It panics on an invalid stack.
 func NewDevice(cfg Config) *Device {
-	if len(cfg.Tiers) > 0 {
-		if err := cfg.Tiers.Validate(); err != nil {
-			panic("gpu: " + err.Error())
-		}
-		hbm, dram := cfg.Tiers.HBM(), cfg.Tiers.DRAM()
-		cfg.MemBytes = hbm.CapacityBytes
-		cfg.HostMemBytes = dram.CapacityBytes
-		cfg.HBM = hbm.Mem
-		cfg.HostDRAM = dram.Mem
-		faults := cfg.Link.Faults
-		cfg.Link = dram.Link
-		if cfg.Link.Faults == nil {
-			cfg.Link.Faults = faults
-		}
-	} else {
-		cfg.Tiers = memsys.TwoTier(cfg.MemBytes, cfg.HostMemBytes,
-			cfg.HBM, cfg.HostDRAM, cfg.Link)
-	}
+	cfg.Tiers = slices.Clone(cfg.Tiers)
 	if cfg.LaunchOverhead == 0 {
 		cfg.LaunchOverhead = 8 * time.Microsecond
 	}
@@ -343,9 +313,11 @@ func NewDevice(cfg Config) *Device {
 	}
 	arena, err := memsys.NewTieredArena(cfg.Tiers)
 	if err != nil {
-		panic("gpu: " + err.Error()) // unreachable: the stack was validated or synthesized above
+		panic("gpu: " + err.Error())
 	}
-	d := &Device{cfg: cfg, arena: arena}
+	hbm, dram := cfg.Tiers.HBM(), cfg.Tiers.DRAM()
+	d := &Device{cfg: cfg, arena: arena,
+		memBytes: hbm.CapacityBytes, hbm: hbm.Mem, hostDRAM: dram.Mem, link: dram.Link}
 	d.uvmgr = uvm.NewManager(uvm.ConfigWithPaging(d.uvmCapacityPages(), cfg.GPUDrivenPaging))
 	return d
 }
@@ -353,10 +325,10 @@ func NewDevice(cfg Config) *Device {
 // uvmCapacityPages computes how many UVM pages fit in GPU memory not
 // claimed by explicit allocations.
 func (d *Device) uvmCapacityPages() int {
-	if d.cfg.MemBytes <= 0 {
+	if d.memBytes <= 0 {
 		return -1 // uncapped device: unlimited UVM caching
 	}
-	free := d.cfg.MemBytes - d.arena.GPUUsed()
+	free := d.memBytes - d.arena.GPUUsed()
 	if free < 0 {
 		free = 0
 	}
@@ -366,36 +338,30 @@ func (d *Device) uvmCapacityPages() int {
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
 
-// Tiers returns the device's memory-tier stack. Always populated: devices
-// configured through the classic fields get a synthesized two-tier stack.
-func (d *Device) Tiers() memsys.TierStack { return d.cfg.Tiers }
-
 // SetTiers replaces the device's tier stack at run time — the load-time
-// path behind emogi.WithTierStack. The HBM and DRAM tiers must match the
-// device's configured capacities (the simulated hardware does not change
-// size mid-flight); what may change is the external tier: attaching a CXL
-// tier enables SpaceCXL homes, detaching one is refused while any bytes are
-// still homed there.
+// path behind emogi.WithTierStack. Only the external tier may change: the
+// stack's HBM and DRAM tiers must equal the device's (the simulated
+// hardware does not change mid-flight; the device's fault hook is ignored
+// in the comparison and kept). Attaching a CXL tier enables SpaceCXL
+// homes; detaching one is refused while any bytes are still homed there.
 func (d *Device) SetTiers(ts memsys.TierStack) error {
 	if err := ts.Validate(); err != nil {
 		return err
 	}
-	hbm, dram := ts.HBM(), ts.DRAM()
-	if hbm.CapacityBytes != d.cfg.MemBytes {
-		return fmt.Errorf("gpu: tier stack HBM capacity %d does not match the device's %d",
-			hbm.CapacityBytes, d.cfg.MemBytes)
-	}
-	if dram.CapacityBytes != d.cfg.HostMemBytes {
-		return fmt.Errorf("gpu: tier stack DRAM capacity %d does not match the device's %d",
-			dram.CapacityBytes, d.cfg.HostMemBytes)
+	for i, t := range ts[:2] {
+		own := d.cfg.Tiers[i]
+		t.Link.Faults, own.Link.Faults = nil, nil
+		if t != own {
+			return fmt.Errorf("gpu: tier stack's %s tier does not match the device's; only the CXL tier may change", t.Kind)
+		}
 	}
 	if ts.CXL() == nil {
 		if used := d.arena.CXLUsed(); used > 0 {
 			return fmt.Errorf("gpu: cannot detach the CXL tier with %d bytes still homed there", used)
 		}
 	}
-	d.cfg.Tiers = ts
-	d.arena.AttachCXLTier(ts.CXL())
+	d.cfg.Tiers = append(d.cfg.Tiers[:2:2], ts[2:]...)
+	d.arena.AttachCXLTier(d.cfg.Tiers.CXL())
 	return nil
 }
 
@@ -474,10 +440,10 @@ func (d *Device) finish(ks *KernelStats, zc, cxl *[zcSizeClasses]uint64, workers
 			continue
 		}
 		zcReqs += n
-		ks.WireSeconds += float64(n) * d.cfg.Link.WireSeconds((i+1)*memsys.SectorBytes)
+		ks.WireSeconds += float64(n) * d.link.WireSeconds((i+1)*memsys.SectorBytes)
 	}
 	if zcReqs > 0 {
-		ks.TagSeconds += float64(zcReqs) * d.cfg.Link.TagSeconds()
+		ks.TagSeconds += float64(zcReqs) * d.link.TagSeconds()
 	}
 	d.chargeThrash(ks)
 	// External-tier roofline: the CXL link is a separate physical channel,
@@ -503,12 +469,12 @@ func (d *Device) finish(ks *KernelStats, zc, cxl *[zcSizeClasses]uint64, workers
 			float64(d.cfg.PerWarpOutstanding)
 	}
 	pcieTime := pcie.StreamSeconds(ks.WireSeconds, ks.TagSeconds)
-	hbmTime := d.cfg.HBM.ServiceSeconds(int64(ks.HBMBytes))
-	dramTime := d.cfg.HostDRAM.ServiceSeconds(int64(ks.HostDRAMBytes))
+	hbmTime := d.hbm.ServiceSeconds(int64(ks.HBMBytes))
+	dramTime := d.hostDRAM.ServiceSeconds(int64(ks.HostDRAMBytes))
 	compTime := float64(ks.WarpInstrs) / d.cfg.WarpInstrPerSec
 	// Latency-bound critical path: the busiest warp streams at most
 	// PerWarpOutstanding requests per round trip.
-	critTime := float64(ks.MaxWarpHostReqs) * d.cfg.Link.RTT.Seconds() /
+	critTime := float64(ks.MaxWarpHostReqs) * d.link.RTT.Seconds() /
 		float64(d.cfg.PerWarpOutstanding)
 	bottleneck := pcieTime
 	for _, t := range []float64{hbmTime, dramTime, compTime, ks.UVMSerialSeconds, critTime,
@@ -518,7 +484,7 @@ func (d *Device) finish(ks *KernelStats, zc, cxl *[zcSizeClasses]uint64, workers
 		}
 	}
 	ks.Elapsed = d.cfg.LaunchOverhead + time.Duration(bottleneck*float64(time.Second))
-	if h := d.cfg.Link.Faults; h != nil && ks.LatencySpikes > 0 {
+	if h := d.link.Faults; h != nil && ks.LatencySpikes > 0 {
 		// Injected latency spikes stall the kernel serially. Derived here
 		// from the merged integer count so the penalty — like the roofline
 		// floats — is independent of the warp partitioning.
@@ -559,10 +525,10 @@ func (d *Device) chargeThrash(ks *KernelStats) {
 	ks.ZCRefetches = extra
 	ks.PCIeRequests += extra
 	ks.PCIePayloadBytes += extra * uint64(memsys.SectorBytes)
-	ks.WireSeconds += float64(extra) * d.cfg.Link.WireSeconds(memsys.SectorBytes)
-	ks.TagSeconds += float64(extra) * d.cfg.Link.TagSeconds()
-	ks.HostDRAMBytes += extra * uint64(d.cfg.HostDRAM.ServedBytes(memsys.SectorBytes))
-	d.mon.RecordClassN(memsys.SectorBytes, d.cfg.Link.TLPOverheadBytes, extra, pcie.ClassZeroCopy)
+	ks.WireSeconds += float64(extra) * d.link.WireSeconds(memsys.SectorBytes)
+	ks.TagSeconds += float64(extra) * d.link.TagSeconds()
+	ks.HostDRAMBytes += extra * uint64(d.hostDRAM.ServedBytes(memsys.SectorBytes))
+	d.mon.RecordClassN(memsys.SectorBytes, d.link.TLPOverheadBytes, extra, pcie.ClassZeroCopy)
 }
 
 // CopyToDevice models an explicit host-to-device bulk transfer of n bytes
@@ -618,7 +584,7 @@ func (d *Device) cxlLink() pcie.LinkConfig {
 }
 
 func (d *Device) bulk(n int64, record bool, class pcie.TransferClass) time.Duration {
-	return d.bulkLink(d.cfg.Link, n, record, class)
+	return d.bulkLink(d.link, n, record, class)
 }
 
 // bulkLink is the bulk-transfer core parameterized by the link crossed:
@@ -653,7 +619,7 @@ func (d *Device) CopyOnDevice(dst, src *memsys.Buffer) {
 		panic("gpu: CopyOnDevice destination smaller than source")
 	}
 	copy(dst.Data, src.Data)
-	dt := time.Duration(d.cfg.HBM.ServiceSeconds(2*src.Size()) * float64(time.Second))
+	dt := time.Duration(d.hbm.ServiceSeconds(2*src.Size()) * float64(time.Second))
 	d.advance(dt)
 }
 
@@ -664,7 +630,7 @@ func (d *Device) Memset(b *memsys.Buffer, v byte) {
 	for i := range b.Data {
 		b.Data[i] = v
 	}
-	dt := time.Duration(d.cfg.HBM.ServiceSeconds(b.Size()) * float64(time.Second))
+	dt := time.Duration(d.hbm.ServiceSeconds(b.Size()) * float64(time.Second))
 	d.advance(dt)
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 func TestDeviceDefaults(t *testing.T) {
-	d := NewDevice(Config{Link: pcie.Gen3x16(), HBM: memsys.HBM2V100(), HostDRAM: memsys.DDR4Quad()})
+	d := NewDevice(Config{Tiers: memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16())})
 	cfg := d.Config()
 	if cfg.LaunchOverhead == 0 || cfg.CopyOverhead == 0 || cfg.WarpInstrPerSec == 0 {
 		t.Errorf("defaults not applied: %+v", cfg)
@@ -178,10 +178,7 @@ func TestUVMReadAmplification(t *testing.T) {
 // allocations grow.
 func TestUVMCapacityPages(t *testing.T) {
 	d := NewDevice(Config{
-		MemBytes: 64 * memsys.PageBytes,
-		HBM:      memsys.HBM2V100(),
-		HostDRAM: memsys.DDR4Quad(),
-		Link:     pcie.Gen3x16(),
+		Tiers: memsys.TwoTier(64*memsys.PageBytes, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 	})
 	if got := d.UVM().Config().CapacityPages; got != 64 {
 		t.Errorf("initial capacity = %d pages, want 64", got)

@@ -78,11 +78,9 @@ type launchRun struct {
 func launchStatsForWorkers(t *testing.T, lc launchCase, workers int) launchRun {
 	t.Helper()
 	d := NewDevice(Config{
-		Name:     fmt.Sprintf("w%d", workers),
-		Workers:  workers,
-		HBM:      memsys.HBM2V100(),
-		HostDRAM: memsys.DDR4Quad(),
-		Link:     pcie.Gen3x16(),
+		Name:    fmt.Sprintf("w%d", workers),
+		Workers: workers,
+		Tiers:   memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 	})
 	d.Monitor().EnableTrace(lc.traceLimit)
 	n := int64(lc.warps) * WarpSize
@@ -196,11 +194,9 @@ func TestLaunchWorkerEquivalence(t *testing.T) {
 func TestLaunchLocalPerWorker(t *testing.T) {
 	for _, workers := range []int{2, 3, 5, 8} {
 		d := NewDevice(Config{
-			Name:     fmt.Sprintf("locals-w%d", workers),
-			Workers:  workers,
-			HBM:      memsys.HBM2V100(),
-			HostDRAM: memsys.DDR4Quad(),
-			Link:     pcie.Gen3x16(),
+			Name:    fmt.Sprintf("locals-w%d", workers),
+			Workers: workers,
+			Tiers:   memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 		})
 		var prev map[*int]bool
 		for launch := 0; launch < 2; launch++ {
@@ -249,12 +245,9 @@ func TestLaunchLocalPerWorker(t *testing.T) {
 func TestUVMLaunchForcedSerial(t *testing.T) {
 	run := func(workers int) (KernelStats, []uint64) {
 		d := NewDevice(Config{
-			Name:     "uvm",
-			Workers:  workers,
-			MemBytes: 1 << 16,
-			HBM:      memsys.HBM2V100(),
-			HostDRAM: memsys.DDR4Quad(),
-			Link:     pcie.Gen3x16(),
+			Name:    "uvm",
+			Workers: workers,
+			Tiers:   memsys.TwoTier(1<<16, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 		})
 		const n = 1 << 12
 		buf := d.Arena().MustAlloc("edges", memsys.SpaceUVM, n*8)
@@ -295,11 +288,9 @@ func TestUVMLaunchForcedSerial(t *testing.T) {
 // host state without atomics must be safe when launched with Serial().
 func TestSerialOption(t *testing.T) {
 	d := NewDevice(Config{
-		Name:     "serial-opt",
-		Workers:  8,
-		HBM:      memsys.HBM2V100(),
-		HostDRAM: memsys.DDR4Quad(),
-		Link:     pcie.Gen3x16(),
+		Name:    "serial-opt",
+		Workers: 8,
+		Tiers:   memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 	})
 	const warps = 1024
 	order := make([]int, 0, warps)

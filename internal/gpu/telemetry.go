@@ -101,11 +101,6 @@ func (d *Device) BeginRun(labels RunLabels) {
 	}
 }
 
-// RunEpoch returns the number of traversal runs begun on this device. Fault
-// injection mixes it into per-request decisions so retries of a faulted run
-// see fresh outcomes.
-func (d *Device) RunEpoch() uint64 { return d.runEpoch }
-
 // EndRun reports the end of the current traversal run.
 func (d *Device) EndRun() {
 	if d.tel != nil {

@@ -11,11 +11,9 @@ import (
 
 func telemetryTestDevice(workers int) *Device {
 	return NewDevice(Config{
-		Name:     "tel-test",
-		Workers:  workers,
-		HBM:      memsys.HBM2V100(),
-		HostDRAM: memsys.DDR4Quad(),
-		Link:     pcie.Gen3x16(),
+		Name:    "tel-test",
+		Workers: workers,
+		Tiers:   memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 	})
 }
 

@@ -13,9 +13,7 @@ import (
 func thrashDevice(l2 int64, lanes int, sensitivity float64) *Device {
 	return NewDevice(Config{
 		Name:               "thrash",
-		HBM:                memsys.HBM2V100(),
-		HostDRAM:           memsys.DDR4Quad(),
-		Link:               pcie.Gen3x16(),
+		Tiers:              memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 		L2Bytes:            l2,
 		MaxConcurrentLanes: lanes,
 		ThrashSensitivity:  sensitivity,

@@ -301,9 +301,9 @@ func (w *Warp) dispatch(buf *memsys.Buffer, sp memsys.Space, addr uint64, size i
 		ks.PCIeRequests++
 		ks.PCIePayloadBytes += uint64(size)
 		w.zcBySize[size/memsys.SectorBytes-1]++
-		ks.HostDRAMBytes += uint64(d.cfg.HostDRAM.ServedBytes(size))
-		w.mon.Record(size, d.cfg.Link.TLPOverheadBytes)
-		if h := d.cfg.Link.Faults; h != nil {
+		ks.HostDRAMBytes += uint64(d.hostDRAM.ServedBytes(size))
+		w.mon.Record(size, d.link.TLPOverheadBytes)
+		if h := d.link.Faults; h != nil {
 			// The decision is keyed by (epoch, warp, seq), not call order,
 			// so the injected fault set — and the merged counts — are
 			// identical for every worker count. A failed completion still
@@ -328,7 +328,7 @@ func (w *Warp) dispatch(buf *memsys.Buffer, sp memsys.Space, addr uint64, size i
 			// on: host DRAM behind PCIe, or the CXL expander behind its own
 			// link. UVM launches always run serially (see workerCount), so
 			// accumulating these floats here is partition-independent.
-			lnk := d.cfg.Link
+			lnk := d.link
 			fromCXL := buf.HomeAt(off) == memsys.SpaceCXL
 			if fromCXL {
 				lnk = d.cfg.Tiers.CXL().Link

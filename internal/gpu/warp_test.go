@@ -10,10 +10,8 @@ import (
 // testDevice returns an uncapped device on a Gen3 link for traffic tests.
 func testDevice() *Device {
 	return NewDevice(Config{
-		Name:     "test",
-		HBM:      memsys.HBM2V100(),
-		HostDRAM: memsys.DDR4Quad(),
-		Link:     pcie.Gen3x16(),
+		Name:  "test",
+		Tiers: memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 	})
 }
 

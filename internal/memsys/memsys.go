@@ -188,11 +188,6 @@ func (b *Buffer) Segments() int {
 	return int((b.Size() + SegmentBytes - 1) / SegmentBytes)
 }
 
-// SegmentStaged reports whether segment i has a staged device copy.
-func (b *Buffer) SegmentStaged(i int) bool {
-	return b.segState != nil && i < len(b.segState) && b.segState[i]
-}
-
 // SetSegmentStaged marks segment i's staged-copy residency.
 func (b *Buffer) SetSegmentStaged(i int, staged bool) {
 	if b.segState == nil {
@@ -575,18 +570,6 @@ func (a *Arena) HostFree() int64 {
 		return -1
 	}
 	return a.HostCapacity - a.hostUsed
-}
-
-// CXLFree returns the remaining external-tier capacity: -1 when the
-// attached tier is uncapped, 0 when no tier is attached.
-func (a *Arena) CXLFree() int64 {
-	if a.cxlTier == nil {
-		return 0
-	}
-	if a.CXLCapacity <= 0 {
-		return -1
-	}
-	return a.CXLCapacity - a.cxlUsed
 }
 
 // Buffers returns the live buffers in allocation order. The returned slice

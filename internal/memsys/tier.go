@@ -6,16 +6,14 @@ import (
 	"repro/internal/pcie"
 )
 
-// This file defines the pluggable memory-tier stack. The original model has
-// exactly two tiers — GPU HBM and host DRAM behind one PCIe link — baked
-// into separate configuration fields. A TierStack makes the hierarchy a
-// first-class, extensible description: each Tier couples a capacity with the
-// interconnect cost model (pcie.LinkConfig) and device-side service model
-// (DRAMModel) that accesses landing on it pay. The canonical two-tier stack
-// reproduces the historical configuration bit-for-bit; a third CXL-class
-// tier extends the reach of the simulated system beyond host DRAM
-// (microsecond-latency external memory, as in the CXL graph-processing
-// literature — see PAPERS.md).
+// This file defines the memory-tier stack, the only description of a
+// simulated machine's memory hierarchy (gpu.Config.Tiers). Each Tier couples
+// a capacity with the interconnect cost model (pcie.LinkConfig) and
+// device-side service model (DRAMModel) that accesses landing on it pay.
+// The canonical two-tier stack is the paper's machine: GPU HBM and host
+// DRAM behind one PCIe link. A third CXL-class tier extends the reach of the
+// simulated system beyond host DRAM (microsecond-latency external memory,
+// as in the CXL graph-processing literature — see PAPERS.md).
 
 // TierKind identifies a tier's position in the memory hierarchy.
 type TierKind uint8
@@ -124,10 +122,8 @@ func (ts TierStack) CXL() *Tier { return ts.byKind(TierCXL) }
 // HasCXL reports whether the stack includes an external CXL-class tier.
 func (ts TierStack) HasCXL() bool { return ts.CXL() != nil }
 
-// TwoTier returns the canonical two-tier stack — GPU HBM over host DRAM
-// behind one PCIe link — equivalent to the historical (MemBytes,
-// HostMemBytes, HBM, HostDRAM, Link) configuration fields. Systems built
-// from it are bit-for-bit identical to pre-tier systems.
+// TwoTier returns the canonical two-tier stack: GPU HBM of gpuBytes over
+// hostBytes of host DRAM behind one PCIe link. A zero capacity is uncapped.
 func TwoTier(gpuBytes, hostBytes int64, hbm, dram DRAMModel, link pcie.LinkConfig) TierStack {
 	return TierStack{
 		{Name: hbm.Name, Kind: TierHBM, CapacityBytes: gpuBytes, Mem: hbm},

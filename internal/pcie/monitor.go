@@ -143,9 +143,6 @@ func (m *Monitor) RecordBulkClass(n int64, overheadBytes int, class TransferClas
 // ClassRequests returns the number of requests attributed to class c.
 func (m *Monitor) ClassRequests(c TransferClass) uint64 { return m.classReqs[c] }
 
-// ClassBytes returns the payload bytes attributed to class c.
-func (m *Monitor) ClassBytes(c TransferClass) uint64 { return m.classBytes[c] }
-
 // Sample closes the current bandwidth-sampling interval at simulated time
 // now. Intervals are typically kernel launches; a zero-width interval
 // samples nothing and its bytes are dropped.

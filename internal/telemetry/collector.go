@@ -88,9 +88,6 @@ func transportDecisionCounter(reg *Registry, class, choice string) *Counter {
 // Registry returns the registry the collector writes into.
 func (c *Collector) Registry() *Registry { return c.reg }
 
-// Tracer returns the attached tracer (nil when tracing is off).
-func (c *Collector) Tracer() *Tracer { return c.tracer }
-
 // state returns the per-device state, creating it on first sight. Callers
 // hold c.mu.
 func (c *Collector) state(dev *gpu.Device) *devState {

@@ -18,11 +18,9 @@ import (
 func testDevice(t *testing.T, workers int, col *Collector) *gpu.Device {
 	t.Helper()
 	dev := gpu.NewDevice(gpu.Config{
-		Name:     "test-v100",
-		Workers:  workers,
-		HBM:      memsys.HBM2V100(),
-		HostDRAM: memsys.DDR4Quad(),
-		Link:     pcie.Gen3x16(),
+		Name:    "test-v100",
+		Workers: workers,
+		Tiers:   memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 	})
 	dev.SetTelemetry(col)
 	return dev
@@ -138,9 +136,7 @@ func TestCollectorReorderCounters(t *testing.T) {
 	col := NewCollector(nil, nil)
 	dev := gpu.NewDevice(gpu.Config{
 		Name:          "test-v100",
-		HBM:           memsys.HBM2V100(),
-		HostDRAM:      memsys.DDR4Quad(),
-		Link:          pcie.Gen3x16(),
+		Tiers:         memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
 		ReorderWindow: 16,
 	})
 	dev.SetTelemetry(col)

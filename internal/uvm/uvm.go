@@ -157,32 +157,6 @@ func (m *Manager) Touch(buf *memsys.Buffer, off int64, size int) (migrated, hits
 	return migrated, hits
 }
 
-// PrefetchRange migrates every non-resident page overlapping the byte range
-// [off, off+size) of buf — cudaMemPrefetchAsync semantics: exactly the asked
-// range, no prefetch-block amplification. It returns the number of pages
-// migrated. The transport-policy layer uses it when a partition transitions
-// onto the UVM substrate eagerly.
-func (m *Manager) PrefetchRange(buf *memsys.Buffer, off, size int64) (migrated int) {
-	if size <= 0 {
-		return 0
-	}
-	pb := int64(m.cfg.PageBytes)
-	first := off / pb
-	last := (off + size - 1) / pb
-	if limit := int64(buf.Pages()); last >= limit {
-		last = limit - 1
-	}
-	for p := first; p <= last; p++ {
-		key := pageKey{buf, int(p)}
-		if _, ok := m.lru[key]; ok {
-			continue
-		}
-		m.fault(key, buf)
-		migrated++
-	}
-	return migrated
-}
-
 // EvictRange drops residency for every page overlapping the byte range
 // [off, off+size) of buf, returning the number evicted. Pages are
 // read-mostly duplicates, so eviction moves no data. The transport-policy

@@ -39,8 +39,8 @@ const (
 	PlaceCXL  = core.PlaceCXL
 )
 
-// TwoTier returns the canonical two-tier stack (GPU HBM over host DRAM
-// behind one PCIe link), equivalent to the classic configuration fields.
+// TwoTier returns the canonical two-tier stack: GPU HBM over host DRAM
+// behind one PCIe link, the paper's machine.
 func TwoTier(gpuBytes, hostBytes int64, hbm, dram memsys.DRAMModel, link pcie.LinkConfig) TierStack {
 	return memsys.TwoTier(gpuBytes, hostBytes, hbm, dram, link)
 }
@@ -96,19 +96,6 @@ func ParsePaging(s string) (bool, error) {
 		return true, nil
 	}
 	return false, fmt.Errorf("unknown paging model %q (want cpu or gpu)", s)
-}
-
-// TierStack returns the machine's memory hierarchy as a tier stack: the
-// explicit SystemConfig.Tiers when set, otherwise the canonical two-tier
-// stack derived from the classic GPU fields. Consumers that need the
-// CPU-GPU interconnect model should read it from here
-// (cfg.TierStack().DRAM().Link) rather than from GPU.Link directly.
-func (cfg SystemConfig) TierStack() TierStack {
-	if cfg.Tiers != nil {
-		return cfg.Tiers
-	}
-	return memsys.TwoTier(cfg.GPU.MemBytes, cfg.GPU.HostMemBytes,
-		cfg.GPU.HBM, cfg.GPU.HostDRAM, cfg.GPU.Link)
 }
 
 // TierStackEntry is one selectable tier stack in the catalog — what
@@ -194,10 +181,10 @@ func resolveTierStack(name string) (*TierStackEntry, error) {
 }
 
 // ApplyTierStack applies a named catalog tier stack to a system
-// configuration: "2tier" (and its aliases) leaves the classic two-tier
-// machine untouched; "3tier-cxl" attaches a CXL-class external tier with
-// capacity 4x the configured host DRAM. Unknown names list the valid
-// spellings.
+// configuration: "2tier" (and its aliases) leaves the platform's two-tier
+// stack untouched; "3tier-cxl" extends cfg.GPU.Tiers with a CXL-class
+// external tier of capacity 4x the host DRAM tier's. Unknown names list
+// the valid spellings.
 func ApplyTierStack(cfg SystemConfig, name string) (SystemConfig, error) {
 	e, err := resolveTierStack(name)
 	if err != nil {
@@ -207,12 +194,11 @@ func ApplyTierStack(cfg SystemConfig, name string) (SystemConfig, error) {
 	case "2tier":
 		return cfg, nil
 	case "3tier-cxl":
-		base := cfg.Tiers
-		if base == nil {
-			base = memsys.TwoTier(cfg.GPU.MemBytes, cfg.GPU.HostMemBytes,
-				cfg.GPU.HBM, cfg.GPU.HostDRAM, cfg.GPU.Link)
+		ts := cfg.GPU.Tiers
+		if err := ts.Validate(); err != nil {
+			return cfg, err
 		}
-		cfg.Tiers = memsys.ThreeTierCXL(base, 4*cfg.GPU.HostMemBytes)
+		cfg.GPU.Tiers = memsys.ThreeTierCXL(ts, 4*ts.DRAM().CapacityBytes)
 		return cfg, nil
 	default:
 		return cfg, fmt.Errorf("emogi: tier stack %q has no builder", e.Name)

@@ -2,8 +2,14 @@ package emogi
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/gpu"
+	"repro/internal/pcie"
 )
 
 func TestTierCatalogAndAliases(t *testing.T) {
@@ -39,16 +45,9 @@ func TestTierCatalogAndAliases(t *testing.T) {
 func TestSystemConfigTierStackDerivation(t *testing.T) {
 	for _, mk := range []func(float64) SystemConfig{V100PCIe3, TitanXpPCIe3, A100PCIe3, A100PCIe4} {
 		cfg := mk(0.05)
-		ts := cfg.TierStack()
+		ts := cfg.GPU.Tiers
 		if err := ts.Validate(); err != nil {
-			t.Errorf("%s: derived stack invalid: %v", cfg.Name, err)
-		}
-		dram := ts.DRAM()
-		if dram.Link.Name != cfg.GPU.Link.Name || dram.Link.RawBytesPerSec != cfg.GPU.Link.RawBytesPerSec {
-			t.Errorf("%s: derived DRAM link %q does not match GPU.Link %q", cfg.Name, dram.Link.Name, cfg.GPU.Link.Name)
-		}
-		if ts.HBM().CapacityBytes != cfg.GPU.MemBytes || dram.CapacityBytes != cfg.GPU.HostMemBytes {
-			t.Errorf("%s: derived capacities do not match the classic fields", cfg.Name)
+			t.Errorf("%s: platform stack invalid: %v", cfg.Name, err)
 		}
 		if ts.HasCXL() {
 			t.Errorf("%s: platform constructors are two-tier", cfg.Name)
@@ -62,19 +61,22 @@ func TestApplyTierStackThreeTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := cfg.TierStack()
+	ts := cfg.GPU.Tiers
 	if !ts.HasCXL() {
 		t.Fatal("3tier-cxl config has no CXL tier")
 	}
-	if got, want := ts.CXL().CapacityBytes, 4*base.GPU.HostMemBytes; got != want {
+	if got, want := ts.CXL().CapacityBytes, 4*base.GPU.Tiers.DRAM().CapacityBytes; got != want {
 		t.Errorf("CXL capacity = %d, want 4x host DRAM = %d", got, want)
+	}
+	if base.GPU.Tiers.HasCXL() {
+		t.Error("ApplyTierStack modified the base configuration's stack")
 	}
 	two, err := ApplyTierStack(base, "2tier")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if two.Tiers != nil {
-		t.Error("2tier should keep the classic (nil Tiers) configuration")
+	if !slices.Equal(two.GPU.Tiers, base.GPU.Tiers) {
+		t.Error("2tier should leave the platform's stack unchanged")
 	}
 	if _, err := ApplyTierStack(base, "bogus"); err == nil {
 		t.Error("unknown stack name should error")
@@ -141,7 +143,7 @@ func TestWithTierStackAtLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := ThreeTierCXL(cfg.TierStack(), 4*cfg.GPU.HostMemBytes)
+	ts := ThreeTierCXL(cfg.GPU.Tiers, 4*cfg.GPU.Tiers.DRAM().CapacityBytes)
 	dg, err := sys.Load(g, WithTierStack(ts), WithPlacement(PlaceCXL))
 	if err != nil {
 		t.Fatal(err)
@@ -158,11 +160,71 @@ func TestWithTierStackAtLoad(t *testing.T) {
 		t.Error("load-time-attached CXL tier served no traffic")
 	}
 
-	// A stack whose DRAM capacity disagrees with the machine is rejected.
-	bad := ThreeTierCXL(TwoTier(cfg.GPU.MemBytes, cfg.GPU.HostMemBytes+1,
-		cfg.GPU.HBM, cfg.GPU.HostDRAM, cfg.GPU.Link), 1<<30)
-	if _, err := sys.Load(g, WithTierStack(bad)); err == nil {
-		t.Error("mismatched tier stack should fail at Load")
+	if !sys.Device().Config().Tiers.HasCXL() {
+		t.Error("device configuration does not report the attached CXL tier")
+	}
+
+	// Only the CXL tier may change: a stack whose DRAM tier differs from
+	// the machine's in capacity or in link is rejected.
+	bigger := slices.Clone(ts)
+	bigger.DRAM().CapacityBytes++
+	gen4 := slices.Clone(ts)
+	gen4.DRAM().Link = pcie.Gen4x16()
+	for name, bad := range map[string]TierStack{"DRAM capacity": bigger, "DRAM link": gen4} {
+		if _, err := sys.Load(g, WithTierStack(bad)); err == nil {
+			t.Errorf("tier stack with a different %s should fail at Load", name)
+		}
+	}
+	if got := sys.Device().Config().Tiers.DRAM().Link.Name; got != pcie.Gen3x16().Name {
+		t.Errorf("device reports DRAM link %q after rejected stacks, want %q", got, pcie.Gen3x16().Name)
+	}
+}
+
+// TestFaultsOnThreeTierStack combines fault injection with the named CXL
+// stack, as emogi-serve -tiers 3tier-cxl -fault-profile does: on a
+// DRAM-homed graph the injector must hit the same requests whether or not
+// a CXL tier sits below host DRAM.
+func TestFaultsOnThreeTierStack(t *testing.T) {
+	g, err := BuildDataset("GK", smallScale, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := PickSources(g, 3, 71)
+	run := func(tiers string) gpu.KernelStats {
+		inj, err := fault.Profile("flaky-link", 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := ApplyTierStack(V100PCIe3(smallScale), tiers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Faults = inj
+		sys := NewSystem(cfg)
+		dg, err := sys.Load(g, WithPlacement(PlaceDRAM))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range srcs {
+			// A faulted run fails with ErrTransient; its kernels still count.
+			_, err := sys.Do(context.Background(), Request{Graph: dg, Algo: "bfs", Src: src, Variant: MergedAligned})
+			if err != nil && !errors.Is(err, ErrTransient) {
+				t.Fatalf("%s: %v", tiers, err)
+			}
+		}
+		return sys.Device().Total()
+	}
+	two, three := run("2tier"), run("3tier-cxl")
+	if two.FaultedReads == 0 || two.LatencySpikes == 0 {
+		t.Fatalf("flaky-link injected nothing on the two-tier system: faulted=%d spikes=%d",
+			two.FaultedReads, two.LatencySpikes)
+	}
+	if three.FaultedReads != two.FaultedReads || three.LatencySpikes != two.LatencySpikes {
+		t.Errorf("3tier-cxl faults = %d reads, %d spikes; 2tier = %d, %d",
+			three.FaultedReads, three.LatencySpikes, two.FaultedReads, two.LatencySpikes)
+	}
+	if three.CXLRequests != 0 {
+		t.Errorf("DRAM-homed graph issued %d CXL requests", three.CXLRequests)
 	}
 }
 

@@ -421,29 +421,40 @@ func BenchmarkRefAlgorithms(b *testing.B) {
 }
 
 // BenchmarkLaunchWorkers measures host wall-clock scaling of the parallel
-// launch engine: the same zero-copy Merged+Aligned BFS run with 1, 2, 4,
-// and 8 worker goroutines per kernel launch. Simulated results are
-// bit-for-bit identical across the worker counts (enforced by
-// internal/core/parallel_test.go); only the wall-clock time here should
-// change, and only on hosts with that many cores to offer.
+// launch engine: the same Merged+Aligned run with 1, 2, 4, and 8 worker
+// goroutines per kernel launch — BFS over the zero-copy edge list, and
+// (sub-benchmark "adaptive") SSSP under the adaptive transport policy,
+// which binds some partitions to UVM, so its launches replay their UVM
+// touches at the barrier (uvm-pages reports the migrations). Simulated
+// results are bit-for-bit identical across the worker counts (enforced by
+// internal/core/parallel_test.go, and checked here on the simulated time);
+// only the wall-clock time here should change, and only on hosts with
+// that many cores to offer.
 func BenchmarkLaunchWorkers(b *testing.B) {
 	g, err := emogi.BuildDataset("GK", 0.3, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
 	src := emogi.PickSources(g, 1, 1)[0]
+	benchLaunchWorkers(b, g, src, "bfs", emogi.StaticPolicy(emogi.ZeroCopy))
+	b.Run("adaptive", func(b *testing.B) { benchLaunchWorkers(b, g, src, "sssp", emogi.AdaptivePolicy()) })
+}
+
+// benchLaunchWorkers runs algo from src under pol at each worker count,
+// failing if the simulated time differs between them.
+func benchLaunchWorkers(b *testing.B, g *emogi.Graph, src int, algo string, pol emogi.TransportPolicy) {
 	var refElapsed time.Duration
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("%d", workers), func(b *testing.B) {
 			cfg := emogi.V100PCIe3(0.3)
 			cfg.Workers = workers
 			sys := emogi.NewSystem(cfg)
-			dg, err := sys.Load(g)
+			dg, err := sys.Load(g, emogi.WithTransportPolicy(pol))
 			if err != nil {
 				b.Fatal(err)
 			}
 			ctx := context.Background()
-			req := emogi.Request{Graph: dg, Algo: "bfs", Src: src, Variant: emogi.MergedAligned}
+			req := emogi.Request{Graph: dg, Algo: algo, Src: src, Variant: emogi.MergedAligned}
 			b.ResetTimer()
 			var res *emogi.Result
 			for i := 0; i < b.N; i++ {
@@ -458,6 +469,7 @@ func BenchmarkLaunchWorkers(b *testing.B) {
 				b.Fatalf("simulated time diverged at %d workers: %v vs %v", workers, res.Elapsed, refElapsed)
 			}
 			b.ReportMetric(float64(g.NumEdges()*int64(b.N))/b.Elapsed().Seconds(), "sim-edges/s")
+			b.ReportMetric(float64(res.Stats.UVMMigrations), "uvm-pages")
 		})
 	}
 }

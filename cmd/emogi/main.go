@@ -54,6 +54,13 @@ func main() {
 	)
 	flag.Parse()
 
+	if *gpus > 1 {
+		if ignored := multiGPUIgnored(flag.CommandLine); len(ignored) > 0 {
+			log.Fatalf("-gpus %d runs the multi-GPU engine, which ignores %s; drop them or use -gpus 1",
+				*gpus, strings.Join(ignored, ", "))
+		}
+	}
+
 	if *algo == "list" {
 		fmt.Println("registered algorithms:")
 		for _, a := range emogi.Algorithms() {
@@ -186,6 +193,26 @@ func main() {
 		klog.print()
 	}
 	os.Exit(0)
+}
+
+// multiGPUFlags are the flags the multi-GPU engine does not honour: it
+// builds its devices from the platform alone (two tiers, zero-copy edge
+// lists, CPU-driven paging) and runs its own kernels with no UVM baseline
+// or per-kernel log.
+var multiGPUFlags = []string{"transport", "tiers", "paging", "placement", "variant", "compare", "kernels"}
+
+// multiGPUIgnored returns the flags of fs that were set explicitly and
+// that a -gpus > 1 run would ignore, as "-name", in multiGPUFlags order.
+func multiGPUIgnored(fs *flag.FlagSet) []string {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	var ignored []string
+	for _, name := range multiGPUFlags {
+		if set[name] {
+			ignored = append(ignored, "-"+name)
+		}
+	}
+	return ignored
 }
 
 // runMultiGPU measures the §7 multi-GPU engine.

@@ -39,12 +39,19 @@ func adaptDevice(workers int) *gpu.Device {
 }
 
 // decisionLog records the per-round transport decision stream in a
-// canonical textual form so two runs can be compared for exact equality.
-type decisionLog struct{ rounds []string }
+// canonical textual form so two runs can be compared for exact equality,
+// and counts the launches that touched UVM pages on more than one worker.
+type decisionLog struct {
+	rounds      []string
+	uvmParallel int
+}
 
 func (l *decisionLog) RunBegin(*gpu.Device, gpu.RunLabels) {}
 func (l *decisionLog) RunEnd(*gpu.Device)                  {}
-func (l *decisionLog) KernelDone(*gpu.Device, *gpu.KernelStats, int, int, time.Duration, time.Duration) {
+func (l *decisionLog) KernelDone(_ *gpu.Device, ks *gpu.KernelStats, workers, _ int, _, _ time.Duration) {
+	if workers > 1 && ks.UVMMigrations+ks.UVMHits > 0 {
+		l.uvmParallel++
+	}
 }
 func (l *decisionLog) CopyDone(*gpu.Device, bool, int64, time.Duration, time.Duration)  {}
 func (l *decisionLog) RoundDone(*gpu.Device, string, int, time.Duration, time.Duration) {}
@@ -65,8 +72,8 @@ func sameDecisions(a, b []string) bool {
 }
 
 // adaptiveRun executes one routed traversal with the adaptive policy on a
-// fresh capped device, returning the result and the decision stream.
-func adaptiveRun(t *testing.T, g *graph.CSR, algo string, src, workers int, variant Variant) (*Result, []string) {
+// fresh capped device, returning the result and the decision log.
+func adaptiveRun(t *testing.T, g *graph.CSR, algo string, src, workers int, variant Variant) (*Result, *decisionLog) {
 	t.Helper()
 	dev := adaptDevice(workers)
 	log := &decisionLog{}
@@ -82,7 +89,7 @@ func adaptiveRun(t *testing.T, g *graph.CSR, algo string, src, workers int, vari
 	if err := res.Validate(g); err != nil {
 		t.Fatalf("%s/%s workers=%d: %v", g.Name, algo, workers, err)
 	}
-	return res, log.rounds
+	return res, log
 }
 
 // testHostLink and testCXLLink are PCIe 3.0- and CXL-shaped link costs for
@@ -182,24 +189,41 @@ func TestAdaptiveBudgetFallbackStaysInBudget(t *testing.T) {
 // TestAdaptiveSerialParallelEquivalence: a routed adaptive run is
 // bit-for-bit identical — values, iterations, simulated elapsed, kernel
 // stats, and the full decision stream — whether kernels run on one worker
-// goroutine or eight.
+// goroutine or eight. The merged+aligned cases run perfbench's
+// adaptive-paging kernel on GK and SK at scales where the policy binds
+// partitions to UVM, and each must launch at least one kernel that touches
+// UVM pages on more than one worker, so the touch replay is exercised.
 func TestAdaptiveSerialParallelEquivalence(t *testing.T) {
-	for _, tc := range []struct{ sym, algo string }{{"GK", "bfs"}, {"GU", "sssp"}} {
+	for _, tc := range []struct {
+		sym, algo string
+		variant   Variant
+		scale     float64
+	}{
+		{"GK", "bfs", Naive, 0.05}, {"GU", "sssp", Naive, 0.05},
+		{"GK", "sssp", MergedAligned, 0.05}, {"SK", "sssp", MergedAligned, 0.1},
+	} {
 		spec, err := graph.BySym(tc.sym)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := spec.Build(0.05, 42)
+		g := spec.Build(tc.scale, 42)
 		src := graph.PickSources(g, 1, 71)[0]
-		t.Run(tc.sym+"/"+tc.algo, func(t *testing.T) {
-			res1, dec1 := adaptiveRun(t, g, tc.algo, src, 1, Naive)
-			res8, dec8 := adaptiveRun(t, g, tc.algo, src, 8, Naive)
+		name := tc.sym + "/" + tc.algo
+		if tc.variant != Naive {
+			name += "/" + tc.variant.String()
+		}
+		t.Run(name, func(t *testing.T) {
+			res1, log1 := adaptiveRun(t, g, tc.algo, src, 1, tc.variant)
+			res8, log8 := adaptiveRun(t, g, tc.algo, src, 8, tc.variant)
 			assertResultsEqual(t, res1, res8)
-			if !sameDecisions(dec1, dec8) {
-				t.Errorf("decision streams differ:\nserial:   %v\nparallel: %v", dec1, dec8)
+			if !sameDecisions(log1.rounds, log8.rounds) {
+				t.Errorf("decision streams differ:\nserial:   %v\nparallel: %v", log1.rounds, log8.rounds)
 			}
-			if len(dec1) == 0 {
+			if len(log1.rounds) == 0 {
 				t.Error("adaptive run decided nothing; test exercised no policy rounds")
+			}
+			if tc.variant != Naive && log8.uvmParallel == 0 {
+				t.Error("no launch touched UVM pages on more than one worker; the touch replay went untested")
 			}
 		})
 	}
@@ -264,7 +288,8 @@ func TestAdaptiveFaultRetryReplaysDecisions(t *testing.T) {
 	}
 	g := spec.Build(0.05, 42)
 	src := graph.PickSources(g, 1, 71)[0]
-	_, want := adaptiveRun(t, g, "bfs", src, 1, Naive)
+	_, ref := adaptiveRun(t, g, "bfs", src, 1, Naive)
+	want := ref.rounds
 
 	inj, err := fault.New(fault.Config{Seed: 29, ReadFaultRate: 0.0004})
 	if err != nil {

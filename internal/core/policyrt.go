@@ -117,22 +117,17 @@ func newPolicyRuntime(dev *gpu.Device, dg *DeviceGraph, pol TransportPolicy, var
 		ew := int64(dg.EdgeBytes)
 		dg.Weights.SpaceFn = func(off int64) memsys.Space { return rt.spaceAt(off / 4 * ew) }
 	}
-	// Routed runs may bind segments to UVM mid-run; the UVM manager's LRU
-	// is order-dependent, so launches stay serial (same rule static UVM
-	// runs already follow via Arena.HasUVM).
-	dev.SetSerialLaunches(true)
 	return rt
 }
 
-// close removes the router and releases the serial-launch pin. Staged
-// segment copies and UVM residency stay for warm reruns; ColdCaches (or the
-// next routed run's cold start) evicts them.
+// close removes the router. Staged segment copies and UVM residency stay
+// for warm reruns; ColdCaches (or the next routed run's cold start) evicts
+// them.
 func (rt *policyRuntime) close() {
 	rt.dg.Edges.SpaceFn = nil
 	if rt.dg.Weights != nil {
 		rt.dg.Weights.SpaceFn = nil
 	}
-	rt.dev.SetSerialLaunches(false)
 }
 
 // spaceAt is the router: one table lookup per coalesced request. A

@@ -15,10 +15,11 @@
 // either a commutative integer reduction (sums, a max) or a float derived
 // from merged integers after the barrier, so totals, thrash charging, and
 // the simulated clock are bit-for-bit identical for every worker count.
-// Order-dependent state stays off the parallel path: launches that can
-// touch UVM-managed memory run serial (the LRU residency bookkeeping is
-// order-dependent), and kernels whose bodies are order-sensitive pass the
-// Serial launch option. See DESIGN.md, "Parallel execution engine".
+// Order-dependent state stays off the parallel path: chunks log their UVM
+// touches instead of applying them (the LRU residency bookkeeping is
+// order-dependent), the barrier replays the logs in chunk order, and
+// kernels whose bodies are order-sensitive pass the Serial launch option.
+// See DESIGN.md, "Parallel execution engine".
 package gpu
 
 import (
@@ -266,12 +267,6 @@ type Device struct {
 	// re-hitting the same faults; with injection disabled it is inert.
 	runEpoch uint64
 
-	// forceSerial pins launches to the serial path while set. The
-	// transport-policy runtime sets it for routed (adaptive) runs: a policy
-	// may bind segments to UVM mid-run, and the UVM manager's LRU
-	// bookkeeping is order-dependent, so such launches must not be sharded.
-	forceSerial bool
-
 	// Reused launch scratch (launch.go): the in-flight launch's stats, the
 	// persistent serial-path warp with its size-class counters, the
 	// parallel path's per-chunk slots, per-worker warps and chunk claim
@@ -419,11 +414,6 @@ func (d *Device) ResetUVMResidency() {
 	d.uvmgr = uvm.NewManager(uvm.ConfigWithPaging(d.uvmCapacityPages(), d.cfg.GPUDrivenPaging))
 	d.arena.ResetStaged()
 }
-
-// SetSerialLaunches pins (or, with false, unpins) kernel launches to the
-// serial path. Used by the transport-policy runtime around routed runs; see
-// Device.forceSerial.
-func (d *Device) SetSerialLaunches(on bool) { d.forceSerial = on }
 
 // finish folds the per-size zero-copy request counts into the link roofline
 // terms, converts the kernel's traffic into elapsed time, and advances the

@@ -2,9 +2,11 @@ package gpu
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
+	"repro/internal/memsys"
 	"repro/internal/pcie"
 )
 
@@ -55,15 +57,75 @@ func ShardRange(warps, parts, i int) (lo, hi int) {
 }
 
 // chunkSlot is one chunk's private accumulation slot: launch stats, a
-// private traffic monitor, and the per-size zero-copy request counts. All
-// counting fields merge commutatively (or in ascending chunk order, for
-// traces) at the launch barrier. Slots live in the device's pool and are
-// reused across launches.
+// private traffic monitor, the per-size zero-copy request counts, and the
+// chunk's UVM touch log. All counting fields merge commutatively at the
+// launch barrier; traces and touch logs merge in ascending chunk order.
+// Slots live in the device's pool and are reused across launches, the
+// touch log's capacity included.
 type chunkSlot struct {
 	ks        KernelStats
 	mon       pcie.Monitor
 	zcBySize  [zcSizeClasses]uint64
 	cxlBySize [zcSizeClasses]uint64
+	uvm       touchLog
+}
+
+// touchLog is what a parallel chunk records instead of touching the UVM
+// manager, whose LRU outcome depends on touch order: its UVM requests in
+// issue order, replayed through the manager at the launch barrier.
+type touchLog struct {
+	bufs    []*memsys.Buffer
+	touches []uvmTouch
+}
+
+// uvmTouch is a run of n identical-page UVM requests of one buffer
+// (bufs[buf]) issued back to back, the first at offset off with size bytes.
+// pos is where the run's migration records belong in the chunk's trace:
+// the entries its monitor had kept at issue. Once the chunk's trace drops
+// entries the device trace is full too, so every later position drops its
+// records alike and only their count, which MergeTrace keeps, matters.
+// Runs keep the log at 16 bytes per run of requests.
+type uvmTouch struct {
+	off  int64
+	pos  uint32
+	n    uint16
+	buf  uint8
+	size uint8
+}
+
+// add logs one UVM request. It extends the last run when the request
+// covers the same pages of the same buffer with no trace entry offered in
+// between: the manager's outcome depends only on the page range, so
+// replaying the run's first request n times is the same sequence of
+// touches.
+func (l *touchLog) add(buf *memsys.Buffer, off int64, size int, mon *pcie.Monitor, pageBytes int64) {
+	pos := uint32(len(mon.Trace()))
+	b := l.bufIndex(buf)
+	if k := len(l.touches) - 1; k >= 0 {
+		t := &l.touches[k]
+		if t.buf == b && t.pos == pos && t.n < math.MaxUint16 &&
+			t.off/pageBytes == off/pageBytes &&
+			(t.off+int64(t.size)-1)/pageBytes == (off+int64(size)-1)/pageBytes {
+			t.n++
+			return
+		}
+	}
+	l.touches = append(l.touches, uvmTouch{off: off, pos: pos, n: 1, buf: b, size: uint8(size)})
+}
+
+// bufIndex returns buf's index in the log's buffer table, adding it if
+// new. A launch touches a handful of UVM buffers at most.
+func (l *touchLog) bufIndex(buf *memsys.Buffer) uint8 {
+	for i := len(l.bufs) - 1; i >= 0; i-- {
+		if l.bufs[i] == buf {
+			return uint8(i)
+		}
+	}
+	if len(l.bufs) > math.MaxUint8 {
+		panic("gpu: a launch touched more than 256 UVM buffers")
+	}
+	l.bufs = append(l.bufs, buf)
+	return uint8(len(l.bufs) - 1)
 }
 
 // reorderCap resolves the effective reorder-window bound: 0 when the stage
@@ -79,11 +141,7 @@ func (d *Device) reorderCap() int {
 
 // workerCount resolves the effective worker count for a launch.
 func (d *Device) workerCount(warps int, lc *launchConfig) int {
-	// UVM page faults mutate the manager's LRU residency state, whose
-	// outcome depends on fault order; those launches stay serial, as does
-	// anything that asked for it explicitly and any routed (adaptive
-	// transport policy) run, which can bind segments to UVM mid-run.
-	if lc.serial || d.forceSerial || d.arena.HasUVM() {
+	if lc.serial {
 		return 1
 	}
 	n := d.cfg.Workers
@@ -175,6 +233,8 @@ func (d *Device) Launch(name string, warps int, body func(w *Warp), opts ...Laun
 		sl.ks = KernelStats{}
 		sl.zcBySize = [zcSizeClasses]uint64{}
 		sl.cxlBySize = [zcSizeClasses]uint64{}
+		sl.uvm.bufs = sl.uvm.bufs[:0]
+		sl.uvm.touches = sl.uvm.touches[:0]
 		sl.mon.Reset()
 		if traceLimit != sl.mon.TraceLimit() {
 			// Give each chunk the full budget; the ordered merge below
@@ -202,6 +262,7 @@ func (d *Device) Launch(name string, warps int, body func(w *Warp), opts ...Laun
 				w.mon = &sl.mon
 				w.zcBySize = &sl.zcBySize
 				w.cxlBySize = &sl.cxlBySize
+				w.touches = &sl.uvm
 				lo, hi := ShardRange(warps, chunks, c)
 				runWarpRange(w, lo, hi, body)
 			}
@@ -212,7 +273,9 @@ func (d *Device) Launch(name string, warps int, body func(w *Warp), opts ...Laun
 	// Merge in ascending chunk order. Since chunks are contiguous warp
 	// ranges, concatenating their monitor traces reproduces the serial
 	// arrival order whichever worker ran which chunk; every counter merge
-	// is a sum or a max.
+	// is a sum or a max. Each chunk's logged UVM touches replay through
+	// the manager here, in serial warp order, with their migration records
+	// spliced into the trace where the chunk logged them.
 	var zc, cxl [zcSizeClasses]uint64
 	for _, sl := range slots {
 		ks.Add(&sl.ks)
@@ -222,7 +285,17 @@ func (d *Device) Launch(name string, warps int, body func(w *Warp), opts ...Laun
 		for j, n := range sl.cxlBySize {
 			cxl[j] += n
 		}
-		d.mon.Merge(&sl.mon)
+		d.mon.MergeCounts(&sl.mon)
+		var at uint64
+		for _, t := range sl.uvm.touches {
+			pos := uint64(t.pos)
+			d.mon.MergeTrace(&sl.mon, at, pos)
+			at = pos
+			for range t.n {
+				d.touchUVM(ks, &d.mon, sl.uvm.bufs[t.buf], t.off, int(t.size))
+			}
+		}
+		d.mon.MergeTrace(&sl.mon, at, sl.mon.Offered())
 	}
 	d.finish(ks, &zc, &cxl, workers)
 	return *ks

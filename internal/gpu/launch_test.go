@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/memsys"
 	"repro/internal/pcie"
+	"repro/internal/uvm"
 )
 
 func TestShardRangeProperties(t *testing.T) {
@@ -44,14 +45,31 @@ func TestShardRangeProperties(t *testing.T) {
 	}
 }
 
+// edgeMode is where TestLaunchWorkerEquivalence's gathered edge array
+// lives.
+type edgeMode int
+
+const (
+	// edgesPinned: host-pinned, read zero-copy.
+	edgesPinned edgeMode = iota
+	// edgesUVM: UVM-managed, every gather faults or hits pages.
+	edgesUVM
+	// edgesRouted: host-pinned with a router that binds every third 64KB
+	// segment to UVM, as the adaptive transport policy does.
+	edgesRouted
+)
+
 // launchCase is one kernel shape for TestLaunchWorkerEquivalence: the
 // grid size, how many low warp IDs are hubs that do hubGathers extra
-// scattered gathers each, and the monitor's trace bound.
+// scattered gathers each, the monitor's trace bound, and where the edge
+// array lives (with the UVM page capacity when it can fault).
 type launchCase struct {
 	name       string
 	warps      int
 	hubs       int
 	traceLimit int
+	edges      edgeMode
+	uvmPages   int
 }
 
 // hubGathers is the extra gather count of a hub warp: enough that the
@@ -60,21 +78,96 @@ const hubGathers = 24
 
 // launchRun is what one launch leaves behind for comparison.
 type launchRun struct {
-	ks      KernelStats
-	snap    pcie.Snapshot
-	trace   []pcie.TraceEntry
-	dropped uint64
-	vals    []uint32
+	ks       KernelStats
+	uvm      uvm.Stats
+	resident int
+	snap     pcie.Snapshot
+	trace    []pcie.TraceEntry
+	dropped  uint64
+	vals     []uint32
 }
 
-// launchStatsForWorkers runs a mixed zero-copy + HBM kernel — strided
-// gathers from pinned memory, atomic mins into a GPU array, a scalar flag
-// store — on a fresh device with the given worker count and returns the
-// launch stats, the monitor snapshot, the recorded trace with its dropped
-// count, and the final contents of the relax target. Hub warps add
-// scattered gathers in contiguous groups of 8 to 128 bytes, so their
-// requests differ in size from the other warps' and any reordering shows
-// in the trace.
+// diff describes the first way got differs from the serial reference
+// run, or returns "" when every field matches: launch stats, UVM manager
+// stats and residency, monitor counters, trace order and dropped count,
+// and the functional buffer contents.
+func (ref launchRun) diff(got launchRun) string {
+	ks, refKS := got.ks, ref.ks
+	ks.Name, refKS.Name = "", ""
+	if ks != refKS {
+		return fmt.Sprintf("stats differ:\nserial:   %+v\nparallel: %+v", refKS, ks)
+	}
+	if got.uvm != ref.uvm || got.resident != ref.resident {
+		return fmt.Sprintf("UVM manager differs: %+v (%d resident) vs serial %+v (%d resident)",
+			got.uvm, got.resident, ref.uvm, ref.resident)
+	}
+	snap, refSnap := got.snap, ref.snap
+	if snap.Requests != refSnap.Requests || snap.PayloadBytes != refSnap.PayloadBytes ||
+		snap.WireBytes != refSnap.WireBytes || snap.AvgBandwidth != refSnap.AvgBandwidth ||
+		!maps.Equal(snap.BySize, refSnap.BySize) || !maps.Equal(snap.ByClass, refSnap.ByClass) {
+		return fmt.Sprintf("monitor counters differ: %+v vs serial %+v", snap, refSnap)
+	}
+	if got.dropped != ref.dropped {
+		return fmt.Sprintf("trace dropped %d, want %d", got.dropped, ref.dropped)
+	}
+	if len(got.trace) != len(ref.trace) {
+		return fmt.Sprintf("trace length %d, want %d", len(got.trace), len(ref.trace))
+	}
+	for i := range ref.trace {
+		if got.trace[i] != ref.trace[i] {
+			return fmt.Sprintf("trace[%d] = %+v, want %+v (arrival order)", i, got.trace[i], ref.trace[i])
+		}
+	}
+	for i := range ref.vals {
+		if got.vals[i] != ref.vals[i] {
+			return fmt.Sprintf("vals[%d] = %d, want %d", i, got.vals[i], ref.vals[i])
+		}
+	}
+	return ""
+}
+
+// collect gathers a launch's comparison record from its device.
+func collect(d *Device, ks KernelStats, vals *memsys.Buffer) launchRun {
+	out := make([]uint32, vals.Size()/4)
+	for i := range out {
+		out[i] = vals.U32(int64(i))
+	}
+	return launchRun{ks, d.UVM().Stats(), d.UVM().Resident(), d.Monitor().Snapshot(),
+		d.Monitor().Trace(), d.Monitor().TraceDropped(), out}
+}
+
+// allocEdges allocates an edge array of n 8-byte elements where mode says,
+// misaligned by baseOffset bytes, and sizes the UVM manager to capPages
+// pages of blockPages-page prefetch blocks when the array can fault.
+func allocEdges(d *Device, mode edgeMode, n int64, baseOffset uint64, capPages, blockPages int) *memsys.Buffer {
+	space := memsys.SpaceHostPinned
+	if mode == edgesUVM {
+		space = memsys.SpaceUVM
+	}
+	edges := d.Arena().MustAlloc("edges", space, n*8, memsys.WithBaseOffset(baseOffset))
+	if mode == edgesRouted {
+		edges.SpaceFn = func(off int64) memsys.Space {
+			if off/memsys.SegmentBytes%3 == 1 {
+				return memsys.SpaceUVM
+			}
+			return memsys.SpaceHostPinned
+		}
+	}
+	if mode != edgesPinned {
+		cfg := uvm.ConfigWithPaging(capPages, false)
+		cfg.BlockPages = blockPages
+		d.uvmgr = uvm.NewManager(cfg)
+	}
+	return edges
+}
+
+// launchStatsForWorkers runs a mixed edge-array + HBM kernel — strided
+// gathers from the edge array, atomic mins into a GPU array, a scalar flag
+// store — on a fresh device with the given worker count and returns what
+// the launch left behind. Hub warps add scattered gathers in contiguous
+// groups of 8 to 128 bytes, so their requests differ in size from the
+// other warps' and any reordering shows in the trace; on a UVM or routed
+// edge array they also fault pages all over it.
 func launchStatsForWorkers(t *testing.T, lc launchCase, workers int) launchRun {
 	t.Helper()
 	d := NewDevice(Config{
@@ -84,7 +177,7 @@ func launchStatsForWorkers(t *testing.T, lc launchCase, workers int) launchRun {
 	})
 	d.Monitor().EnableTrace(lc.traceLimit)
 	n := int64(lc.warps) * WarpSize
-	edges := d.Arena().MustAlloc("edges", memsys.SpaceHostPinned, n*8)
+	edges := allocEdges(d, lc.edges, n, 0, lc.uvmPages, 32)
 	vals := d.Arena().MustAlloc("vals", memsys.SpaceGPU, n*4, memsys.WithElem(4))
 	flag := d.Arena().MustAlloc("flag", memsys.SpaceGPU, 4, memsys.WithElem(4))
 	for i := int64(0); i < n; i++ {
@@ -116,68 +209,47 @@ func launchStatsForWorkers(t *testing.T, lc launchCase, workers int) launchRun {
 		w.AtomicMinU32(vals, &tgt, &cand, MaskFull)
 		w.AtomicOrScalarU32(flag, 0, 1)
 	})
-	out := make([]uint32, n)
-	for i := int64(0); i < n; i++ {
-		out[i] = vals.U32(i)
-	}
-	return launchRun{ks, d.Monitor().Snapshot(), d.Monitor().Trace(), d.Monitor().TraceDropped(), out}
+	return collect(d, ks, vals)
 }
 
 // TestLaunchWorkerEquivalence checks the engine contract directly at the
-// gpu layer: stats, clock, monitor counters, trace order and dropped
-// count, and functional buffer contents are identical for 1, 2, 3, 5, and
-// 8 workers. Besides a uniform kernel it runs a skewed one whose hub warps
-// at the low IDs are far costlier than the rest, so workers finish their
-// chunks out of order; the warp counts are not multiples of the chunk grid
-// (4099) or are below it (21), and the trace bound cuts the launch's
-// stream in the middle.
+// gpu layer: stats, clock, UVM manager state, monitor counters, trace
+// order and dropped count, and functional buffer contents are identical
+// for 1, 2, 3, 5, and 8 workers. Besides a uniform kernel it runs a skewed
+// one whose hub warps at the low IDs are far costlier than the rest, so
+// workers finish their chunks out of order; the warp counts are not
+// multiples of the chunk grid (4099) or are below it (21), and the trace
+// bound cuts the launch's stream in the middle. The UVM and routed kernels
+// read a UVM page cache far smaller than their working set, so the LRU
+// evicts mid-launch and every touch outcome depends on the order the
+// barrier replays the chunks' touch logs in.
 func TestLaunchWorkerEquivalence(t *testing.T) {
 	for _, lc := range []launchCase{
 		{name: "uniform", warps: 1 << 12 / WarpSize, traceLimit: 4096},
 		{name: "skewed", warps: 4099, hubs: 256, traceLimit: 100000},
 		{name: "few-warps", warps: 21, hubs: 3, traceLimit: 1100},
+		{name: "uvm", warps: 4099, hubs: 256, traceLimit: 100000, edges: edgesUVM, uvmPages: 48},
+		{name: "uvm-few-warps", warps: 21, hubs: 3, traceLimit: 1100, edges: edgesUVM, uvmPages: 1},
+		{name: "routed", warps: 4099, hubs: 256, traceLimit: 100000, edges: edgesRouted, uvmPages: 48},
 	} {
 		t.Run(lc.name, func(t *testing.T) {
 			ref := launchStatsForWorkers(t, lc, 1)
-			refKS, refSnap, refTrace, refVals := ref.ks, ref.snap, ref.trace, ref.vals
-			if refKS.PCIeRequests == 0 || refKS.HBMBytes == 0 {
-				t.Fatalf("reference kernel produced no traffic: %+v", refKS)
+			if ref.ks.HBMBytes == 0 {
+				t.Fatalf("reference kernel produced no HBM traffic: %+v", ref.ks)
+			}
+			if lc.edges != edgesUVM && ref.ks.PCIeRequests == 0 {
+				t.Fatalf("reference kernel produced no zero-copy traffic: %+v", ref.ks)
+			}
+			if lc.edges != edgesPinned && (ref.uvm.Evictions == 0 || ref.ks.UVMHits == 0) {
+				t.Fatalf("UVM capacity %d pages does not make the LRU evict and hit mid-launch: %+v",
+					lc.uvmPages, ref.uvm)
 			}
 			if lc.hubs > 0 && ref.dropped == 0 {
-				t.Fatalf("trace bound %d does not cut the launch's %d requests", lc.traceLimit, refKS.PCIeRequests)
+				t.Fatalf("trace bound %d does not cut the launch's %d requests", lc.traceLimit, ref.snap.Requests)
 			}
 			for _, workers := range []int{2, 3, 5, 8} {
-				run := launchStatsForWorkers(t, lc, workers)
-				ks, snap, trace, vals := run.ks, run.snap, run.trace, run.vals
-				ks.Name, refKS.Name = "", ""
-				if ks != refKS {
-					t.Errorf("workers=%d stats differ:\nserial:   %+v\nparallel: %+v", workers, refKS, ks)
-				}
-				if snap.Requests != refSnap.Requests || snap.PayloadBytes != refSnap.PayloadBytes ||
-					snap.WireBytes != refSnap.WireBytes || snap.AvgBandwidth != refSnap.AvgBandwidth ||
-					len(snap.BySize) != len(refSnap.BySize) {
-					t.Errorf("workers=%d monitor counters differ: %+v vs %+v", workers, refSnap, snap)
-				}
-				for size, count := range refSnap.BySize {
-					if snap.BySize[size] != count {
-						t.Errorf("workers=%d monitor BySize[%d] = %d, want %d", workers, size, snap.BySize[size], count)
-					}
-				}
-				if run.dropped != ref.dropped {
-					t.Errorf("workers=%d trace dropped %d, want %d", workers, run.dropped, ref.dropped)
-				}
-				if len(trace) != len(refTrace) {
-					t.Fatalf("workers=%d trace length %d, want %d", workers, len(trace), len(refTrace))
-				}
-				for i := range refTrace {
-					if trace[i] != refTrace[i] {
-						t.Fatalf("workers=%d trace[%d] = %+v, want %+v (arrival order)", workers, i, trace[i], refTrace[i])
-					}
-				}
-				for i := range refVals {
-					if vals[i] != refVals[i] {
-						t.Fatalf("workers=%d vals[%d] = %d, want %d", workers, i, vals[i], refVals[i])
-					}
+				if d := ref.diff(launchStatsForWorkers(t, lc, workers)); d != "" {
+					t.Errorf("workers=%d: %s", workers, d)
 				}
 			}
 		})
@@ -238,11 +310,12 @@ func TestLaunchLocalPerWorker(t *testing.T) {
 	}
 }
 
-// TestUVMLaunchForcedSerial checks that a device with a live UVM buffer
-// keeps launches on the serial path: the UVM manager's LRU bookkeeping is
-// order-dependent (and not thread-safe), so under -race this test also
-// proves the engine never runs such a launch concurrently.
-func TestUVMLaunchForcedSerial(t *testing.T) {
+// TestUVMLaunchWorkerEquivalence checks that a launch over a live UVM
+// buffer is identical on one worker and on eight: the chunks log their
+// touches and the barrier replays them through the manager in chunk order.
+// The manager's LRU bookkeeping is not thread-safe, so under -race this
+// test also proves no worker touches it.
+func TestUVMLaunchWorkerEquivalence(t *testing.T) {
 	run := func(workers int) (KernelStats, []uint64) {
 		d := NewDevice(Config{
 			Name:    "uvm",

@@ -111,6 +111,12 @@ type Warp struct {
 	reorderCap  int
 	reorderBase uint64
 
+	// touches, when non-nil, is the running parallel chunk's UVM touch log:
+	// dispatch appends to it instead of touching the manager, and the
+	// launch barrier replays the log in chunk order. Nil on the serial
+	// path, which touches inline.
+	touches *touchLog
+
 	// Local is kernel-private per-worker scratch. The launch machinery
 	// never touches it: it persists across warps, launches, and runs, so
 	// kernels can reuse allocation-free state (e.g. the traversal engine's
@@ -319,53 +325,14 @@ func (w *Warp) dispatch(buf *memsys.Buffer, sp memsys.Space, addr uint64, size i
 
 	case memsys.SpaceUVM:
 		off := int64(addr - buf.Base)
-		pb := int64(d.uvmgr.Config().PageBytes)
-		migrated, hits := d.uvmgr.Touch(buf, off, size)
-		if migrated > 0 {
-			bytes := d.uvmgr.MigrationWireBytes(migrated)
-			ks.UVMMigrations += uint64(migrated)
-			// Pages migrate over the link of the tier the segment is homed
-			// on: host DRAM behind PCIe, or the CXL expander behind its own
-			// link. UVM launches always run serially (see workerCount), so
-			// accumulating these floats here is partition-independent.
-			lnk := d.link
-			fromCXL := buf.HomeAt(off) == memsys.SpaceCXL
-			if fromCXL {
-				lnk = d.cfg.Tiers.CXL().Link
-				ks.CXLPayloadBytes += uint64(bytes)
-				ks.CXLWireSeconds += lnk.BulkSeconds(bytes)
-				ks.CXLMemBytes += uint64(bytes)
-				w.mon.RecordBulkClass(bytes, lnk.TLPOverheadBytes, pcie.ClassCXL)
-			} else {
-				ks.PCIePayloadBytes += uint64(bytes)
-				ks.WireSeconds += lnk.BulkSeconds(bytes)
-				ks.HostDRAMBytes += uint64(bytes)
-				w.mon.RecordBulkClass(bytes, lnk.TLPOverheadBytes, pcie.ClassUVM)
-			}
-			if d.uvmgr.Config().GPUDriven {
-				// GPU-driven paging (GPUVM): the device posts the page
-				// reads itself, so they cost link tag occupancy — one
-				// full-size request per 128 bytes — instead of waiting on
-				// the CPU handler. UVM throughput then scales with the
-				// interconnect.
-				tagOcc := float64(migrated) * float64(pb/128) * lnk.TagSeconds()
-				if fromCXL {
-					ks.CXLTagSeconds += tagOcc
-				} else {
-					ks.TagSeconds += tagOcc
-				}
-			} else {
-				// The single-threaded UVM driver serializes fault handling
-				// with the page transfer (§2.2): the pipeline term is
-				// handler cost plus transfer time per page, which is what
-				// keeps UVM at ~9.1 GB/s even though the wire could do 12.3
-				// (Figure 4) and what prevents UVM from scaling to PCIe 4.0
-				// (Figure 12).
-				ks.UVMSerialSeconds += d.uvmgr.FaultCPUTime(migrated).Seconds() +
-					lnk.BulkSeconds(bytes)
-			}
+		if w.touches != nil {
+			// Parallel chunk: log the touch for the ordered replay at the
+			// launch barrier. Nothing the warp does next depends on the
+			// outcome (page residency feeds only the counters).
+			w.touches.add(buf, off, size, w.mon, int64(d.uvmgr.Config().PageBytes))
+		} else {
+			d.touchUVM(ks, w.mon, buf, off, size)
 		}
-		ks.UVMHits += uint64(hits)
 		// After migration the access is served from GPU memory.
 		ks.HBMBytes += uint64(size)
 
@@ -385,6 +352,61 @@ func (w *Warp) dispatch(buf *memsys.Buffer, sp memsys.Space, addr uint64, size i
 
 	default:
 		panic(fmt.Sprintf("gpu: access to buffer %q in unknown space %d", buf.Name, buf.Space))
+	}
+}
+
+// touchUVM services one coalesced request of buf at off against the UVM
+// manager and charges what it migrated to ks and mon: migration counts,
+// hits, link and CXL bytes, wire/tag or serialized-handler seconds, and the
+// bulk monitor records. The serial path calls it inline from dispatch; a
+// parallel launch replays its chunks' logged touches through it at the
+// barrier in ascending chunk order, which is the serial warp order. The
+// float seconds added here are the only ones a launch accumulates before
+// finish, so both paths sum them in the same order, bit for bit.
+func (d *Device) touchUVM(ks *KernelStats, mon *pcie.Monitor, buf *memsys.Buffer, off int64, size int) {
+	migrated, hits := d.uvmgr.Touch(buf, off, size)
+	ks.UVMHits += uint64(hits)
+	if migrated == 0 {
+		return
+	}
+	bytes := d.uvmgr.MigrationWireBytes(migrated)
+	ks.UVMMigrations += uint64(migrated)
+	// Pages migrate over the link of the tier the segment is homed on:
+	// host DRAM behind PCIe, or the CXL expander behind its own link.
+	lnk := d.link
+	fromCXL := buf.HomeAt(off) == memsys.SpaceCXL
+	if fromCXL {
+		lnk = d.cfg.Tiers.CXL().Link
+		ks.CXLPayloadBytes += uint64(bytes)
+		ks.CXLWireSeconds += lnk.BulkSeconds(bytes)
+		ks.CXLMemBytes += uint64(bytes)
+		mon.RecordBulkClass(bytes, lnk.TLPOverheadBytes, pcie.ClassCXL)
+	} else {
+		ks.PCIePayloadBytes += uint64(bytes)
+		ks.WireSeconds += lnk.BulkSeconds(bytes)
+		ks.HostDRAMBytes += uint64(bytes)
+		mon.RecordBulkClass(bytes, lnk.TLPOverheadBytes, pcie.ClassUVM)
+	}
+	ucfg := d.uvmgr.Config()
+	if ucfg.GPUDriven {
+		// GPU-driven paging (GPUVM): the device posts the page reads
+		// itself, so they cost link tag occupancy — one full-size request
+		// per 128 bytes — instead of waiting on the CPU handler. UVM
+		// throughput then scales with the interconnect.
+		tagOcc := float64(migrated) * float64(ucfg.PageBytes/128) * lnk.TagSeconds()
+		if fromCXL {
+			ks.CXLTagSeconds += tagOcc
+		} else {
+			ks.TagSeconds += tagOcc
+		}
+	} else {
+		// The single-threaded UVM driver serializes fault handling with
+		// the page transfer (§2.2): the pipeline term is handler cost plus
+		// transfer time per page, which is what keeps UVM at ~9.1 GB/s
+		// even though the wire could do 12.3 (Figure 4) and what prevents
+		// UVM from scaling to PCIe 4.0 (Figure 12).
+		ks.UVMSerialSeconds += d.uvmgr.FaultCPUTime(migrated).Seconds() +
+			lnk.BulkSeconds(bytes)
 	}
 }
 

@@ -277,7 +277,6 @@ type Arena struct {
 	gpuUsed  int64
 	hostUsed int64
 	cxlUsed  int64
-	uvmLive  int
 
 	// cxlTier, when non-nil, is the attached external tier descriptor: its
 	// link and memory models price every access to SpaceCXL-homed data.
@@ -449,7 +448,6 @@ func (a *Arena) Alloc(name string, space Space, size int64, opts ...AllocOption)
 	}
 	if space == SpaceUVM {
 		b.pageState = make([]bool, b.Pages())
-		a.uvmLive++
 	}
 	a.nextVA = base + uint64(size)
 	a.buffers = append(a.buffers, b)
@@ -482,9 +480,6 @@ func (a *Arena) Free(b *Buffer) {
 				}
 			} else {
 				a.uncharge(b.Space, b.Size())
-			}
-			if b.Space == SpaceUVM {
-				a.uvmLive--
 			}
 			return
 		}
@@ -575,11 +570,6 @@ func (a *Arena) HostFree() int64 {
 // Buffers returns the live buffers in allocation order. The returned slice
 // is shared and must not be mutated.
 func (a *Arena) Buffers() []*Buffer { return a.buffers }
-
-// HasUVM reports whether any live buffer is UVM-managed. The execution
-// engine uses it to keep launches that can fault pages on the serial path
-// (the UVM manager's residency bookkeeping is order-dependent).
-func (a *Arena) HasUVM() bool { return a.uvmLive > 0 }
 
 // ResetStaged drops every staged segment copy across all live buffers.
 // Called from Device.ResetUVMResidency so ColdCaches evicts the explicit

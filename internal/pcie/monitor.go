@@ -204,18 +204,12 @@ func (m *Monitor) Reset() {
 // Generation returns the number of times this monitor has been Reset.
 func (m *Monitor) Generation() uint64 { return m.generation }
 
-// Merge folds the counting state of another monitor into m, including any
-// recorded trace entries (appended in other's arrival order, truncated at
-// m's own trace limit). Entries that do not fit — and entries other itself
-// already dropped — are added to m's dropped count when m is tracing, so
-// the invariant "entries kept + entries dropped = entries offered" holds
-// across the parallel launch engine's chunk merge exactly as it does on the
-// serial path. Bandwidth samples are not merged (they are per-device
-// observations).
-func (m *Monitor) Merge(other *Monitor) {
-	if other == nil {
-		return
-	}
+// MergeCounts folds the counting state of another monitor into m: the
+// size histogram, wire bytes and per-class attribution. Trace entries are
+// merged separately by MergeTrace, so a caller can splice its own records
+// between spans of other's trace. Bandwidth samples are not merged (they
+// are per-device observations).
+func (m *Monitor) MergeCounts(other *Monitor) {
 	m.sizeHist.Merge(&other.sizeHist)
 	m.wireBytes += other.wireBytes
 	m.intervalBytes += other.intervalBytes
@@ -223,17 +217,34 @@ func (m *Monitor) Merge(other *Monitor) {
 		m.classReqs[c] += other.classReqs[c]
 		m.classBytes[c] += other.classBytes[c]
 	}
-	if m.traceLimit > 0 {
-		m.traceDropped += other.traceDropped
-		for _, e := range other.trace {
-			if len(m.trace) >= m.traceLimit {
-				m.traceDropped++
-				continue
-			}
-			m.trace = append(m.trace, e)
-		}
+}
+
+// MergeTrace appends the entries offered to other's trace at positions
+// [lo, hi) of its arrival order, truncated at m's own trace limit. Entries
+// that do not fit — and those other itself dropped — are added to m's
+// dropped count when m is tracing, so the invariant "entries kept + entries
+// dropped = entries offered" holds across the parallel launch engine's
+// chunk merge exactly as it does on the serial path.
+func (m *Monitor) MergeTrace(other *Monitor, lo, hi uint64) {
+	if m.traceLimit <= 0 || hi <= lo {
+		return
+	}
+	kept := uint64(len(other.trace))
+	if lo < kept {
+		span := other.trace[lo:min(hi, kept)]
+		fit := span[:min(len(span), m.traceLimit-len(m.trace))]
+		m.trace = append(m.trace, fit...)
+		m.traceDropped += uint64(len(span) - len(fit))
+	}
+	if hi > kept {
+		m.traceDropped += hi - max(lo, kept)
 	}
 }
+
+// Offered returns the number of entries offered to the trace so far: those
+// kept plus those dropped (0 when tracing is off). It is the position the
+// next entry takes in the arrival order, as MergeTrace counts it.
+func (m *Monitor) Offered() uint64 { return uint64(len(m.trace)) + m.traceDropped }
 
 // Snapshot is an immutable summary of a monitor's counters, suitable for
 // attaching to experiment results.
@@ -362,11 +373,4 @@ func (m *Monitor) traceAddN(size int, bulk bool, n uint64) {
 		m.trace = append(m.trace, TraceEntry{Size: int32(size), Bulk: bulk})
 	}
 	m.traceDropped += n - keep
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

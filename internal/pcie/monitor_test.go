@@ -97,14 +97,13 @@ func TestMonitorMerge(t *testing.T) {
 	a.Record(32, 24)
 	b.Record(128, 24)
 	b.Record(128, 24)
-	a.Merge(&b)
+	a.MergeCounts(&b)
 	if a.Requests() != 3 {
 		t.Errorf("merged Requests = %d, want 3", a.Requests())
 	}
 	if a.PayloadBytes() != 288 {
 		t.Errorf("merged PayloadBytes = %d, want 288", a.PayloadBytes())
 	}
-	a.Merge(nil) // must not panic
 }
 
 func TestSnapshot(t *testing.T) {
@@ -274,8 +273,8 @@ func TestMonitorMergeTraceDropped(t *testing.T) {
 	b.EnableTrace(4)
 	a.RecordClassN(32, 24, 3, ClassZeroCopy) // 3 kept in a
 	b.RecordClassN(64, 24, 6, ClassZeroCopy) // 4 kept, 2 dropped in b
-	dst.Merge(&a)                            // 3 kept
-	dst.Merge(&b)                            // 1 kept, 3 truncated at merge + 2 from b
+	dst.MergeTrace(&a, 0, a.Offered())       // 3 kept
+	dst.MergeTrace(&b, 0, b.Offered())       // 1 kept, 3 truncated at merge + 2 from b
 	if got := len(dst.Trace()); got != 4 {
 		t.Fatalf("merged trace length = %d, want 4", got)
 	}
@@ -287,7 +286,7 @@ func TestMonitorMergeTraceDropped(t *testing.T) {
 	}
 	// A non-tracing destination ignores trace state entirely.
 	var off Monitor
-	off.Merge(&b)
+	off.MergeTrace(&b, 0, b.Offered())
 	if off.TraceDropped() != 0 || off.Trace() != nil {
 		t.Errorf("non-tracing merge target must not accumulate trace state")
 	}

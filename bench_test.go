@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -330,22 +331,27 @@ func BenchmarkCoreBFSMergedAligned(b *testing.B) {
 // BenchmarkCoalescer measures the simulator's coalescing unit in
 // isolation, one warp instruction per op: a scalar and a pair load, a
 // 32-lane contiguous zero-copy gather (one 128B request per 16 lanes), a
-// 32-lane random-index atomic on device memory, and a gather through a
-// transport router (SpaceFn) alternating zero-copy and HBM segments. The
-// lane MRU is invalidated before every op so reads always reach the
-// request path.
+// 32-lane random-index atomic on device memory, the same atomic on
+// ascending indices (a visitor's atomics on a sorted neighbor list, whose
+// sectors need no sort), and a gather through a transport route table
+// alternating zero-copy and HBM segments. The lane MRU is invalidated
+// before every op so reads always reach the request path.
 func BenchmarkCoalescer(b *testing.B) {
-	var contig, random [gpu.WarpSize]int64
+	var contig, random, ascending [gpu.WarpSize]int64
 	r := rand.New(rand.NewSource(1))
 	for i := range contig {
 		contig[i] = int64(i)
 		random[i] = r.Int63n(1 << 17) // within the 1 MiB buffer at 8 bytes
 	}
+	ascending = random
+	slices.Sort(ascending[:])
 	var vals [gpu.WarpSize]uint32
-	run := func(b *testing.B, space memsys.Space, route func(int64) memsys.Space, op func(w *gpu.Warp, buf *memsys.Buffer)) {
+	run := func(b *testing.B, space memsys.Space, route []memsys.Space, op func(w *gpu.Warp, buf *memsys.Buffer)) {
 		dev := gpu.NewDevice(emogi.V100PCIe3(1).GPU)
 		buf := dev.Arena().MustAlloc("buf", space, 1<<20)
-		buf.SpaceFn = route
+		if route != nil {
+			buf.SetRoute(route, memsys.SegmentShift)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		dev.Launch("bench", 1, func(w *gpu.Warp) {
@@ -367,12 +373,16 @@ func BenchmarkCoalescer(b *testing.B) {
 	b.Run("atomic-random-hbm", func(b *testing.B) {
 		run(b, memsys.SpaceGPU, nil, func(w *gpu.Warp, buf *memsys.Buffer) { w.AtomicMinU32(buf, &random, &vals, gpu.MaskFull) })
 	})
+	b.Run("atomic-ascending-hbm", func(b *testing.B) {
+		run(b, memsys.SpaceGPU, nil, func(w *gpu.Warp, buf *memsys.Buffer) { w.AtomicMinU32(buf, &ascending, &vals, gpu.MaskFull) })
+	})
 	b.Run("gather-routed", func(b *testing.B) {
-		route := func(off int64) memsys.Space {
-			if off/memsys.SegmentBytes%2 == 0 {
-				return memsys.SpaceHostPinned
+		route := make([]memsys.Space, (1<<20)/memsys.SegmentBytes)
+		for i := range route {
+			route[i] = memsys.SpaceHostPinned
+			if i%2 == 1 {
+				route[i] = memsys.SpaceGPU
 			}
-			return memsys.SpaceGPU
 		}
 		run(b, memsys.SpaceHostPinned, route, func(w *gpu.Warp, buf *memsys.Buffer) { w.GatherU64(buf, &random, gpu.MaskFull) })
 	})

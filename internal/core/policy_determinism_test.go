@@ -471,3 +471,74 @@ func FuzzTransportPolicy(f *testing.F) {
 		}
 	})
 }
+
+// rotatingPolicy binds partition p to zero-copy, UVM or a staged copy by
+// (p+round) mod 3, so every round rewrites the route table, and checks at
+// each decision that the weights resolve through the edge binding: weight
+// offset off is served like edge offset off/4*EdgeBytes.
+type rotatingPolicy struct {
+	t      *testing.T
+	dg     *DeviceGraph
+	checks int
+}
+
+func (p *rotatingPolicy) Name() string                   { return "rotating" }
+func (p *rotatingPolicy) Description() string            { return "test: rotates bindings per round" }
+func (p *rotatingPolicy) Static() (t Transport, ok bool) { return 0, false }
+func (p *rotatingPolicy) Decide(round int, _ []PartitionStats, _ []PartitionState, _ CostParams, out []Choice) {
+	if dg := p.dg; dg != nil {
+		ew := int64(dg.EdgeBytes)
+		spaces := map[memsys.Space]bool{}
+		for off := int64(0); off < dg.Weights.Size(); off += 4 {
+			want := dg.Edges.SpaceAt(off / 4 * ew)
+			if got := dg.Weights.SpaceAt(off); got != want {
+				p.t.Fatalf("EdgeBytes %d round %d: Weights.SpaceAt(%d) = %v, Edges.SpaceAt(%d) = %v",
+					ew, round, off, got, off/4*ew, want)
+			}
+			spaces[want] = true
+		}
+		if round > 0 && len(spaces) < 3 {
+			p.t.Fatalf("EdgeBytes %d round %d: %d distinct bindings, want 3", ew, round, len(spaces))
+		}
+		p.checks++
+	}
+	choices := [...]Choice{ChoiceZeroCopy, ChoiceUVM, ChoiceStaged}
+	for i := range out {
+		out[i] = choices[(i+round)%len(choices)]
+	}
+}
+
+// TestRouteTableWeights: on a weighted routed run with mixed bindings, the
+// weights' route table (the edges' table at a shifted index) resolves every
+// weight offset to its edge's space, for 4- and 8-byte edges.
+func TestRouteTableWeights(t *testing.T) {
+	g := graph.Urand("gu", 6000, 16, 2)
+	g.InitWeights(7, 8, 72)
+	src := graph.PickSources(g, 1, 71)[0]
+	for _, edgeBytes := range []int{4, 8} {
+		dev := gpu.NewDevice(gpu.Config{
+			Name:    "route-table",
+			Workers: 2,
+			Tiers:   memsys.TwoTier(0, 0, memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
+		})
+		pol := &rotatingPolicy{t: t}
+		dg, err := UploadPolicy(dev, g, pol, edgeBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dg.Edges.Segments() < 3 {
+			t.Fatalf("EdgeBytes %d: %d edge segments, want at least 3", edgeBytes, dg.Edges.Segments())
+		}
+		pol.dg = dg
+		res, err := LookupAlgorithm("sssp").Run(context.Background(), dev, dg, src, MergedAligned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Validate(g); err != nil {
+			t.Fatalf("EdgeBytes %d: %v", edgeBytes, err)
+		}
+		if pol.checks < 3 {
+			t.Errorf("EdgeBytes %d: %d routed rounds checked, want at least 3", edgeBytes, pol.checks)
+		}
+	}
+}

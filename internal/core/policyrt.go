@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/gpu"
 	"repro/internal/memsys"
@@ -9,7 +10,7 @@ import (
 )
 
 // policyRuntime is the engine-side glue for routed transport policies: it
-// installs the per-segment space router on the edge-list buffer, computes
+// installs the per-segment route table on the edge-list buffer, computes
 // each partition's access-density snapshot from the upcoming frontier at
 // every round boundary, asks the policy for new bindings, and applies the
 // transitions (staging copies, UVM evictions) before the round's kernel
@@ -41,15 +42,14 @@ type policyRuntime struct {
 	l2Bytes    int64
 	maxLanes   int
 
-	segBytes int64
-	reuses   []int64        // per-partition expected sector reuses (scratch)
-	home     []memsys.Space // per-partition home tier (SpaceHostPinned or SpaceCXL)
-	parts    []PartitionStats
-	state    []PartitionState
-	choices  []Choice // live routing table (read by the router closure)
-	next     []Choice // Decide scratch
-	costs    CostParams
-	moves    []gpu.TransportMove
+	reuses []int64        // per-partition expected sector reuses (scratch)
+	home   []memsys.Space // per-partition home tier (SpaceHostPinned or SpaceCXL)
+	route  []memsys.Space // live route table, read by Edges and Weights (SetRoute)
+	parts  []PartitionStats
+	state  []PartitionState
+	next   []Choice // Decide scratch
+	costs  CostParams
+	moves  []gpu.TransportMove
 }
 
 // newPolicyRuntime builds the runtime for one routed run and installs its
@@ -63,7 +63,6 @@ func newPolicyRuntime(dev *gpu.Device, dg *DeviceGraph, pol TransportPolicy, var
 		pol:      pol,
 		naive:    variant == Naive,
 		weighted: weighted,
-		segBytes: memsys.SegmentBytes,
 	}
 	n := dg.Edges.Segments()
 	if n < 1 {
@@ -71,7 +70,7 @@ func newPolicyRuntime(dev *gpu.Device, dg *DeviceGraph, pol TransportPolicy, var
 	}
 	rt.parts = make([]PartitionStats, n)
 	rt.state = make([]PartitionState, n)
-	rt.choices = make([]Choice, n)
+	rt.route = make([]memsys.Space, n)
 	rt.next = make([]Choice, n)
 	rt.reuses = make([]int64, n)
 	rt.home = make([]memsys.Space, n)
@@ -85,8 +84,8 @@ func newPolicyRuntime(dev *gpu.Device, dg *DeviceGraph, pol TransportPolicy, var
 		base = ChoiceUVM
 	}
 	for i := range rt.parts {
-		pb := rt.segBytes
-		if off := int64(i) * rt.segBytes; off+pb > size {
+		pb := int64(memsys.SegmentBytes)
+		if off := int64(i) * memsys.SegmentBytes; off+pb > size {
 			pb = size - off
 		}
 		rt.parts[i].Bytes = pb
@@ -97,7 +96,7 @@ func newPolicyRuntime(dev *gpu.Device, dg *DeviceGraph, pol TransportPolicy, var
 		rt.parts[i].CXLHome = rt.home[i] == memsys.SpaceCXL
 		rt.state[i].Choice = base
 		rt.state[i].Since = -1
-		rt.choices[i] = base
+		rt.route[i] = rt.spaceFor(i, base)
 	}
 	rt.costs = rt.deriveCosts()
 	rt.seedDegreePrior()
@@ -107,15 +106,15 @@ func newPolicyRuntime(dev *gpu.Device, dg *DeviceGraph, pol TransportPolicy, var
 	// sequence is a pure function of (graph, rounds, frontier), and a
 	// fault-injected retry replays it identically.
 	dev.ResetUVMResidency()
-	dg.Edges.SpaceFn = rt.spaceAt
+	dg.Edges.SetRoute(rt.route, memsys.SegmentShift)
 	if dg.Weights != nil {
 		// Weights ride their edges' binding: edge i's weight is at offset
-		// i*4 while the edge is at i*EdgeBytes, so the weight router maps
-		// back through the edge offset. Segment boundaries fall on
+		// i*4 while the edge is at i*EdgeBytes (4 or 8), so a partition's
+		// weight slice is SegmentBytes*4/EdgeBytes long and the weights
+		// read the same table at that shift. Segment boundaries fall on
 		// cache-line and page multiples of both layouts, so a coalesced
 		// weight request never spans two partitions either.
-		ew := int64(dg.EdgeBytes)
-		dg.Weights.SpaceFn = func(off int64) memsys.Space { return rt.spaceAt(off / 4 * ew) }
+		dg.Weights.SetRoute(rt.route, memsys.SegmentShift+2-uint(bits.TrailingZeros(uint(dg.EdgeBytes))))
 	}
 	return rt
 }
@@ -124,19 +123,19 @@ func newPolicyRuntime(dev *gpu.Device, dg *DeviceGraph, pol TransportPolicy, var
 // for warm reruns; ColdCaches (or the next routed run's cold start) evicts
 // them.
 func (rt *policyRuntime) close() {
-	rt.dg.Edges.SpaceFn = nil
+	rt.dg.Edges.SetRoute(nil, 0)
 	if rt.dg.Weights != nil {
-		rt.dg.Weights.SpaceFn = nil
+		rt.dg.Weights.SetRoute(nil, 0)
 	}
 }
 
-// spaceAt is the router: one table lookup per coalesced request. A
-// zero-copy binding reads the partition in place through its home tier
-// (host DRAM, or CXL for spilled segments); ChoiceHostCached serves a
-// CXL-homed partition from its promoted host-DRAM copy.
-func (rt *policyRuntime) spaceAt(off int64) memsys.Space {
-	p := off / rt.segBytes
-	switch rt.choices[p] {
+// spaceFor returns the space that serves partition p under binding c: its
+// route table entry. A zero-copy binding reads the partition in place
+// through its home tier (host DRAM, or CXL for spilled segments);
+// ChoiceHostCached serves a CXL-homed partition from its promoted host-DRAM
+// copy.
+func (rt *policyRuntime) spaceFor(p int, c Choice) memsys.Space {
+	switch c {
 	case ChoiceStaged:
 		return memsys.SpaceGPU
 	case ChoiceUVM:
@@ -294,8 +293,8 @@ func (rt *policyRuntime) beforeRound(round int, active func(v int) bool) {
 		} else {
 			zcLanes += int64(gpu.WarpSize) // a whole warp gathers it
 		}
-		for p := lo / rt.segBytes; p <= (hi-1)/rt.segBytes; p++ {
-			segLo := p * rt.segBytes
+		for p := lo / memsys.SegmentBytes; p <= (hi-1)/memsys.SegmentBytes; p++ {
+			segLo := p * memsys.SegmentBytes
 			segHi := segLo + rt.parts[p].Bytes
 			a, b := lo, hi
 			if a < segLo {
@@ -390,7 +389,7 @@ func (rt *policyRuntime) beforeRound(round int, active func(v int) bool) {
 }
 
 // applyDecisions transitions partitions whose binding changed: stage or
-// drop explicit copies, evict pages leaving UVM, update the routing table,
+// drop explicit copies, evict pages leaving UVM, update the route table,
 // and aggregate the moves for telemetry. Staging is charged as one batched
 // copy (the substrate's whole point: segment uploads coalesce into a single
 // round-boundary DMA).
@@ -403,9 +402,9 @@ func (rt *policyRuntime) applyDecisions(round int) {
 		if newC == oldC {
 			continue
 		}
-		off := int64(p) * rt.segBytes
+		off := int64(p) * memsys.SegmentBytes
 		// The partition's weight slice rides the same binding (see the
-		// router in newPolicyRuntime): evict and stage it alongside.
+		// route table in newPolicyRuntime): evict and stage it alongside.
 		woff, wbytes := off/ew*4, rt.parts[p].Bytes/ew*4
 		if oldC == ChoiceUVM {
 			rt.dev.UVM().EvictRange(rt.dg.Edges, off, rt.parts[p].Bytes)
@@ -453,7 +452,7 @@ func (rt *policyRuntime) applyDecisions(round int) {
 		rt.state[p].Choice = newC
 		rt.state[p].Since = round
 		rt.state[p].SpentSeconds = 0
-		rt.choices[p] = newC
+		rt.route[p] = rt.spaceFor(p, newC)
 		rt.recordMove(rt.parts[p].DensityClass(), newC)
 	}
 	if stageBytes > 0 {

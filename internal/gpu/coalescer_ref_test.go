@@ -251,7 +251,7 @@ const (
 	layoutUVM              // UVM-managed, homed in host DRAM
 	layoutSegmented        // host-pinned with DRAM/CXL segment homes
 	layoutUVMHomed         // UVM-managed with DRAM/CXL segment homes
-	layoutRouted           // SpaceFn router over HBM/DRAM/UVM/CXL
+	layoutRouted           // table router over HBM/DRAM/UVM/CXL
 	numLayouts
 )
 
@@ -298,9 +298,11 @@ func elemShift(k byte) uint {
 
 // genOp draws one instruction of kind k from r. Index patterns mix the
 // merged (consecutive), strided, clustered, broadcast and random shapes the
-// traversal kernels produce; masks mix full, prefix, random, single-lane
-// and empty. Every other op revisits prev's elements, one or two elements
-// on, so lanes hit their MRU sector.
+// traversal kernels produce, plus descending and nearly ascending ones (one
+// swapped lane pair), whose out-of-order sectors take the coalescer's
+// sorting path; masks mix full, prefix, random, single-lane and empty.
+// Every other op revisits prev's elements, one or two elements on, so
+// lanes hit their MRU sector.
 func genOp(r *rand.Rand, k byte, prev *coalOp) coalOp {
 	n := int64(coalBufBytes >> elemShift(k))
 	if r.Intn(2) == 0 {
@@ -328,22 +330,28 @@ func genOp(r *rand.Rand, k byte, prev *coalOp) coalOp {
 	}
 	base := r.Int63n(n)
 	stride := int64(1 + r.Intn(40))
-	pattern := r.Intn(5)
+	pattern := r.Intn(7)
 	for l := range op.idx {
 		var i int64
 		switch pattern {
 		case 0:
 			i = base + int64(l)
-		case 1:
+		case 1, 5:
 			i = base + int64(l)*stride
 		case 2:
 			i = base + r.Int63n(64)
 		case 3:
 			i = base
-		default:
+		case 4:
 			i = r.Int63n(n)
+		default:
+			i = base + int64(WarpSize-1-l)*stride
 		}
 		op.idx[l] = i % n
+	}
+	if pattern == 5 {
+		l := r.Intn(WarpSize - 1)
+		op.idx[l], op.idx[l+1] = op.idx[l+1], op.idx[l]
 	}
 	op.scalar = base % (n - 1) // PairU64 also reads scalar+1
 	return op
@@ -468,10 +476,11 @@ func coalDevice(layout, window int) (*Device, [2]*memsys.Buffer) {
 			}
 		case layoutRouted:
 			routes := [...]memsys.Space{memsys.SpaceGPU, memsys.SpaceHostPinned, memsys.SpaceUVM, memsys.SpaceCXL}
-			shift := i
-			b.SpaceFn = func(off int64) memsys.Space {
-				return routes[(off/memsys.SegmentBytes+int64(shift))%int64(len(routes))]
+			route := make([]memsys.Space, b.Segments())
+			for j := range route {
+				route[j] = routes[(j+i)%len(routes)]
 			}
+			b.SetRoute(route, memsys.SegmentShift)
 		}
 		bufs[i] = b
 	}

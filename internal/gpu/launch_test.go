@@ -146,12 +146,15 @@ func allocEdges(d *Device, mode edgeMode, n int64, baseOffset uint64, capPages, 
 	}
 	edges := d.Arena().MustAlloc("edges", space, n*8, memsys.WithBaseOffset(baseOffset))
 	if mode == edgesRouted {
-		edges.SpaceFn = func(off int64) memsys.Space {
-			if off/memsys.SegmentBytes%3 == 1 {
-				return memsys.SpaceUVM
+		// Every third segment, from the second, is bound to UVM.
+		route := make([]memsys.Space, edges.Segments())
+		for i := range route {
+			route[i] = memsys.SpaceHostPinned
+			if i%3 == 1 {
+				route[i] = memsys.SpaceUVM
 			}
-			return memsys.SpaceHostPinned
 		}
+		edges.SetRoute(route, memsys.SegmentShift)
 	}
 	if mode != edgesPinned {
 		cfg := uvm.ConfigWithPaging(capPages, false)

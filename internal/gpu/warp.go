@@ -127,9 +127,6 @@ type Warp struct {
 // ID returns the warp's global index within the launch grid.
 func (w *Warp) ID() int { return w.id }
 
-// LaneCount returns WarpSize; provided for readable kernel code.
-func (w *Warp) LaneCount() int { return WarpSize }
-
 // Instr accounts n extra warp instructions (loop and branch bookkeeping).
 func (w *Warp) Instr(n int) { w.ks.WarpInstrs += uint64(n) }
 
@@ -179,6 +176,7 @@ func (w *Warp) access(buf *memsys.Buffer, idx *[WarpSize]int64, elemShift uint, 
 	sp, uniform := buf.UniformSpace()
 	zc := sp == memsys.SpaceHostPinned
 	n := 0
+	sorted := true
 	for m := uint32(mask); m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros32(m)
 		off := idx[lane] << elemShift
@@ -193,18 +191,24 @@ func (w *Warp) access(buf *memsys.Buffer, idx *[WarpSize]int64, elemShift uint, 
 		}
 		// Lanes in one sector are usually adjacent; dropping the repeat
 		// here leaves the sorted, deduplicated set below unchanged.
-		if n > 0 && w.sectors[n-1] == sector {
-			continue
+		if n > 0 {
+			if w.sectors[n-1] == sector {
+				continue
+			}
+			if sector < w.sectors[n-1] {
+				sorted = false
+			}
 		}
 		w.sectors[n] = sector
 		n++
 	}
-	w.emit(buf, sp, uniform, n)
+	w.emit(buf, sp, uniform, n, sorted)
 }
 
 // accessFirst is access for lanes 0..k-1 (k is 1 or 2) touching the
 // consecutive elements idx, idx+1, ...: the scalar and pair loads, whose
 // sectors are filled directly instead of through a mask and index array.
+// Consecutive elements touch ascending sectors, so the list is sorted.
 func (w *Warp) accessFirst(buf *memsys.Buffer, idx int64, elemShift uint, k int, write bool) {
 	w.ks.WarpInstrs++
 	sp, uniform := buf.UniformSpace()
@@ -227,7 +231,7 @@ func (w *Warp) accessFirst(buf *memsys.Buffer, idx int64, elemShift uint, k int,
 		w.sectors[n] = sector
 		n++
 	}
-	w.emit(buf, sp, uniform, n)
+	w.emit(buf, sp, uniform, n, true)
 }
 
 // mruHit applies lane's L1 filter to a read of sector, reporting whether
@@ -258,14 +262,19 @@ func (w *Warp) mruHit(lane int, sector uint64, zc bool) bool {
 // instead (reorder.go) and dispatched line-regrouped at flush time;
 // on-device and UVM runs always dispatch immediately (UVM page state is
 // dispatch-order-dependent). sp is the buffer's space when uniform is
-// true; otherwise each run resolves its own.
-func (w *Warp) emit(buf *memsys.Buffer, sp memsys.Space, uniform bool, n int) {
+// true; otherwise each run resolves its own. sorted says the caller filled
+// the sectors strictly ascending — lanes reading consecutive elements, as
+// the merged kernels and the sorted neighbor lists' atomics do — so the
+// sort and compaction would leave them unchanged and are skipped.
+func (w *Warp) emit(buf *memsys.Buffer, sp memsys.Space, uniform bool, n int, sorted bool) {
 	if n == 0 {
 		return
 	}
 	s := w.sectors[:n]
-	slices.Sort(s)
-	s = slices.Compact(s)
+	if !sorted {
+		slices.Sort(s)
+		s = slices.Compact(s)
+	}
 	m := len(s)
 	if uniform && sp == memsys.SpaceGPU {
 		// Device memory only counts bytes, so the run grouping is moot.

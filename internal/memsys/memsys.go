@@ -67,10 +67,17 @@ const PageBytes = 4096
 // CacheLineBytes so a coalesced request (which never spans a cache line)
 // never straddles two segments, and a multiple of PageBytes so segment
 // boundaries align with UVM pages.
-const SegmentBytes = 64 * 1024
+const SegmentBytes = 1 << SegmentShift
+
+// SegmentShift is log2(SegmentBytes): the shift that indexes a route table
+// with one entry per segment (SetRoute).
+const SegmentShift = 16
 
 // Buffer is a device-visible allocation. Base is its simulated virtual
-// address; Data is the real backing store.
+// address; Data is the real backing store. Space is where it is allocated;
+// SpaceAt resolves the space that serves each access, which a routed
+// transport policy varies per segment through a route table (SetRoute) and
+// tier placement through per-segment homes.
 type Buffer struct {
 	Name  string
 	Space Space
@@ -82,12 +89,13 @@ type Buffer struct {
 	// take explicit widths.
 	Elem int
 
-	// SpaceFn, when non-nil, overrides Space per byte offset: the transport
-	// router installed by an adaptive policy. Accesses consult SpaceAt so a
-	// single buffer can be served zero-copy, via UVM, or from a staged HBM
-	// copy on a per-segment basis. Nil (the default, and always for
-	// statically-bound buffers) costs one pointer check per access.
-	SpaceFn func(off int64) Space
+	// route, when non-nil, is the transport router a routed policy
+	// installs (SetRoute), so a single buffer can be served zero-copy, via
+	// UVM, or from a staged HBM copy per segment. Nil (the default, and
+	// always for statically bound buffers) costs one pointer check per
+	// access.
+	route      []Space
+	routeShift uint
 
 	// pageState is used by the UVM manager for SpaceUVM buffers; nil
 	// otherwise. Each entry tracks residency of one 4KB page.
@@ -106,14 +114,26 @@ type Buffer struct {
 	segHome []Space
 }
 
+// SetRoute installs route as b's transport router: a GPU access at byte
+// offset off is served from route[off>>shift]. The table must cover every
+// offset of the buffer, and the caller may rewrite its entries between
+// launches. A nil route removes the router.
+func (b *Buffer) SetRoute(route []Space, shift uint) {
+	b.route, b.routeShift = route, shift
+}
+
 // SpaceAt returns the space that serves a GPU access at byte offset off.
-// Precedence: an installed router (SpaceFn) decides first; otherwise a
+// Precedence: an installed router (SetRoute) decides first; otherwise a
 // UVM-managed buffer is always served through the UVM space (its segment
 // homes describe where pages migrate *from*, not how accesses are served);
 // otherwise the segment's home space; otherwise the buffer's static Space.
+//
+// Offsets below zero resolve to the first segment: a coalesced run's first
+// sector starts up to 31 bytes before a buffer whose Base is not
+// sector-aligned.
 func (b *Buffer) SpaceAt(off int64) Space {
-	if b.SpaceFn != nil {
-		return b.SpaceFn(off)
+	if b.route != nil {
+		return b.route[max(off, 0)>>b.routeShift]
 	}
 	if b.Space == SpaceUVM {
 		return SpaceUVM
@@ -129,7 +149,7 @@ func (b *Buffer) SpaceAt(off int64) Space {
 // and the buffer is UVM-managed or has no per-segment homes. Otherwise it
 // returns false and callers resolve each offset with SpaceAt.
 func (b *Buffer) UniformSpace() (Space, bool) {
-	if b.SpaceFn != nil || (b.segHome != nil && b.Space != SpaceUVM) {
+	if b.route != nil || (b.segHome != nil && b.Space != SpaceUVM) {
 		return 0, false
 	}
 	return b.Space, true
@@ -234,13 +254,6 @@ func (b *Buffer) SetPageResident(i int, resident bool) {
 		b.pageState = make([]bool, b.Pages())
 	}
 	b.pageState[i] = resident
-}
-
-// ResetPages clears all page residency (e.g. between experiment runs).
-func (b *Buffer) ResetPages() {
-	for i := range b.pageState {
-		b.pageState[i] = false
-	}
 }
 
 // U64 reads the 64-bit little-endian element at index i.

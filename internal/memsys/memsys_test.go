@@ -201,10 +201,6 @@ func TestBufferPageResidency(t *testing.T) {
 	if !b.PageResident(1) || b.PageResident(0) {
 		t.Errorf("residency tracking wrong")
 	}
-	b.ResetPages()
-	if b.PageResident(1) {
-		t.Errorf("ResetPages did not clear residency")
-	}
 	// Non-UVM buffers lazily create page state when marked.
 	g := a.MustAlloc("gpu", SpaceGPU, PageBytes)
 	if g.PageResident(0) {
@@ -213,6 +209,52 @@ func TestBufferPageResidency(t *testing.T) {
 	g.SetPageResident(0, true)
 	if !g.PageResident(0) {
 		t.Errorf("lazy page state not created")
+	}
+}
+
+// TestBufferRoute pins the table router: it takes precedence over a UVM
+// buffer's static space, reads entries rewritten in place,
+// resolves offsets below zero to the first entry, and at the weights' shift
+// reproduces the edge mapping off/4*edgeBytes for 4- and 8-byte edges.
+func TestBufferRoute(t *testing.T) {
+	a := newTestArena(0, 0)
+	b := a.MustAlloc("edges", SpaceUVM, 4*SegmentBytes, WithBaseOffset(8))
+	route := []Space{SpaceGPU, SpaceHostPinned, SpaceUVM, SpaceCXL}
+	b.SetRoute(route, SegmentShift)
+	if _, uniform := b.UniformSpace(); uniform {
+		t.Error("UniformSpace reports true with a router installed")
+	}
+	for _, off := range []int64{-31, -8, -1, 0, SegmentBytes - 1} {
+		if got := b.SpaceAt(off); got != SpaceGPU {
+			t.Errorf("SpaceAt(%d) = %v, want entry 0", off, got)
+		}
+	}
+	if got := b.SpaceAt(3*SegmentBytes + 5); got != SpaceCXL {
+		t.Errorf("SpaceAt(segment 3) = %v, want cxl", got)
+	}
+	route[3] = SpaceGPU
+	if got := b.SpaceAt(3 * SegmentBytes); got != SpaceGPU {
+		t.Errorf("SpaceAt after rewrite = %v, want gpu", got)
+	}
+	route[3] = SpaceCXL
+	for _, edgeBytes := range []int64{4, 8} {
+		shift := uint(SegmentShift)
+		if edgeBytes == 8 {
+			shift--
+		}
+		w := a.MustAlloc("weights", SpaceHostPinned, 4*SegmentBytes*4/edgeBytes)
+		w.SetRoute(route, shift)
+		for off := int64(-31); off < w.Size(); off += 4 {
+			want := route[max(off/4*edgeBytes, 0)/SegmentBytes]
+			if got := w.SpaceAt(off); got != want {
+				t.Fatalf("edgeBytes %d: weights SpaceAt(%d) = %v, want %v", edgeBytes, off, got, want)
+			}
+		}
+		a.Free(w)
+	}
+	b.SetRoute(nil, 0)
+	if sp, uniform := b.UniformSpace(); !uniform || sp != SpaceUVM || b.SpaceAt(3*SegmentBytes) != SpaceUVM {
+		t.Errorf("after SetRoute(nil): UniformSpace = %v, %v", sp, uniform)
 	}
 }
 

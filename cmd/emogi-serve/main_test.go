@@ -137,7 +137,11 @@ func TestTraverseRetryAfterOn429(t *testing.T) {
 // 200 — the service retried and rerouted onto the static-uvm policy — and
 // the response carries the degraded marker plus the policy it ran under.
 func TestTraverseDegraded(t *testing.T) {
-	inj, err := fault.Profile(fault.ProfileFlakyLink, 7)
+	cfg, err := fault.ProfileConfig(fault.ProfileFlakyLink, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := fault.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

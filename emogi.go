@@ -518,8 +518,9 @@ func Algorithms() []*Algorithm {
 // measurement runs while keeping loaded graphs in place.
 func (s *System) ResetStats() { s.dev.ResetStats() }
 
-// ColdCaches evicts all UVM pages and all staged edge-list segments so the
-// next run starts cold, whatever transport policy it uses.
+// ColdCaches evicts all UVM pages so the next run starts cold, whatever
+// transport policy it uses (staged edge-list copies never outlive a run).
+
 func (s *System) ColdCaches() { s.dev.ResetUVMResidency() }
 
 // BuildDataset synthesizes one of the paper's six Table 2 dataset analogs

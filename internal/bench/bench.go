@@ -44,11 +44,6 @@ type Config struct {
 	GPUDrivenPaging bool
 }
 
-// DefaultConfig returns the full-size configuration used for EXPERIMENTS.md.
-func DefaultConfig() Config {
-	return Config{Scale: 1.0, Seed: 42, Sources: 3}
-}
-
 // QuickConfig returns a reduced configuration for smoke tests and
 // testing.B benchmarks.
 func QuickConfig() Config {

@@ -182,14 +182,11 @@ func TestRenderCSV(t *testing.T) {
 }
 
 func TestConfigPresets(t *testing.T) {
-	d := DefaultConfig()
-	if d.Scale != 1.0 || d.Sources < 1 || d.Seed == 0 {
-		t.Errorf("DefaultConfig = %+v", d)
-	}
 	q := QuickConfig()
-	if q.Scale >= d.Scale {
-		t.Errorf("QuickConfig should be smaller than default")
+	if q.Scale >= 1 {
+		t.Errorf("QuickConfig should be smaller than the full-size scale 1")
 	}
+
 	if q.Sources < 1 {
 		t.Errorf("QuickConfig needs at least one source")
 	}

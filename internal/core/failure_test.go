@@ -160,7 +160,8 @@ func TestMisalignedEdgeBufferBase(t *testing.T) {
 		edges.PutU64(int64(i), uint64(d))
 	}
 	dg := &DeviceGraph{Graph: g, Transport: ZeroCopy, EdgeBytes: 8,
-		Offsets: offsets, Edges: edges}
+		Policy: StaticPolicyFor(ZeroCopy), Offsets: offsets, Edges: edges}
+
 	src := graph.PickSources(g, 1, 1)[0]
 	res, err := BFS(context.Background(), dev, dg, src, MergedAligned)
 	if err != nil {

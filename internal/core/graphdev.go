@@ -123,12 +123,11 @@ type DeviceGraph struct {
 	// experiments, 4 for the Subway comparison (Table 3).
 	EdgeBytes int
 
-	// Policy is the transport policy the graph was loaded under. Nil is
-	// equivalent to the static policy for Transport (the pre-policy code
-	// path, kept for direct Upload callers and old tests). Transport always
-	// holds the policy's base transport — the space Edges/Weights were
-	// actually allocated in — so static runs are untouched by the policy
-	// layer.
+	// Policy is the transport policy the graph was loaded under; upload
+	// sets it (static zero-copy when the caller passes none). Transport
+	// always holds the policy's base transport — the space Edges/Weights
+	// were actually allocated in — so static runs are untouched by the
+	// policy layer.
 	Policy TransportPolicy
 
 	Offsets *memsys.Buffer // GPU, 8-byte elements, len n+1
@@ -140,15 +139,8 @@ type DeviceGraph struct {
 	freed bool
 }
 
-// PolicyName returns the name of the transport policy governing this graph:
-// the loaded policy's name, or the static policy name matching Transport
-// when the graph was uploaded without one.
-func (dg *DeviceGraph) PolicyName() string {
-	if dg.Policy != nil {
-		return dg.Policy.Name()
-	}
-	return StaticPolicyFor(dg.Transport).Name()
-}
+// PolicyName returns the name of the transport policy governing this graph.
+func (dg *DeviceGraph) PolicyName() string { return dg.Policy.Name() }
 
 // NumVertices returns |V|.
 func (dg *DeviceGraph) NumVertices() int { return dg.Graph.NumVertices() }
@@ -165,17 +157,7 @@ func (dg *DeviceGraph) ElemsPerCacheLine() int64 {
 // list", §4.2); edges and weights go to pinned host memory (ZeroCopy) or
 // managed memory (UVM).
 func Upload(dev *gpu.Device, g *graph.CSR, transport Transport, edgeBytes int) (*DeviceGraph, error) {
-	return UploadPolicy(dev, g, StaticPolicyFor(transport), edgeBytes)
-}
-
-// UploadPolicy places g into the device's memory system under a transport
-// policy. The edge and weight lists are allocated in the policy's base
-// space: pinned host memory unless the policy is statically UVM-bound.
-// Routed (adaptive) policies start from pinned memory and rebind segments
-// per round at run time. Edges are homed per PlaceAuto: host DRAM with
-// CXL-tier spill only when DRAM is full.
-func UploadPolicy(dev *gpu.Device, g *graph.CSR, policy TransportPolicy, edgeBytes int) (*DeviceGraph, error) {
-	return UploadPolicyPlaced(dev, g, policy, edgeBytes, PlaceAuto)
+	return UploadPolicyPlaced(dev, g, StaticPolicyFor(transport), edgeBytes, PlaceAuto)
 }
 
 // planHomes computes the per-segment tier homes for a host-side allocation
@@ -272,9 +254,15 @@ func capHomesToHostFree(arena *memsys.Arena, homes []memsys.Space, size int64) [
 	return homes
 }
 
-// UploadPolicyPlaced is UploadPolicy with explicit tier placement for the
-// edge and weight lists (see Placement). On devices without a CXL tier only
-// PlaceAuto and PlaceDRAM are valid, and both are the historical layout.
+// UploadPolicyPlaced places g into the device's memory system under a
+// transport policy (nil means static zero-copy) and a tier placement for
+// the edge and weight lists (see Placement). The edge and weight lists are
+// allocated in the policy's base space: pinned host memory unless the
+// policy is statically UVM-bound. Routed (adaptive) policies start from
+// pinned memory and rebind segments per round at run time. On devices
+// without a CXL tier only PlaceAuto and PlaceDRAM are valid, and both are
+// the historical layout.
+
 func UploadPolicyPlaced(dev *gpu.Device, g *graph.CSR, policy TransportPolicy, edgeBytes int, placement Placement) (*DeviceGraph, error) {
 	if policy == nil {
 		policy = StaticPolicyFor(ZeroCopy)

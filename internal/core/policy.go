@@ -106,7 +106,8 @@ type PartitionState struct {
 	Since int
 	// Staged reports whether the partition's explicit device copy is
 	// resident (staying resident across rounds makes re-choosing staged
-	// free until ColdCaches evicts it).
+	// free for the rest of the run).
+
 	Staged bool
 	// HostCached reports whether a CXL-homed partition's host-DRAM copy is
 	// resident (re-choosing ChoiceHostCached is then free; leaving the
@@ -495,7 +496,7 @@ func PolicyOverrideFrom(ctx context.Context) TransportPolicy {
 
 // runPolicy is one run's resolved transport policy.
 type runPolicy struct {
-	pol    TransportPolicy // nil when neither the graph nor ctx names one
+	pol    TransportPolicy // the ctx override, else the graph's; nil only without a graph
 	routed bool            // per-partition runtime instead of the static fast path
 	label  string          // the run's telemetry transport label
 	name   string          // Result.Policy
@@ -517,11 +518,8 @@ func effectivePolicy(ctx context.Context, dg *DeviceGraph, base Transport) runPo
 	if o := PolicyOverrideFrom(ctx); o != nil {
 		rp.pol = o
 	}
-	if rp.pol == nil {
-		rp.name = dg.PolicyName()
-		return rp
-	}
 	rp.name = rp.pol.Name()
+
 	t, static := rp.pol.Static()
 	if rp.routed = !static || t != dg.Transport; rp.routed {
 		rp.label = rp.name

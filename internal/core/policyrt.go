@@ -101,10 +101,11 @@ func newPolicyRuntime(dev *gpu.Device, dg *DeviceGraph, pol TransportPolicy, var
 	rt.costs = rt.deriveCosts()
 	rt.seedDegreePrior()
 
-	// Replay determinism: every routed run starts cold — no UVM pages, no
-	// staged segments inherited from a previous run — so the decision
-	// sequence is a pure function of (graph, rounds, frontier), and a
-	// fault-injected retry replays it identically.
+	// Replay determinism: every routed run starts cold — no UVM pages
+	// inherited from a previous run, and staged copies live only in this
+	// run's partition state — so the decision sequence is a pure function
+	// of (graph, rounds, frontier), and a fault-injected retry replays it
+	// identically.
 	dev.ResetUVMResidency()
 	dg.Edges.SetRoute(rt.route, memsys.SegmentShift)
 	if dg.Weights != nil {
@@ -119,9 +120,10 @@ func newPolicyRuntime(dev *gpu.Device, dg *DeviceGraph, pol TransportPolicy, var
 	return rt
 }
 
-// close removes the router. Staged segment copies and UVM residency stay
-// for warm reruns; ColdCaches (or the next routed run's cold start) evicts
-// them.
+// close removes the router. UVM residency stays for warm reruns;
+// ColdCaches (or the next routed run's cold start) evicts it. Staged
+// copies end with the run's partition state.
+
 func (rt *policyRuntime) close() {
 	rt.dg.Edges.SetRoute(nil, 0)
 	if rt.dg.Weights != nil {
@@ -425,14 +427,13 @@ func (rt *policyRuntime) applyDecisions(round int) {
 			} else {
 				stageBytes += n
 			}
-			rt.dg.Edges.SetSegmentStaged(p, true)
 			rt.state[p].Staged = true
 		}
 		if oldC == ChoiceStaged && newC != ChoiceStaged {
 			// Leaving the staged substrate releases the copy (and its
 			// budget); re-entry pays the upload again.
-			rt.dg.Edges.SetSegmentStaged(p, false)
 			rt.state[p].Staged = false
+
 		}
 		if newC == ChoiceHostCached && !rt.state[p].HostCached {
 			// Promote the partition (and its weight slice) out of the CXL

@@ -42,12 +42,12 @@ func TestOversubscriptionSpillsToCXL(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: upload onto oversubscribed host: %v", g.Name, err)
 		}
-		spilled := dg.Edges.HomedBytes(memsys.SpaceCXL)
+		spilled := homedBytes(dg.Edges, memsys.SpaceCXL)
 		if spilled == 0 {
 			t.Fatalf("%s: edge list (%d bytes) vs host cap %d: expected CXL spill, got none",
 				g.Name, edgeBytes, hostCap)
 		}
-		if dg.Edges.HomedBytes(memsys.SpaceHostPinned) == 0 {
+		if homedBytes(dg.Edges, memsys.SpaceHostPinned) == 0 {
 			t.Errorf("%s: PlaceAuto should fill DRAM before spilling", g.Name)
 		}
 		src := graph.PickSources(g, 1, 43)[0]
@@ -92,7 +92,7 @@ func TestPlacementForcedCXL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := dgC.Edges.HomedBytes(memsys.SpaceHostPinned); got != 0 {
+	if got := homedBytes(dgC.Edges, memsys.SpaceHostPinned); got != 0 {
 		t.Fatalf("PlaceCXL left %d bytes in DRAM", got)
 	}
 	resC, err := BFS(context.Background(), devC, dgC, src, MergedAligned)
@@ -129,7 +129,7 @@ func TestApplyPlacementMoves(t *testing.T) {
 	if err := ApplyPlacement(dev, dg, PlaceCXL); err != nil {
 		t.Fatalf("ApplyPlacement(cxl): %v", err)
 	}
-	if got := dg.Edges.HomedBytes(memsys.SpaceHostPinned); got != 0 {
+	if got := homedBytes(dg.Edges, memsys.SpaceHostPinned); got != 0 {
 		t.Fatalf("after PlaceCXL, %d edge bytes still DRAM-homed", got)
 	}
 	res, err := BFS(context.Background(), dev, dg, src, MergedAligned)
@@ -142,7 +142,7 @@ func TestApplyPlacementMoves(t *testing.T) {
 	if err := ApplyPlacement(dev, dg, PlaceDRAM); err != nil {
 		t.Fatalf("ApplyPlacement(dram): %v", err)
 	}
-	if got := dg.Edges.HomedBytes(memsys.SpaceCXL); got != 0 {
+	if got := homedBytes(dg.Edges, memsys.SpaceCXL); got != 0 {
 		t.Fatalf("after PlaceDRAM, %d edge bytes still CXL-homed", got)
 	}
 	if got := dev.Arena().CXLUsed(); got != 0 {
@@ -279,8 +279,8 @@ func TestWeightedSpillHomes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("weighted spill upload failed: %v", err)
 	}
-	edgeDRAM := dg.Edges.HomedBytes(memsys.SpaceHostPinned)
-	edgeCXL := dg.Edges.HomedBytes(memsys.SpaceCXL)
+	edgeDRAM := homedBytes(dg.Edges, memsys.SpaceHostPinned)
+	edgeCXL := homedBytes(dg.Edges, memsys.SpaceCXL)
 	if edgeDRAM == 0 || edgeCXL == 0 {
 		t.Fatalf("edge list should split across DRAM and CXL, got DRAM=%d CXL=%d", edgeDRAM, edgeCXL)
 	}
@@ -288,8 +288,8 @@ func TestWeightedSpillHomes(t *testing.T) {
 		t.Errorf("edge homes do not cover the list: DRAM %d + CXL %d != %d", edgeDRAM, edgeCXL, edgeBytes)
 	}
 	wBytes := g.NumEdges() * 4
-	wDRAM := dg.Weights.HomedBytes(memsys.SpaceHostPinned)
-	wCXL := dg.Weights.HomedBytes(memsys.SpaceCXL)
+	wDRAM := homedBytes(dg.Weights, memsys.SpaceHostPinned)
+	wCXL := homedBytes(dg.Weights, memsys.SpaceCXL)
 	if wDRAM+wCXL != wBytes {
 		t.Errorf("weight homes do not cover the list: DRAM %d + CXL %d != %d", wDRAM, wCXL, wBytes)
 	}
@@ -331,15 +331,15 @@ func TestWeightsJustOverflowHomes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("weights-overflow upload failed: %v", err)
 	}
-	if got := dg.Edges.HomedBytes(memsys.SpaceCXL); got != 0 {
+	if got := homedBytes(dg.Edges, memsys.SpaceCXL); got != 0 {
 		t.Errorf("edge list fits DRAM but %d bytes landed on CXL", got)
 	}
-	if got := dg.Edges.HomedBytes(memsys.SpaceHostPinned); got != edgeBytes {
+	if got := homedBytes(dg.Edges, memsys.SpaceHostPinned); got != edgeBytes {
 		t.Errorf("edge list should be fully DRAM-homed: %d of %d bytes", got, edgeBytes)
 	}
 	wBytes := g.NumEdges() * 4
-	wDRAM := dg.Weights.HomedBytes(memsys.SpaceHostPinned)
-	wCXL := dg.Weights.HomedBytes(memsys.SpaceCXL)
+	wDRAM := homedBytes(dg.Weights, memsys.SpaceHostPinned)
+	wCXL := homedBytes(dg.Weights, memsys.SpaceCXL)
 	if wCXL == 0 {
 		t.Fatalf("weight list should spill to CXL (DRAM=%d CXL=%d)", wDRAM, wCXL)
 	}
@@ -361,4 +361,15 @@ func TestWeightsJustOverflowHomes(t *testing.T) {
 	if got := dev.Arena().CXLUsed(); got != 0 {
 		t.Errorf("CXL bytes leaked after Free: %d", got)
 	}
+}
+
+// homedBytes returns how many of b's bytes are homed in space s.
+func homedBytes(b *memsys.Buffer, s memsys.Space) int64 {
+	var n int64
+	for i := 0; i < b.Segments(); i++ {
+		if b.SegmentHome(i) == s {
+			n += min(memsys.SegmentBytes, b.Size()-int64(i)*memsys.SegmentBytes)
+		}
+	}
+	return n
 }

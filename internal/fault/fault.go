@@ -176,16 +176,6 @@ func ProfileConfig(name string, seed uint64) (Config, error) {
 	}
 }
 
-// Profile builds an injector for a named profile. For "none" (or "") it
-// returns (nil, nil): a nil Injector disables injection.
-func Profile(name string, seed uint64) (Injector, error) {
-	cfg, err := ProfileConfig(name, seed)
-	if err != nil {
-		return nil, err
-	}
-	return New(cfg)
-}
-
 // New builds an injector from a Config. A config with no fault kinds
 // enabled (all rates zero, WireScale <= 1) returns (nil, nil) so callers
 // can wire the result unconditionally and still get the zero-overhead

@@ -13,24 +13,24 @@ import (
 // unknown names error with the known list.
 func TestProfiles(t *testing.T) {
 	for _, name := range []string{ProfileFlakyLink, ProfileDegradedGen1, ProfileOOMPressure} {
-		inj, err := Profile(name, 7)
+		inj, err := profile(name, 7)
 		if err != nil {
-			t.Fatalf("Profile(%q): %v", name, err)
+			t.Fatalf("profile(%q): %v", name, err)
 		}
 		if inj == nil {
-			t.Fatalf("Profile(%q) = nil injector", name)
+			t.Fatalf("profile(%q) = nil injector", name)
 		}
 		if inj.Name() != name {
-			t.Errorf("Profile(%q).Name() = %q", name, inj.Name())
+			t.Errorf("profile(%q).Name() = %q", name, inj.Name())
 		}
 	}
 	for _, name := range []string{ProfileNone, ""} {
-		inj, err := Profile(name, 7)
+		inj, err := profile(name, 7)
 		if err != nil || inj != nil {
-			t.Errorf("Profile(%q) = (%v, %v), want (nil, nil)", name, inj, err)
+			t.Errorf("profile(%q) = (%v, %v), want (nil, nil)", name, inj, err)
 		}
 	}
-	if _, err := Profile("flaky-lnik", 7); err == nil {
+	if _, err := profile("flaky-lnik", 7); err == nil {
 		t.Error("unknown profile name did not error")
 	}
 }
@@ -189,7 +189,7 @@ func TestAllocFault(t *testing.T) {
 // model stretches request occupancy by exactly that factor; a nil hook
 // leaves the formula untouched.
 func TestWireScale(t *testing.T) {
-	inj, err := Profile(ProfileDegradedGen1, 1)
+	inj, err := profile(ProfileDegradedGen1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,4 +203,14 @@ func TestWireScale(t *testing.T) {
 	if degraded.BulkSeconds(1<<20) <= healthy.BulkSeconds(1<<20) {
 		t.Error("bulk transfers did not slow down on the degraded link")
 	}
+}
+
+// profile builds an injector for a named profile, as the serving command
+// does: ProfileConfig, then New.
+func profile(name string, seed uint64) (Injector, error) {
+	cfg, err := ProfileConfig(name, seed)
+	if err != nil {
+		return nil, err
+	}
+	return New(cfg)
 }

@@ -103,42 +103,6 @@ func TestAtomicOrU64ConvergesProperty(t *testing.T) {
 	}
 }
 
-// TestAtomicCASLinearizesProperty: within one warp call, exactly one lane
-// wins each contended CAS chain, and the final value is the last winning
-// lane's proposal under the documented ascending-lane serialization.
-func TestAtomicCASLinearizesProperty(t *testing.T) {
-	f := func(vals [WarpSize]uint8) bool {
-		d := testDevice()
-		buf := d.Arena().MustAlloc("cas", memsys.SpaceGPU, 64)
-		buf.PutU32(0, 7)
-		var winner = -1
-		d.Launch("cas", 1, func(w *Warp) {
-			var idx [WarpSize]int64
-			var cmp, val [WarpSize]uint32
-			for l := 0; l < WarpSize; l++ {
-				cmp[l] = 7
-				val[l] = uint32(vals[l]) + 100 // never equal to 7
-			}
-			old := w.AtomicCASU32(buf, &idx, &cmp, &val, MaskFull)
-			for l := 0; l < WarpSize; l++ {
-				if old[l] == 7 {
-					if winner != -1 {
-						winner = -2 // two winners: violation
-						return
-					}
-					winner = l
-				}
-			}
-		})
-		// Lane 0 must win under ascending serialization, and the cell must
-		// hold its proposal.
-		return winner == 0 && buf.U32(0) == uint32(vals[0])+100
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestScatterGatherRoundTripProperty: scattering values and gathering them
 // back through the warp API is the identity for any index permutation
 // without duplicates.

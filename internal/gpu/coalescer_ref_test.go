@@ -271,12 +271,10 @@ const (
 	opGatherU32 = iota
 	opGatherU64
 	opScatterU32
-	opScatterU64
 	opAtomicMinU32
 	opAtomicMaxU32
 	opAtomicOrU32
 	opAtomicOrU64
-	opAtomicCASU32
 	opScalarU32
 	opScalarU64
 	opPairU64
@@ -290,7 +288,7 @@ const (
 // elemShift returns the element width of op kind k as a shift.
 func elemShift(k byte) uint {
 	switch k {
-	case opGatherU64, opScatterU64, opAtomicOrU64, opScalarU64, opPairU64:
+	case opGatherU64, opAtomicOrU64, opScalarU64, opPairU64:
 		return 3
 	}
 	return 2
@@ -369,8 +367,7 @@ func (op *coalOp) apply(w *Warp, bufs [2]*memsys.Buffer) {
 		w.GatherU64(b, &op.idx, op.mask)
 	case opScatterU32:
 		w.ScatterU32(b, &op.idx, &v32, op.mask)
-	case opScatterU64:
-		w.ScatterU64(b, &op.idx, &v64, op.mask)
+
 	case opAtomicMinU32:
 		w.AtomicMinU32(b, &op.idx, &v32, op.mask)
 	case opAtomicMaxU32:
@@ -379,8 +376,7 @@ func (op *coalOp) apply(w *Warp, bufs [2]*memsys.Buffer) {
 		w.AtomicOrU32(b, &op.idx, &v32, op.mask)
 	case opAtomicOrU64:
 		w.AtomicOrU64(b, &op.idx, &v64, op.mask)
-	case opAtomicCASU32:
-		w.AtomicCASU32(b, &op.idx, &v32, &v32, op.mask)
+
 	case opScalarU32:
 		w.ScalarU32(b, op.scalar)
 	case opScalarU64:

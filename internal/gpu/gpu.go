@@ -404,15 +404,12 @@ func (d *Device) ResetStats() {
 	d.mon.Reset()
 }
 
-// ResetUVMResidency evicts all UVM pages and all explicitly staged segment
-// copies so the next run starts cold, and refreshes the UVM capacity from
-// current free GPU memory. Staged segments belong to the batched-copy
-// transport substrate; dropping them here keeps cold-vs-warm comparisons
-// honest across policies (System.ColdCaches routes through this).
+// ResetUVMResidency evicts all UVM pages so the next run starts cold, and
+// refreshes the UVM capacity from current free GPU memory
+// (System.ColdCaches routes through this).
 func (d *Device) ResetUVMResidency() {
 	d.uvmgr.Reset()
 	d.uvmgr = uvm.NewManager(uvm.ConfigWithPaging(d.uvmCapacityPages(), d.cfg.GPUDrivenPaging))
-	d.arena.ResetStaged()
 }
 
 // finish folds the per-size zero-copy request counts into the link roofline

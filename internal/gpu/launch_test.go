@@ -78,28 +78,26 @@ const hubGathers = 24
 
 // launchRun is what one launch leaves behind for comparison.
 type launchRun struct {
-	ks       KernelStats
-	uvm      uvm.Stats
-	resident int
-	snap     pcie.Snapshot
-	trace    []pcie.TraceEntry
-	dropped  uint64
-	vals     []uint32
+	ks      KernelStats
+	uvm     uvm.Stats
+	snap    pcie.Snapshot
+	trace   []pcie.TraceEntry
+	dropped uint64
+	vals    []uint32
 }
 
 // diff describes the first way got differs from the serial reference
 // run, or returns "" when every field matches: launch stats, UVM manager
-// stats and residency, monitor counters, trace order and dropped count,
-// and the functional buffer contents.
+// stats (residency is migrations minus evictions), monitor counters, trace
+// order and dropped count, and the functional buffer contents.
 func (ref launchRun) diff(got launchRun) string {
 	ks, refKS := got.ks, ref.ks
 	ks.Name, refKS.Name = "", ""
 	if ks != refKS {
 		return fmt.Sprintf("stats differ:\nserial:   %+v\nparallel: %+v", refKS, ks)
 	}
-	if got.uvm != ref.uvm || got.resident != ref.resident {
-		return fmt.Sprintf("UVM manager differs: %+v (%d resident) vs serial %+v (%d resident)",
-			got.uvm, got.resident, ref.uvm, ref.resident)
+	if got.uvm != ref.uvm {
+		return fmt.Sprintf("UVM manager differs: %+v vs serial %+v", got.uvm, ref.uvm)
 	}
 	snap, refSnap := got.snap, ref.snap
 	if snap.Requests != refSnap.Requests || snap.PayloadBytes != refSnap.PayloadBytes ||
@@ -132,7 +130,8 @@ func collect(d *Device, ks KernelStats, vals *memsys.Buffer) launchRun {
 	for i := range out {
 		out[i] = vals.U32(int64(i))
 	}
-	return launchRun{ks, d.UVM().Stats(), d.UVM().Resident(), d.Monitor().Snapshot(),
+	return launchRun{ks, d.UVM().Stats(), d.Monitor().Snapshot(),
+
 		d.Monitor().Trace(), d.Monitor().TraceDropped(), out}
 }
 

@@ -54,7 +54,8 @@ func TestThrashChargesRefetches(t *testing.T) {
 		t.Errorf("requests = %d, want %d first fetches + %d refetches",
 			ks.PCIeRequests, base, ks.ZCRefetches)
 	}
-	if d.Monitor().SizeHistogram().Count(32) != ks.PCIeRequests {
+	if d.Monitor().Snapshot().BySize[32] != ks.PCIeRequests {
+
 		t.Errorf("monitor did not record refetches")
 	}
 }

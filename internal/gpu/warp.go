@@ -36,9 +36,6 @@ func (m Mask) Has(i int) bool { return m&(1<<uint(i)) != 0 }
 // Set returns m with lane i active.
 func (m Mask) Set(i int) Mask { return m | 1<<uint(i) }
 
-// Clear returns m with lane i inactive.
-func (m Mask) Clear(i int) Mask { return m &^ (1 << uint(i)) }
-
 // Count returns the number of active lanes.
 func (m Mask) Count() int {
 	n := 0
@@ -452,15 +449,6 @@ func (w *Warp) ScatterU32(buf *memsys.Buffer, idx *[WarpSize]int64, val *[WarpSi
 	}
 }
 
-// ScatterU64 stores 64-bit elements.
-func (w *Warp) ScatterU64(buf *memsys.Buffer, idx *[WarpSize]int64, val *[WarpSize]uint64, mask Mask) {
-	w.access(buf, idx, 3, mask, true)
-	for m := uint32(mask); m != 0; m &= m - 1 {
-		i := bits.TrailingZeros32(m)
-		buf.AtomicPutU64(idx[i], val[i])
-	}
-}
-
 // ScalarU64 loads one 64-bit element through lane 0 (a uniform load
 // broadcast to the warp).
 func (w *Warp) ScalarU64(buf *memsys.Buffer, idx int64) uint64 {
@@ -552,16 +540,4 @@ func (w *Warp) AtomicOrU64(buf *memsys.Buffer, idx *[WarpSize]int64, val *[WarpS
 func (w *Warp) AtomicOrScalarU32(buf *memsys.Buffer, idx int64, v uint32) uint32 {
 	w.accessFirst(buf, idx, 2, 1, true)
 	return buf.AtomicOrU32(idx, v)
-}
-
-// AtomicCASU32 performs per-lane compare-and-swap: if buf[idx[i]] == cmp[i]
-// it is set to val[i]; the previous value is returned.
-func (w *Warp) AtomicCASU32(buf *memsys.Buffer, idx *[WarpSize]int64, cmp, val *[WarpSize]uint32, mask Mask) [WarpSize]uint32 {
-	w.access(buf, idx, 2, mask, true)
-	var old [WarpSize]uint32
-	for m := uint32(mask); m != 0; m &= m - 1 {
-		i := bits.TrailingZeros32(m)
-		old[i] = buf.AtomicCASU32(idx[i], cmp[i], val[i])
-	}
-	return old
 }

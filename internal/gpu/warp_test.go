@@ -33,10 +33,7 @@ func TestMaskHelpers(t *testing.T) {
 	if !m.Has(10) || m.Count() != 4 {
 		t.Errorf("Set failed: %#x", m)
 	}
-	m = m.Clear(10)
-	if m.Has(10) || m.Count() != 3 {
-		t.Errorf("Clear failed: %#x", m)
-	}
+
 	if MaskFull.Count() != 32 {
 		t.Errorf("MaskFull.Count() = %d", MaskFull.Count())
 	}
@@ -330,44 +327,5 @@ func TestAtomicMinU32(t *testing.T) {
 	}
 	if old[1] != 50 {
 		t.Errorf("lane 1 old = %d, want 50 (serialized after lane 0)", old[1])
-	}
-}
-
-func TestAtomicCASU32(t *testing.T) {
-	d := testDevice()
-	buf := d.Arena().MustAlloc("labels", memsys.SpaceGPU, 256)
-	buf.PutU32(0, 7)
-	var old [WarpSize]uint32
-	d.Launch("k", 1, func(w *Warp) {
-		var idx [WarpSize]int64
-		var cmp, val [WarpSize]uint32
-		cmp[0], val[0] = 7, 9  // succeeds
-		cmp[1], val[1] = 7, 11 // fails: lane 0 already changed it
-		old = w.AtomicCASU32(buf, &idx, &cmp, &val, MaskFirstN(2))
-	})
-	if buf.U32(0) != 9 {
-		t.Errorf("buf[0] = %d, want 9", buf.U32(0))
-	}
-	if old[0] != 7 || old[1] != 9 {
-		t.Errorf("old = %d,%d want 7,9", old[0], old[1])
-	}
-}
-
-func TestScatterU64(t *testing.T) {
-	d := testDevice()
-	buf := d.Arena().MustAlloc("g", memsys.SpaceGPU, 512)
-	d.Launch("k", 1, func(w *Warp) {
-		var idx [WarpSize]int64
-		var val [WarpSize]uint64
-		for i := range idx {
-			idx[i] = int64(i)
-			val[i] = uint64(i * i)
-		}
-		w.ScatterU64(buf, &idx, &val, MaskFull)
-	})
-	for i := int64(0); i < WarpSize; i++ {
-		if got := buf.U64(i); got != uint64(i*i) {
-			t.Errorf("buf[%d] = %d, want %d", i, got, i*i)
-		}
 	}
 }

@@ -71,12 +71,6 @@ func (g *CSR) WeightListBytes() int64 {
 	return int64(len(g.Weights)) * 4
 }
 
-// VertexListBytes returns the offset array size with the given element
-// width.
-func (g *CSR) VertexListBytes(elemBytes int) int64 {
-	return int64(len(g.Offsets)) * int64(elemBytes)
-}
-
 // Validate checks structural invariants: offset monotonicity, bounds, and
 // weight-array parity. Generators and loaders call it before returning.
 func (g *CSR) Validate() error {

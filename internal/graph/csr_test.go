@@ -158,9 +158,7 @@ func TestByteSizeHelpers(t *testing.T) {
 	if got := g.WeightListBytes(); got != 14*4 {
 		t.Errorf("WeightListBytes = %d", got)
 	}
-	if got := g.VertexListBytes(8); got != 6*8 {
-		t.Errorf("VertexListBytes = %d", got)
-	}
+
 	var unweighted CSR
 	if unweighted.WeightListBytes() != 0 {
 		t.Errorf("unweighted WeightListBytes should be 0")

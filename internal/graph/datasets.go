@@ -108,15 +108,3 @@ func BySym(sym string) (Spec, error) {
 	}
 	return Spec{}, fmt.Errorf("graph: unknown dataset symbol %q", sym)
 }
-
-// UndirectedSpecs returns the specs usable for CC (the paper excludes the
-// directed SK and UK5 graphs from CC, §5.4).
-func UndirectedSpecs() []Spec {
-	var out []Spec
-	for _, s := range AllSpecs() {
-		if !s.Directed {
-			out = append(out, s)
-		}
-	}
-	return out
-}

@@ -178,14 +178,12 @@ func TestBySym(t *testing.T) {
 	}
 }
 
+// TestUndirectedSpecs: the paper runs CC on the undirected graphs only
+// (§5.4), so exactly SK and UK5 are directed.
 func TestUndirectedSpecs(t *testing.T) {
-	specs := UndirectedSpecs()
-	if len(specs) != 4 {
-		t.Fatalf("undirected specs = %d, want 4 (GK GU FS ML)", len(specs))
-	}
-	for _, s := range specs {
-		if s.Directed {
-			t.Errorf("%s should be undirected", s.Sym)
+	for _, s := range AllSpecs() {
+		if want := s.Sym == "SK" || s.Sym == "UK5"; s.Directed != want {
+			t.Errorf("%s: Directed = %v, want %v", s.Sym, s.Directed, want)
 		}
 	}
 }

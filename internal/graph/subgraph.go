@@ -23,9 +23,6 @@ type Subgraph struct {
 // NumActive returns the number of active vertices in the subgraph.
 func (s *Subgraph) NumActive() int { return len(s.Vertices) }
 
-// NumEdges returns the number of arcs in the subgraph.
-func (s *Subgraph) NumEdges() int64 { return int64(len(s.Dst)) }
-
 // TransferBytes returns the bytes that must cross the interconnect to
 // place this subgraph in GPU memory with the given edge element width:
 // the active vertex array (4B IDs), the offset array (one element per

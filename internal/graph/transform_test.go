@@ -118,8 +118,8 @@ func TestExtractSubgraph(t *testing.T) {
 		t.Errorf("vertices = %v, want [1 3]", sub.Vertices)
 	}
 	// Vertex 1 has 4 neighbors, vertex 3 has 2.
-	if sub.NumEdges() != 6 {
-		t.Errorf("edges = %d, want 6", sub.NumEdges())
+	if len(sub.Dst) != 6 {
+		t.Errorf("edges = %d, want 6", len(sub.Dst))
 	}
 	if sub.Offsets[1]-sub.Offsets[0] != 4 {
 		t.Errorf("vertex 1 sublist length wrong")
@@ -145,7 +145,7 @@ func TestExtractSubgraph(t *testing.T) {
 func TestExtractSubgraphEmpty(t *testing.T) {
 	g := diamond()
 	sub := ExtractSubgraph(g, make([]bool, 5))
-	if sub.NumActive() != 0 || sub.NumEdges() != 0 {
+	if sub.NumActive() != 0 || len(sub.Dst) != 0 {
 		t.Errorf("empty frontier should give empty subgraph")
 	}
 	if len(sub.Offsets) != 1 {
@@ -160,8 +160,8 @@ func TestExtractSubgraphUnweighted(t *testing.T) {
 	if sub.Weights != nil {
 		t.Errorf("unweighted parent should give unweighted subgraph")
 	}
-	if sub.NumEdges() != 2 {
-		t.Errorf("edges = %d, want 2", sub.NumEdges())
+	if len(sub.Dst) != 2 {
+		t.Errorf("edges = %d, want 2", len(sub.Dst))
 	}
 }
 

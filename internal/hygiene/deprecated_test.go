@@ -29,7 +29,7 @@ func TestNoInternalDeprecatedCallers(t *testing.T) {
 		}
 		name := d.Name()
 		if d.IsDir() {
-			if path != root && (strings.HasPrefix(name, ".") || name == "testdata" || name == "results") {
+			if path != root && skipDir(name) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -76,7 +76,14 @@ func checkFile(t *testing.T, path, rel string) {
 	}
 }
 
+// skipDir reports whether a repository walk skips the named directory:
+// hidden directories, test fixtures and recorded results hold no sources.
+func skipDir(name string) bool {
+	return strings.HasPrefix(name, ".") || name == "testdata" || name == "results"
+}
+
 // repoRoot locates the module root by walking up to go.mod.
+
 func repoRoot(t *testing.T) string {
 	t.Helper()
 	dir, err := os.Getwd()

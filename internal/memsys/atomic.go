@@ -71,11 +71,6 @@ func (b *Buffer) AtomicU64(i int64) uint64 {
 	return word64(atomic.LoadUint64(b.ptr64(i)))
 }
 
-// AtomicPutU64 atomically writes the 64-bit element at index i.
-func (b *Buffer) AtomicPutU64(i int64, v uint64) {
-	atomic.StoreUint64(b.ptr64(i), word64(v))
-}
-
 // AtomicMinU32 atomically lowers element i to v if v is smaller, returning
 // the previous value — the CUDA atomicMin contract.
 func (b *Buffer) AtomicMinU32(i int64, v uint32) uint32 {
@@ -137,22 +132,6 @@ func (b *Buffer) AtomicOrU64(i int64, v uint64) uint64 {
 			return cur
 		}
 		if atomic.CompareAndSwapUint64(p, raw, word64(cur|v)) {
-			return cur
-		}
-	}
-}
-
-// AtomicCASU32 atomically sets element i to v if it equals cmp, returning
-// the previous value — the CUDA atomicCAS contract.
-func (b *Buffer) AtomicCASU32(i int64, cmp, v uint32) uint32 {
-	p := b.ptr32(i)
-	for {
-		raw := atomic.LoadUint32(p)
-		cur := word32(raw)
-		if cur != cmp {
-			return cur
-		}
-		if atomic.CompareAndSwapUint32(p, raw, word32(v)) {
 			return cur
 		}
 	}

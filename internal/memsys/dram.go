@@ -22,13 +22,6 @@ func DDR4Quad() DRAMModel {
 	return DRAMModel{Name: "DDR4-2933 quad", BytesPerSec: 85e9, MinAccessBytes: 64}
 }
 
-// DDR4Single returns a single-channel DDR4-2400 device (19.2 GB/s), the
-// configuration the paper's §3.3 bandwidth arithmetic uses to show DRAM-side
-// amplification can become a real bottleneck.
-func DDR4Single() DRAMModel {
-	return DRAMModel{Name: "DDR4-2400 single", BytesPerSec: 19.2e9, MinAccessBytes: 64}
-}
-
 // HBM2V100 returns V100-class HBM2 (900 GB/s, 32-byte sectors).
 func HBM2V100() DRAMModel {
 	return DRAMModel{Name: "HBM2 V100", BytesPerSec: 900e9, MinAccessBytes: 32}

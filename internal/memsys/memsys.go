@@ -97,15 +97,6 @@ type Buffer struct {
 	route      []Space
 	routeShift uint
 
-	// pageState is used by the UVM manager for SpaceUVM buffers; nil
-	// otherwise. Each entry tracks residency of one 4KB page.
-	pageState []bool
-
-	// segState tracks which SegmentBytes-sized segments have an explicit
-	// staged copy resident in GPU memory (the batched-copy substrate). Nil
-	// until the first SetSegmentStaged call.
-	segState []bool
-
 	// segHome, when non-nil, records each SegmentBytes-sized segment's home
 	// tier space — where the segment's backing bytes physically live. Nil
 	// (the default) means every segment is homed in Space. Placement across
@@ -173,18 +164,6 @@ func (b *Buffer) SegmentHome(i int) Space {
 	return b.HomeAt(int64(i) * SegmentBytes)
 }
 
-// HomedBytes returns how many of the buffer's bytes are homed in the given
-// space.
-func (b *Buffer) HomedBytes(s Space) int64 {
-	var n int64
-	for i := 0; i < b.Segments(); i++ {
-		if b.SegmentHome(i) == s {
-			n += b.segmentBytes(i)
-		}
-	}
-	return n
-}
-
 // segmentBytes returns segment i's length (SegmentBytes except the tail).
 func (b *Buffer) segmentBytes(i int) int64 {
 	return segLen(b.Size(), i)
@@ -208,52 +187,12 @@ func (b *Buffer) Segments() int {
 	return int((b.Size() + SegmentBytes - 1) / SegmentBytes)
 }
 
-// SetSegmentStaged marks segment i's staged-copy residency.
-func (b *Buffer) SetSegmentStaged(i int, staged bool) {
-	if b.segState == nil {
-		b.segState = make([]bool, b.Segments())
-	}
-	b.segState[i] = staged
-}
-
-// StagedSegments returns how many segments currently hold a staged copy.
-func (b *Buffer) StagedSegments() int {
-	n := 0
-	for _, s := range b.segState {
-		if s {
-			n++
-		}
-	}
-	return n
-}
-
-// ResetSegments drops all staged segment copies (e.g. on ColdCaches).
-func (b *Buffer) ResetSegments() {
-	for i := range b.segState {
-		b.segState[i] = false
-	}
-}
-
 // Size returns the buffer length in bytes.
 func (b *Buffer) Size() int64 { return int64(len(b.Data)) }
 
 // Pages returns the number of 4KB pages the buffer spans.
 func (b *Buffer) Pages() int {
 	return int((b.Size() + PageBytes - 1) / PageBytes)
-}
-
-// PageResident reports whether page i is resident in GPU memory. Only
-// meaningful for SpaceUVM buffers.
-func (b *Buffer) PageResident(i int) bool {
-	return b.pageState != nil && i < len(b.pageState) && b.pageState[i]
-}
-
-// SetPageResident marks page i's residency. Used by the UVM manager.
-func (b *Buffer) SetPageResident(i int, resident bool) {
-	if b.pageState == nil {
-		b.pageState = make([]bool, b.Pages())
-	}
-	b.pageState[i] = resident
 }
 
 // U64 reads the 64-bit little-endian element at index i.
@@ -306,16 +245,9 @@ type Arena struct {
 type AllocOption func(*allocConfig)
 
 type allocConfig struct {
-	align      uint64
 	baseOffset uint64
 	elem       int
 	homes      []Space
-}
-
-// WithAlign sets the base alignment in bytes (default 4096). Must be a
-// power of two.
-func WithAlign(align uint64) AllocOption {
-	return func(c *allocConfig) { c.align = align }
 }
 
 // WithBaseOffset shifts the buffer base by the given bytes after alignment.
@@ -406,12 +338,9 @@ func (a *Arena) Alloc(name string, space Space, size int64, opts ...AllocOption)
 	if size < 0 {
 		return nil, fmt.Errorf("memsys: negative allocation size %d", size)
 	}
-	cfg := allocConfig{align: uint64(PageBytes), elem: 8}
+	cfg := allocConfig{elem: 8}
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.align == 0 || cfg.align&(cfg.align-1) != 0 {
-		return nil, fmt.Errorf("memsys: alignment %d is not a power of two", cfg.align)
 	}
 	if a.allocFault != nil {
 		if err := a.allocFault(space, size); err != nil {
@@ -449,8 +378,7 @@ func (a *Arena) Alloc(name string, space Space, size int64, opts ...AllocOption)
 		return nil, err
 	}
 
-	base := (a.nextVA + cfg.align - 1) &^ (cfg.align - 1)
-	base += cfg.baseOffset
+	base := (a.nextVA+PageBytes-1)&^(PageBytes-1) + cfg.baseOffset
 	b := &Buffer{
 		Name:    name,
 		Space:   space,
@@ -459,9 +387,7 @@ func (a *Arena) Alloc(name string, space Space, size int64, opts ...AllocOption)
 		Elem:    cfg.elem,
 		segHome: segHome,
 	}
-	if space == SpaceUVM {
-		b.pageState = make([]bool, b.Pages())
-	}
+
 	a.nextVA = base + uint64(size)
 	a.buffers = append(a.buffers, b)
 	return b, nil
@@ -555,10 +481,6 @@ func (a *Arena) SetSegmentHome(b *Buffer, seg int, home Space) error {
 // GPUUsed returns the bytes currently allocated in GPU space.
 func (a *Arena) GPUUsed() int64 { return a.gpuUsed }
 
-// HostUsed returns the bytes currently allocated in host space
-// (pinned + UVM backing).
-func (a *Arena) HostUsed() int64 { return a.hostUsed }
-
 // CXLUsed returns the bytes currently homed in the external CXL tier.
 func (a *Arena) CXLUsed() int64 { return a.cxlUsed }
 
@@ -578,17 +500,4 @@ func (a *Arena) HostFree() int64 {
 		return -1
 	}
 	return a.HostCapacity - a.hostUsed
-}
-
-// Buffers returns the live buffers in allocation order. The returned slice
-// is shared and must not be mutated.
-func (a *Arena) Buffers() []*Buffer { return a.buffers }
-
-// ResetStaged drops every staged segment copy across all live buffers.
-// Called from Device.ResetUVMResidency so ColdCaches evicts the explicit
-// batched-copy substrate alongside UVM pages.
-func (a *Arena) ResetStaged() {
-	for _, b := range a.buffers {
-		b.ResetSegments()
-	}
 }

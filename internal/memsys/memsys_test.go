@@ -48,8 +48,8 @@ func TestArenaAllocBasics(t *testing.T) {
 	if b.Space != SpaceHostPinned {
 		t.Errorf("Space = %v", b.Space)
 	}
-	if a.HostUsed() != 1000 {
-		t.Errorf("HostUsed = %d, want 1000", a.HostUsed())
+	if a.hostUsed != 1000 {
+		t.Errorf("HostUsed = %d, want 1000", a.hostUsed)
 	}
 	if a.GPUUsed() != 0 {
 		t.Errorf("GPUUsed = %d, want 0", a.GPUUsed())
@@ -137,7 +137,7 @@ func TestArenaFreeForeignPanics(t *testing.T) {
 
 func TestAllocOptions(t *testing.T) {
 	a := newTestArena(0, 0)
-	b, err := a.Alloc("aligned", SpaceHostPinned, 64, WithAlign(128), WithBaseOffset(32), WithElem(4))
+	b, err := a.Alloc("aligned", SpaceHostPinned, 64, WithBaseOffset(32), WithElem(4))
 	if err != nil {
 		t.Fatalf("Alloc: %v", err)
 	}
@@ -147,9 +147,7 @@ func TestAllocOptions(t *testing.T) {
 	if b.Elem != 4 {
 		t.Errorf("Elem = %d, want 4", b.Elem)
 	}
-	if _, err := a.Alloc("bad", SpaceGPU, 8, WithAlign(100)); err == nil {
-		t.Errorf("expected error for non-power-of-two alignment")
-	}
+
 	if _, err := a.Alloc("neg", SpaceGPU, -1); err == nil {
 		t.Errorf("expected error for negative size")
 	}
@@ -188,27 +186,6 @@ func TestBufferPages(t *testing.T) {
 		if got := b.Pages(); got != tc.want {
 			t.Errorf("Pages(size=%d) = %d, want %d", tc.size, got, tc.want)
 		}
-	}
-}
-
-func TestBufferPageResidency(t *testing.T) {
-	a := newTestArena(0, 0)
-	b := a.MustAlloc("uvm", SpaceUVM, 3*PageBytes)
-	if b.PageResident(0) || b.PageResident(2) {
-		t.Errorf("pages should start non-resident")
-	}
-	b.SetPageResident(1, true)
-	if !b.PageResident(1) || b.PageResident(0) {
-		t.Errorf("residency tracking wrong")
-	}
-	// Non-UVM buffers lazily create page state when marked.
-	g := a.MustAlloc("gpu", SpaceGPU, PageBytes)
-	if g.PageResident(0) {
-		t.Errorf("non-UVM buffer should report non-resident")
-	}
-	g.SetPageResident(0, true)
-	if !g.PageResident(0) {
-		t.Errorf("lazy page state not created")
 	}
 }
 
@@ -324,11 +301,11 @@ func TestArenaAllocProperty(t *testing.T) {
 		type rng struct{ lo, hi uint64 }
 		var ranges []rng
 		for _, s := range sizes {
-			b, err := a.Alloc("p", SpaceGPU, int64(s), WithAlign(128))
+			b, err := a.Alloc("p", SpaceGPU, int64(s))
 			if err != nil {
 				return false
 			}
-			if b.Base%128 != 0 {
+			if b.Base%PageBytes != 0 {
 				return false
 			}
 			lo, hi := b.Base, b.Base+uint64(s)
@@ -349,7 +326,7 @@ func TestArenaAllocProperty(t *testing.T) {
 func TestDRAMModelPresets(t *testing.T) {
 	// Every preset must be internally consistent: positive bandwidth and a
 	// power-of-two minimum burst no larger than a cache line.
-	for _, d := range []DRAMModel{DDR4Quad(), DDR4Single(), HBM2V100(), HBM2eA100(), GDDR5XTitanXp()} {
+	for _, d := range []DRAMModel{DDR4Quad(), HBM2V100(), HBM2eA100(), GDDR5XTitanXp()} {
 		if d.BytesPerSec <= 0 {
 			t.Errorf("%s: non-positive bandwidth", d.Name)
 		}
@@ -362,9 +339,7 @@ func TestDRAMModelPresets(t *testing.T) {
 	if HBM2eA100().BytesPerSec <= HBM2V100().BytesPerSec {
 		t.Errorf("A100 HBM2e should outrun V100 HBM2")
 	}
-	if DDR4Single().BytesPerSec >= DDR4Quad().BytesPerSec {
-		t.Errorf("single-channel DDR4 should be slower than quad")
-	}
+
 }
 
 func TestErrOutOfMemoryMessage(t *testing.T) {
@@ -396,14 +371,15 @@ func TestGPUFreeAndBuffers(t *testing.T) {
 	if got := a.GPUFree(); got != 600 {
 		t.Errorf("GPUFree = %d, want 600", got)
 	}
-	bufs := a.Buffers()
+	bufs := a.buffers
+
 	if len(bufs) != 1 || bufs[0] != b {
 		t.Errorf("Buffers = %v", bufs)
 	}
 	// Freeing host-space buffers adjusts host accounting.
 	h := a.MustAlloc("h", SpaceHostPinned, 64)
 	a.Free(h)
-	if a.HostUsed() != 0 {
-		t.Errorf("HostUsed after free = %d", a.HostUsed())
+	if a.hostUsed != 0 {
+		t.Errorf("HostUsed after free = %d", a.hostUsed)
 	}
 }

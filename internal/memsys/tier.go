@@ -43,20 +43,6 @@ func (k TierKind) String() string {
 	}
 }
 
-// Space returns the allocation space whose buffers are homed on this tier
-// kind. TierHBM maps to SpaceGPU, TierDRAM to SpaceHostPinned (UVM backing
-// also lives there), TierCXL to SpaceCXL.
-func (k TierKind) Space() Space {
-	switch k {
-	case TierHBM:
-		return SpaceGPU
-	case TierCXL:
-		return SpaceCXL
-	default:
-		return SpaceHostPinned
-	}
-}
-
 // Tier is one level of the memory hierarchy: a capacity plus the cost
 // models a GPU access to data homed there pays.
 type Tier struct {
@@ -118,9 +104,6 @@ func (ts TierStack) DRAM() *Tier { return ts.byKind(TierDRAM) }
 
 // CXL returns the stack's external CXL-class tier, or nil (two-tier stacks).
 func (ts TierStack) CXL() *Tier { return ts.byKind(TierCXL) }
-
-// HasCXL reports whether the stack includes an external CXL-class tier.
-func (ts TierStack) HasCXL() bool { return ts.CXL() != nil }
 
 // TwoTier returns the canonical two-tier stack: GPU HBM of gpuBytes over
 // hostBytes of host DRAM behind one PCIe link. A zero capacity is uncapped.

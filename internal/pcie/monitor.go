@@ -51,12 +51,6 @@ func (c TransferClass) String() string {
 	}
 }
 
-// TransferClasses returns all classes in a fixed order, for pre-registering
-// metric label values.
-func TransferClasses() []TransferClass {
-	return []TransferClass{ClassZeroCopy, ClassUVM, ClassStaged, ClassBulk, ClassCXL}
-}
-
 // Monitor observes the request stream crossing the link, playing the role
 // of the paper's FPGA-based PCIe traffic monitor (§3.2): it records request
 // counts by size, payload and wire bytes, and the sampled bandwidth,
@@ -65,8 +59,7 @@ type Monitor struct {
 	sizeHist  stats.Histogram
 	wireBytes uint64
 
-	// per-transfer-class request and payload-byte attribution
-	classReqs  [numTransferClasses]uint64
+	// per-transfer-class payload-byte attribution
 	classBytes [numTransferClasses]uint64
 
 	// interval state for bandwidth sampling, and the payload bytes and
@@ -104,7 +97,6 @@ func (m *Monitor) RecordClassN(payloadBytes, overheadBytes int, n uint64, class 
 	m.sizeHist.AddN(int64(payloadBytes), n)
 	m.wireBytes += n * uint64(payloadBytes+overheadBytes)
 	m.intervalBytes += n * uint64(payloadBytes)
-	m.classReqs[class] += n
 	m.classBytes[class] += n * uint64(payloadBytes)
 	m.traceAddN(payloadBytes, false, n)
 }
@@ -126,7 +118,7 @@ func (m *Monitor) RecordBulkClass(n int64, overheadBytes int, class TransferClas
 		m.sizeHist.AddN(128, uint64(full))
 		m.wireBytes += uint64(full) * uint64(128+overheadBytes)
 		m.intervalBytes += uint64(full) * 128
-		m.classReqs[class] += uint64(full)
+
 		m.classBytes[class] += uint64(full) * 128
 		m.traceAddN(128, true, uint64(full))
 	}
@@ -134,14 +126,11 @@ func (m *Monitor) RecordBulkClass(n int64, overheadBytes int, class TransferClas
 		m.sizeHist.Add(rem)
 		m.wireBytes += uint64(rem) + uint64(overheadBytes)
 		m.intervalBytes += uint64(rem)
-		m.classReqs[class]++
+
 		m.classBytes[class] += uint64(rem)
 		m.traceAdd(int(rem), true)
 	}
 }
-
-// ClassRequests returns the number of requests attributed to class c.
-func (m *Monitor) ClassRequests(c TransferClass) uint64 { return m.classReqs[c] }
 
 // Sample closes the current bandwidth-sampling interval at simulated time
 // now. Intervals are typically kernel launches; a zero-width interval
@@ -163,9 +152,6 @@ func (m *Monitor) PayloadBytes() uint64 { return uint64(m.sizeHist.Sum()) }
 
 // WireBytes returns the total wire bytes (payload + per-request overhead).
 func (m *Monitor) WireBytes() uint64 { return m.wireBytes }
-
-// SizeHistogram returns a copy of the request-size histogram.
-func (m *Monitor) SizeHistogram() *stats.Histogram { return m.sizeHist.Clone() }
 
 // SizeFraction returns the fraction of requests with the given payload size.
 func (m *Monitor) SizeFraction(size int) float64 {
@@ -192,7 +178,7 @@ func (m *Monitor) Reset() {
 	m.intervalStart = 0
 	m.sampledBytes = 0
 	m.sampledTime = 0
-	m.classReqs = [numTransferClasses]uint64{}
+
 	m.classBytes = [numTransferClasses]uint64{}
 	m.traceDropped = 0
 	m.generation++
@@ -214,7 +200,7 @@ func (m *Monitor) MergeCounts(other *Monitor) {
 	m.wireBytes += other.wireBytes
 	m.intervalBytes += other.intervalBytes
 	for c := TransferClass(0); c < numTransferClasses; c++ {
-		m.classReqs[c] += other.classReqs[c]
+
 		m.classBytes[c] += other.classBytes[c]
 	}
 }

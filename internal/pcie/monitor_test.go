@@ -41,7 +41,7 @@ func TestMonitorRecordBulk(t *testing.T) {
 	if m.Requests() != 2 || m.PayloadBytes() != 200 {
 		t.Errorf("bulk 200B: reqs=%d payload=%d", m.Requests(), m.PayloadBytes())
 	}
-	if m.SizeHistogram().Count(72) != 1 {
+	if m.Snapshot().BySize[72] != 1 {
 		t.Errorf("remainder request not recorded")
 	}
 	m.Reset()
@@ -171,12 +171,16 @@ func TestMonitorConservationProperty(t *testing.T) {
 		if m.PayloadBytes() != wantPayload {
 			t.Fatalf("payload bytes %d, want %d", m.PayloadBytes(), wantPayload)
 		}
-		hist := m.SizeHistogram()
-		if hist.Total() != m.Requests() {
-			t.Fatalf("histogram total %d != requests %d", hist.Total(), m.Requests())
+		var reqs, sum uint64
+		for size, n := range m.Snapshot().BySize {
+			reqs += n
+			sum += uint64(size) * n
 		}
-		if uint64(hist.Sum()) != wantPayload {
-			t.Fatalf("histogram sum %d != payload %d", hist.Sum(), wantPayload)
+		if reqs != m.Requests() {
+			t.Fatalf("histogram total %d != requests %d", reqs, m.Requests())
+		}
+		if sum != wantPayload {
+			t.Fatalf("histogram sum %d != payload %d", sum, wantPayload)
 		}
 		if m.WireBytes() < m.PayloadBytes() {
 			t.Fatalf("wire bytes below payload bytes")
@@ -308,18 +312,13 @@ func TestClassCXLRegistered(t *testing.T) {
 	if ClassCXL.String() != "cxl" {
 		t.Errorf("ClassCXL label = %q", ClassCXL)
 	}
-	found := false
-	for _, c := range TransferClasses() {
-		if c == ClassCXL {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("TransferClasses() missing ClassCXL")
+	if ClassCXL >= numTransferClasses {
+		t.Error("ClassCXL outside the class taxonomy")
 	}
 	var m Monitor
 	m.RecordClassN(64, 24, 2, ClassCXL)
-	if m.ClassRequests(ClassCXL) != 2 {
-		t.Errorf("CXL class requests = %d", m.ClassRequests(ClassCXL))
+	if got := m.Snapshot().ByClass["cxl"]; got != 128 {
+		t.Errorf("CXL class payload bytes = %d, want 128", got)
 	}
+
 }

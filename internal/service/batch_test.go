@@ -295,10 +295,7 @@ func TestServiceBatchLaneCancel(t *testing.T) {
 // values bit-identical to a fault-free run, and the exported fault
 // counters must match the injector's tallies exactly.
 func TestServiceBatchFaultEquivalence(t *testing.T) {
-	inj, err := fault.Profile(fault.ProfileFlakyLink, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inj := flakyLink(t)
 	svc, _ := newFaultyService(t, inj, Config{
 		Concurrency:  2,
 		QueueDepth:   8,

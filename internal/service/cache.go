@@ -101,9 +101,3 @@ func (c *resultCache) put(k cacheKey, res *emogi.Result) {
 		delete(c.m, oldest.Value.(*cacheEntry).key)
 	}
 }
-
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}

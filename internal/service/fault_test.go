@@ -35,10 +35,7 @@ func newFaultyService(t *testing.T, inj fault.Injector, cfg Config) (*Service, *
 // counters must agree exactly with the injector's own tallies. Run under
 // -race.
 func TestServiceFaultStress(t *testing.T) {
-	inj, err := fault.Profile(fault.ProfileFlakyLink, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inj := flakyLink(t)
 	svc, _ := newFaultyService(t, inj, Config{
 		Concurrency:  4,
 		QueueDepth:   32, // capacity 36 > 32: every request admits
@@ -260,4 +257,18 @@ func TestServiceCacheConcurrentMutation(t *testing.T) {
 	if !reflect.DeepEqual(final, first) {
 		t.Error("concurrent mutation of returned Results corrupted the cached entry")
 	}
+}
+
+// flakyLink builds the flaky-link fault profile's injector at seed 7.
+func flakyLink(t *testing.T) fault.Injector {
+	t.Helper()
+	cfg, err := fault.ProfileConfig(fault.ProfileFlakyLink, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := fault.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inj
 }

@@ -142,8 +142,8 @@ func TestRequestLifecycleTrace(t *testing.T) {
 	if got := svc.met.stage[telemetry.StageExecute].Count(); got != 2 {
 		t.Errorf("execute histogram count after second request = %d, want 2", got)
 	}
-	if rec.Len() != 2 {
-		t.Errorf("recorder holds %d records, want 2", rec.Len())
+	if len(rec.Snapshot()) != 2 {
+		t.Errorf("recorder holds %d records, want 2", len(rec.Snapshot()))
 	}
 	// The generated trace ID is non-empty even when the caller sent none.
 	if got := rec.Snapshot()[0].TraceID; got == "" {
@@ -195,10 +195,7 @@ func TestRequestLifecycleCached(t *testing.T) {
 // spans between attempts, the degrade span, absorbed fault counts — and
 // the device health window reflects the degradation.
 func TestRequestLifecycleRetries(t *testing.T) {
-	inj, err := fault.Profile(fault.ProfileFlakyLink, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inj := flakyLink(t)
 	svc, rec, health, _ := lifecycleService(t, inj, Config{Concurrency: 1, CacheEntries: -1})
 	defer svc.Close()
 

@@ -124,10 +124,7 @@ func TestServicePipelineMatrix(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var inj fault.Injector
 			if tc.flaky {
-				var err error
-				if inj, err = fault.Profile(fault.ProfileFlakyLink, 7); err != nil {
-					t.Fatal(err)
-				}
+				inj = flakyLink(t)
 			}
 			svc, rec, _, _ := lifecycleService(t, inj, Config{
 				Concurrency:  1,

@@ -481,3 +481,10 @@ func ExampleService() {
 	fmt.Println(res.App, res.Iterations > 0)
 	// Output: BFS true
 }
+
+// len returns the number of cached results.
+func (c *resultCache) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
+}

@@ -75,21 +75,6 @@ func (c *CDF) Quantile(q float64) int64 {
 	return c.xs[i]
 }
 
-// Support returns the ascending distinct values the CDF is defined over.
-func (c *CDF) Support() []int64 {
-	out := make([]int64, len(c.xs))
-	copy(out, c.xs)
-	return out
-}
-
-// TotalWeight returns the sum of all weights.
-func (c *CDF) TotalWeight() float64 {
-	if c == nil {
-		return 0
-	}
-	return c.tw
-}
-
 // Sample evaluates the CDF at each of the given points, returning
 // P(X <= x) for each. Useful for rendering fixed-axis plots.
 func (c *CDF) Sample(points []int64) []float64 {

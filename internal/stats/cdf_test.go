@@ -23,9 +23,6 @@ func TestCDFBasic(t *testing.T) {
 			t.Errorf("At(%d) = %v, want %v", tc.x, got, tc.want)
 		}
 	}
-	if got := c.TotalWeight(); got != 100 {
-		t.Errorf("TotalWeight = %v, want 100", got)
-	}
 }
 
 func TestCDFDuplicatesMerged(t *testing.T) {
@@ -36,9 +33,10 @@ func TestCDFDuplicatesMerged(t *testing.T) {
 	if got := c.At(4); got != 0.0 {
 		t.Errorf("At(4) = %v, want 0", got)
 	}
-	if got := len(c.Support()); got != 1 {
-		t.Errorf("Support has %d points, want 1", got)
+	if got := len(c.xs); got != 1 {
+		t.Errorf("support has %d points, want 1", got)
 	}
+
 }
 
 func TestCDFQuantile(t *testing.T) {
@@ -65,11 +63,12 @@ func TestCDFQuantile(t *testing.T) {
 
 func TestCDFEmpty(t *testing.T) {
 	c := NewCDF(nil, nil)
-	if c.At(10) != 0 || c.Quantile(0.5) != 0 || c.TotalWeight() != 0 {
+	if c.At(10) != 0 || c.Quantile(0.5) != 0 {
 		t.Errorf("empty CDF should return zeros")
 	}
 	var nilCDF *CDF
-	if nilCDF.At(1) != 0 || nilCDF.TotalWeight() != 0 {
+	if nilCDF.At(1) != 0 || nilCDF.Quantile(0.5) != 0 {
+
 		t.Errorf("nil CDF should return zeros")
 	}
 }

@@ -1,7 +1,7 @@
 // Package stats provides the small statistics substrate shared by the
 // simulator's traffic monitor and the experiment harness: integer-keyed
-// histograms, weighted CDFs, and running summaries.
-//
+// histograms, weighted CDFs, and the arithmetic mean.
+
 // Everything in this package is deterministic and allocation-conscious; the
 // hot path (Histogram.Add) is called once per simulated PCIe request.
 package stats
@@ -82,14 +82,6 @@ func (h *Histogram) Fraction(v int64) float64 {
 	return float64(h.Count(v)) / float64(h.total)
 }
 
-// Mean returns the mean observed value, or 0 for an empty histogram.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.total)
-}
-
 // Keys returns the distinct observed values in ascending order.
 func (h *Histogram) Keys() []int64 {
 	keys := make([]int64, 0, smallSlots+len(h.counts))
@@ -127,18 +119,6 @@ func (h *Histogram) Reset() {
 	clear(h.counts)
 	h.total = 0
 	h.sum = 0
-}
-
-// Clone returns an independent copy of h.
-func (h *Histogram) Clone() *Histogram {
-	c := &Histogram{small: h.small, total: h.total, sum: h.sum}
-	if h.counts != nil {
-		c.counts = make(map[int64]uint64, len(h.counts))
-		for k, v := range h.counts {
-			c.counts[k] = v
-		}
-	}
-	return c
 }
 
 // String renders the histogram as "key:count" pairs in ascending key order,

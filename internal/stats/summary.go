@@ -1,98 +1,5 @@
 package stats
 
-import "math"
-
-// Summary accumulates a running mean/variance/min/max over float64
-// observations using Welford's algorithm. The zero value is ready to use.
-type Summary struct {
-	n        uint64
-	mean, m2 float64
-	min, max float64
-}
-
-// Add records one observation.
-func (s *Summary) Add(x float64) {
-	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	delta := x - s.mean
-	s.mean += delta / float64(s.n)
-	s.m2 += delta * (x - s.mean)
-}
-
-// N returns the number of observations.
-func (s *Summary) N() uint64 { return s.n }
-
-// Mean returns the arithmetic mean, or 0 with no observations.
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Min returns the smallest observation, or 0 with no observations.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 with no observations.
-func (s *Summary) Max() float64 { return s.max }
-
-// Variance returns the sample variance (n-1 denominator), or 0 when there
-// are fewer than two observations.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (s *Summary) Stddev() float64 { return math.Sqrt(s.Variance()) }
-
-// Merge folds other into s, as if every observation seen by other had been
-// Added to s (Chan et al. parallel variance combination).
-func (s *Summary) Merge(other *Summary) {
-	if other == nil || other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *other
-		return
-	}
-	n := s.n + other.n
-	delta := other.mean - s.mean
-	s.m2 += other.m2 + delta*delta*float64(s.n)*float64(other.n)/float64(n)
-	s.mean += delta * float64(other.n) / float64(n)
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-	s.n = n
-}
-
-// GeoMean computes the geometric mean of xs, ignoring non-positive entries.
-// It returns 0 if no positive entries remain. The paper's "average speedup"
-// figures are arithmetic means; GeoMean is provided for the harness's
-// supplementary reporting.
-func GeoMean(xs []float64) float64 {
-	sum, n := 0.0, 0
-	for _, x := range xs {
-		if x > 0 {
-			sum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}
-
 // Mean computes the arithmetic mean of xs, returning 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

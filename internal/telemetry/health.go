@@ -250,16 +250,6 @@ func (h *Health) SetDraining(v bool) {
 	h.mu.Unlock()
 }
 
-// Draining reports whether the drain flag is set.
-func (h *Health) Draining() bool {
-	if h == nil {
-		return false
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.draining
-}
-
 // Report classifies the instance: per-device states plus the drain flag.
 // Serving is false — HTTP 503 — while draining or while any device is
 // unhealthy; a degraded instance keeps serving (it is still producing

@@ -97,8 +97,8 @@ func TestHealthDraining(t *testing.T) {
 	h.RegisterDevice("gpu0")
 
 	h.SetDraining(true)
-	if !h.Draining() {
-		t.Fatal("Draining() = false after SetDraining(true)")
+	if !h.Report().Draining {
+		t.Fatal("Report().Draining = false after SetDraining(true)")
 	}
 	rep := h.Report()
 	if rep.Status != "draining" || rep.Serving || !rep.Draining {
@@ -110,7 +110,7 @@ func TestHealthDraining(t *testing.T) {
 		t.Errorf("exposition missing draining gauge:\n%s", sb.String())
 	}
 	h.SetDraining(false)
-	if h.Draining() || !h.Report().Serving {
+	if h.Report().Draining || !h.Report().Serving {
 		t.Error("drain flag did not clear")
 	}
 }
@@ -136,7 +136,7 @@ func TestHealthNilInert(t *testing.T) {
 	h.RegisterDevice("gpu0")
 	h.ObserveRun("gpu0", RunObservation{TransientFailure: true})
 	h.SetDraining(true)
-	if h.Draining() {
+	if h.Report().Draining {
 		t.Error("nil health reports draining")
 	}
 	rep := h.Report()

@@ -108,16 +108,6 @@ func (r *Recorder) Record(rec RequestRecord) {
 	r.mu.Unlock()
 }
 
-// Len returns the number of records currently held.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.size
-}
-
 // Total returns the number of records ever added, including evicted ones.
 func (r *Recorder) Total() uint64 {
 	if r == nil {

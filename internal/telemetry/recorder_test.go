@@ -21,8 +21,8 @@ func TestRecorderRingEviction(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		r.Record(rec(fmt.Sprintf("r%d", i), int64(i)))
 	}
-	if r.Len() != 3 {
-		t.Errorf("Len = %d, want 3", r.Len())
+	if len(r.Snapshot()) != 3 {
+		t.Errorf("held %d records, want 3", len(r.Snapshot()))
 	}
 	if r.Total() != 5 {
 		t.Errorf("Total = %d, want 5", r.Total())
@@ -69,7 +69,7 @@ func TestRecorderSlowest(t *testing.T) {
 func TestRecorderNilInert(t *testing.T) {
 	var r *Recorder
 	r.Record(rec("x", 1))
-	if r.Len() != 0 || r.Total() != 0 || r.Capacity() != 0 {
+	if len(r.Snapshot()) != 0 || r.Total() != 0 || r.Capacity() != 0 {
 		t.Error("nil recorder reports non-empty state")
 	}
 	if r.Snapshot() != nil || r.Slowest(5) != nil {
@@ -91,7 +91,6 @@ func TestRecorderConcurrent(t *testing.T) {
 				if i%10 == 0 {
 					r.Snapshot()
 					r.Slowest(4)
-					r.Len()
 				}
 			}
 		}(g)
@@ -100,7 +99,7 @@ func TestRecorderConcurrent(t *testing.T) {
 	if r.Total() != 8*200 {
 		t.Errorf("Total = %d, want %d", r.Total(), 8*200)
 	}
-	if r.Len() != 16 {
-		t.Errorf("Len = %d, want capacity 16", r.Len())
+	if len(r.Snapshot()) != 16 {
+		t.Errorf("held %d records, want capacity 16", len(r.Snapshot()))
 	}
 }

@@ -261,13 +261,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 func (h *Histogram) write(w io.Writer, name, lk string) error {
 	h.mu.Lock()
 	bounds := h.bounds

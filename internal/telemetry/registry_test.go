@@ -85,9 +85,10 @@ func TestRegistryHistogram(t *testing.T) {
 			t.Errorf("histogram exposition missing %q:\n%s", want, out)
 		}
 	}
-	if h.Count() != 4 || h.Sum() != 360 {
-		t.Errorf("histogram accessors: count=%d sum=%v", h.Count(), h.Sum())
+	if h.Count() != 4 || h.sum != 360 {
+		t.Errorf("histogram accessors: count=%d sum=%v", h.Count(), h.sum)
 	}
+
 }
 
 func TestRegistryKindMismatchPanics(t *testing.T) {

@@ -240,16 +240,6 @@ func (t *Tracer) Len() int {
 	return len(t.events)
 }
 
-// Events returns a copy of the recorded events (excluding metadata) in
-// ascending timestamp order.
-func (t *Tracer) Events() []TraceEvent {
-	t.mu.Lock()
-	evs := append([]TraceEvent(nil), t.events...)
-	t.mu.Unlock()
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].TS < evs[j].TS })
-	return evs
-}
-
 // WriteJSON renders the timeline in the object form of the Chrome
 // trace-event format. Metadata events come first, then all recorded events
 // sorted by simulated timestamp (stable, so same-timestamp events keep

@@ -122,7 +122,7 @@ func TestTracerKernelRequestStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, ev := range tracer.Events() {
+	for _, ev := range tracer.events {
 		if ev.Cat != "kernel" {
 			continue
 		}
@@ -145,13 +145,26 @@ func TestTracerKernelRequestStream(t *testing.T) {
 }
 
 // TestTracerEventsSorted covers out-of-order insertion across devices: the
-// Events and WriteJSON views must sort by timestamp.
+// WriteJSON view must sort the recorded events by timestamp.
 func TestTracerEventsSorted(t *testing.T) {
 	tr := NewTracer()
 	tr.Round("devB", "bfs", 1, 300*time.Microsecond, 400*time.Microsecond)
 	tr.Round("devA", "bfs", 0, 100*time.Microsecond, 200*time.Microsecond)
-	evs := tr.Events()
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var file struct{ TraceEvents []TraceEvent }
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
+	var evs []TraceEvent
+	for _, ev := range file.TraceEvents {
+		if ev.Ph != "M" {
+			evs = append(evs, ev)
+		}
+	}
 	if len(evs) != 2 || evs[0].TS > evs[1].TS {
-		t.Fatalf("Events() not sorted: %+v", evs)
+		t.Fatalf("WriteJSON events not sorted: %+v", evs)
 	}
 }

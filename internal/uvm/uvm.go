@@ -81,15 +81,6 @@ type Stats struct {
 	HBMHits        uint64 // accesses served from already-resident pages
 }
 
-// Add folds other into s.
-func (s *Stats) Add(other Stats) {
-	s.Faults += other.Faults
-	s.Migrations += other.Migrations
-	s.Evictions += other.Evictions
-	s.HostBytesMoved += other.HostBytesMoved
-	s.HBMHits += other.HBMHits
-}
-
 // pageKey identifies one page of one UVM buffer.
 type pageKey struct {
 	buf  *memsys.Buffer
@@ -126,9 +117,6 @@ func (m *Manager) Config() Config { return m.cfg }
 
 // Stats returns a copy of the accumulated statistics.
 func (m *Manager) Stats() Stats { return m.stats }
-
-// Resident returns the number of currently resident pages.
-func (m *Manager) Resident() int { return m.resident }
 
 // Touch services a GPU access of size bytes at byte offset off within buf,
 // migrating any non-resident pages the access overlaps — plus, for each
@@ -178,7 +166,6 @@ func (m *Manager) EvictRange(buf *memsys.Buffer, off, size int64) (evicted int) 
 		m.unlink(node)
 		delete(m.lru, key)
 		m.resident--
-		buf.SetPageResident(int(p), false)
 		m.stats.Evictions++
 		evicted++
 	}
@@ -190,7 +177,7 @@ func (m *Manager) EvictRange(buf *memsys.Buffer, off, size int64) (evicted int) 
 func (m *Manager) faultBlock(buf *memsys.Buffer, p int64) int {
 	block := int64(m.cfg.BlockPages)
 	if block <= 1 {
-		m.fault(pageKey{buf, int(p)}, buf)
+		m.fault(pageKey{buf, int(p)})
 		return 1
 	}
 	start := p / block * block
@@ -204,14 +191,14 @@ func (m *Manager) faultBlock(buf *memsys.Buffer, p int64) int {
 		if _, ok := m.lru[key]; ok {
 			continue
 		}
-		m.fault(key, buf)
+		m.fault(key)
 		migrated++
 	}
 	return migrated
 }
 
 // fault migrates one page in, evicting the LRU page if at capacity.
-func (m *Manager) fault(key pageKey, buf *memsys.Buffer) {
+func (m *Manager) fault(key pageKey) {
 	if m.cfg.CapacityPages == 0 {
 		// Bounce: the page is transferred and used, but GPU memory has no
 		// room to keep it; it is reclaimed before any reuse.
@@ -230,7 +217,6 @@ func (m *Manager) fault(key pageKey, buf *memsys.Buffer) {
 	m.lru[key] = node
 	m.pushFront(node)
 	m.resident++
-	buf.SetPageResident(key.page, true)
 	m.stats.Faults++
 	m.stats.Migrations++
 	m.stats.HostBytesMoved += uint64(m.cfg.PageBytes)
@@ -246,16 +232,13 @@ func (m *Manager) evictLRU() {
 	m.unlink(node)
 	delete(m.lru, node.key)
 	m.resident--
-	node.key.buf.SetPageResident(node.key.page, false)
 	m.stats.Evictions++
 }
 
 // Reset clears residency and statistics (between experiment runs).
 func (m *Manager) Reset() {
-	for key := range m.lru {
-		key.buf.SetPageResident(key.page, false)
-	}
 	m.lru = make(map[pageKey]*lruNode)
+
 	m.head, m.tail = nil, nil
 	m.resident = 0
 	m.stats = Stats{}

@@ -44,7 +44,7 @@ func TestTouchMigratesOnFirstAccess(t *testing.T) {
 	if st.HostBytesMoved != uint64(memsys.PageBytes) {
 		t.Errorf("HostBytesMoved = %d, want %d", st.HostBytesMoved, memsys.PageBytes)
 	}
-	if !b.PageResident(0) {
+	if !isResident(m, b, 0) {
 		t.Errorf("page 0 should be resident")
 	}
 }
@@ -56,7 +56,7 @@ func TestTouchSpanningPages(t *testing.T) {
 	if got, _ := m.Touch(b, 4090, 32); got != 2 {
 		t.Errorf("boundary-crossing touch migrated %d pages, want 2", got)
 	}
-	if !b.PageResident(0) || !b.PageResident(1) {
+	if !isResident(m, b, 0) || !isResident(m, b, 1) {
 		t.Errorf("both overlapped pages should be resident")
 	}
 }
@@ -86,17 +86,17 @@ func TestLRUEvictionOrder(t *testing.T) {
 	if got := touchPage(2); got != 1 {
 		t.Fatalf("page 2 touch migrated %d, want 1", got)
 	}
-	if b.PageResident(1) {
+	if isResident(m, b, 1) {
 		t.Errorf("page 1 (LRU) should have been evicted")
 	}
-	if !b.PageResident(0) || !b.PageResident(2) {
+	if !isResident(m, b, 0) || !isResident(m, b, 2) {
 		t.Errorf("pages 0 and 2 should be resident")
 	}
 	if m.Stats().Evictions != 1 {
 		t.Errorf("Evictions = %d, want 1", m.Stats().Evictions)
 	}
-	if m.Resident() != 2 {
-		t.Errorf("Resident = %d, want 2", m.Resident())
+	if m.resident != 2 {
+		t.Errorf("Resident = %d, want 2", m.resident)
 	}
 }
 
@@ -133,10 +133,10 @@ func TestZeroCapacityBounces(t *testing.T) {
 	if st.Migrations != 5 || st.Evictions != 5 {
 		t.Errorf("stats = %+v, want 5 migrations and evictions", st)
 	}
-	if m.Resident() != 0 {
-		t.Errorf("Resident = %d, want 0", m.Resident())
+	if m.resident != 0 {
+		t.Errorf("Resident = %d, want 0", m.resident)
 	}
-	if b.PageResident(0) {
+	if isResident(m, b, 0) {
 		t.Errorf("page should never stay resident at zero capacity")
 	}
 }
@@ -147,8 +147,8 @@ func TestUnlimitedCapacity(t *testing.T) {
 	for p := 0; p < 100; p++ {
 		m.Touch(b, int64(p*memsys.PageBytes), 8)
 	}
-	if m.Resident() != 100 {
-		t.Errorf("Resident = %d, want 100", m.Resident())
+	if m.resident != 100 {
+		t.Errorf("Resident = %d, want 100", m.resident)
 	}
 	if m.Stats().Evictions != 0 {
 		t.Errorf("unlimited capacity should never evict")
@@ -161,13 +161,13 @@ func TestReset(t *testing.T) {
 	m.Touch(b, 0, 8)
 	m.Touch(b, memsys.PageBytes, 8)
 	m.Reset()
-	if m.Resident() != 0 {
-		t.Errorf("Resident after Reset = %d", m.Resident())
+	if m.resident != 0 {
+		t.Errorf("Resident after Reset = %d", m.resident)
 	}
 	if m.Stats().Migrations != 0 {
 		t.Errorf("stats not cleared by Reset")
 	}
-	if b.PageResident(0) || b.PageResident(1) {
+	if isResident(m, b, 0) || isResident(m, b, 1) {
 		t.Errorf("buffer residency not cleared by Reset")
 	}
 	// Pages fault again after reset.
@@ -187,16 +187,6 @@ func TestCostHelpers(t *testing.T) {
 	}
 	if got := m.FaultCPUTime(0); got != 0 {
 		t.Errorf("FaultCPUTime(0) = %v, want 0", got)
-	}
-}
-
-func TestStatsAdd(t *testing.T) {
-	a := Stats{Faults: 1, Migrations: 2, Evictions: 3, HostBytesMoved: 4, HBMHits: 5}
-	b := Stats{Faults: 10, Migrations: 20, Evictions: 30, HostBytesMoved: 40, HBMHits: 50}
-	a.Add(b)
-	if a.Faults != 11 || a.Migrations != 22 || a.Evictions != 33 ||
-		a.HostBytesMoved != 44 || a.HBMHits != 55 {
-		t.Errorf("Stats.Add wrong: %+v", a)
 	}
 }
 
@@ -223,7 +213,7 @@ func TestDefaultConfigCalibration(t *testing.T) {
 }
 
 // Invariant: resident count never exceeds capacity; migrations - evictions
-// equals residency; residency map matches buffer page flags.
+// equals residency; the residency map matches the resident count.
 func TestLRUInvariantsRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pages := 32
@@ -233,24 +223,18 @@ func TestLRUInvariantsRandomized(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			off := rng.Int63n(int64(pages*memsys.PageBytes) - 64)
 			m.Touch(b, off, 1+rng.Intn(64))
-			if capacity > 0 && m.Resident() > capacity {
-				t.Fatalf("capacity %d exceeded: resident=%d", capacity, m.Resident())
+			if capacity > 0 && m.resident > capacity {
+				t.Fatalf("capacity %d exceeded: resident=%d", capacity, m.resident)
 			}
 			st := m.Stats()
-			if st.Migrations-st.Evictions != uint64(m.Resident()) {
+			if st.Migrations-st.Evictions != uint64(m.resident) {
 				t.Fatalf("migrations-evictions=%d != resident=%d",
-					st.Migrations-st.Evictions, m.Resident())
+					st.Migrations-st.Evictions, m.resident)
 			}
 		}
-		// Residency flags agree with the manager's view.
-		flagged := 0
-		for p := 0; p < pages; p++ {
-			if b.PageResident(p) {
-				flagged++
-			}
-		}
-		if flagged != m.Resident() {
-			t.Fatalf("capacity %d: buffer flags %d != resident %d", capacity, flagged, m.Resident())
+		// The residency map agrees with the resident count.
+		if len(m.lru) != m.resident {
+			t.Fatalf("capacity %d: %d pages mapped != resident %d", capacity, len(m.lru), m.resident)
 		}
 		m.Reset()
 	}
@@ -266,11 +250,11 @@ func TestBlockPrefetch(t *testing.T) {
 		t.Fatalf("block fault migrated %d pages, want 16", got)
 	}
 	for p := 0; p < 16; p++ {
-		if !b.PageResident(p) {
+		if !isResident(m, b, p) {
 			t.Errorf("page %d of the block should be resident", p)
 		}
 	}
-	if b.PageResident(16) {
+	if isResident(m, b, 16) {
 		t.Errorf("page outside the block should not be resident")
 	}
 	// Any further touch within the block is free.
@@ -301,8 +285,8 @@ func TestBlockPrefetchSkipsResident(t *testing.T) {
 	if got, _ := m.Touch(b, 2*memsys.PageBytes, 8); got != 0 {
 		t.Errorf("resident block re-migrated %d pages", got)
 	}
-	if m.Resident() != 4 {
-		t.Errorf("resident = %d, want 4", m.Resident())
+	if m.resident != 4 {
+		t.Errorf("resident = %d, want 4", m.resident)
 	}
 	// Under capacity pressure the block fill itself evicts: a 4-page block
 	// into a 3-page budget leaves 3 resident.
@@ -311,8 +295,8 @@ func TestBlockPrefetchSkipsResident(t *testing.T) {
 	if got, _ := m2.Touch(b, 0, 8); got != 4 {
 		t.Fatalf("block fault migrated %d, want 4", got)
 	}
-	if m2.Resident() != 3 {
-		t.Fatalf("resident = %d, want 3", m2.Resident())
+	if m2.resident != 3 {
+		t.Fatalf("resident = %d, want 3", m2.resident)
 	}
 }
 
@@ -337,4 +321,10 @@ func TestBlockPrefetchStreamingNoWaste(t *testing.T) {
 	if want := pages - pages/cfg.BlockPages; hits != want {
 		t.Errorf("streaming hits = %d, want %d", hits, want)
 	}
+}
+
+// isResident reports whether page p of b is resident in m's GPU memory.
+func isResident(m *Manager, b *memsys.Buffer, p int) bool {
+	_, ok := m.lru[pageKey{b, p}]
+	return ok
 }

@@ -49,7 +49,7 @@ func TestSystemConfigTierStackDerivation(t *testing.T) {
 		if err := ts.Validate(); err != nil {
 			t.Errorf("%s: platform stack invalid: %v", cfg.Name, err)
 		}
-		if ts.HasCXL() {
+		if ts.CXL() != nil {
 			t.Errorf("%s: platform constructors are two-tier", cfg.Name)
 		}
 	}
@@ -62,13 +62,13 @@ func TestApplyTierStackThreeTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := cfg.GPU.Tiers
-	if !ts.HasCXL() {
+	if ts.CXL() == nil {
 		t.Fatal("3tier-cxl config has no CXL tier")
 	}
 	if got, want := ts.CXL().CapacityBytes, 4*base.GPU.Tiers.DRAM().CapacityBytes; got != want {
 		t.Errorf("CXL capacity = %d, want 4x host DRAM = %d", got, want)
 	}
-	if base.GPU.Tiers.HasCXL() {
+	if base.GPU.Tiers.CXL() != nil {
 		t.Error("ApplyTierStack modified the base configuration's stack")
 	}
 	two, err := ApplyTierStack(base, "2tier")
@@ -160,7 +160,7 @@ func TestWithTierStackAtLoad(t *testing.T) {
 		t.Error("load-time-attached CXL tier served no traffic")
 	}
 
-	if !sys.Device().Config().Tiers.HasCXL() {
+	if sys.Device().Config().Tiers.CXL() == nil {
 		t.Error("device configuration does not report the attached CXL tier")
 	}
 
@@ -191,7 +191,11 @@ func TestFaultsOnThreeTierStack(t *testing.T) {
 	}
 	srcs := PickSources(g, 3, 71)
 	run := func(tiers string) gpu.KernelStats {
-		inj, err := fault.Profile("flaky-link", 7)
+		fcfg, err := fault.ProfileConfig("flaky-link", 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj, err := fault.New(fcfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -330,12 +330,14 @@ func BenchmarkCoreBFSMergedAligned(b *testing.B) {
 
 // BenchmarkCoalescer measures the simulator's coalescing unit in
 // isolation, one warp instruction per op: a scalar and a pair load, a
-// 32-lane contiguous zero-copy gather (one 128B request per 16 lanes), a
-// 32-lane random-index atomic on device memory, the same atomic on
-// ascending indices (a visitor's atomics on a sorted neighbor list, whose
-// sectors need no sort), and a gather through a transport route table
-// alternating zero-copy and HBM segments. The lane MRU is invalidated
-// before every op so reads always reach the request path.
+// 32-lane contiguous zero-copy gather through the lane path (one 128B
+// request per 16 lanes) and the same lanes through the merged walk's range
+// gather, a 32-lane random-index relax (atomicMin returning the winning
+// lanes) on device memory, the same relax on ascending indices (a
+// visitor's atomics on a sorted neighbor list, whose sectors need no
+// sort), and a gather through a transport route table alternating
+// zero-copy and HBM segments. The lane MRU is invalidated before every op
+// so reads always reach the request path.
 func BenchmarkCoalescer(b *testing.B) {
 	var contig, random, ascending [gpu.WarpSize]int64
 	r := rand.New(rand.NewSource(1))
@@ -370,11 +372,15 @@ func BenchmarkCoalescer(b *testing.B) {
 	b.Run("gather-contiguous-zc", func(b *testing.B) {
 		run(b, memsys.SpaceHostPinned, nil, func(w *gpu.Warp, buf *memsys.Buffer) { w.GatherU64(buf, &contig, gpu.MaskFull) })
 	})
+	b.Run("gather-range-zc", func(b *testing.B) {
+		var out [gpu.WarpSize]uint32
+		run(b, memsys.SpaceHostPinned, nil, func(w *gpu.Warp, buf *memsys.Buffer) { w.GatherRange(buf, 8, 0, 0, gpu.WarpSize, &out) })
+	})
 	b.Run("atomic-random-hbm", func(b *testing.B) {
-		run(b, memsys.SpaceGPU, nil, func(w *gpu.Warp, buf *memsys.Buffer) { w.AtomicMinU32(buf, &random, &vals, gpu.MaskFull) })
+		run(b, memsys.SpaceGPU, nil, func(w *gpu.Warp, buf *memsys.Buffer) { w.RelaxMinU32(buf, &random, &vals, gpu.MaskFull) })
 	})
 	b.Run("atomic-ascending-hbm", func(b *testing.B) {
-		run(b, memsys.SpaceGPU, nil, func(w *gpu.Warp, buf *memsys.Buffer) { w.AtomicMinU32(buf, &ascending, &vals, gpu.MaskFull) })
+		run(b, memsys.SpaceGPU, nil, func(w *gpu.Warp, buf *memsys.Buffer) { w.RelaxMinU32(buf, &ascending, &vals, gpu.MaskFull) })
 	})
 	b.Run("gather-routed", func(b *testing.B) {
 		route := make([]memsys.Space, (1<<20)/memsys.SegmentBytes)

@@ -8,6 +8,7 @@ package baseline
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"strings"
 	"time"
 
@@ -301,34 +302,17 @@ func launchSubwayKernel(dev *gpu.Device, sub *graph.Subgraph, a *core.Algorithm,
 		if srcVal == graph.InfDist {
 			return
 		}
+		var dst, wgt [gpu.WarpSize]uint32
 		for base := int64(start); base < int64(end); base += gpu.WarpSize {
-			var idx [gpu.WarpSize]int64
-			mask := gpu.MaskNone
-			for l := 0; l < gpu.WarpSize; l++ {
-				if j := base + int64(l); j < int64(end) {
-					idx[l] = j
-					mask = mask.Set(l)
-				}
-			}
-			var dst [gpu.WarpSize]uint32
-			if edgeBytes == 8 {
-				vals := w.GatherU64(dstBuf, &idx, mask)
-				for l := 0; l < gpu.WarpSize; l++ {
-					dst[l] = uint32(vals[l])
-				}
-			} else {
-				dst = w.GatherU32(dstBuf, &idx, mask)
-			}
-			var wgt [gpu.WarpSize]uint32
+			n := int(min(int64(end)-base, gpu.WarpSize))
+			mask := gpu.MaskFirstN(n)
+			w.GatherRange(dstBuf, edgeBytes, base, 0, n, &dst)
 			if wgtBuf != nil {
-				wgt = w.GatherU32(wgtBuf, &idx, mask)
+				w.GatherRange(wgtBuf, 4, base, 0, n, &wgt)
 			}
 			var tgtIdx [gpu.WarpSize]int64
 			var cand [gpu.WarpSize]uint32
-			for l := 0; l < gpu.WarpSize; l++ {
-				if !mask.Has(l) {
-					continue
-				}
+			for l := 0; l < n; l++ {
 				tgtIdx[l] = int64(dst[l])
 				switch {
 				case a.NeedsWeights: // SSSP adds the edge weight
@@ -339,11 +323,9 @@ func launchSubwayKernel(dev *gpu.Device, sub *graph.Subgraph, a *core.Algorithm,
 					cand[l] = srcVal
 				}
 			}
-			old := w.AtomicMinU32(values, &tgtIdx, &cand, mask)
-			for l := 0; l < gpu.WarpSize; l++ {
-				if mask.Has(l) && old[l] > cand[l] {
-					active[dst[l]] = true
-				}
+			won := w.RelaxMinU32(values, &tgtIdx, &cand, mask)
+			for m := uint32(won); m != 0; m &= m - 1 {
+				active[dst[bits.TrailingZeros32(m)]] = true
 			}
 		}
 	}, gpu.Serial())

@@ -6,18 +6,17 @@ import (
 	"repro/internal/graph"
 )
 
-// Validate checks a result's Values against the CPU reference for its app.
+// programs are the engine's Program descriptors. Every Result carries its
+// Program's App label, which is how Validate finds the reference check.
+var programs = [...]func() *Program{bfsProgram, ssspProgram, sswpProgram, ccProgram}
+
+// Validate checks a result's Values against the CPU reference of the
+// Program whose App it reports.
 func (r *Result) Validate(g *graph.CSR) error {
-	switch r.App {
-	case "BFS":
-		return ValidateBFS(g, r.Source, r.Values)
-	case "SSSP":
-		return ValidateSSSP(g, r.Source, r.Values)
-	case "SSWP":
-		return ValidateSSWP(g, r.Source, r.Values)
-	case "CC":
-		return ValidateCC(g, r.Values)
-	default:
-		return fmt.Errorf("core: cannot validate unknown app %q", r.App)
+	for _, p := range programs {
+		if prog := p(); prog.App == r.App {
+			return prog.Validate(g, r.Source, r.Values)
+		}
 	}
+	return fmt.Errorf("core: cannot validate unknown app %q", r.App)
 }

@@ -295,9 +295,9 @@ func gatherGroup(w *gpu.Warp, buf *memsys.Buffer, base int64, lanes []int, out [
 // destinations' lane-q entries and folds the per-lane success predicate
 // into lane q's convergence flag and (under FrontierActive) the
 // destinations' lane-q frontier bits. Both stores are issued for the full
-// edge mask with zero contributions for non-improving lanes — the same
-// traffic-depends-on-mask-alone discipline as Monoid.visitor, so results
-// and counters are independent of worker count.
+// edge mask, with data written only on the lanes the relax improved — the
+// same traffic-depends-on-mask-alone discipline as Monoid.visitor, so
+// results and counters are independent of worker count.
 func (br *batchRun) buildVisit() visitFn {
 	m := br.prog.Relax
 	k := int64(br.k)
@@ -306,41 +306,25 @@ func (br *batchRun) buildVisit() visitFn {
 		s := scratchOf(w)
 		act, push := s.act, s.push
 		for i, q := range act {
-			var idx [gpu.WarpSize]int64
-			var val [gpu.WarpSize]uint32
 			for b := uint32(mask); b != 0; b &= b - 1 {
 				l := bits.TrailingZeros32(b)
-				idx[l] = int64(dst[l])*k + int64(q)
-				val[l] = m.combine(push[i], wgt[l])
+				s.idx[l] = int64(dst[l])*k + int64(q)
+				s.val[l] = m.combine(push[i], wgt[l])
 			}
-			var old [gpu.WarpSize]uint32
+			var won gpu.Mask
 			if m.Max {
-				old = w.AtomicMaxU32(br.values, &idx, &val, mask)
+				won = w.RelaxMaxU32(br.values, &s.idx, &s.val, mask)
 			} else {
-				old = w.AtomicMinU32(br.values, &idx, &val, mask)
+				won = w.RelaxMinU32(br.values, &s.idx, &s.val, mask)
 			}
-			anySet := uint32(0)
 			if br.next != nil {
-				var widx [gpu.WarpSize]int64
-				var wval [gpu.WarpSize]uint64
 				for b := uint32(mask); b != 0; b &= b - 1 {
 					l := bits.TrailingZeros32(b)
-					widx[l] = int64(dst[l])*lw + int64(q>>6)
-					if m.better(val[l], old[l]) {
-						wval[l] = 1 << (uint(q) & 63)
-						anySet = 1
-					}
+					s.widx[l] = int64(dst[l])*lw + int64(q>>6)
 				}
-				w.AtomicOrU64(br.next, &widx, &wval, mask)
-			} else {
-				for b := uint32(mask); b != 0; b &= b - 1 {
-					if l := bits.TrailingZeros32(b); m.better(val[l], old[l]) {
-						anySet = 1
-						break
-					}
-				}
+				w.AtomicOrLanesU64(br.next, &s.widx, 1<<(uint(q)&63), mask, won)
 			}
-			w.AtomicOrScalarU32(br.flags, int64(q), anySet)
+			w.AtomicOrScalarU32(br.flags, int64(q), anyLane(won))
 		}
 	}
 }

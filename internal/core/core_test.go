@@ -384,7 +384,7 @@ func TestAppDispatcher(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := graph.PickSources(g, 1, 3)[0]
-	for _, name := range []string{"sssp", "bfs", "cc"} {
+	for _, name := range []string{"sssp", "bfs", "cc", "sswp"} {
 		res, err := RunAlgo(context.Background(), dev, dg, name, src, Merged)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

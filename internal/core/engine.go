@@ -97,39 +97,48 @@ func (m Monoid) better(cand, cur uint32) bool {
 // Parallel-determinism contract: which lane observes its atomic succeed
 // depends on warp execution order, but whether ANY candidate beat a
 // destination's starting value this launch does not (the first lane to
-// reach the round's extremum always observes success). The success bits
-// therefore feed only commutative ORs, and both stores are issued
-// unconditionally — the traffic depends on mask alone, never on race
-// outcomes — so results and stats are bit-for-bit identical for any
-// worker count (see DESIGN.md, "Parallel execution engine").
+// reach the round's extremum always observes success). The mask of
+// winning lanes the relax returns therefore feeds only commutative ORs,
+// and both stores are issued for the whole edge mask — AtomicOrLanesU32
+// charges every lane and writes only the winners' bits — so the traffic
+// depends on mask alone, never on race outcomes, and results and stats
+// are bit-for-bit identical for any worker count (see DESIGN.md,
+// "Parallel execution engine").
 func (m Monoid) visitor(target, nextActive, flag *memsys.Buffer) visitFn {
 	return func(w *gpu.Warp, mask gpu.Mask, dst *[gpu.WarpSize]uint32, wgt, srcVal *[gpu.WarpSize]uint32) {
-		var idx [gpu.WarpSize]int64
-		var val [gpu.WarpSize]uint32
+		s := scratchOf(w)
 		for b := uint32(mask); b != 0; b &= b - 1 {
 			l := bits.TrailingZeros32(b)
-			idx[l] = int64(dst[l])
-			val[l] = m.combine(srcVal[l], wgt[l])
+			s.idx[l] = int64(dst[l])
 		}
-		var old [gpu.WarpSize]uint32
-		if m.Max {
-			old = w.AtomicMaxU32(target, &idx, &val, mask)
-		} else {
-			old = w.AtomicMinU32(target, &idx, &val, mask)
-		}
-		var succ [gpu.WarpSize]uint32
-		anySet := uint32(0)
-		for b := uint32(mask); b != 0; b &= b - 1 {
-			if l := bits.TrailingZeros32(b); m.better(val[l], old[l]) {
-				succ[l] = 1
-				anySet = 1
+		// A carried value is the source value itself: relax with it directly.
+		val := srcVal
+		if m.Combine != CombineCarry {
+			for b := uint32(mask); b != 0; b &= b - 1 {
+				l := bits.TrailingZeros32(b)
+				s.val[l] = m.combine(srcVal[l], wgt[l])
 			}
+			val = &s.val
+		}
+		var won gpu.Mask
+		if m.Max {
+			won = w.RelaxMaxU32(target, &s.idx, val, mask)
+		} else {
+			won = w.RelaxMinU32(target, &s.idx, val, mask)
 		}
 		if nextActive != nil {
-			w.AtomicOrU32(nextActive, &idx, &succ, mask)
+			w.AtomicOrLanesU32(nextActive, &s.idx, 1, mask, won)
 		}
-		w.AtomicOrScalarU32(flag, 0, anySet)
+		w.AtomicOrScalarU32(flag, 0, anyLane(won))
 	}
+}
+
+// anyLane is the convergence flag's contribution: 1 when some lane won.
+func anyLane(m gpu.Mask) uint32 {
+	if m != 0 {
+		return 1
+	}
+	return 0
 }
 
 // FrontierPolicy selects how a Program tracks its frontier.
@@ -174,7 +183,8 @@ type Program struct {
 	// neighbors (before Combine folds in the edge weight). Nil means
 	// identity; BFS pushes sv+1.
 	Push func(sv uint32) uint32
-	// Validate checks a finished value array against the CPU reference.
+	// Validate checks a finished value array against the CPU reference;
+	// Result.Validate dispatches to it by App.
 	Validate func(g *graph.CSR, src int, values []uint32) error
 }
 

@@ -23,6 +23,13 @@ type warpScratch struct {
 	// destinations, edge weights, and per-lane source values.
 	dst, wgt, src [gpu.WarpSize]uint32
 
+	// The edge visitors' relax operands: destination indices into the
+	// value (or lane-major) array, candidate values, and the batched
+	// visitor's next-frontier word indices. Only the edge mask's lanes are
+	// written, and only those are read.
+	idx, widx [gpu.WarpSize]int64
+	val       [gpu.WarpSize]uint32
+
 	// Batched-mode per-warp lists, sized to the batch width on first use
 	// by a batchRun (owner tracks which run sized them). act and push are
 	// the views the batched visitor reads; actBuf/groupBuf/pushBuf are

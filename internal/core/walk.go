@@ -13,7 +13,8 @@ import (
 type visitFn func(w *gpu.Warp, mask gpu.Mask, dst *[gpu.WarpSize]uint32, wgt, srcVal *[gpu.WarpSize]uint32)
 
 // gatherEdges loads edge destinations at the given indices with the
-// device graph's element width.
+// device graph's element width: the lane path of the strided and sub-warp
+// walks, whose lanes do not read one contiguous range.
 func gatherEdges(w *gpu.Warp, dg *DeviceGraph, idx *[gpu.WarpSize]int64, mask gpu.Mask) [gpu.WarpSize]uint32 {
 	var out [gpu.WarpSize]uint32
 	if dg.EdgeBytes == 8 {
@@ -56,22 +57,17 @@ func walkMerged(w *gpu.Warp, dg *DeviceGraph, v int64, srcVal uint32, aligned, n
 		// Lane l reads element i+l when it lies in [start, end): the lanes
 		// lo..hi-1. lo > 0 is the aligned variant's underflow guard
 		// (Listing 2's `if (i >= start_org)`).
-		lo := max(int64(start)-i, 0)
-		hi := min(int64(end)-i, gpu.WarpSize)
+		lo := int(max(int64(start)-i, 0))
+		hi := int(min(int64(end)-i, gpu.WarpSize))
 		w.Instr(2) // loop + guard bookkeeping
 		if lo >= hi {
 			continue
 		}
-		var idx [gpu.WarpSize]int64
-		for l := lo; l < hi; l++ {
-			idx[l] = i + l
-		}
-		mask := gpu.MaskFirstN(int(hi)) &^ gpu.MaskFirstN(int(lo))
-		s.dst = gatherEdges(w, dg, &idx, mask)
+		w.GatherRange(dg.Edges, dg.EdgeBytes, i, lo, hi, &s.dst)
 		if needW {
-			s.wgt = w.GatherU32(dg.Weights, &idx, mask)
+			w.GatherRange(dg.Weights, 4, i, lo, hi, &s.wgt)
 		}
-		visit(w, mask, &s.dst, &s.wgt, &s.src)
+		visit(w, gpu.MaskFirstN(hi)&^gpu.MaskFirstN(lo), &s.dst, &s.wgt, &s.src)
 	}
 }
 

@@ -196,22 +196,16 @@ func walkMergedBalanced(w *gpu.Warp, dg *DeviceGraph, v int64, srcVal uint32, sp
 		srcArr[l] = srcVal
 	}
 	sinceSplit := int64(0)
+	var dst [gpu.WarpSize]uint32
 	for i := first; i < int64(end); i += gpu.WarpSize {
-		var idx [gpu.WarpSize]int64
-		mask := gpu.MaskNone
-		for l := 0; l < gpu.WarpSize; l++ {
-			j := i + int64(l)
-			if j >= int64(start) && j < int64(end) {
-				idx[l] = j
-				mask = mask.Set(l)
-			}
-		}
+		lo := int(max(int64(start)-i, 0))
+		hi := int(min(int64(end)-i, gpu.WarpSize))
 		w.Instr(2)
-		if mask == gpu.MaskNone {
+		if lo >= hi {
 			continue
 		}
-		dst := gatherEdges(w, dg, &idx, mask)
-		visit(w, mask, &dst, &wgt, &srcArr)
+		w.GatherRange(dg.Edges, dg.EdgeBytes, i, lo, hi, &dst)
+		visit(w, gpu.MaskFirstN(hi)&^gpu.MaskFirstN(lo), &dst, &wgt, &srcArr)
 		sinceSplit += gpu.WarpSize
 		if sinceSplit >= splitLen {
 			w.SplitWorker()

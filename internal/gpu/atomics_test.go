@@ -11,7 +11,8 @@ import (
 // TestAtomicMinConvergesProperty: for any sequence of atomicMin operations
 // over any lane/warp partitioning, each cell ends at the minimum of its
 // initial value and every value ever pushed at it — order independence is
-// what the traversal algorithms rely on.
+// what the traversal algorithms rely on — and RelaxMinU32 reports exactly
+// the lanes that lowered their cell, in ascending lane order.
 func TestAtomicMinConvergesProperty(t *testing.T) {
 	f := func(ops []uint16, seed int64) bool {
 		const cells = 16
@@ -23,13 +24,14 @@ func TestAtomicMinConvergesProperty(t *testing.T) {
 			buf.PutU32(int64(i), 1000)
 		}
 		rng := rand.New(rand.NewSource(seed))
+		ok := true
 		// Partition ops into random warp batches with random lane masks.
 		d.Launch("minprop", 1, func(w *Warp) {
 			i := 0
 			for i < len(ops) {
 				var idx [WarpSize]int64
 				var val [WarpSize]uint32
-				mask := MaskNone
+				mask, wantWon := MaskNone, MaskNone
 				batch := 1 + rng.Intn(WarpSize)
 				for l := 0; l < batch && i < len(ops); l++ {
 					cell := int64(ops[i]) % cells
@@ -39,12 +41,18 @@ func TestAtomicMinConvergesProperty(t *testing.T) {
 					mask = mask.Set(l)
 					if v < want[cell] {
 						want[cell] = v
+						wantWon = wantWon.Set(l)
 					}
 					i++
 				}
-				w.AtomicMinU32(buf, &idx, &val, mask)
+				if w.RelaxMinU32(buf, &idx, &val, mask) != wantWon {
+					ok = false
+				}
 			}
 		})
+		if !ok {
+			return false
+		}
 		for c := int64(0); c < cells; c++ {
 			if buf.U32(c) != want[c] {
 				return false
@@ -60,7 +68,9 @@ func TestAtomicMinConvergesProperty(t *testing.T) {
 // TestAtomicOrU64ConvergesProperty: for any sequence of 64-bit atomicOr
 // operations over any lane/warp partitioning, each cell ends at the OR of
 // its initial value and every value ever pushed at it — the order
-// independence the batched engine's lane-bitmask frontier relies on.
+// independence the batched engine's lane-bitmask frontier relies on. Each
+// batch ORs one bit into the cells of a random subset of its lanes through
+// AtomicOrLanesU64; the other active lanes leave their cells unchanged.
 func TestAtomicOrU64ConvergesProperty(t *testing.T) {
 	f := func(ops []uint16, seed int64) bool {
 		const cells = 16
@@ -76,19 +86,20 @@ func TestAtomicOrU64ConvergesProperty(t *testing.T) {
 			i := 0
 			for i < len(ops) {
 				var idx [WarpSize]int64
-				var val [WarpSize]uint64
-				mask := MaskNone
+				v := uint64(1) << (ops[i] % 63)
+				mask, set := MaskNone, MaskNone
 				batch := 1 + rng.Intn(WarpSize)
 				for l := 0; l < batch && i < len(ops); l++ {
 					cell := int64(ops[i]) % cells
-					v := uint64(1) << (ops[i] % 63)
 					idx[l] = cell
-					val[l] = v
 					mask = mask.Set(l)
-					want[cell] |= v
+					if rng.Intn(2) == 0 {
+						set = set.Set(l)
+						want[cell] |= v
+					}
 					i++
 				}
-				w.AtomicOrU64(buf, &idx, &val, mask)
+				w.AtomicOrLanesU64(buf, &idx, v, mask, set)
 			}
 		})
 		for c := int64(0); c < cells; c++ {

@@ -2,9 +2,11 @@ package gpu
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -258,23 +260,32 @@ const (
 // coalBufBytes is each fuzz buffer's size: four 64 KiB segments.
 const coalBufBytes = 4 * memsys.SegmentBytes
 
-// coalOp is one generated warp memory instruction.
+// coalOp is one generated warp memory instruction. Lane ops read idx
+// under mask; range ops read lanes lo..hi-1 at rangeBase()+l; scalar and
+// pair ops read scalar. val holds the relax candidates, and the OR-lanes
+// ops set bit in the words of the lanes in set (a subset of mask).
 type coalOp struct {
 	kind   byte
 	buf    int
 	idx    [WarpSize]int64
+	val    [WarpSize]uint32
 	scalar int64
+	lo, hi int
 	mask   Mask
+	set    Mask
+	bit    uint
 }
 
 const (
 	opGatherU32 = iota
 	opGatherU64
+	opGatherRangeU32
+	opGatherRangeU64
 	opScatterU32
-	opAtomicMinU32
-	opAtomicMaxU32
-	opAtomicOrU32
-	opAtomicOrU64
+	opRelaxMinU32
+	opRelaxMaxU32
+	opOrLanesU32
+	opOrLanesU64
 	opScalarU32
 	opScalarU64
 	opPairU64
@@ -285,22 +296,43 @@ const (
 	numCoalOps
 )
 
+// coalValRange bounds the relax candidates and the buffers' initial words
+// (coalFill), so min and max relaxes both win and lose.
+const coalValRange = 1 << 10
+
 // elemShift returns the element width of op kind k as a shift.
 func elemShift(k byte) uint {
 	switch k {
-	case opGatherU64, opAtomicOrU64, opScalarU64, opPairU64:
+	case opGatherU64, opGatherRangeU64, opOrLanesU64, opScalarU64, opPairU64:
 		return 3
 	}
 	return 2
+}
+
+// rangeBase is a range op's element index of lane 0, placed so lane 31
+// still lies inside the buffer.
+func (op *coalOp) rangeBase() int64 {
+	return op.scalar % (coalBufBytes>>elemShift(op.kind) - WarpSize)
+}
+
+// rangeIdx is a range op as a lane op: the explicit index array and mask
+// of lanes lo..hi-1.
+func (op *coalOp) rangeIdx() (idx [WarpSize]int64, mask Mask) {
+	base := op.rangeBase()
+	for l := op.lo; l < op.hi; l++ {
+		idx[l] = base + int64(l)
+	}
+	return idx, MaskFirstN(op.hi) &^ MaskFirstN(op.lo)
 }
 
 // genOp draws one instruction of kind k from r. Index patterns mix the
 // merged (consecutive), strided, clustered, broadcast and random shapes the
 // traversal kernels produce, plus descending and nearly ascending ones (one
 // swapped lane pair), whose out-of-order sectors take the coalescer's
-// sorting path; masks mix full, prefix, random, single-lane and empty.
-// Every other op revisits prev's elements, one or two elements on, so
-// lanes hit their MRU sector.
+// sorting path; masks mix full, prefix, random, single-lane and empty, and
+// lane ranges mix full, empty, and the aligned walk's underflow-guarded
+// ones. Every other op revisits prev's elements, one or two elements on,
+// so lanes hit their MRU sector.
 func genOp(r *rand.Rand, k byte, prev *coalOp) coalOp {
 	n := int64(coalBufBytes >> elemShift(k))
 	if r.Intn(2) == 0 {
@@ -346,43 +378,85 @@ func genOp(r *rand.Rand, k byte, prev *coalOp) coalOp {
 			i = base + int64(WarpSize-1-l)*stride
 		}
 		op.idx[l] = i % n
+		op.val[l] = uint32(r.Intn(coalValRange))
 	}
 	if pattern == 5 {
 		l := r.Intn(WarpSize - 1)
 		op.idx[l], op.idx[l+1] = op.idx[l+1], op.idx[l]
 	}
 	op.scalar = base % (n - 1) // PairU64 also reads scalar+1
+	if r.Intn(3) == 0 {
+		op.lo, op.hi = 0, WarpSize
+	} else {
+		op.lo = r.Intn(WarpSize + 1)
+		op.hi = op.lo + r.Intn(WarpSize+1-op.lo)
+	}
+	op.set = op.mask & Mask(r.Uint32())
+	op.bit = uint(r.Intn(64))
 	return op
 }
 
-// apply runs op through the production coalescer.
-func (op *coalOp) apply(w *Warp, bufs [2]*memsys.Buffer) {
+// coalLog records what a warp's instructions returned — gathered values,
+// loaded scalars and relax win masks — for the serial differential runs;
+// nil on parallel runs, where other warps' racing writes make them
+// order-dependent.
+type coalLog []uint64
+
+func (l *coalLog) add(v uint64) {
+	if l != nil {
+		*l = append(*l, v)
+	}
+}
+
+func (l *coalLog) lanes(vals []uint32) {
+	for _, v := range vals {
+		l.add(uint64(v))
+	}
+}
+
+// apply runs op through the production warp API. With lanes set, range,
+// scalar and pair ops go through the lane path instead, given their
+// explicit index arrays (applyLanes).
+func (op *coalOp) apply(w *Warp, bufs [2]*memsys.Buffer, lanes bool, log *coalLog) {
 	b := bufs[op.buf]
-	var v32 [WarpSize]uint32
-	var v64 [WarpSize]uint64
+	if lanes && op.applyLanes(w, b, log) {
+		return
+	}
 	switch op.kind {
 	case opGatherU32:
-		w.GatherU32(b, &op.idx, op.mask)
+		got := w.GatherU32(b, &op.idx, op.mask)
+		for m := op.mask; m != 0; m &= m - 1 {
+			log.add(uint64(got[bits.TrailingZeros32(uint32(m))]))
+		}
 	case opGatherU64:
-		w.GatherU64(b, &op.idx, op.mask)
+		got := w.GatherU64(b, &op.idx, op.mask)
+		for m := op.mask; m != 0; m &= m - 1 {
+			log.add(got[bits.TrailingZeros32(uint32(m))])
+		}
+	case opGatherRangeU32, opGatherRangeU64:
+		var out [WarpSize]uint32
+		w.GatherRange(b, 1<<elemShift(op.kind), op.rangeBase(), op.lo, op.hi, &out)
+		log.lanes(out[op.lo:op.hi])
 	case opScatterU32:
-		w.ScatterU32(b, &op.idx, &v32, op.mask)
+		w.ScatterU32(b, &op.idx, &op.val, op.mask)
 
-	case opAtomicMinU32:
-		w.AtomicMinU32(b, &op.idx, &v32, op.mask)
-	case opAtomicMaxU32:
-		w.AtomicMaxU32(b, &op.idx, &v32, op.mask)
-	case opAtomicOrU32:
-		w.AtomicOrU32(b, &op.idx, &v32, op.mask)
-	case opAtomicOrU64:
-		w.AtomicOrU64(b, &op.idx, &v64, op.mask)
+	case opRelaxMinU32:
+		log.add(uint64(w.RelaxMinU32(b, &op.idx, &op.val, op.mask)))
+	case opRelaxMaxU32:
+		log.add(uint64(w.RelaxMaxU32(b, &op.idx, &op.val, op.mask)))
+	case opOrLanesU32:
+		w.AtomicOrLanesU32(b, &op.idx, 1<<(op.bit%32), op.mask, op.set)
+	case opOrLanesU64:
+		w.AtomicOrLanesU64(b, &op.idx, 1<<op.bit, op.mask, op.set)
 
 	case opScalarU32:
-		w.ScalarU32(b, op.scalar)
+		log.add(uint64(w.ScalarU32(b, op.scalar)))
 	case opScalarU64:
-		w.ScalarU64(b, op.scalar)
+		log.add(w.ScalarU64(b, op.scalar))
 	case opPairU64:
-		w.PairU64(b, op.scalar)
+		x, y := w.PairU64(b, op.scalar)
+		log.add(x)
+		log.add(y)
 	case opStoreScalarU32:
 		w.StoreScalarU32(b, op.scalar, 1)
 	case opAtomicOrScalarU32:
@@ -394,36 +468,150 @@ func (op *coalOp) apply(w *Warp, bufs [2]*memsys.Buffer) {
 	}
 }
 
-// applyRef runs op through the reference coalescer: the same lanes, byte
-// offsets and read/write flag the production wrapper derives.
-func (op *coalOp) applyRef(r *refWarp, bufs [2]*memsys.Buffer) {
+// applyLanes runs a range, scalar or pair op through the production lane
+// path with the explicit index array the range path derives from its
+// bounds, and reports whether op was one of those.
+func (op *coalOp) applyLanes(w *Warp, b *memsys.Buffer, log *coalLog) bool {
+	var idx [WarpSize]int64
+	switch op.kind {
+	case opGatherRangeU32:
+		idx, mask := op.rangeIdx()
+		got := w.GatherU32(b, &idx, mask)
+		log.lanes(got[op.lo:op.hi])
+	case opGatherRangeU64:
+		idx, mask := op.rangeIdx()
+		got := w.GatherU64(b, &idx, mask)
+		for l := op.lo; l < op.hi; l++ {
+			log.add(uint64(uint32(got[l])))
+		}
+	case opScalarU32:
+		idx[0] = op.scalar
+		log.add(uint64(w.GatherU32(b, &idx, 1)[0]))
+	case opScalarU64:
+		idx[0] = op.scalar
+		log.add(w.GatherU64(b, &idx, 1)[0])
+	case opPairU64:
+		idx[0], idx[1] = op.scalar, op.scalar+1
+		got := w.GatherU64(b, &idx, 3)
+		log.add(got[0])
+		log.add(got[1])
+	case opStoreScalarU32:
+		idx[0] = op.scalar
+		val := [WarpSize]uint32{1}
+		w.ScatterU32(b, &idx, &val, 1)
+	case opAtomicOrScalarU32:
+		idx[0] = op.scalar
+		w.AtomicOrLanesU32(b, &idx, 1, 1, 1)
+	default:
+		return false
+	}
+	return true
+}
+
+// applyRef runs op through the reference coalescer — the same lanes, byte
+// offsets and read/write flag the production wrapper derives — and applies
+// its data effect the way the array-returning warp API did: lanes in
+// ascending order, each relax winning when its value beat the old word,
+// and every OR lane ORing its own value (zero outside set).
+func (op *coalOp) applyRef(r *refWarp, bufs [2]*memsys.Buffer, log *coalLog) {
 	b := bufs[op.buf]
 	var off [WarpSize]int64
 	shift := elemShift(op.kind)
 	switch op.kind {
 	case opInvalidateMRU:
 		r.resetMRU()
+		return
 	case opSplitWorker:
 		r.SplitWorker()
+		return
 	case opScalarU32, opScalarU64, opStoreScalarU32, opAtomicOrScalarU32:
 		off[0] = op.scalar << shift
-		r.access(b, &off, 1, op.kind != opScalarU32 && op.kind != opScalarU64)
+		r.access(b, &off, 1, op.kind == opStoreScalarU32 || op.kind == opAtomicOrScalarU32)
+		switch op.kind {
+		case opScalarU32:
+			log.add(uint64(b.AtomicU32(op.scalar)))
+		case opScalarU64:
+			log.add(b.AtomicU64(op.scalar))
+		case opStoreScalarU32:
+			b.AtomicPutU32(op.scalar, 1)
+		default:
+			b.AtomicOrU32(op.scalar, 1)
+		}
+		return
 	case opPairU64:
 		off[0] = op.scalar << shift
 		off[1] = (op.scalar + 1) << shift
 		r.access(b, &off, 3, false)
-	default:
-		for l := range off {
-			if op.mask.Has(l) {
-				off[l] = op.idx[l] << shift
+		log.add(b.AtomicU64(op.scalar))
+		log.add(b.AtomicU64(op.scalar + 1))
+		return
+	case opGatherRangeU32, opGatherRangeU64:
+		idx, mask := op.rangeIdx()
+		for l := op.lo; l < op.hi; l++ {
+			off[l] = idx[l] << shift
+		}
+		r.access(b, &off, mask, false)
+		for l := op.lo; l < op.hi; l++ {
+			if shift == 3 {
+				log.add(uint64(uint32(b.AtomicU64(idx[l]))))
+			} else {
+				log.add(uint64(b.AtomicU32(idx[l])))
 			}
 		}
-		r.access(b, &off, op.mask, op.kind != opGatherU32 && op.kind != opGatherU64)
+		return
+	}
+	for l := range off {
+		if op.mask.Has(l) {
+			off[l] = op.idx[l] << shift
+		}
+	}
+	r.access(b, &off, op.mask, op.kind != opGatherU32 && op.kind != opGatherU64)
+	var won Mask
+	for l := 0; l < WarpSize; l++ {
+		if !op.mask.Has(l) {
+			continue
+		}
+		i, v := op.idx[l], op.val[l]
+		switch op.kind {
+		case opGatherU32:
+			log.add(uint64(b.AtomicU32(i)))
+		case opGatherU64:
+			log.add(b.AtomicU64(i))
+		case opScatterU32:
+			b.AtomicPutU32(i, v)
+		case opRelaxMinU32:
+			if old := b.AtomicMinU32(i, v); v < old {
+				won = won.Set(l)
+			}
+		case opRelaxMaxU32:
+			if old := b.AtomicMaxU32(i, v); v > old {
+				won = won.Set(l)
+			}
+		case opOrLanesU32:
+			bit := uint32(0)
+			if op.set.Has(l) {
+				bit = 1 << (op.bit % 32)
+			}
+			b.AtomicOrU32(i, bit)
+		case opOrLanesU64:
+			bit := uint64(0)
+			if op.set.Has(l) {
+				bit = 1 << op.bit
+			}
+			b.AtomicOrU64(i, bit)
+		}
+	}
+	if op.kind == opRelaxMinU32 || op.kind == opRelaxMaxU32 {
+		log.add(uint64(won))
 	}
 }
 
 // coalOutcome is everything the coalescer can influence, captured after a
-// fixed sequence of launches.
+// fixed sequence of launches. MRU holds each warp's lane MRU sectors at its
+// end (refInvalidSector for an empty slot), by launch and warp ID; Touches
+// each parallel launch's chunk UVM touch logs. Results and Data — what the
+// warps' instructions returned and the buffers' final contents — are kept
+// on serial runs only.
 type coalOutcome struct {
 	Kernels  []KernelStats
 	ZC, CXL  [][zcSizeClasses]uint64
@@ -432,12 +620,32 @@ type coalOutcome struct {
 	Snapshot pcie.Snapshot
 	Trace    []pcie.TraceEntry
 	Dropped  uint64
+	MRU      [][WarpSize]uint64
+	Touches  [][]string
+	Results  []coalLog
+	Data     [2][]byte
 }
 
-// coalDevice builds a three-tier device and two adjacent buffers of the
-// given layout. Device memory is small on the UVM layouts so the random
-// working set forces evictions.
-func coalDevice(layout, window int) (*Device, [2]*memsys.Buffer) {
+// coalMode selects how runCoalescer executes the instruction stream.
+type coalMode int
+
+const (
+	modeProd  coalMode = iota // production warp API
+	modeLanes                 // production lane path for range, scalar and pair ops
+	modeRef                   // reference coalescer
+)
+
+// coalBaseOffsets are the buffer base shifts the fuzzer draws from:
+// sector- and line-aligned, 8 bytes into a sector, sector-aligned inside a
+// line, and both off.
+var coalBaseOffsets = [...]uint64{0, 8, 32, 72}
+
+// coalDevice builds a three-tier device with the given launch workers and
+// two adjacent buffers of the given layout, each base shifted by baseOff
+// bytes and each 32-bit word initialized to a value below coalValRange.
+// Device memory is small on the UVM layouts so the random working set
+// forces evictions.
+func coalDevice(layout, window, workers int, baseOff uint64) (*Device, [2]*memsys.Buffer) {
 	hbm := int64(4 << 20)
 	if layout == layoutUVM || layout == layoutUVMHomed || layout == layoutRouted {
 		hbm = coalBufBytes / 2
@@ -446,7 +654,7 @@ func coalDevice(layout, window int) (*Device, [2]*memsys.Buffer) {
 	d := NewDevice(Config{
 		Name:          "coalescer",
 		Tiers:         memsys.ThreeTierCXL(two, 1<<30),
-		Workers:       1,
+		Workers:       workers,
 		ReorderWindow: window,
 	})
 	d.Monitor().EnableTrace(1 << 12)
@@ -459,7 +667,10 @@ func coalDevice(layout, window int) (*Device, [2]*memsys.Buffer) {
 	}
 	var bufs [2]*memsys.Buffer
 	for i := range bufs {
-		b := d.Arena().MustAlloc(fmt.Sprintf("buf%d", i), space, coalBufBytes)
+		b := d.Arena().MustAlloc(fmt.Sprintf("buf%d", i), space, coalBufBytes, memsys.WithBaseOffset(baseOff))
+		for j := int64(0); j < coalBufBytes/4; j++ {
+			b.PutU32(j, uint32(j*2654435761>>7)%coalValRange)
+		}
 		switch layout {
 		case layoutSegmented, layoutUVMHomed:
 			// Two segments on CXL and one explicitly in DRAM; the fourth
@@ -483,52 +694,128 @@ func coalDevice(layout, window int) (*Device, [2]*memsys.Buffer) {
 	return d, bufs
 }
 
-// runCoalescer drives a fresh device through two launches of warps warps,
-// each warp executing the instruction kinds in ops drawn from a stream
-// seeded by (seed, launch, warp), through the reference coalescer when ref
-// is set and through the production one otherwise.
-func runCoalescer(layout, window int, seed int64, warps int, ops []byte, ref bool) coalOutcome {
-	d, bufs := coalDevice(layout, window)
-	var out coalOutcome
+// warpMRU is w's lane MRU in the reference's form: the sector, or
+// refInvalidSector for an empty slot.
+func warpMRU(w *Warp) [WarpSize]uint64 {
+	var m [WarpSize]uint64
+	for l := range m {
+		m[l] = refInvalidSector
+		if w.mruValid&(1<<uint(l)) != 0 {
+			m[l] = w.mru[l]
+		}
+	}
+	return m
+}
+
+// chunkTouches lists the UVM touch logs of a parallel launch's chunks.
+func chunkTouches(d *Device, chunks int) []string {
+	var out []string
+	for c, sl := range d.slotPool[:chunks] {
+		for _, t := range sl.uvm.touches {
+			out = append(out, fmt.Sprintf("chunk %d: %s+%d size %d at %d x%d",
+				c, sl.uvm.bufs[t.buf].Name, t.off, t.size, t.pos, t.n))
+		}
+	}
+	return out
+}
+
+// runCoalescer drives a fresh device through two launches of warps warps
+// on the given launch workers, each warp executing the instruction kinds
+// in ops drawn from a stream seeded by (seed, launch, warp) in the given
+// mode.
+func runCoalescer(layout, window, workers int, baseOff uint64, seed int64, warps int, ops []byte, mode coalMode) coalOutcome {
+	d, bufs := coalDevice(layout, window, workers, baseOff)
+	serial := workers == 1
+	out := coalOutcome{MRU: make([][WarpSize]uint64, 2*warps)}
+	if serial {
+		out.Results = make([]coalLog, 2*warps)
+	}
 	for launch := 0; launch < 2; launch++ {
 		ks := d.Launch("coalesce", warps, func(w *Warp) {
-			r := rand.New(rand.NewSource(seed*1_000_003 + int64(launch*warps+w.ID())))
+			slot := launch*warps + w.ID()
+			var log *coalLog
+			if serial {
+				out.Results[slot] = coalLog{}
+				log = &out.Results[slot]
+			}
+			r := rand.New(rand.NewSource(seed*1_000_003 + int64(slot)))
 			var rw *refWarp
-			if ref {
+			if mode == modeRef {
 				rw = newRefWarp(w)
 			}
 			var op coalOp
 			for _, k := range ops {
 				op = genOp(r, k%numCoalOps, &op)
-				if ref {
-					op.applyRef(rw, bufs)
+				if mode == modeRef {
+					op.applyRef(rw, bufs, log)
 				} else {
-					op.apply(w, bufs)
+					op.apply(w, bufs, mode == modeLanes, log)
 				}
 			}
-			if ref {
+			if mode == modeRef {
 				rw.flushReorder()
+				out.MRU[slot] = rw.mru
+			} else {
+				out.MRU[slot] = warpMRU(w)
 			}
 		})
 		out.Kernels = append(out.Kernels, ks)
-		out.ZC = append(out.ZC, d.serialZC)
-		out.CXL = append(out.CXL, d.serialCXL)
+		if serial {
+			out.ZC = append(out.ZC, d.serialZC)
+			out.CXL = append(out.CXL, d.serialCXL)
+		} else {
+			out.Touches = append(out.Touches, chunkTouches(d, min(warps, workers*chunksPerWorker)))
+		}
 	}
 	out.Total = d.Total()
 	out.Clock = d.Clock()
 	out.Snapshot = d.Monitor().Snapshot()
 	out.Trace = slices.Clone(d.Monitor().Trace())
 	out.Dropped = d.Monitor().TraceDropped()
+	if serial {
+		for i, b := range bufs {
+			out.Data[i] = slices.Clone(b.Data)
+		}
+	}
 	return out
+}
+
+// coalDiff names the outcome fields on which got and want differ, each
+// with the start of both values, or returns "" when they are equal.
+func coalDiff(got, want coalOutcome) string {
+	clip := func(v any) string {
+		s := fmt.Sprintf("%+v", v)
+		if len(s) > 400 {
+			s = s[:400] + "…"
+		}
+		return s
+	}
+	var b strings.Builder
+	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
+	for i := 0; i < gv.NumField(); i++ {
+		g, w := gv.Field(i).Interface(), wv.Field(i).Interface()
+		if !reflect.DeepEqual(g, w) {
+			fmt.Fprintf(&b, "\n%s:\n got  %s\n want %s", gv.Type().Field(i).Name, clip(g), clip(w))
+		}
+	}
+	return b.String()
 }
 
 // FuzzCoalescer drives the production coalescer and the reference lane-loop
 // implementation with the same random instruction streams — masks, indices,
-// 4- and 8-byte elements, reads, writes and atomics, scalar and pair loads,
-// MRU invalidations and virtual-warp splits — over every buffer layout,
-// with the reorder window off and on, and requires identical kernel
-// statistics, zero-copy and CXL per-size counts, and monitor snapshots
-// including the request trace's order.
+// 4- and 8-byte elements, lane gathers and contiguous range gathers, reads,
+// writes, mask-returning relaxes and lane-selective ORs, scalar and pair
+// loads, MRU invalidations and virtual-warp splits — over every buffer
+// layout and base misalignment, with the reorder window off and on. The
+// serial run must match the reference on kernel statistics, zero-copy and
+// CXL per-size counts, monitor snapshots including the request trace's
+// order, each warp's final MRU, every value and win mask the instructions
+// returned (the reference applies the array-returning API's lane-order
+// semantics), and the buffers' final contents. A parallel run (three
+// workers, so UVM touches go through the chunk touch logs) must then match
+// the same stream with the range, scalar and pair ops issued through the
+// production lane path, given their explicit index arrays, on everything
+// but the order-dependent values, touch logs included.
 func FuzzCoalescer(f *testing.F) {
 	all := make([]byte, numCoalOps)
 	for i := range all {
@@ -536,13 +823,24 @@ func FuzzCoalescer(f *testing.F) {
 	}
 	reads := []byte{opGatherU32, opGatherU64, opScalarU32, opPairU64, opGatherU32, opSplitWorker, opGatherU64, opInvalidateMRU,
 		opGatherU32, opGatherU32, opScalarU32, opScalarU32, opPairU64, opPairU64, opGatherU64, opGatherU64}
+	// The merged walk: a pair load of the list bounds, then range gathers
+	// of edges and weights, each followed by a relax, a frontier OR and
+	// the convergence flag's OR.
+	walk := []byte{opPairU64, opGatherRangeU64, opGatherRangeU32, opRelaxMinU32, opOrLanesU32, opAtomicOrScalarU32,
+		opGatherRangeU64, opGatherRangeU64, opRelaxMaxU32, opOrLanesU64, opSplitWorker, opGatherRangeU32, opGatherRangeU32,
+		opInvalidateMRU, opGatherRangeU32, opRelaxMinU32, opScalarU32, opGatherRangeU64, opStoreScalarU32}
 	for layout := 0; layout < numLayouts; layout++ {
 		for _, reorder := range []bool{false, true} {
-			f.Add(uint8(layout), reorder, int64(layout+1), uint8(3), all)
-			f.Add(uint8(layout), reorder, int64(7*layout+5), uint8(2), reads)
+			f.Add(uint8(layout), reorder, uint8(0), int64(layout+1), uint8(3), all)
+			f.Add(uint8(layout), reorder, uint8(layout), int64(7*layout+5), uint8(2), reads)
 		}
 	}
-	f.Fuzz(func(t *testing.T, layout uint8, reorder bool, seed int64, warps uint8, ops []byte) {
+	for layout := 0; layout < numLayouts; layout++ {
+		for _, reorder := range []bool{false, true} {
+			f.Add(uint8(layout), reorder, uint8(layout+1), int64(11*layout+3), uint8(3), walk)
+		}
+	}
+	f.Fuzz(func(t *testing.T, layout uint8, reorder bool, misalign uint8, seed int64, warps uint8, ops []byte) {
 		if len(ops) > 128 {
 			ops = ops[:128]
 		}
@@ -551,12 +849,17 @@ func FuzzCoalescer(f *testing.F) {
 		if reorder {
 			win = 8
 		}
+		off := coalBaseOffsets[int(misalign)%len(coalBaseOffsets)]
 		nw := int(warps%4) + 1
-		got := runCoalescer(l, win, seed, nw, ops, false)
-		want := runCoalescer(l, win, seed, nw, ops, true)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("layout %d window %d: coalescer diverged from the reference\n got  %+v\n want %+v",
-				l, win, got, want)
+		got := runCoalescer(l, win, 1, off, seed, nw, ops, modeProd)
+		want := runCoalescer(l, win, 1, off, seed, nw, ops, modeRef)
+		if d := coalDiff(got, want); d != "" {
+			t.Fatalf("layout %d window %d base offset %d: coalescer diverged from the reference:%s", l, win, off, d)
+		}
+		got = runCoalescer(l, win, 3, off, seed, nw+3, ops, modeProd)
+		want = runCoalescer(l, win, 3, off, seed, nw+3, ops, modeLanes)
+		if d := coalDiff(got, want); d != "" {
+			t.Fatalf("layout %d window %d base offset %d, 3 workers: range path diverged from the lane path:%s", l, win, off, d)
 		}
 	})
 }

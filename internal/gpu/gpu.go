@@ -408,7 +408,6 @@ func (d *Device) ResetStats() {
 // refreshes the UVM capacity from current free GPU memory
 // (System.ColdCaches routes through this).
 func (d *Device) ResetUVMResidency() {
-	d.uvmgr.Reset()
 	d.uvmgr = uvm.NewManager(uvm.ConfigWithPaging(d.uvmCapacityPages(), d.cfg.GPUDrivenPaging))
 }
 

@@ -208,7 +208,7 @@ func launchStatsForWorkers(t *testing.T, lc launchCase, workers int) launchRun {
 			tgt[l] = int64(dst[l])
 			cand[l] = uint32(w.ID())
 		}
-		w.AtomicMinU32(vals, &tgt, &cand, MaskFull)
+		w.RelaxMinU32(vals, &tgt, &cand, MaskFull)
 		w.AtomicOrScalarU32(flag, 0, 1)
 	})
 	return collect(d, ks, vals)

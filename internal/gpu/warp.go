@@ -202,33 +202,80 @@ func (w *Warp) access(buf *memsys.Buffer, idx *[WarpSize]int64, elemShift uint, 
 	w.emit(buf, sp, uniform, n, sorted)
 }
 
-// accessFirst is access for lanes 0..k-1 (k is 1 or 2) touching the
-// consecutive elements idx, idx+1, ...: the scalar and pair loads, whose
-// sectors are filled directly instead of through a mask and index array.
-// Consecutive elements touch ascending sectors, so the list is sorted.
-func (w *Warp) accessFirst(buf *memsys.Buffer, idx int64, elemShift uint, k int, write bool) {
+// accessRange is access for a contiguous lane range: lanes lo..hi-1
+// (0 <= lo <= hi <= WarpSize) touch the consecutive elements base+lo …
+// base+hi-1. It is the merged kernels' edge gather (§4.3.1) and, with
+// lo = 0 and hi = 1 or 2, the scalar and pair loads and stores. The
+// sectors come straight from the range, with no index array and no bit
+// scan: it steps from sector to sector, so the list is sorted and free of
+// repeats by construction, and within a sector it only runs each lane's
+// L1 filter. The hit and zero-copy lanes are gathered as masks and counted
+// once, and every lane stores its MRU entry, hit or not (a hit stores the
+// sector it already held). Every effect is that of access with
+// idx[l] = base+l under the mask of lanes lo..hi-1 — each lane's space,
+// MRU update and hit or miss, and the sectors, requests, reorder-window
+// entries and UVM touches that follow (FuzzCoalescer pins the range path
+// against both the lane path and the reference coalescer).
+func (w *Warp) accessRange(buf *memsys.Buffer, base int64, elemShift uint, lo, hi int, write bool) {
 	w.ks.WarpInstrs++
 	sp, uniform := buf.UniformSpace()
-	zc := sp == memsys.SpaceHostPinned
-	n := 0
-	for lane := 0; lane < k; lane++ {
-		off := (idx + int64(lane)) << elemShift
-		sector := (buf.Base + uint64(off)) >> 5
-		if !write {
-			if !uniform {
-				zc = buf.SpaceAt(off) == memsys.SpaceHostPinned
+	// zcLanes is the range's lanes served zero-copy; hits its MRU hits.
+	var zcLanes, hits uint32
+	if !write {
+		if uniform {
+			if sp == memsys.SpaceHostPinned {
+				zcLanes = laneSpan(lo, hi)
 			}
-			if w.mruHit(lane, sector, zc) {
+		} else {
+			for lane := lo; lane < hi; lane++ {
+				if buf.SpaceAt((base+int64(lane))<<elemShift) == memsys.SpaceHostPinned {
+					zcLanes |= 1 << uint(lane)
+				}
+			}
+		}
+	}
+	valid := w.mruValid
+	mru := &w.mru
+	n := 0
+	for lane := lo; lane < hi; {
+		addr := buf.Base + uint64(base+int64(lane))<<elemShift
+		sector := addr >> 5
+		// The lanes whose element starts in this sector.
+		end := min(hi, lane+int((memsys.SectorBytes-addr&(memsys.SectorBytes-1)+1<<elemShift-1)>>elemShift))
+		if !write {
+			// Each lane hits when its valid MRU entry is this sector, and
+			// takes the sector as its MRU entry either way.
+			span := laneSpan(lane, end)
+			var same uint32
+			for ; lane < end; lane++ {
+				if mru[lane&(WarpSize-1)] == sector {
+					same |= 1 << uint(lane)
+				}
+				mru[lane&(WarpSize-1)] = sector
+			}
+			hit := same & valid
+			hits |= hit
+			if hit == span {
 				continue
 			}
 		}
-		if n > 0 && w.sectors[n-1] == sector {
-			continue
-		}
+		lane = end
 		w.sectors[n] = sector
 		n++
 	}
+	if !write {
+		// A zero-copy hit is a potential reuse for the thrash model and a
+		// zero-copy miss marks its lane as streaming (see mruHit).
+		w.mruValid = valid | laneSpan(lo, hi)
+		w.ks.ZCSectorReuses += uint64(bits.OnesCount32(hits & zcLanes))
+		w.zcLanes |= zcLanes &^ hits
+	}
 	w.emit(buf, sp, uniform, n, true)
+}
+
+// laneSpan is the mask of lanes lo..hi-1.
+func laneSpan(lo, hi int) uint32 {
+	return uint32(uint64(1)<<uint(hi) - uint64(1)<<uint(lo))
 }
 
 // mruHit applies lane's L1 filter to a read of sector, reporting whether
@@ -440,6 +487,26 @@ func (w *Warp) GatherU32(buf *memsys.Buffer, idx *[WarpSize]int64, mask Mask) [W
 	return out
 }
 
+// GatherRange is the merged kernels' gather (§4.3.1): lanes lo..hi-1
+// (0 <= lo <= hi <= WarpSize) read the consecutive elements base+lo … base+hi-1 of buf into
+// out[lo:hi], leaving the other lanes of out as they were. Elements are
+// elemBytes (4 or 8) wide; 8-byte elements keep their low 32 bits, the
+// vertex IDs of a 64-bit edge list. The traffic is exactly that of
+// GatherU32 or GatherU64 with idx[l] = base+l under lanes lo..hi-1.
+func (w *Warp) GatherRange(buf *memsys.Buffer, elemBytes int, base int64, lo, hi int, out *[WarpSize]uint32) {
+	if elemBytes == 8 {
+		w.accessRange(buf, base, 3, lo, hi, false)
+		for l := lo; l < hi; l++ {
+			out[l] = uint32(buf.AtomicU64(base + int64(l)))
+		}
+		return
+	}
+	w.accessRange(buf, base, 2, lo, hi, false)
+	for l := lo; l < hi; l++ {
+		out[l] = buf.AtomicU32(base + int64(l))
+	}
+}
+
 // ScatterU32 stores 32-bit elements: lane i writes val[i] to buf[idx[i]].
 func (w *Warp) ScatterU32(buf *memsys.Buffer, idx *[WarpSize]int64, val *[WarpSize]uint32, mask Mask) {
 	w.access(buf, idx, 2, mask, true)
@@ -452,13 +519,13 @@ func (w *Warp) ScatterU32(buf *memsys.Buffer, idx *[WarpSize]int64, val *[WarpSi
 // ScalarU64 loads one 64-bit element through lane 0 (a uniform load
 // broadcast to the warp).
 func (w *Warp) ScalarU64(buf *memsys.Buffer, idx int64) uint64 {
-	w.accessFirst(buf, idx, 3, 1, false)
+	w.accessRange(buf, idx, 3, 0, 1, false)
 	return buf.AtomicU64(idx)
 }
 
 // ScalarU32 loads one 32-bit element through lane 0.
 func (w *Warp) ScalarU32(buf *memsys.Buffer, idx int64) uint32 {
-	w.accessFirst(buf, idx, 2, 1, false)
+	w.accessRange(buf, idx, 2, 0, 1, false)
 	return buf.AtomicU32(idx)
 }
 
@@ -466,78 +533,78 @@ func (w *Warp) ScalarU32(buf *memsys.Buffer, idx int64) uint32 {
 // "start = offset[v]; end = offset[v+1]" neighbor-list bounds read, which
 // usually coalesces into a single request.
 func (w *Warp) PairU64(buf *memsys.Buffer, idx int64) (uint64, uint64) {
-	w.accessFirst(buf, idx, 3, 2, false)
+	w.accessRange(buf, idx, 3, 0, 2, false)
 	return buf.AtomicU64(idx), buf.AtomicU64(idx + 1)
 }
 
 // StoreScalarU32 stores one 32-bit element through lane 0.
 func (w *Warp) StoreScalarU32(buf *memsys.Buffer, idx int64, v uint32) {
-	w.accessFirst(buf, idx, 2, 1, true)
+	w.accessRange(buf, idx, 2, 0, 1, true)
 	buf.AtomicPutU32(idx, v)
 }
 
-// AtomicMinU32 performs per-lane atomicMin on buf[idx[i]] with val[i],
-// returning the previous values. Within one warp, lanes are applied in
-// ascending order — one legal serialization of the hardware's arbitrary
-// order; across warps the CAS loop serializes arbitrarily. The final buffer
-// state is order-independent (min commutes), but the returned old values
-// are not: callers must only branch on them in order-insensitive ways (see
-// DESIGN.md, "Parallel execution engine").
-func (w *Warp) AtomicMinU32(buf *memsys.Buffer, idx *[WarpSize]int64, val *[WarpSize]uint32, mask Mask) [WarpSize]uint32 {
+// RelaxMinU32 performs per-lane atomicMin on buf[idx[i]] with val[i] and
+// returns the lanes whose value it lowered: the lanes where val[i] was
+// below the previous value, CUDA's `atomicMin(&a[i], v) > v` test. Within
+// one warp, lanes are applied in ascending order — one legal
+// serialization of the hardware's arbitrary order; across warps the CAS
+// loop serializes arbitrarily. The final buffer state is
+// order-independent (min commutes), but which lanes win is not: callers
+// must only use the mask in order-insensitive ways (see DESIGN.md,
+// "Parallel execution engine").
+func (w *Warp) RelaxMinU32(buf *memsys.Buffer, idx *[WarpSize]int64, val *[WarpSize]uint32, mask Mask) Mask {
 	w.access(buf, idx, 2, mask, true)
-	var old [WarpSize]uint32
+	var won Mask
 	for m := uint32(mask); m != 0; m &= m - 1 {
 		i := bits.TrailingZeros32(m)
-		old[i] = buf.AtomicMinU32(idx[i], val[i])
+		if v := val[i]; v < buf.AtomicMinU32(idx[i], v) {
+			won |= 1 << uint(i)
+		}
 	}
-	return old
+	return won
 }
 
-// AtomicMaxU32 performs per-lane atomicMax on buf[idx[i]] with val[i],
-// returning the previous values. The same ordering caveats as AtomicMinU32
-// apply: max commutes, so the final buffer state is order-independent, but
-// the returned old values may only feed order-insensitive logic.
-func (w *Warp) AtomicMaxU32(buf *memsys.Buffer, idx *[WarpSize]int64, val *[WarpSize]uint32, mask Mask) [WarpSize]uint32 {
+// RelaxMaxU32 is RelaxMinU32 with atomicMax: it returns the lanes whose
+// value it raised, under the same ordering caveats.
+func (w *Warp) RelaxMaxU32(buf *memsys.Buffer, idx *[WarpSize]int64, val *[WarpSize]uint32, mask Mask) Mask {
 	w.access(buf, idx, 2, mask, true)
-	var old [WarpSize]uint32
+	var won Mask
 	for m := uint32(mask); m != 0; m &= m - 1 {
 		i := bits.TrailingZeros32(m)
-		old[i] = buf.AtomicMaxU32(idx[i], val[i])
+		if v := val[i]; v > buf.AtomicMaxU32(idx[i], v) {
+			won |= 1 << uint(i)
+		}
 	}
-	return old
+	return won
 }
 
-// AtomicOrU32 performs per-lane atomicOr on buf[idx[i]] with val[i],
-// returning the previous values. Like min, OR commutes, so the final
-// buffer state is independent of warp execution order.
-func (w *Warp) AtomicOrU32(buf *memsys.Buffer, idx *[WarpSize]int64, val *[WarpSize]uint32, mask Mask) [WarpSize]uint32 {
+// AtomicOrLanesU32 is a per-lane atomicOr on buf[idx[i]] whose traffic is
+// that of every lane in mask but whose data effect is v on the lanes in
+// set only: the other lanes OR in zero, which leaves their words as they
+// were. It is how a visitor publishes a relax's winners — a next-frontier
+// bit — while its requests depend on mask alone. Like min, OR commutes, so
+// the final buffer state is independent of warp execution order.
+func (w *Warp) AtomicOrLanesU32(buf *memsys.Buffer, idx *[WarpSize]int64, v uint32, mask, set Mask) {
 	w.access(buf, idx, 2, mask, true)
-	var old [WarpSize]uint32
-	for m := uint32(mask); m != 0; m &= m - 1 {
+	for m := uint32(set & mask); m != 0; m &= m - 1 {
 		i := bits.TrailingZeros32(m)
-		old[i] = buf.AtomicOrU32(idx[i], val[i])
+		buf.AtomicOrU32(idx[i], v)
 	}
-	return old
 }
 
-// AtomicOrU64 performs per-lane atomicOr on the 64-bit elements
-// buf[idx[i]] with val[i], returning the previous values. Like its 32-bit
-// sibling, OR commutes, so the final buffer state is independent of warp
-// execution order; the returned old values may only feed order-insensitive
-// logic. The batched traversal engine uses it to set query-lane bits in
-// next-frontier bitmask words.
-func (w *Warp) AtomicOrU64(buf *memsys.Buffer, idx *[WarpSize]int64, val *[WarpSize]uint64, mask Mask) [WarpSize]uint64 {
+// AtomicOrLanesU64 is AtomicOrLanesU32 on 64-bit elements. The batched
+// traversal engine uses it to set a query lane's bit in the next-frontier
+// bitmask words of the destinations that query improved.
+func (w *Warp) AtomicOrLanesU64(buf *memsys.Buffer, idx *[WarpSize]int64, v uint64, mask, set Mask) {
 	w.access(buf, idx, 3, mask, true)
-	var old [WarpSize]uint64
-	for m := uint32(mask); m != 0; m &= m - 1 {
+	for m := uint32(set & mask); m != 0; m &= m - 1 {
 		i := bits.TrailingZeros32(m)
-		old[i] = buf.AtomicOrU64(idx[i], val[i])
+		buf.AtomicOrU64(idx[i], v)
 	}
-	return old
 }
 
 // AtomicOrScalarU32 performs one atomicOr on buf[idx] through lane 0.
 func (w *Warp) AtomicOrScalarU32(buf *memsys.Buffer, idx int64, v uint32) uint32 {
-	w.accessFirst(buf, idx, 2, 1, true)
+	w.accessRange(buf, idx, 2, 0, 1, true)
 	return buf.AtomicOrU32(idx, v)
 }

@@ -300,13 +300,16 @@ func TestStoreScalarU32(t *testing.T) {
 	}
 }
 
-func TestAtomicMinU32(t *testing.T) {
+// TestRelaxMinU32 pins the mask-returning atomicMin: lanes apply in
+// ascending order, and a lane wins exactly when its value was below the
+// word it met — CUDA's `atomicMin(&a[i], v) > v`.
+func TestRelaxMinU32(t *testing.T) {
 	d := testDevice()
 	buf := d.Arena().MustAlloc("labels", memsys.SpaceGPU, 256)
 	for i := int64(0); i < 64; i++ {
 		buf.PutU32(i, 100)
 	}
-	var old [WarpSize]uint32
+	var won Mask
 	d.Launch("k", 1, func(w *Warp) {
 		var idx [WarpSize]int64
 		var val [WarpSize]uint32
@@ -314,7 +317,9 @@ func TestAtomicMinU32(t *testing.T) {
 		idx[0], val[0] = 5, 50
 		idx[1], val[1] = 5, 60
 		idx[2], val[2] = 6, 120 // loses to existing 100
-		old = w.AtomicMinU32(buf, &idx, &val, MaskFirstN(3))
+		idx[3], val[3] = 7, 100 // ties the existing 100: no improvement
+		idx[4], val[4] = 8, 0   // inactive lane: neither written nor won
+		won = w.RelaxMinU32(buf, &idx, &val, MaskFirstN(4))
 	})
 	if buf.U32(5) != 50 {
 		t.Errorf("buf[5] = %d, want 50", buf.U32(5))
@@ -322,10 +327,11 @@ func TestAtomicMinU32(t *testing.T) {
 	if buf.U32(6) != 100 {
 		t.Errorf("buf[6] = %d, want 100 (atomicMin must not raise)", buf.U32(6))
 	}
-	if old[0] != 100 {
-		t.Errorf("lane 0 old = %d, want 100", old[0])
+	if buf.U32(8) != 100 {
+		t.Errorf("buf[8] = %d, want 100 (inactive lane wrote)", buf.U32(8))
 	}
-	if old[1] != 50 {
-		t.Errorf("lane 1 old = %d, want 50 (serialized after lane 0)", old[1])
+	// Lane 0 lowered 100 to 50; lane 1 met 50 (serialized after lane 0).
+	if won != 1 {
+		t.Errorf("won = %#b, want 0b1", won)
 	}
 }

@@ -235,15 +235,6 @@ func (m *Manager) evictLRU() {
 	m.stats.Evictions++
 }
 
-// Reset clears residency and statistics (between experiment runs).
-func (m *Manager) Reset() {
-	m.lru = make(map[pageKey]*lruNode)
-
-	m.head, m.tail = nil, nil
-	m.resident = 0
-	m.stats = Stats{}
-}
-
 // MigrationWireBytes returns the interconnect payload bytes for n migrated
 // pages.
 func (m *Manager) MigrationWireBytes(n int) int64 {

@@ -155,27 +155,6 @@ func TestUnlimitedCapacity(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	b := newTestBuffer(t, 4)
-	m := NewManager(noPrefetch(-1))
-	m.Touch(b, 0, 8)
-	m.Touch(b, memsys.PageBytes, 8)
-	m.Reset()
-	if m.resident != 0 {
-		t.Errorf("Resident after Reset = %d", m.resident)
-	}
-	if m.Stats().Migrations != 0 {
-		t.Errorf("stats not cleared by Reset")
-	}
-	if isResident(m, b, 0) || isResident(m, b, 1) {
-		t.Errorf("buffer residency not cleared by Reset")
-	}
-	// Pages fault again after reset.
-	if got, _ := m.Touch(b, 0, 8); got != 1 {
-		t.Errorf("post-reset touch migrated %d, want 1", got)
-	}
-}
-
 func TestCostHelpers(t *testing.T) {
 	m := NewManager(noPrefetch(-1))
 	if got := m.MigrationWireBytes(3); got != 3*memsys.PageBytes {
@@ -236,7 +215,6 @@ func TestLRUInvariantsRandomized(t *testing.T) {
 		if len(m.lru) != m.resident {
 			t.Fatalf("capacity %d: %d pages mapped != resident %d", capacity, len(m.lru), m.resident)
 		}
-		m.Reset()
 	}
 }
 

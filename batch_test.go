@@ -192,7 +192,7 @@ func TestBatchFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []string{"cc", "bfs-balanced"} {
+	for _, algo := range []string{"cc", "bfs-worker8"} {
 		reqs := make([]Request, len(srcs))
 		for i, src := range srcs {
 			reqs[i] = Request{Graph: dg, Algo: algo, Src: src, Cold: true}

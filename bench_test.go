@@ -490,7 +490,7 @@ func benchLaunchWorkers(b *testing.B, g *emogi.Graph, src int, algo string, pol 
 	}
 }
 
-// BenchmarkAblations runs the six design-choice ablations at quick scale
+// BenchmarkAblations runs the seven design-choice ablations at quick scale
 // (see internal/bench/ablation.go and DESIGN.md §6).
 func BenchmarkAblations(b *testing.B) {
 	ablations := []struct {
@@ -499,10 +499,7 @@ func BenchmarkAblations(b *testing.B) {
 	}{
 		{"UVMBlock", bench.AblationUVMBlock},
 		{"WorkerSize", bench.AblationWorkerSize},
-		{"Balance", bench.AblationBalance},
 		{"Compression", bench.AblationCompression},
-		{"MultiGPU", bench.AblationMultiGPU},
-		{"Hybrid", bench.AblationHybrid},
 		{"Link", bench.AblationLink},
 		{"EdgeCentric", bench.AblationEdgeCentric},
 		{"DirectionOpt", bench.AblationDirectionOpt},

@@ -8,7 +8,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -50,16 +49,8 @@ func main() {
 		reorder  = flag.Int("reorder-window", 0,
 			"IARU-style reorder window in 32B sectors (0 disables; >0 buffers off-device accesses and re-groups them by 128B line before dispatch)")
 		compare = flag.Bool("compare", false, "run the UVM baseline alongside and print the speedup")
-		gpus    = flag.Int("gpus", 1, "simulated GPU count (>1 uses the multi-GPU engine; bfs, sssp, or cc)")
 	)
 	flag.Parse()
-
-	if *gpus > 1 {
-		if ignored := multiGPUIgnored(flag.CommandLine); len(ignored) > 0 {
-			log.Fatalf("-gpus %d runs the multi-GPU engine, which ignores %s; drop them or use -gpus 1",
-				*gpus, strings.Join(ignored, ", "))
-		}
-	}
 
 	if *algo == "list" {
 		fmt.Println("registered algorithms:")
@@ -84,17 +75,6 @@ func main() {
 	}
 
 	algoName := strings.ToLower(*algo)
-	if *gpus > 1 {
-		cfg, err := emogi.ParsePlatform(*platform, *scale)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// runMultiGPU builds devices from cfg.GPU directly, so apply the
-		// override here rather than through NewSystem.
-		cfg.GPU.ReorderWindow = *reorder
-		runMultiGPU(g, algoName, cfg, *gpus, *sources, *seed, *elemBytes, *validate)
-		return
-	}
 	v, err := emogi.ParseVariant(*variant)
 	if err != nil {
 		log.Fatal(err)
@@ -193,82 +173,6 @@ func main() {
 		klog.print()
 	}
 	os.Exit(0)
-}
-
-// multiGPUFlags are the flags the multi-GPU engine does not honour: it
-// builds its devices from the platform alone (two tiers, zero-copy edge
-// lists, CPU-driven paging) and runs its own kernels with no UVM baseline
-// or per-kernel log.
-var multiGPUFlags = []string{"transport", "tiers", "paging", "placement", "variant", "compare", "kernels"}
-
-// multiGPUIgnored returns the flags of fs that were set explicitly and
-// that a -gpus > 1 run would ignore, as "-name", in multiGPUFlags order.
-func multiGPUIgnored(fs *flag.FlagSet) []string {
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	var ignored []string
-	for _, name := range multiGPUFlags {
-		if set[name] {
-			ignored = append(ignored, "-"+name)
-		}
-	}
-	return ignored
-}
-
-// runMultiGPU measures the §7 multi-GPU engine.
-func runMultiGPU(g *emogi.Graph, app string, cfg emogi.SystemConfig, n, sources int, seed int64, elemBytes int, validate bool) {
-	if app != "bfs" && app != "sssp" && app != "cc" {
-		log.Fatalf("-gpus > 1 supports -algo bfs, sssp, or cc (got %q)", app)
-	}
-	devs := make([]*gpu.Device, n)
-	for i := range devs {
-		devs[i] = gpu.NewDevice(cfg.GPU)
-	}
-	ms, err := core.NewMultiSystem(devs, g, elemBytes)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ms.Free()
-	srcs := emogi.PickSources(g, sources, seed)
-	if srcs == nil {
-		log.Fatal("graph has no vertices with outgoing edges")
-	}
-	var total time.Duration
-	runs := 0
-	for _, src := range srcs {
-		var res *emogi.Result
-		switch app {
-		case "sssp":
-			res, err = ms.SSSP(context.Background(), src)
-		case "cc":
-			res, err = ms.CC(context.Background())
-		default:
-			res, err = ms.BFS(context.Background(), src)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		if validate {
-			if err := emogi.Validate(g, res); err != nil {
-				log.Fatalf("validation failed: %v", err)
-			}
-		}
-		total += res.Elapsed
-		runs++
-		if app == "cc" {
-			break
-		}
-	}
-	fmt.Printf("platform:   %s x%d\n", cfg.Name, n)
-	fmt.Printf("run:        %s (multi-GPU), %d source(s)\n", strings.ToUpper(app), runs)
-	fmt.Printf("mean time:  %v (simulated)\n", total/time.Duration(runs))
-	for i := 0; i < n; i++ {
-		lo, hi := ms.Partition(i)
-		fmt.Printf("  GPU %d owns vertices [%d, %d)\n", i, lo, hi)
-	}
-	if validate {
-		fmt.Println("validated:  results match CPU reference")
-	}
 }
 
 // kernelLog is a telemetry sink that keeps every kernel launch's

@@ -349,8 +349,8 @@ type Request struct {
 	Graph *DeviceGraph
 	// Algo is the algorithm registry name: the built-in applications
 	// ("bfs", "sssp", "cc", "sswp") and the specialty traversals
-	// ("bfs-worker8", "bfs-balanced", "bfs-pushpull", "bfs-compressed",
-	// "bfs-edgecentric"); see Algorithms for the full list.
+	// ("bfs-worker8", "bfs-pushpull", "bfs-compressed", "bfs-edgecentric");
+	// see Algorithms for the full list.
 	Algo string
 	// Src is the source vertex (ignored by source-free algorithms).
 	Src int

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"time"
 
 	emogi "repro"
 	"repro/internal/core"
@@ -90,48 +89,6 @@ func AblationWorkerSize(ds *Datasets) (*Table, error) {
 	return t, nil
 }
 
-// AblationBalance compares plain merged+aligned BFS with the §6 workload
-// balancing extension on the hub-heavy GK graph.
-func AblationBalance(ds *Datasets) (*Table, error) {
-	cfg := ds.Config()
-	g := ds.Get("GK")
-	src := ds.Sources("GK")[0]
-	t := &Table{
-		Title:  "Ablation: workload balancing (BFS on GK)",
-		Header: []string{"kernel", "critical-path reqs", "payload MB", "time ms"},
-	}
-	dev := newV100(cfg)
-	dg, err := core.Upload(dev, g, core.ZeroCopy, 8)
-	if err != nil {
-		return nil, err
-	}
-	plain, err := core.BFS(context.Background(), dev, dg, src, core.MergedAligned)
-	if err != nil {
-		return nil, err
-	}
-	devB := newV100(cfg)
-	dgB, err := core.Upload(devB, g, core.ZeroCopy, 8)
-	if err != nil {
-		return nil, err
-	}
-	bal, err := core.BFSBalanced(context.Background(), devB, dgB, src, 1024)
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range []struct {
-		name string
-		r    *core.Result
-	}{{"merged+aligned", plain}, {"balanced (split=1024)", bal}} {
-		t.AddRow(row.name,
-			fmt.Sprintf("%d", row.r.Stats.MaxWarpHostReqs),
-			fnum(float64(row.r.Stats.PCIePayloadBytes)/1e6),
-			fnum(row.r.Elapsed.Seconds()*1e3))
-	}
-	t.Notes = append(t.Notes,
-		"paper §6: balancing shortens hub critical paths without changing traffic")
-	return t, nil
-}
-
 // AblationCompression compares plain and delta-compressed traversal (§6's
 // compression direction) across the datasets.
 func AblationCompression(ds *Datasets) (*Table, error) {
@@ -171,43 +128,6 @@ func AblationCompression(ds *Datasets) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"paper §6: compression trades idle lanes for bytes; wins grow with ID locality")
-	return t, nil
-}
-
-// AblationMultiGPU sweeps the device count of the §7 multi-GPU extension.
-func AblationMultiGPU(ds *Datasets) (*Table, error) {
-	cfg := ds.Config()
-	g := ds.Get("GU") // uniform degrees: the friendliest scaling case
-	src := ds.Sources("GU")[0]
-	t := &Table{
-		Title:  "Ablation: multi-GPU scaling (aligned BFS on GU)",
-		Header: []string{"GPUs", "time ms", "speedup vs 1"},
-	}
-	var base time.Duration
-	for _, n := range []int{1, 2, 4} {
-		devs := make([]*gpu.Device, n)
-		for i := range devs {
-			devs[i] = newV100(cfg)
-		}
-		ms, err := core.NewMultiSystem(devs, g, 8)
-		if err != nil {
-			return nil, err
-		}
-		res, err := ms.BFS(context.Background(), src)
-		if err != nil {
-			return nil, err
-		}
-		ms.Free()
-		if n == 1 {
-			base = res.Elapsed
-		}
-		t.AddRow(fmt.Sprintf("%d", n),
-			fnum(res.Elapsed.Seconds()*1e3),
-			fnum(float64(base)/float64(res.Elapsed)))
-	}
-	t.Notes = append(t.Notes,
-		"paper §7 future work: independent links scale traversal; replica",
-		"reduction caps the curve")
 	return t, nil
 }
 
@@ -252,38 +172,6 @@ func AblationThrash(ds *Datasets) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"the default 0.40 is the constant calibrated against the paper's Naive=0.73x")
-	return t, nil
-}
-
-// AblationHybrid sweeps the CPU share of the §7 collaborative CPU-GPU
-// extension: a modest share adds the host's memory-local bandwidth for
-// free; an overgrown share makes the slow CPU the straggler.
-func AblationHybrid(ds *Datasets) (*Table, error) {
-	cfg := ds.Config()
-	g := ds.Get("GU")
-	src := ds.Sources("GU")[0]
-	t := &Table{
-		Title:  "Ablation: collaborative CPU-GPU share (aligned BFS on GU)",
-		Header: []string{"CPU share", "CPU vertices", "time ms"},
-	}
-	for _, share := range []float64{0, 0.1, 0.2, 0.4, 0.8} {
-		dev := newV100(cfg)
-		h, err := core.NewHybridSystem(dev, g, 8, core.DefaultHybridConfig(share))
-		if err != nil {
-			return nil, err
-		}
-		res, err := h.BFS(context.Background(), src)
-		if err != nil {
-			return nil, err
-		}
-		h.Free()
-		t.AddRow(fnum(share),
-			fmt.Sprintf("%d", h.Split()),
-			fnum(res.Elapsed.Seconds()*1e3))
-	}
-	t.Notes = append(t.Notes,
-		"paper §7 future work: the optimum sits where CPU scan time matches the",
-		"GPU's zero-copy time for the complementary share")
 	return t, nil
 }
 

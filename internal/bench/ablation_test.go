@@ -58,24 +58,6 @@ func TestAblationWorkerSize(t *testing.T) {
 	}
 }
 
-func TestAblationBalance(t *testing.T) {
-	t.Parallel()
-	ds := NewDatasets(tinyConfig())
-	tb, err := AblationBalance(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(tb.Rows))
-	}
-	// Balanced critical path must not exceed the plain kernel's.
-	plain := parseMS(t, tb.Rows[0][1])
-	bal := parseMS(t, tb.Rows[1][1])
-	if bal > plain {
-		t.Errorf("balanced critical path %v exceeds plain %v", bal, plain)
-	}
-}
-
 func TestAblationCompression(t *testing.T) {
 	t.Parallel()
 	ds := NewDatasets(tinyConfig())
@@ -90,21 +72,6 @@ func TestAblationCompression(t *testing.T) {
 		if r := parseMS(t, row[1]); r < 1.0 {
 			t.Errorf("%s: compression ratio %v below 1", row[0], r)
 		}
-	}
-}
-
-func TestAblationMultiGPU(t *testing.T) {
-	t.Parallel()
-	ds := NewDatasets(tinyConfig())
-	tb, err := AblationMultiGPU(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(tb.Rows))
-	}
-	if sp := parseMS(t, tb.Rows[1][2]); sp <= 1.0 {
-		t.Errorf("2-GPU speedup %v not above 1", sp)
 	}
 }
 
@@ -128,27 +95,6 @@ func TestAblationThrash(t *testing.T) {
 	t3 := parseMS(t, tb.Rows[3][2])
 	if t3 <= t0 {
 		t.Errorf("naive time should grow with sensitivity: %v -> %v", t0, t3)
-	}
-}
-
-func TestAblationHybrid(t *testing.T) {
-	t.Parallel()
-	ds := NewDatasets(tinyConfig())
-	tb, err := AblationHybrid(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 5 {
-		t.Fatalf("rows = %d, want 5", len(tb.Rows))
-	}
-	// CPU vertex counts are monotone in the share.
-	prev := -1.0
-	for _, row := range tb.Rows {
-		v := parseMS(t, row[1])
-		if v < prev {
-			t.Errorf("CPU vertices not monotone in share")
-		}
-		prev = v
 	}
 }
 

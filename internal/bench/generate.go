@@ -90,10 +90,7 @@ func Generate(ds *Datasets, selected func(id string) bool, reorderWindow int,
 	}{
 		{"ablation-uvm", AblationUVMBlock},
 		{"ablation-worker", AblationWorkerSize},
-		{"ablation-balance", AblationBalance},
 		{"ablation-compress", AblationCompression},
-		{"ablation-multigpu", AblationMultiGPU},
-		{"ablation-hybrid", AblationHybrid},
 		{"ablation-link", AblationLink},
 		{"ablation-edgecentric", AblationEdgeCentric},
 		{"ablation-directionopt", AblationDirectionOpt},

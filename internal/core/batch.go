@@ -118,8 +118,6 @@ type batchRun struct {
 	predLevel             uint32
 }
 
-func (br *batchRun) faultCount() uint64 { return br.dev.Total().FaultedReads }
-
 func (br *batchRun) isLive(q int) bool { return br.live[q>>6]&(1<<(uint(q)&63)) != 0 }
 func (br *batchRun) clearLive(q int)   { br.live[q>>6] &^= 1 << (uint(q) & 63) }
 func (br *batchRun) setLive(q int)     { br.live[q>>6] |= 1 << (uint(q) & 63) }
@@ -541,7 +539,7 @@ func runBatchProgram(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, prog
 		defer br.prt.close()
 	}
 
-	if _, err := runRounds(ctx, prog.App, br); err != nil {
+	if _, err := runRounds(ctx, prog.App, dev, br); err != nil {
 		freeAll()
 		return nil, err
 	}

@@ -10,9 +10,7 @@ import (
 
 // bfsProgram declares breadth-first search over the frontier engine: a
 // min-lattice carry monoid over an implicit match-by-level frontier, with
-// active vertices pushing level+1 to their neighbors. Seed is set even
-// though match programs don't use it so the multi-GPU topology (which
-// always keeps an explicit frontier) can run the same descriptor.
+// active vertices pushing level+1 to their neighbors.
 func bfsProgram() *Program {
 	return &Program{
 		App:      "BFS",
@@ -24,7 +22,6 @@ func bfsProgram() *Program {
 			}
 			return graph.InfDist
 		},
-		Seed:     func(v, src int) bool { return v == src },
 		Push:     func(sv uint32) uint32 { return sv + 1 },
 		Validate: ValidateBFS,
 	}

@@ -199,44 +199,6 @@ func TestCancelDeadline(t *testing.T) {
 	}
 }
 
-// TestCancelSpecialtyTopologies: the hybrid and multi-GPU round loops
-// honor pre-canceled contexts and free their per-run buffers.
-func TestCancelSpecialtyTopologies(t *testing.T) {
-	g, src := cancelTestGraph(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-
-	t.Run("hybrid", func(t *testing.T) {
-		dev := testDevice()
-		h, err := NewHybridSystem(dev, g, 8, DefaultHybridConfig(0.3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer h.Free()
-		if _, err := h.BFS(ctx, src); !errors.Is(err, ErrCanceled) {
-			t.Errorf("hybrid: err = %v, want ErrCanceled", err)
-		}
-		// Still usable after the cancel.
-		if _, err := h.BFS(context.Background(), src); err != nil {
-			t.Errorf("hybrid rerun: %v", err)
-		}
-	})
-
-	t.Run("multi", func(t *testing.T) {
-		ms, err := NewMultiSystem(multiDevices(3), g, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ms.Free()
-		if _, err := ms.BFS(ctx, src); !errors.Is(err, ErrCanceled) {
-			t.Errorf("multi: err = %v, want ErrCanceled", err)
-		}
-		if _, err := ms.BFS(context.Background(), src); err != nil {
-			t.Errorf("multi rerun: %v", err)
-		}
-	})
-}
-
 // TestUnknownAlgorithmListsNames: the registry error names every valid
 // algorithm so callers can self-correct.
 func TestUnknownAlgorithmListsNames(t *testing.T) {

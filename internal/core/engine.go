@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"time"
 
 	"repro/internal/gpu"
 	"repro/internal/graph"
@@ -12,12 +11,11 @@ import (
 )
 
 // This file is the repository's single traversal engine. Every traversal
-// entry point — the paper's three applications, the sub-warp worker and
-// balanced-scheduling studies, the compressed, edge-centric,
-// direction-optimized, hybrid CPU-GPU, and multi-GPU extensions, and any
-// new application — is a declarative Program descriptor plus an
-// engineConfig (kernel choice, buffer names, device topology) over the one
-// round loop implemented here. The loop, the runState lifecycle, the
+// entry point — the paper's three applications, the sub-warp worker
+// study, the compressed, edge-centric and direction-optimized extensions,
+// and any new application — is a declarative Program descriptor plus an
+// engineConfig (kernel choice, buffer names) over the one round loop
+// implemented here. The loop, the runState lifecycle, the
 // BeginRun/EmitRound/EndRun telemetry hooks, and the Result assembly exist
 // exactly once; apps differ only in their descriptors.
 //
@@ -78,14 +76,6 @@ func (m Monoid) combine(sv, w uint32) uint32 {
 	default:
 		return sv
 	}
-}
-
-// better reports whether cand improves on cur under the monoid's order.
-func (m Monoid) better(cand, cur uint32) bool {
-	if m.Max {
-		return cand > cur
-	}
-	return cand < cur
 }
 
 // visitor builds the engine's edge visitor from the monoid: for each
@@ -202,7 +192,6 @@ func (p *Program) push(sv uint32) uint32 {
 // convergence flag, and the monoid visitor for this round.
 type engineRound struct {
 	dev    *gpu.Device
-	n      int
 	level  uint32
 	values *memsys.Buffer // live relax target
 	state  *memsys.Buffer // source-value reads (snapshot when FrontierActive)
@@ -213,8 +202,8 @@ type engineRound struct {
 
 // kernelFunc launches one round's kernel. Standard programs use
 // stdMatchKernel/stdActiveKernel; specialty configurations (sub-warp
-// workers, balanced scheduling, compressed or COO edge layouts,
-// direction-optimized pull) supply their own.
+// workers, compressed or COO edge layouts, direction-optimized pull)
+// supply their own.
 type kernelFunc func(r *engineRound)
 
 // engineConfig selects how a Program runs on one device: the kernel, the
@@ -272,21 +261,14 @@ func stdActiveKernel(dg *DeviceGraph, variant Variant, name string, prog *Progra
 
 // topology runs one relaxation round at the given round number and
 // reports whether any value changed (i.e. the traversal must continue).
-// Three topologies exist: singleRun (one device), hybridRun (GPU + host
-// CPU), and multiRun (N devices with a host reduce).
+// Two topologies exist: singleRun (one source) and batchRun (K sources in
+// lane-major groups).
 type topology interface {
 	round(level uint32) bool
-
-	// faultCount returns the topology's devices' cumulative injected read
-	// -fault tally. runRounds snapshots it before the first round and
-	// aborts with a *TransientError when a round increases it: the data
-	// behind a failed completion is unusable, so the run's results cannot
-	// be trusted. Always zero when fault injection is disabled.
-	faultCount() uint64
 }
 
 // runRounds is the round loop — the only one in the codebase. It drives a
-// topology to its fixed point and returns the iteration count.
+// topology on dev to its fixed point and returns the iteration count.
 //
 // Cancellation is cooperative and lands only at round boundaries: the
 // context is checked before every round (including the first, so an
@@ -294,19 +276,20 @@ type topology interface {
 // completes — the simulated device, like a real one, cannot abandon an
 // in-flight kernel. A canceled run therefore leaves the device in the
 // same state a completed run would.
-func runRounds(ctx context.Context, app string, t topology) (int, error) {
+func runRounds(ctx context.Context, app string, dev *gpu.Device, t topology) (int, error) {
 	iterations := 0
 	// Injected read faults also land at round boundaries: the faulted
 	// round completes, then the run aborts with a *TransientError instead
 	// of trusting data from failed completions. The baseline snapshot
-	// scopes the check to this run (the device tally is cumulative).
-	faultBase := t.faultCount()
+	// scopes the check to this run (the device tally is cumulative, and
+	// stays zero when fault injection is disabled).
+	faultBase := dev.Total().FaultedReads
 	for level := uint32(0); ; level++ {
 		if err := ctx.Err(); err != nil {
 			return iterations, &CanceledError{App: app, Rounds: iterations, Cause: err}
 		}
 		more := t.round(level)
-		if faulted := t.faultCount() - faultBase; faulted > 0 {
+		if faulted := dev.Total().FaultedReads - faultBase; faulted > 0 {
 			return iterations + 1, &TransientError{App: app, Rounds: iterations + 1, Faults: faulted}
 		}
 		iterations++
@@ -326,7 +309,6 @@ type singleRun struct {
 	rs                      *runState
 	prog                    *Program
 	cfg                     *engineConfig
-	n                       int
 	prt                     *policyRuntime // non-nil only for routed transport-policy runs
 	values, snap, cur, next *memsys.Buffer
 
@@ -340,8 +322,6 @@ type singleRun struct {
 	pred      func(v int) bool
 	predLevel uint32
 }
-
-func (e *singleRun) faultCount() uint64 { return e.rs.dev.Total().FaultedReads }
 
 // frontierActive reports whether v is in the frontier of the round about to
 // execute — the host-side density predicate the transport-policy runtime
@@ -365,7 +345,6 @@ func (e *singleRun) round(level uint32) bool {
 	r := &e.r
 	*r = engineRound{
 		dev:    dev,
-		n:      e.n,
 		level:  level,
 		values: e.values,
 		state:  e.values,
@@ -432,7 +411,7 @@ func runProgram(ctx context.Context, dev *gpu.Device, n int, prog *Program, src 
 		rs.abort()
 		return nil, err
 	}
-	e := &singleRun{rs: rs, prog: prog, cfg: cfg, n: n, values: values}
+	e := &singleRun{rs: rs, prog: prog, cfg: cfg, values: values}
 	if prog.Frontier == FrontierActive {
 		if e.snap, err = rs.alloc(cfg.snapName, int64(n)*4); err != nil {
 			rs.abort()
@@ -478,7 +457,7 @@ func runProgram(ctx context.Context, dev *gpu.Device, n int, prog *Program, src 
 		defer e.prt.close()
 	}
 
-	iterations, err := runRounds(ctx, prog.App, e)
+	iterations, err := runRounds(ctx, prog.App, dev, e)
 	if err != nil {
 		rs.abort()
 		return nil, err
@@ -489,373 +468,6 @@ func runProgram(ctx context.Context, dev *gpu.Device, n int, prog *Program, src 
 	}
 	res.Policy = rp.name
 	return res, nil
-}
-
-// hybridRun is the collaborative CPU-GPU topology (§7): the host CPU
-// traverses vertices [0, split) directly from its own memory while the
-// GPU covers [split, n) with zero-copy reads; the two value replicas are
-// reduced under the Program's monoid between rounds. Restricted to
-// FrontierMatch programs with a Carry monoid (the CPU side relaxes
-// unweighted).
-type hybridRun struct {
-	h       *HybridSystem
-	prog    *Program
-	n       int
-	labels  *memsys.Buffer
-	flag    *memsys.Buffer
-	cpuVals []uint32
-	visit   visitFn
-	elapsed time.Duration
-	mark    time.Duration
-}
-
-func (hr *hybridRun) faultCount() uint64 { return hr.h.dev.Total().FaultedReads }
-
-func (hr *hybridRun) round(level uint32) bool {
-	h := hr.h
-	dev := h.dev
-	roundStart := dev.Clock()
-	// GPU side: vertices [split, n).
-	hr.flag.PutU32(0, 0)
-	dev.CopyToDevice(4)
-	dev.Launch("hbfs/gpu", hr.n-h.split, func(w *gpu.Warp) {
-		v := int64(h.split + w.ID())
-		if w.ScalarU32(hr.labels, v) != level {
-			return
-		}
-		walkMerged(w, h.dg, v, hr.prog.push(level), true, false, hr.visit)
-	})
-	dev.CopyToHost(4)
-	gpuChanged := hr.flag.U32(0) != 0
-	dev.CopyToHost(int64(hr.n) * 4) // replica download for the reduce
-	gpuTime := dev.Clock() - hr.mark
-
-	// CPU side, concurrently: vertices [0, split).
-	var cpuBytes int64
-	cpuChanged := false
-	push := hr.prog.push(level)
-	for v := 0; v < h.split; v++ {
-		if hr.cpuVals[v] != level {
-			continue
-		}
-		cpuBytes += h.graph.Degree(v) * int64(h.dg.EdgeBytes)
-		for _, u := range h.graph.Neighbors(v) {
-			if hr.prog.Relax.better(push, hr.cpuVals[u]) {
-				hr.cpuVals[u] = push
-				cpuChanged = true
-			}
-		}
-	}
-	cpuTime := h.cfg.CPUIterOverhead +
-		time.Duration(float64(cpuBytes)/h.cfg.CPUScanBytesPerSec*float64(time.Second))
-
-	levelTime := gpuTime
-	if cpuTime > levelTime {
-		levelTime = cpuTime
-	}
-
-	// Reduce the two replicas under the monoid, then re-upload the GPU
-	// copy.
-	for v := int64(0); v < int64(hr.n); v++ {
-		gl := hr.labels.U32(v)
-		cl := hr.cpuVals[v]
-		m := gl
-		if hr.prog.Relax.better(cl, m) {
-			m = cl
-		}
-		hr.labels.PutU32(v, m)
-		hr.cpuVals[v] = m
-	}
-	preUp := dev.Clock()
-	dev.CopyToDevice(int64(hr.n) * 4)
-	levelTime += dev.Clock() - preUp
-
-	hr.elapsed += levelTime
-	hr.mark = dev.Clock()
-	dev.EmitRound("hbfs", int(level), roundStart)
-	return gpuChanged || cpuChanged
-}
-
-// runHybrid executes a match-policy Program on the hybrid CPU-GPU
-// topology.
-func runHybrid(ctx context.Context, h *HybridSystem, prog *Program, src int) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	g := h.graph
-	n := g.NumVertices()
-	if src < 0 || src >= n {
-		return nil, fmt.Errorf("core: %s source %d out of range [0,%d)", prog.App, src, n)
-	}
-	dev := h.dev
-	dev.BeginRun(gpu.RunLabels{App: prog.App, Variant: "hybrid",
-		Transport: ZeroCopy.String(), Graph: g.Name})
-	defer dev.EndRun()
-
-	labels, err := dev.Arena().Alloc("hbfs.labels", memsys.SpaceGPU, int64(n)*4)
-	if err != nil {
-		return nil, err
-	}
-	defer dev.Arena().Free(labels)
-	flag, err := dev.Arena().Alloc("hbfs.flag", memsys.SpaceGPU, 4)
-	if err != nil {
-		return nil, err
-	}
-	defer dev.Arena().Free(flag)
-	for v := 0; v < n; v++ {
-		labels.PutU32(int64(v), prog.Init(v, src))
-	}
-	dev.CopyToDevice(int64(n) * 4)
-
-	// The CPU's value replica.
-	cpuVals := make([]uint32, n)
-	for v := range cpuVals {
-		cpuVals[v] = prog.Init(v, src)
-	}
-
-	hr := &hybridRun{
-		h:       h,
-		prog:    prog,
-		n:       n,
-		labels:  labels,
-		flag:    flag,
-		cpuVals: cpuVals,
-		visit:   prog.Relax.visitor(labels, nil, flag),
-		elapsed: dev.Clock(),
-		mark:    dev.Clock(),
-	}
-	iterations, err := runRounds(ctx, prog.App, hr)
-	if err != nil {
-		return nil, err // labels and flag are freed by the defers above
-	}
-
-	out := make([]uint32, n)
-	for v := 0; v < n; v++ {
-		out[v] = labels.U32(int64(v))
-	}
-	return &Result{
-		App:        prog.App,
-		Variant:    MergedAligned,
-		Transport:  ZeroCopy,
-		Source:     src,
-		Values:     out,
-		Iterations: iterations,
-		Elapsed:    hr.elapsed,
-		Stats:      dev.RunStats(),
-	}, nil
-}
-
-// multiRun is the N-device topology (§7): each device traverses its own
-// vertex partition against a full value replica; after each round the
-// replicas are reduced through the host under the Program's monoid and
-// the vertices whose merged value changed form the next frontier — a
-// delta-driven frontier that serves all delta-monotone programs (BFS as
-// unit-weight SSSP via Push, SSSP, CC).
-type multiRun struct {
-	ms        *MultiSystem
-	prog      *Program
-	n         int
-	values    []*memsys.Buffer
-	actives   []*memsys.Buffer
-	flags     []*memsys.Buffer
-	prev      []uint32
-	clockMark []time.Duration
-	elapsed   time.Duration
-}
-
-func (mr *multiRun) faultCount() uint64 {
-	var total uint64
-	for _, dev := range mr.ms.devs {
-		total += dev.Total().FaultedReads
-	}
-	return total
-}
-
-func (mr *multiRun) round(level uint32) bool {
-	ms := mr.ms
-	nd := len(ms.devs)
-	var levelMax time.Duration
-	for i, dev := range ms.devs {
-		lo, hi := ms.Partition(i)
-		val, act, flag := mr.values[i], mr.actives[i], mr.flags[i]
-		roundStart := mr.clockMark[i]
-		flag.PutU32(0, 0)
-		dev.CopyToDevice(4)
-		visit := mr.prog.Relax.visitor(val, nil, flag)
-		dg := ms.dgs[i]
-		prog := mr.prog
-		// Serial launch: the kernel reads each source's value from the
-		// live relax target (chained relaxation, no snapshot), so its
-		// traffic depends on warp execution order.
-		dev.Launch("mgpu/"+prog.App, hi-lo, func(w *gpu.Warp) {
-			v := int64(lo + w.ID())
-			if w.ScalarU32(act, v) == 0 {
-				return
-			}
-			sv := w.ScalarU32(val, v)
-			if sv == prog.Relax.Identity {
-				return
-			}
-			walkMerged(w, dg, v, prog.push(sv), true, prog.Weighted, visit)
-		}, gpu.Serial())
-		dev.CopyToHost(4)
-		dev.CopyToHost(int64(mr.n) * 4) // replica download for the reduce
-		if dt := dev.Clock() - mr.clockMark[i]; dt > levelMax {
-			levelMax = dt
-		}
-		dev.EmitRound("mgpu/"+prog.App, int(level), roundStart)
-	}
-
-	// Host reduce under the monoid; the delta against prev is the next
-	// frontier.
-	changed := false
-	for v := int64(0); v < int64(mr.n); v++ {
-		m := mr.values[0].U32(v)
-		for i := 1; i < nd; i++ {
-			if x := mr.values[i].U32(v); mr.prog.Relax.better(x, m) {
-				m = x
-			}
-		}
-		isNew := m != mr.prev[v]
-		if isNew {
-			changed = true
-			mr.prev[v] = m
-		}
-		for i := 0; i < nd; i++ {
-			mr.values[i].PutU32(v, m)
-			if isNew {
-				mr.actives[i].PutU32(v, 1)
-			} else {
-				mr.actives[i].PutU32(v, 0)
-			}
-		}
-	}
-	// Broadcast the merged values and the next frontier.
-	var bcastMax time.Duration
-	for _, dev := range ms.devs {
-		mark := dev.Clock()
-		dev.CopyToDevice(int64(mr.n) * 4 * 2)
-		if dt := dev.Clock() - mark; dt > bcastMax {
-			bcastMax = dt
-		}
-	}
-	mr.elapsed += levelMax + bcastMax
-	for i, dev := range ms.devs {
-		mr.clockMark[i] = dev.Clock()
-	}
-	return changed
-}
-
-// runMulti executes a Program on the multi-GPU topology.
-func runMulti(ctx context.Context, ms *MultiSystem, prog *Program, src int) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	g := ms.graph
-	n := g.NumVertices()
-	if !prog.NoSource && (src < 0 || src >= n) {
-		return nil, fmt.Errorf("core: source %d out of range [0,%d)", src, n)
-	}
-	nd := len(ms.devs)
-	for _, dev := range ms.devs {
-		dev.BeginRun(gpu.RunLabels{App: prog.App, Variant: "multi-gpu",
-			Transport: ZeroCopy.String(), Graph: g.Name})
-	}
-	defer func() {
-		for _, dev := range ms.devs {
-			dev.EndRun()
-		}
-	}()
-
-	mr := &multiRun{
-		ms:      ms,
-		prog:    prog,
-		n:       n,
-		values:  make([]*memsys.Buffer, nd),
-		actives: make([]*memsys.Buffer, nd),
-		flags:   make([]*memsys.Buffer, nd),
-	}
-	// freeAll releases whatever per-device buffers exist so every exit —
-	// alloc failure, cancellation, completion — leaves the arenas clean.
-	freeAll := func() {
-		for i, dev := range ms.devs {
-			for _, b := range []*memsys.Buffer{mr.values[i], mr.actives[i], mr.flags[i]} {
-				if b != nil {
-					dev.Arena().Free(b)
-				}
-			}
-		}
-	}
-	for i, dev := range ms.devs {
-		var err error
-		mr.values[i], err = dev.Arena().Alloc("mgpu.values", memsys.SpaceGPU, int64(n)*4)
-		if err != nil {
-			freeAll()
-			return nil, err
-		}
-		mr.actives[i], err = dev.Arena().Alloc("mgpu.active", memsys.SpaceGPU, int64(n)*4)
-		if err != nil {
-			freeAll()
-			return nil, err
-		}
-		mr.flags[i], err = dev.Arena().Alloc("mgpu.flag", memsys.SpaceGPU, 4)
-		if err != nil {
-			freeAll()
-			return nil, err
-		}
-		for v := 0; v < n; v++ {
-			mr.values[i].PutU32(int64(v), prog.Init(v, src))
-			if prog.Seed(v, src) {
-				mr.actives[i].PutU32(int64(v), 1)
-			}
-		}
-		dev.CopyToDevice(int64(n) * 4 * 2)
-	}
-
-	// prev mirrors the merged value array for frontier detection.
-	mr.prev = make([]uint32, n)
-	for v := 0; v < n; v++ {
-		mr.prev[v] = mr.values[0].U32(int64(v))
-	}
-
-	for i, dev := range ms.devs {
-		if dt := dev.Clock(); i == 0 || dt > mr.elapsed {
-			mr.elapsed = dt
-		}
-	}
-	mr.clockMark = make([]time.Duration, nd)
-	for i, dev := range ms.devs {
-		mr.clockMark[i] = dev.Clock()
-	}
-
-	iterations, err := runRounds(ctx, prog.App, mr)
-	if err != nil {
-		freeAll()
-		return nil, err
-	}
-
-	out := make([]uint32, n)
-	copy(out, mr.prev)
-	var stats gpu.KernelStats
-	for _, dev := range ms.devs {
-		d := dev.RunStats()
-		stats.Add(&d)
-	}
-	freeAll()
-	resSrc := src
-	if prog.NoSource {
-		resSrc = -1
-	}
-	return &Result{
-		App:        prog.App,
-		Variant:    MergedAligned,
-		Transport:  ZeroCopy,
-		Source:     resSrc,
-		Values:     out,
-		Iterations: iterations,
-		Elapsed:    mr.elapsed,
-		Stats:      stats,
-	}, nil
 }
 
 // runState carries the engine's shared plumbing: the convergence flag and

@@ -74,8 +74,8 @@ func (r *recordingTelemetry) hasRun(app, variant string) bool {
 }
 
 // TestEngineTelemetryCoverage drives every traversal entry point —
-// built-in applications, specialty kernels, the hybrid CPU-GPU system,
-// and the multi-GPU system — under a recording telemetry sink and asserts
+// built-in applications and specialty kernels — under a recording
+// telemetry sink and asserts
 // that no kernel launch or traversal round ever fires outside a labeled
 // run, and that each entry point announces itself with its own variant
 // label.
@@ -101,7 +101,6 @@ func TestEngineTelemetryCoverage(t *testing.T) {
 		{"SSWP", "Merged+Aligned", func() (*Result, error) { return SSWP(context.Background(), dev, dg, src, MergedAligned) }},
 		{"BFS", "worker8", func() (*Result, error) { return BFSWithWorker(context.Background(), dev, dg, src, 8, true) }},
 		{"BFS", "worker16-unaligned", func() (*Result, error) { return BFSWithWorker(context.Background(), dev, dg, src, 16, false) }},
-		{"BFS", "balanced", func() (*Result, error) { return BFSBalanced(context.Background(), dev, dg, src, 1024) }},
 		{"BFS", "pushpull", func() (*Result, error) {
 			return BFSDirectionOptimized(context.Background(), dev, dg, src, DefaultPushPullConfig())
 		}},
@@ -136,44 +135,6 @@ func TestEngineTelemetryCoverage(t *testing.T) {
 	ec.Free(dev)
 	if !rec.hasRun("BFS", "edgecentric") {
 		t.Errorf("no labeled run recorded for BFS/edgecentric")
-	}
-
-	hdev := testDevice()
-	hdev.SetTelemetry(rec)
-	h, err := NewHybridSystem(hdev, g, 8, DefaultHybridConfig(0.3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.BFS(context.Background(), src); err != nil {
-		t.Fatal(err)
-	}
-	h.Free()
-	if !rec.hasRun("BFS", "hybrid") {
-		t.Errorf("no labeled run recorded for BFS/hybrid")
-	}
-
-	devs := []*gpu.Device{testDevice(), testDevice()}
-	for _, d := range devs {
-		d.SetTelemetry(rec)
-	}
-	ms, err := NewMultiSystem(devs, g, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ms.BFS(context.Background(), src); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ms.SSSP(context.Background(), src); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ms.CC(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ms.Free()
-	for _, app := range []string{"BFS", "SSSP", "CC"} {
-		if !rec.hasRun(app, "multi-gpu") {
-			t.Errorf("no labeled run recorded for %s/multi-gpu", app)
-		}
 	}
 
 	if len(rec.unlabeled) > 0 {
@@ -261,7 +222,7 @@ func TestEngineMatrix(t *testing.T) {
 func TestAlgorithmRegistry(t *testing.T) {
 	names := AlgorithmNames()
 	for _, want := range []string{"bfs", "sssp", "cc", "sswp", "bfs-worker8",
-		"bfs-balanced", "bfs-pushpull", "bfs-compressed", "bfs-edgecentric"} {
+		"bfs-pushpull", "bfs-compressed", "bfs-edgecentric"} {
 		found := false
 		for _, n := range names {
 			if n == want {

@@ -144,14 +144,6 @@ func goldenRuns(t *testing.T) []goldenRecord {
 			}
 			return BFSWithWorker(context.Background(), dev, dg, src, 16, false)
 		})
-		run("bfs-balanced", func() (*Result, error) {
-			dev := testDevice()
-			dg, err := Upload(dev, g, ZeroCopy, 8)
-			if err != nil {
-				return nil, err
-			}
-			return BFSBalanced(context.Background(), dev, dg, src, 64)
-		})
 		run("bfs-compressed", func() (*Result, error) {
 			dev := testDevice()
 			cdg, err := UploadCompressed(dev, g)
@@ -175,30 +167,6 @@ func goldenRuns(t *testing.T) []goldenRecord {
 				return nil, err
 			}
 			return BFSDirectionOptimized(context.Background(), dev, dg, src, DefaultPushPullConfig())
-		})
-		run("bfs-hybrid0.3", func() (*Result, error) {
-			h, err := NewHybridSystem(testDevice(), g, 8, DefaultHybridConfig(0.3))
-			if err != nil {
-				return nil, err
-			}
-			defer h.Free()
-			return h.BFS(context.Background(), src)
-		})
-		run("bfs-multigpu2", func() (*Result, error) {
-			ms, err := NewMultiSystem(multiDevices(2), g, 8)
-			if err != nil {
-				return nil, err
-			}
-			defer ms.Free()
-			return ms.BFS(context.Background(), src)
-		})
-		run("sssp-multigpu2", func() (*Result, error) {
-			ms, err := NewMultiSystem(multiDevices(2), g, 8)
-			if err != nil {
-				return nil, err
-			}
-			defer ms.Free()
-			return ms.SSSP(context.Background(), src)
 		})
 		// Batched lanes, pinned on GK: each lane's record carries its own
 		// iteration count plus the batch's shared counters, so both the
@@ -228,14 +196,6 @@ func goldenRuns(t *testing.T) []goldenRecord {
 				recs = append(recs, recordOf(fmt.Sprintf("GK/%s-batch4.q%d", app, i), item.Res))
 			}
 		}
-		run("cc-multigpu2", func() (*Result, error) {
-			ms, err := NewMultiSystem(multiDevices(2), g, 8)
-			if err != nil {
-				return nil, err
-			}
-			defer ms.Free()
-			return ms.CC(context.Background())
-		})
 	}
 	return recs
 }

@@ -104,11 +104,10 @@ func TestSerialParallelEquivalence(t *testing.T) {
 }
 
 // TestSerialParallelEquivalenceExtensions covers the traversal extensions
-// beyond the paper's core matrix — sub-warp workers, balanced scheduling,
-// compressed edges, edge-centric streaming, direction-optimized BFS, and
-// the hybrid CPU-GPU engine — so every parallel-eligible kernel body in
-// the repository gets serial-vs-parallel (and, under -race, data-race)
-// coverage.
+// beyond the paper's core matrix — sub-warp workers, compressed edges,
+// edge-centric streaming, direction-optimized BFS, and the toy strided
+// kernel — so every parallel-eligible kernel body in the repository gets
+// serial-vs-parallel (and, under -race, data-race) coverage.
 func TestSerialParallelEquivalenceExtensions(t *testing.T) {
 	g := equivGraphs(t)[0]
 	src := graph.PickSources(g, 1, 71)[0]
@@ -122,13 +121,6 @@ func TestSerialParallelEquivalenceExtensions(t *testing.T) {
 				return nil, err
 			}
 			return BFSWithWorker(context.Background(), dev, dg, src, 8, true)
-		}},
-		{"balanced", func(dev *gpu.Device) (*Result, error) {
-			dg, err := Upload(dev, g, ZeroCopy, 8)
-			if err != nil {
-				return nil, err
-			}
-			return BFSBalanced(context.Background(), dev, dg, src, 64)
 		}},
 		{"compressed", func(dev *gpu.Device) (*Result, error) {
 			cdg, err := UploadCompressed(dev, g)
@@ -150,14 +142,6 @@ func TestSerialParallelEquivalenceExtensions(t *testing.T) {
 				return nil, err
 			}
 			return BFSDirectionOptimized(context.Background(), dev, dg, src, DefaultPushPullConfig())
-		}},
-		{"hybrid-0.3", func(dev *gpu.Device) (*Result, error) {
-			h, err := NewHybridSystem(dev, g, 8, DefaultHybridConfig(0.3))
-			if err != nil {
-				return nil, err
-			}
-			defer h.Free()
-			return h.BFS(context.Background(), src)
 		}},
 		{"toy-strided", func(dev *gpu.Device) (*Result, error) {
 			tr, err := ToyTraverse(dev, 1<<14, ToyStrided, ZeroCopy)

@@ -152,14 +152,6 @@ func init() {
 		})
 	}
 	RegisterAlgorithm(&Algorithm{
-		Name:         "bfs-balanced",
-		Description:  "BFS with hub-list splitting across virtual workers (§6)",
-		FixedVariant: true,
-		Run: func(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src int, _ Variant) (*Result, error) {
-			return BFSBalanced(ctx, dev, dg, src, 1024)
-		},
-	})
-	RegisterAlgorithm(&Algorithm{
 		Name:            "bfs-pushpull",
 		Description:     "direction-optimized BFS (Beamer push/pull)",
 		NeedsUndirected: true,

@@ -47,7 +47,7 @@ type Result struct {
 	Degraded bool `json:",omitempty"`
 
 	// Policy names the transport policy that governed the run ("static-zc",
-	// "static-uvm", "adaptive"). Empty for entry points that predate the
-	// policy layer (hybrid, multi-GPU); Transport then tells the story.
+	// "static-uvm", "adaptive"). Empty for runs outside the frontier
+	// engine (the Subway baseline); Transport then tells the story.
 	Policy string `json:",omitempty"`
 }

@@ -94,74 +94,3 @@ func TestWorker32MatchesMergedAligned(t *testing.T) {
 		t.Errorf("worker-32 payload %v deviates from MergedAligned %v", ra, rb)
 	}
 }
-
-func TestBFSBalancedCorrectness(t *testing.T) {
-	for _, g := range testGraphs() {
-		src := graph.PickSources(g, 1, 37)[0]
-		dev := testDevice()
-		dg, err := Upload(dev, g, ZeroCopy, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := BFSBalanced(context.Background(), dev, dg, src, 128)
-		if err != nil {
-			t.Fatalf("%s: %v", g.Name, err)
-		}
-		if err := ValidateBFS(g, src, res.Values); err != nil {
-			t.Errorf("%s: %v", g.Name, err)
-		}
-	}
-}
-
-func TestBFSBalancedBadArgs(t *testing.T) {
-	g := testGraphs()[0]
-	dev := testDevice()
-	dg, _ := Upload(dev, g, ZeroCopy, 8)
-	if _, err := BFSBalanced(context.Background(), dev, dg, 0, 16); err == nil {
-		t.Errorf("split below warp size accepted")
-	}
-	if _, err := BFSBalanced(context.Background(), dev, dg, -1, 128); err == nil {
-		t.Errorf("bad source accepted")
-	}
-}
-
-// TestBalancedShortensCriticalPath: on a star graph (one huge hub list),
-// splitting bounds the per-worker host request maximum and the run is not
-// slower than the unbalanced kernel.
-func TestBalancedShortensCriticalPath(t *testing.T) {
-	const n = 4096
-	edges := make([]graph.Edge, 0, n-1)
-	for v := uint32(1); v < n; v++ {
-		edges = append(edges, graph.Edge{Src: 0, Dst: v})
-	}
-	g := graph.FromEdges("star", n, edges, false)
-
-	devPlain := testDevice()
-	dgPlain, _ := Upload(devPlain, g, ZeroCopy, 8)
-	plain, err := BFS(context.Background(), devPlain, dgPlain, 0, MergedAligned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	devBal := testDevice()
-	dgBal, _ := Upload(devBal, g, ZeroCopy, 8)
-	bal, err := BFSBalanced(context.Background(), devBal, dgBal, 0, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateBFS(g, 0, bal.Values); err != nil {
-		t.Fatal(err)
-	}
-	if bal.Stats.MaxWarpHostReqs >= plain.Stats.MaxWarpHostReqs {
-		t.Errorf("balancing should cut the critical path: %d vs %d",
-			bal.Stats.MaxWarpHostReqs, plain.Stats.MaxWarpHostReqs)
-	}
-	if bal.Elapsed > plain.Elapsed {
-		t.Errorf("balanced run slower on a hub graph: %v vs %v",
-			bal.Elapsed, plain.Elapsed)
-	}
-	// Traffic is unchanged: same bytes over the link.
-	if bal.Stats.PCIePayloadBytes != plain.Stats.PCIePayloadBytes {
-		t.Errorf("balancing changed traffic: %d vs %d",
-			bal.Stats.PCIePayloadBytes, plain.Stats.PCIePayloadBytes)
-	}
-}

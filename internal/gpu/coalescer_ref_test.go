@@ -292,7 +292,6 @@ const (
 	opStoreScalarU32
 	opAtomicOrScalarU32
 	opInvalidateMRU
-	opSplitWorker
 	numCoalOps
 )
 
@@ -463,8 +462,6 @@ func (op *coalOp) apply(w *Warp, bufs [2]*memsys.Buffer, lanes bool, log *coalLo
 		w.AtomicOrScalarU32(b, op.scalar, 1)
 	case opInvalidateMRU:
 		w.InvalidateMRU()
-	case opSplitWorker:
-		w.SplitWorker()
 	}
 }
 
@@ -520,9 +517,6 @@ func (op *coalOp) applyRef(r *refWarp, bufs [2]*memsys.Buffer, log *coalLog) {
 	switch op.kind {
 	case opInvalidateMRU:
 		r.resetMRU()
-		return
-	case opSplitWorker:
-		r.SplitWorker()
 		return
 	case opScalarU32, opScalarU64, opStoreScalarU32, opAtomicOrScalarU32:
 		off[0] = op.scalar << shift
@@ -821,13 +815,13 @@ func FuzzCoalescer(f *testing.F) {
 	for i := range all {
 		all[i] = byte(i)
 	}
-	reads := []byte{opGatherU32, opGatherU64, opScalarU32, opPairU64, opGatherU32, opSplitWorker, opGatherU64, opInvalidateMRU,
+	reads := []byte{opGatherU32, opGatherU64, opScalarU32, opPairU64, opGatherU32, opGatherU64, opInvalidateMRU,
 		opGatherU32, opGatherU32, opScalarU32, opScalarU32, opPairU64, opPairU64, opGatherU64, opGatherU64}
 	// The merged walk: a pair load of the list bounds, then range gathers
 	// of edges and weights, each followed by a relax, a frontier OR and
 	// the convergence flag's OR.
 	walk := []byte{opPairU64, opGatherRangeU64, opGatherRangeU32, opRelaxMinU32, opOrLanesU32, opAtomicOrScalarU32,
-		opGatherRangeU64, opGatherRangeU64, opRelaxMaxU32, opOrLanesU64, opSplitWorker, opGatherRangeU32, opGatherRangeU32,
+		opGatherRangeU64, opGatherRangeU64, opRelaxMaxU32, opOrLanesU64, opGatherRangeU32, opGatherRangeU32,
 		opInvalidateMRU, opGatherRangeU32, opRelaxMinU32, opScalarU32, opGatherRangeU64, opStoreScalarU32}
 	for layout := 0; layout < numLayouts; layout++ {
 		for _, reorder := range []bool{false, true} {

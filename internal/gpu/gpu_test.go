@@ -378,7 +378,6 @@ func TestWarpMiscAccessors(t *testing.T) {
 		if got := w.ScalarU32(buf, 3); got != 99 {
 			t.Errorf("ScalarU32 = %d, want 99", got)
 		}
-		w.SplitWorker() // no host traffic yet: must be harmless
 	})
 	// 7 explicit instrs + 1 per access.
 	if ks.WarpInstrs < 8 {

@@ -174,7 +174,10 @@ func runWarpRange(w *Warp, lo, hi int, body func(w *Warp)) {
 		body(w)
 		w.flushReorder()
 		w.ks.ZCActiveLanes += uint64(Mask(w.zcLanes).Count())
-		w.flushCriticalPath()
+		// Fold the warp's request counts into the kernel's critical-path
+		// maxima.
+		w.ks.MaxWarpHostReqs = max(w.ks.MaxWarpHostReqs, w.hostReqs)
+		w.ks.MaxWarpCXLReqs = max(w.ks.MaxWarpCXLReqs, w.cxlReqs)
 	}
 }
 

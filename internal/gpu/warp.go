@@ -85,8 +85,8 @@ type Warp struct {
 	// execution, feeding the L2 thrash model's concurrency estimate.
 	zcLanes uint32
 
-	// hostReqs counts host-memory requests issued by the current (virtual)
-	// warp, feeding the latency-bound critical-path term. cxlReqs is the
+	// hostReqs counts host-memory requests issued by the current warp,
+	// feeding the latency-bound critical-path term. cxlReqs is the
 	// external-tier analogue, kept separate because the two links have
 	// very different round-trip times.
 	hostReqs uint64
@@ -130,27 +130,6 @@ func (w *Warp) Instr(n int) { w.ks.WarpInstrs += uint64(n) }
 // InvalidateMRU clears the per-lane sector reuse state, e.g. at a
 // synchronization point.
 func (w *Warp) InvalidateMRU() { w.mruValid = 0 }
-
-// flushCriticalPath folds the current virtual warp's host and CXL request
-// counts into the kernel's critical-path maxima and starts a new virtual
-// warp.
-func (w *Warp) flushCriticalPath() {
-	if w.hostReqs > w.ks.MaxWarpHostReqs {
-		w.ks.MaxWarpHostReqs = w.hostReqs
-	}
-	w.hostReqs = 0
-	if w.cxlReqs > w.ks.MaxWarpCXLReqs {
-		w.ks.MaxWarpCXLReqs = w.cxlReqs
-	}
-	w.cxlReqs = 0
-}
-
-// SplitWorker declares a virtual warp boundary: the work that follows is
-// executed by a different hardware warp in a workload-balanced kernel, so
-// it does not extend this warp's latency critical path. Used by the
-// balanced traversal extension (paper §6: "workload balancing between long
-// and short neighbor lists [38, 39] can be added on top of EMOGI").
-func (w *Warp) SplitWorker() { w.flushCriticalPath() }
 
 // access is the coalescing unit. For each active lane it computes the
 // touched 32-byte sector of element idx[lane], whose width is 1<<elemShift

@@ -135,7 +135,7 @@ func BenchmarkFig5RequestSizes(b *testing.B) {
 		}
 		total := 0.0
 		for _, sym := range bench.AllSyms() {
-			mon := sweep.Cell(sym, "Merged+Aligned").Summary.Monitor
+			mon := sweep.Cell(sym, "Merged+Aligned").Monitor
 			total += float64(mon.BySize[128]) / float64(mon.Requests)
 		}
 		share = total / float64(len(bench.AllSyms()))
@@ -155,8 +155,8 @@ func BenchmarkFig7RequestCounts(b *testing.B) {
 		}
 		total := 0.0
 		for _, sym := range bench.AllSyms() {
-			n := float64(sweep.Cell(sym, "Naive").Summary.Monitor.Requests)
-			m := float64(sweep.Cell(sym, "Merged").Summary.Monitor.Requests)
+			n := float64(sweep.Cell(sym, "Naive").Monitor.Requests)
+			m := float64(sweep.Cell(sym, "Merged").Monitor.Requests)
 			total += 1 - m/n
 		}
 		cut = total / float64(len(bench.AllSyms()))
@@ -176,7 +176,7 @@ func BenchmarkFig8Bandwidth(b *testing.B) {
 		}
 		total := 0.0
 		for _, sym := range bench.AllSyms() {
-			total += sweep.Cell(sym, "Merged+Aligned").Bandwidth()
+			total += sweep.Cell(sym, "Merged+Aligned").MeanBandwidth()
 		}
 		bw = total / float64(len(bench.AllSyms())) / 1e9
 	}
@@ -195,8 +195,8 @@ func BenchmarkFig9BFSSpeedup(b *testing.B) {
 		}
 		total := 0.0
 		for _, sym := range bench.AllSyms() {
-			total += emogi.Speedup(sweep.Cell(sym, "UVM").Summary,
-				sweep.Cell(sym, "Merged+Aligned").Summary)
+			total += emogi.Speedup(sweep.Cell(sym, "UVM"),
+				sweep.Cell(sym, "Merged+Aligned"))
 		}
 		avg = total / float64(len(bench.AllSyms()))
 	}
@@ -216,8 +216,8 @@ func BenchmarkFig10Amplification(b *testing.B) {
 		u, e := 0.0, 0.0
 		for _, sym := range bench.AllSyms() {
 			dataset := ds.Get(sym).EdgeListBytes(8)
-			u += sweep.Cell(sym, "UVM").Summary.IOAmplification(dataset)
-			e += sweep.Cell(sym, "Merged+Aligned").Summary.IOAmplification(dataset)
+			u += sweep.Cell(sym, "UVM").IOAmplification(dataset)
+			e += sweep.Cell(sym, "Merged+Aligned").IOAmplification(dataset)
 		}
 		uvmAmp, emAmp = u/6, e/6
 	}
@@ -242,8 +242,8 @@ func BenchmarkFig11AllApps(b *testing.B) {
 		total, count := 0.0, 0
 		for _, app := range bench.PaperApps {
 			for _, sym := range bench.AppGraphs(app) {
-				total += emogi.Speedup(sweep.Cell(app, sym, "UVM").Summary,
-					sweep.Cell(app, sym, "EMOGI").Summary)
+				total += emogi.Speedup(sweep.Cell(app, sym, "UVM"),
+					sweep.Cell(app, sym, "EMOGI"))
 				count++
 			}
 		}
@@ -277,8 +277,8 @@ func BenchmarkFig12PCIe4Scaling(b *testing.B) {
 		u, e, n := 0.0, 0.0, 0
 		for _, app := range bench.PaperApps {
 			for _, sym := range bench.AppGraphs(app) {
-				u += emogi.Speedup(gen4.Cell(app, sym, "UVM").Summary, gen3.Cell(app, sym, "UVM").Summary)
-				e += emogi.Speedup(gen4.Cell(app, sym, "EMOGI").Summary, gen3.Cell(app, sym, "EMOGI").Summary)
+				u += emogi.Speedup(gen4.Cell(app, sym, "UVM"), gen3.Cell(app, sym, "UVM"))
+				e += emogi.Speedup(gen4.Cell(app, sym, "EMOGI"), gen3.Cell(app, sym, "EMOGI"))
 				n++
 			}
 		}

@@ -25,7 +25,7 @@ func TestSystemConfigs(t *testing.T) {
 	if gpuBytes(a3) != gpuBytes(a4) {
 		t.Errorf("A100 memory should not depend on link generation")
 	}
-	if a3.GPU.Tiers.DRAM().Link.Gen == a4.GPU.Tiers.DRAM().Link.Gen {
+	if a3.GPU.Tiers.DRAM().Link.Name == a4.GPU.Tiers.DRAM().Link.Name {
 		t.Errorf("A100 configs should differ in link generation")
 	}
 	// Scaling scales memory too.

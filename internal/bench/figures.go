@@ -129,8 +129,7 @@ func Figure5(sweep *BFSSweep) *Table {
 	}
 	for _, sym := range AllSyms() {
 		for _, system := range []string{"Naive", "Merged", "Merged+Aligned"} {
-			c := sweep.Cell(sym, system)
-			mon := c.Summary.Monitor
+			mon := sweep.Cell(sym, system).Monitor
 			total := float64(mon.Requests)
 			row := []string{sym, system}
 			for _, size := range []int64{32, 64, 96, 128} {
@@ -170,9 +169,9 @@ func Figure7(sweep *BFSSweep) *Table {
 		Header: []string{"graph", "Naive", "Merged", "Merged+Aligned", "merge cut", "align cut"},
 	}
 	for _, sym := range AllSyms() {
-		n := sweep.Cell(sym, "Naive").Summary.Monitor.Requests
-		m := sweep.Cell(sym, "Merged").Summary.Monitor.Requests
-		a := sweep.Cell(sym, "Merged+Aligned").Summary.Monitor.Requests
+		n := sweep.Cell(sym, "Naive").Monitor.Requests
+		m := sweep.Cell(sym, "Merged").Monitor.Requests
+		a := sweep.Cell(sym, "Merged+Aligned").Monitor.Requests
 		t.AddRow(sym,
 			fmt.Sprintf("%d", n),
 			fmt.Sprintf("%d", m),
@@ -195,7 +194,7 @@ func Figure8(sweep *BFSSweep) *Table {
 	for _, sym := range AllSyms() {
 		row := []string{sym}
 		for _, system := range SystemNames {
-			row = append(row, gb(sweep.Cell(sym, system).Bandwidth()))
+			row = append(row, gb(sweep.Cell(sym, system).MeanBandwidth()))
 		}
 		t.AddRow(row...)
 	}
@@ -212,10 +211,10 @@ func Figure9(sweep *BFSSweep) *Table {
 	}
 	var avg = map[string]float64{}
 	for _, sym := range AllSyms() {
-		uvm := sweep.Cell(sym, "UVM").Summary
+		uvm := sweep.Cell(sym, "UVM")
 		row := []string{sym}
 		for _, system := range SystemNames {
-			sp := emogi.Speedup(uvm, sweep.Cell(sym, system).Summary)
+			sp := emogi.Speedup(uvm, sweep.Cell(sym, system))
 			avg[system] += sp
 			row = append(row, fnum(sp))
 		}
@@ -237,8 +236,8 @@ func Figure10(sweep *BFSSweep, ds *Datasets) *Table {
 	}
 	for _, sym := range AllSyms() {
 		dataset := ds.Get(sym).EdgeListBytes(8)
-		uvm := sweep.Cell(sym, "UVM").Summary.IOAmplification(dataset)
-		em := sweep.Cell(sym, "Merged+Aligned").Summary.IOAmplification(dataset)
+		uvm := sweep.Cell(sym, "UVM").IOAmplification(dataset)
+		em := sweep.Cell(sym, "Merged+Aligned").IOAmplification(dataset)
 		t.AddRow(sym, fnum(uvm), fnum(em))
 	}
 	t.Notes = append(t.Notes,
@@ -257,8 +256,8 @@ func Figure11(sweep *AppSweep) *Table {
 	var count int
 	for _, app := range PaperApps {
 		for _, sym := range AppGraphs(app) {
-			uvm := sweep.Cell(app, sym, "UVM").Summary
-			em := sweep.Cell(app, sym, "EMOGI").Summary
+			uvm := sweep.Cell(app, sym, "UVM")
+			em := sweep.Cell(app, sym, "EMOGI")
 			sp := emogi.Speedup(uvm, em)
 			total += sp
 			count++
@@ -292,12 +291,12 @@ func Figure12(ds *Datasets) (*Table, error) {
 	var count int
 	for _, app := range PaperApps {
 		for _, sym := range AppGraphs(app) {
-			base := gen3.Cell(app, sym, "UVM").Summary
+			base := gen3.Cell(app, sym, "UVM")
 			norm := func(s *emogi.RunSummary) float64 { return emogi.Speedup(base, s) }
-			u3 := norm(gen3.Cell(app, sym, "UVM").Summary)
-			e3 := norm(gen3.Cell(app, sym, "EMOGI").Summary)
-			u4 := norm(gen4.Cell(app, sym, "UVM").Summary)
-			e4 := norm(gen4.Cell(app, sym, "EMOGI").Summary)
+			u3 := norm(gen3.Cell(app, sym, "UVM"))
+			e3 := norm(gen3.Cell(app, sym, "EMOGI"))
+			u4 := norm(gen4.Cell(app, sym, "UVM"))
+			e4 := norm(gen4.Cell(app, sym, "EMOGI"))
 			uvmScale += u4 / u3
 			emScale += e4 / e3
 			count++

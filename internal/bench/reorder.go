@@ -19,9 +19,8 @@ import (
 // ReorderCell is one (graph, algo) measurement: request shape and runtime
 // with the reorder window off and on, summed over the harness sources.
 type ReorderCell struct {
-	Graph  string
-	Algo   string
-	Window int
+	Graph string
+	Algo  string
 
 	OffElapsed, OnElapsed   time.Duration
 	OffRequests, OnRequests uint64
@@ -53,7 +52,7 @@ func RunReorderComparison(ds *Datasets, syms, algos []string, window int) ([]Reo
 		g := ds.Get(sym)
 		sources := ds.Sources(sym)
 		for _, algo := range algos {
-			cell := ReorderCell{Graph: sym, Algo: algo, Window: window}
+			cell := ReorderCell{Graph: sym, Algo: algo}
 			for _, w := range []int{0, window} {
 				sc := emogi.V100PCIe3(cfg.Scale)
 				sc.GPU.ReorderWindow = w

@@ -30,27 +30,16 @@ func systemConfig(name string) (emogi.Transport, emogi.Variant, error) {
 	}
 }
 
-// Cell is one (graph, system) measurement of the BFS case study (§5.3).
-type Cell struct {
-	Graph   string
-	System  string
-	Summary *emogi.RunSummary
-}
-
-// Bandwidth returns the run's average PCIe payload bandwidth.
-func (c *Cell) Bandwidth() float64 { return c.Summary.MeanBandwidth() }
-
 // BFSSweep holds the full §5.3 case study: BFS on every graph under every
 // compared system, sharing one set of sources per graph. Figures 5, 7, 8,
 // 9, and 10 are all views of this sweep.
 type BFSSweep struct {
-	Config     Config
 	MemcpyPeak float64
-	cells      map[string]map[string]*Cell
+	cells      map[string]map[string]*emogi.RunSummary
 }
 
 // Cell returns the (graph, system) measurement.
-func (s *BFSSweep) Cell(graphSym, system string) *Cell {
+func (s *BFSSweep) Cell(graphSym, system string) *emogi.RunSummary {
 	return s.cells[graphSym][system]
 }
 
@@ -59,14 +48,13 @@ func (s *BFSSweep) Cell(graphSym, system string) *Cell {
 func RunBFSSweep(ds *Datasets) (*BFSSweep, error) {
 	cfg := ds.Config()
 	sweep := &BFSSweep{
-		Config:     cfg,
 		MemcpyPeak: emogi.V100PCIe3(cfg.Scale).GPU.Tiers.DRAM().Link.MemcpyPeak(),
-		cells:      make(map[string]map[string]*Cell),
+		cells:      make(map[string]map[string]*emogi.RunSummary),
 	}
 	for _, sym := range AllSyms() {
 		g := ds.Get(sym)
 		sources := ds.Sources(sym)
-		sweep.cells[sym] = make(map[string]*Cell)
+		sweep.cells[sym] = make(map[string]*emogi.RunSummary)
 		for _, name := range SystemNames {
 			transport, variant, err := systemConfig(name)
 			if err != nil {
@@ -81,7 +69,7 @@ func RunBFSSweep(ds *Datasets) (*BFSSweep, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bench: BFS %s/%s: %w", sym, name, err)
 			}
-			sweep.cells[sym][name] = &Cell{Graph: sym, System: name, Summary: sum}
+			sweep.cells[sym][name] = sum
 		}
 	}
 	return sweep, nil
@@ -95,19 +83,10 @@ var PaperApps = []string{"sssp", "bfs", "cc"}
 // abbreviation ("BFS", "SSSP", "CC").
 func appLabel(app string) string { return strings.ToUpper(app) }
 
-// AppCell is one (app, graph, system) measurement for Figures 11 and 12.
-type AppCell struct {
-	App     string // algorithm registry name
-	Graph   string
-	System  string // "UVM" or "EMOGI"
-	Summary *emogi.RunSummary
-}
-
 // AppSweep holds the all-applications comparison of §5.4 (and §5.5 when
 // run on A100 configs): UVM vs fully-optimized EMOGI for SSSP, BFS, CC.
 type AppSweep struct {
-	Config Config
-	cells  map[string]*AppCell
+	cells map[string]*emogi.RunSummary
 }
 
 func appKey(app, graphSym, system string) string {
@@ -116,7 +95,7 @@ func appKey(app, graphSym, system string) string {
 
 // Cell returns the (app, graph, system) measurement, or nil if that
 // combination was excluded (directed graphs for CC).
-func (s *AppSweep) Cell(app, graphSym, system string) *AppCell {
+func (s *AppSweep) Cell(app, graphSym, system string) *emogi.RunSummary {
 	return s.cells[appKey(app, graphSym, system)]
 }
 
@@ -133,7 +112,7 @@ func AppGraphs(app string) []string {
 // configuration builder (e.g. emogi.V100PCIe3 or emogi.A100PCIe4).
 func RunAppSweep(ds *Datasets, platform func(float64) emogi.SystemConfig) (*AppSweep, error) {
 	cfg := ds.Config()
-	sweep := &AppSweep{Config: cfg, cells: make(map[string]*AppCell)}
+	sweep := &AppSweep{cells: make(map[string]*emogi.RunSummary)}
 	systems := []struct {
 		name      string
 		transport emogi.Transport
@@ -156,9 +135,7 @@ func RunAppSweep(ds *Datasets, platform func(float64) emogi.SystemConfig) (*AppS
 				if err != nil {
 					return nil, fmt.Errorf("bench: %s %s/%s: %w", appLabel(app), sym, sc.name, err)
 				}
-				sweep.cells[appKey(app, sym, sc.name)] = &AppCell{
-					App: app, Graph: sym, System: sc.name, Summary: sum,
-				}
+				sweep.cells[appKey(app, sym, sc.name)] = sum
 			}
 		}
 	}

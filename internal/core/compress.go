@@ -217,19 +217,14 @@ func BFSCompressed(ctx context.Context, dev *gpu.Device, cdg *CompressedDeviceGr
 			// the compressed bytes).
 			firstWord := (off / 4) &^ (32 - 1)
 			lastWord := (off + bytes + 3) / 4
+			var words [gpu.WarpSize]uint32
 			for i := firstWord; i < lastWord; i += gpu.WarpSize {
-				var idx [gpu.WarpSize]int64
-				mask := gpu.MaskNone
-				for l := 0; l < gpu.WarpSize; l++ {
-					j := i + int64(l)
-					if j >= off/4 && j < lastWord {
-						idx[l] = j
-						mask = mask.Set(l)
-					}
-				}
+				// Lane l reads word i+l when it lies in [off/4, lastWord).
+				lo := int(max(off/4-i, 0))
+				hi := int(min(lastWord-i, gpu.WarpSize))
 				w.Instr(2)
-				if mask != gpu.MaskNone {
-					w.GatherU32(cdg.Comp, &idx, mask)
+				if lo < hi {
+					w.GatherRange(cdg.Comp, 4, i, lo, hi, &words)
 				}
 			}
 			// Decompression: a warp-parallel prefix sum over the deltas,

@@ -81,36 +81,33 @@ func BFSEdgeCentric(ctx context.Context, dev *gpu.Device, ec *EdgeCentricGraph, 
 	kernel := func(r *engineRound) {
 		level, labels, visit := r.level, r.values, r.visit
 		r.dev.Launch("bfs/edgecentric", warps, func(w *gpu.Warp) {
+			// Lanes 0..hi-1 hold edges base … base+hi-1.
 			base := int64(w.ID()) * gpu.WarpSize
-			var idx [gpu.WarpSize]int64
-			mask := gpu.MaskNone
-			for l := 0; l < gpu.WarpSize; l++ {
-				if j := base + int64(l); j < e {
-					idx[l] = j
-					mask = mask.Set(l)
-				}
-			}
-			if mask == gpu.MaskNone {
+			hi := int(min(e-base, gpu.WarpSize))
+			if hi <= 0 {
 				return
 			}
 			// Stream the source column; lanes whose edge source is at the
 			// current level relax the destination column.
-			srcs := w.GatherU32(ec.Src, &idx, mask)
+			var srcs [gpu.WarpSize]uint32
+			w.GatherRange(ec.Src, 4, base, 0, hi, &srcs)
 			var srcLabIdx [gpu.WarpSize]int64
-			for l := 0; l < gpu.WarpSize; l++ {
-				if mask.Has(l) {
-					srcLabIdx[l] = int64(srcs[l])
-				}
+			for l := 0; l < hi; l++ {
+				srcLabIdx[l] = int64(srcs[l])
 			}
-			labs := w.GatherU32(labels, &srcLabIdx, mask)
+			labs := w.GatherU32(labels, &srcLabIdx, gpu.MaskFirstN(hi))
 			active := gpu.MaskNone
-			for l := 0; l < gpu.WarpSize; l++ {
-				if mask.Has(l) && labs[l] == level {
+			for l := 0; l < hi; l++ {
+				if labs[l] == level {
 					active = active.Set(l)
 				}
 			}
 			if active == gpu.MaskNone {
 				return
+			}
+			var idx [gpu.WarpSize]int64
+			for l := range idx {
+				idx[l] = base + int64(l)
 			}
 			dst := w.GatherU32(ec.Dst, &idx, active)
 			var srcVals, wgt [gpu.WarpSize]uint32

@@ -170,15 +170,3 @@ func newActiveKernel(dev *gpu.Device, dg *DeviceGraph, variant Variant, name str
 }
 
 func (k *activeKernel) launch() { k.dev.Launch(k.name, k.warps, k.body) }
-
-// launchMatchKernel runs one BFS-style iteration through a throwaway
-// matchKernel. Specialty callers (direction-optimized push rounds) that
-// mix disciplines round to round use it; the engine's standard round loop
-// holds a matchKernel instead so steady-state rounds stay allocation-free.
-func launchMatchKernel(dev *gpu.Device, dg *DeviceGraph, variant Variant, name string,
-	state *memsys.Buffer, match, pushVal uint32, visit visitFn) {
-
-	k := newMatchKernel(dev, dg, variant, name)
-	k.state, k.match, k.pushVal, k.visit = state, match, pushVal, visit
-	k.launch()
-}

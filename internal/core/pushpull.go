@@ -56,12 +56,13 @@ func BFSDirectionOptimized(ctx context.Context, dev *gpu.Device, dg *DeviceGraph
 	}
 	prog := bfsProgram()
 	frontier := 1
+	push := stdMatchKernel(dg, MergedAligned, "bfs/push", prog)
 	kernel := func(r *engineRound) {
 		pull := float64(frontier) > cfg.PullThreshold*float64(n)
 		if pull {
 			launchPullKernel(r.dev, dg, r.values, r.flag, r.level)
 		} else {
-			launchMatchKernel(r.dev, dg, MergedAligned, "bfs/push", r.values, r.level, prog.push(r.level), r.visit)
+			push(r)
 		}
 	}
 	// The next frontier size steers the heuristic. Real implementations
@@ -108,30 +109,23 @@ func launchPullKernel(dev *gpu.Device, dg *DeviceGraph, labels, flag *memsys.Buf
 			return
 		}
 		first := int64(start) &^ (elemsPerLine - 1)
+		var dst [gpu.WarpSize]uint32
 		for i := first; i < int64(end); i += gpu.WarpSize {
-			var idx [gpu.WarpSize]int64
-			mask := gpu.MaskNone
-			for l := 0; l < gpu.WarpSize; l++ {
-				j := i + int64(l)
-				if j >= int64(start) && j < int64(end) {
-					idx[l] = j
-					mask = mask.Set(l)
-				}
-			}
+			// Lane l reads element i+l when it lies in [start, end).
+			lo := int(max(int64(start)-i, 0))
+			hi := int(min(int64(end)-i, gpu.WarpSize))
 			w.Instr(2)
-			if mask == gpu.MaskNone {
+			if lo >= hi {
 				continue
 			}
-			dst := gatherEdges(w, dg, &idx, mask)
+			w.GatherRange(dg.Edges, dg.EdgeBytes, i, lo, hi, &dst)
 			var labIdx [gpu.WarpSize]int64
-			for l := 0; l < gpu.WarpSize; l++ {
-				if mask.Has(l) {
-					labIdx[l] = int64(dst[l])
-				}
+			for l := lo; l < hi; l++ {
+				labIdx[l] = int64(dst[l])
 			}
-			labs := w.GatherU32(labels, &labIdx, mask)
-			for l := 0; l < gpu.WarpSize; l++ {
-				if mask.Has(l) && labs[l] == level {
+			labs := w.GatherU32(labels, &labIdx, gpu.MaskFirstN(hi)&^gpu.MaskFirstN(lo))
+			for l := lo; l < hi; l++ {
+				if labs[l] == level {
 					// Found a frontier parent: claim and stop scanning.
 					w.StoreScalarU32(labels, v, level+1)
 					w.StoreScalarU32(flag, 0, 1)

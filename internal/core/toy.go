@@ -47,9 +47,7 @@ func (p ToyPattern) String() string {
 // ToyResult reports one toy traversal: the achieved bandwidths and the
 // observed request stream.
 type ToyResult struct {
-	Pattern   ToyPattern
-	Transport Transport
-	Elems     int
+	Pattern ToyPattern
 
 	Elapsed time.Duration
 	// PCIeBandwidth is useful payload bytes per second over the link.
@@ -152,12 +150,10 @@ func ToyTraverse(dev *gpu.Device, elems int, pattern ToyPattern, transport Trans
 	kernelTime := ks.Elapsed - dev.Config().LaunchOverhead
 	stats := dev.RunStats()
 	res := &ToyResult{
-		Pattern:   pattern,
-		Transport: transport,
-		Elems:     elems,
-		Elapsed:   stats.Elapsed,
-		Stats:     stats,
-		Snapshot:  dev.Monitor().Snapshot().Delta(mon0),
+		Pattern:  pattern,
+		Elapsed:  stats.Elapsed,
+		Stats:    stats,
+		Snapshot: dev.Monitor().Snapshot().Delta(mon0),
 	}
 	if kernelTime > 0 {
 		res.PCIeBandwidth = float64(res.Stats.PCIePayloadBytes) / kernelTime.Seconds()

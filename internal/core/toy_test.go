@@ -104,9 +104,9 @@ func TestToyDataCopied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Stats.PCIePayloadBytes != uint64(r.Elems*4) {
+	if r.Stats.PCIePayloadBytes != 1<<14*4 {
 		t.Errorf("payload = %d, want exactly the array (%d)",
-			r.Stats.PCIePayloadBytes, r.Elems*4)
+			r.Stats.PCIePayloadBytes, 1<<14*4)
 	}
 }
 
@@ -116,8 +116,10 @@ func TestToyRoundsUpElems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Elems%(32*toyChunkElems) != 0 {
-		t.Errorf("elems = %d not a whole tile", r.Elems)
+	// 100 elements round up to one tile, which the strided kernel reads
+	// exactly once.
+	if tile := uint64(32 * toyChunkElems * 4); r.Stats.PCIePayloadBytes != tile {
+		t.Errorf("payload = %d, want one whole tile (%d)", r.Stats.PCIePayloadBytes, tile)
 	}
 }
 

@@ -25,10 +25,7 @@ func DegreeCDF(g *CSR) *stats.CDF {
 type DegreeStats struct {
 	Min, Max int64
 	Mean     float64
-	// MedianEdgeDegree is the degree d such that half of all edges attach
-	// to vertices of degree <= d.
-	MedianEdgeDegree int64
-	Isolated         int // vertices with degree 0
+	Isolated int // vertices with degree 0
 }
 
 // AnalyzeDegrees computes degree statistics in one pass.
@@ -52,14 +49,12 @@ func AnalyzeDegrees(g *CSR) DegreeStats {
 		}
 	}
 	st.Mean = g.AvgDegree()
-	st.MedianEdgeDegree = DegreeCDF(g).Quantile(0.5)
 	return st
 }
 
 // TableRow is one dataset's line of the paper's Table 2: vertex and edge
 // counts and the byte sizes of the edge and weight lists.
 type TableRow struct {
-	Sym         string
 	Vertices    int
 	Edges       int64
 	EdgeBytes   int64 // 8-byte elements
@@ -71,7 +66,6 @@ type TableRow struct {
 // Table2Row summarizes a graph for the dataset inventory.
 func Table2Row(g *CSR) TableRow {
 	return TableRow{
-		Sym:         g.Name,
 		Vertices:    g.NumVertices(),
 		Edges:       g.NumEdges(),
 		EdgeBytes:   g.EdgeListBytes(8),

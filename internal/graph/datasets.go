@@ -11,13 +11,8 @@ import "fmt"
 type Spec struct {
 	Sym        string // paper symbol: GK, GU, FS, ML, SK, UK5
 	PaperGraph string // the original dataset's name
-	Directed   bool
 
-	// Paper-reported full-size statistics (for Table 2 rendering).
-	PaperVertices int64 // |V| of the original
-	PaperEdges    int64 // |E| of the original (arcs)
-
-	// VerticesAt1 is |V| at scale 1.0 (= PaperVertices / 1000).
+	// VerticesAt1 is |V| at scale 1.0 (the original's |V| / 1000).
 	VerticesAt1 int
 
 	// AvgDeg is the target arcs-per-vertex ratio of the original.
@@ -48,8 +43,7 @@ func (s Spec) Build(scale float64, seed int64) *CSR {
 func AllSpecs() []Spec {
 	return []Spec{
 		{
-			Sym: "GK", PaperGraph: "GAP-kron", Directed: false,
-			PaperVertices: 134_200_000, PaperEdges: 4_220_000_000,
+			Sym: "GK", PaperGraph: "GAP-kron",
 			VerticesAt1: 134_217, AvgDeg: 31,
 			build: func(n, avgDeg int, seed int64) *CSR {
 				// Graph500 Kronecker parameters; heavy-tailed hubs.
@@ -57,40 +51,35 @@ func AllSpecs() []Spec {
 			},
 		},
 		{
-			Sym: "GU", PaperGraph: "GAP-urand", Directed: false,
-			PaperVertices: 134_200_000, PaperEdges: 4_290_000_000,
+			Sym: "GU", PaperGraph: "GAP-urand",
 			VerticesAt1: 134_217, AvgDeg: 32,
 			build: func(n, avgDeg int, seed int64) *CSR {
 				return Urand("GU", n, avgDeg, seed)
 			},
 		},
 		{
-			Sym: "FS", PaperGraph: "Friendster", Directed: false,
-			PaperVertices: 65_600_000, PaperEdges: 3_610_000_000,
+			Sym: "FS", PaperGraph: "Friendster",
 			VerticesAt1: 65_608, AvgDeg: 55,
 			build: func(n, avgDeg int, seed int64) *CSR {
 				return Social("FS", n, avgDeg, seed)
 			},
 		},
 		{
-			Sym: "ML", PaperGraph: "MOLIERE_2016", Directed: false,
-			PaperVertices: 30_200_000, PaperEdges: 6_670_000_000,
+			Sym: "ML", PaperGraph: "MOLIERE_2016",
 			VerticesAt1: 30_239, AvgDeg: 221,
 			build: func(n, avgDeg int, seed int64) *CSR {
 				return Dense("ML", n, avgDeg, 96, seed)
 			},
 		},
 		{
-			Sym: "SK", PaperGraph: "sk-2005", Directed: true,
-			PaperVertices: 50_600_000, PaperEdges: 1_950_000_000,
+			Sym: "SK", PaperGraph: "sk-2005",
 			VerticesAt1: 50_636, AvgDeg: 38,
 			build: func(n, avgDeg int, seed int64) *CSR {
 				return Web("SK", n, avgDeg, seed)
 			},
 		},
 		{
-			Sym: "UK5", PaperGraph: "uk-2007-05", Directed: true,
-			PaperVertices: 105_900_000, PaperEdges: 3_740_000_000,
+			Sym: "UK5", PaperGraph: "uk-2007-05",
 			VerticesAt1: 105_896, AvgDeg: 35,
 			build: func(n, avgDeg int, seed int64) *CSR {
 				return Web("UK5", n, avgDeg, seed+1)

@@ -2,14 +2,8 @@ package hygiene
 
 import (
 	"go/ast"
-	"go/build"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"io/fs"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -28,17 +22,18 @@ var testOnlyAllowlist = map[string]string{
 }
 
 // TestNoTestOnlyInternalAPI keeps internal/ down to the code that runs:
-// every exported func or method declared there must be referenced from a
-// non-test file of the repository. Code outside the module cannot import
-// internal/, so an export that only its own tests call serves nothing but
-// those tests. Callers are the module's non-test files plus the separate
-// perfbench module, which imports internal packages too. Methods that
+// every func or method declared there, exported or not, must be referenced
+// from a non-test file of the repository, outside its own body. Code
+// outside the module cannot import internal/, so an export that only its
+// own tests call serves nothing but those tests, and an unexported func
+// with no caller serves nothing at all. main and init are exempt. Callers
+// are the module's non-test files plus the separate perfbench module,
+// which imports internal packages too. Methods that
 // satisfy an interface (a standard one such as fmt.Stringer or
 // sort.Interface, or one the code declares) are reached by dynamic
 // dispatch and are exempt.
 func TestNoTestOnlyInternalAPI(t *testing.T) {
-	root := repoRoot(t)
-	sc := scanRepo(t, root)
+	sc := scanRepo(t)
 	for _, name := range sc.names() {
 		d := sc.decls[name]
 		if len(d.refs) > 0 || d.dispatched {
@@ -48,7 +43,7 @@ func TestNoTestOnlyInternalAPI(t *testing.T) {
 			continue
 		}
 		t.Errorf("%s: %s has no non-test reference; delete it, move it into a _test.go file, or allowlist it as a test oracle or cross-package fixture",
-			sc.position(root, d.fn.Pos()), name)
+			sc.l.position(d.fn.Pos()), name)
 	}
 
 	t.Run("AllowlistCurrent", func(t *testing.T) {
@@ -84,7 +79,7 @@ func TestNoTestOnlyInternalAPI(t *testing.T) {
 	})
 }
 
-// internalDecl is one exported func or method declared under internal/.
+// internalDecl is one func or method declared under internal/.
 type internalDecl struct {
 	fn         *types.Func
 	body       [2]token.Pos // the declaration's extent: uses inside it are recursion
@@ -93,7 +88,7 @@ type internalDecl struct {
 }
 
 type repoScan struct {
-	fset  *token.FileSet
+	l     *repoLoader
 	decls map[string]*internalDecl
 }
 
@@ -106,31 +101,21 @@ func (s *repoScan) names() []string {
 	return names
 }
 
-func (s *repoScan) position(root string, pos token.Pos) string {
-	p := s.fset.Position(pos)
-	if rel, err := filepath.Rel(root, p.Filename); err == nil {
-		p.Filename = filepath.ToSlash(rel)
-	}
-	return p.String()
-}
-
-// scanRepo type-checks every non-test file of the repository (build tags
-// honoured) and records, for each exported internal/ func and method, the
-// non-test files that reference it.
-func scanRepo(t *testing.T, root string) *repoScan {
-	t.Helper()
-	l := newRepoLoader(t, root)
-	sc := &repoScan{fset: l.fset, decls: map[string]*internalDecl{}}
+// scanRepo records, for each internal/ func and method other than main and
+// init, the non-test files of the repository that reference it.
+func scanRepo(t *testing.T) *repoScan {
+	l := loadRepo(t)
+	sc := &repoScan{l: l, decls: map[string]*internalDecl{}}
 	byFunc := map[*types.Func]*internalDecl{}
 	for _, path := range l.paths() {
-		p := l.load(path)
-		if !strings.HasPrefix(path, modulePath+"/internal/") {
+		if !internal(path) {
 			continue
 		}
+		p := l.pkgs[path]
 		for _, f := range p.files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() {
+				if !ok || (fd.Recv == nil && (fd.Name.Name == "main" || fd.Name.Name == "init")) {
 					continue
 				}
 				fn := p.info.Defs[fd.Name].(*types.Func)
@@ -141,11 +126,8 @@ func scanRepo(t *testing.T, root string) *repoScan {
 		}
 	}
 
-	ifaces := l.stdInterfaces()
-	seen := map[types.Type]bool{}
 	for _, path := range l.paths() {
-		p := l.load(path)
-		for id, obj := range p.info.Uses {
+		for id, obj := range l.pkgs[path].info.Uses {
 			fn, ok := obj.(*types.Func)
 			if !ok {
 				continue
@@ -154,21 +136,13 @@ func scanRepo(t *testing.T, root string) *repoScan {
 			if d == nil || (id.Pos() >= d.body[0] && id.Pos() < d.body[1]) {
 				continue
 			}
-			file := sc.position(root, id.Pos())
-			file = file[:strings.IndexByte(file, ':')]
-			if n := len(d.refs); n == 0 || d.refs[n-1] != file {
+			if file := l.file(id.Pos()); len(d.refs) == 0 || d.refs[len(d.refs)-1] != file {
 				d.refs = append(d.refs, file)
-			}
-		}
-		for _, tv := range p.info.Types {
-			if it, ok := tv.Type.Underlying().(*types.Interface); ok && tv.IsType() && it.NumMethods() > 0 && !seen[tv.Type] {
-				seen[tv.Type] = true
-				ifaces = append(ifaces, it)
 			}
 		}
 	}
 	for _, d := range sc.decls {
-		d.dispatched = satisfiesInterface(d.fn, ifaces)
+		d.dispatched = satisfiesInterface(d.fn, l.ifaces)
 	}
 	return sc
 }
@@ -211,189 +185,4 @@ func satisfiesInterface(fn *types.Func, ifaces []*types.Interface) bool {
 		}
 	}
 	return false
-}
-
-// stdInterfaceSrc names the standard-library interfaces whose methods the
-// standard library calls on the code's behalf (fmt, errors, sort, heap,
-// net/http, encoding/json, flag, io).
-const stdInterfaceSrc = `package stdifaces
-
-import (
-	"container/heap"
-	"encoding"
-	"encoding/json"
-	"flag"
-	"fmt"
-	"io"
-	"net/http"
-	"sort"
-)
-
-type (
-	stringer        fmt.Stringer
-	goStringer      fmt.GoStringer
-	formatter       fmt.Formatter
-	errorer         interface{ Error() string }
-	unwrapper       interface{ Unwrap() error }
-	multiUnwrapper  interface{ Unwrap() []error }
-	iser            interface{ Is(error) bool }
-	aser            interface{ As(any) bool }
-	sorter          sort.Interface
-	heaper          heap.Interface
-	handler         http.Handler
-	jsonMarshaler   json.Marshaler
-	jsonUnmarshaler json.Unmarshaler
-	textMarshaler   encoding.TextMarshaler
-	textUnmarshaler encoding.TextUnmarshaler
-	flagValue       flag.Value
-	reader          io.Reader
-	writer          io.Writer
-	closer          io.Closer
-)
-`
-
-// modulePath is the root module's path; perfbench is repro/perfbench.
-const modulePath = "repro"
-
-// repoLoader type-checks the repository's packages from source: module
-// packages from their directories, the standard library through
-// go/importer's source importer.
-type repoLoader struct {
-	t    *testing.T
-	fset *token.FileSet
-	std  types.Importer
-	dirs map[string]string // import path -> directory
-	pkgs map[string]*loadedPkg
-}
-
-type loadedPkg struct {
-	files []*ast.File
-	pkg   *types.Package
-	info  *types.Info
-}
-
-func newRepoLoader(t *testing.T, root string) *repoLoader {
-	fset := token.NewFileSet()
-	l := &repoLoader{
-		t:    t,
-		fset: fset,
-		std:  importer.ForCompiler(fset, "source", nil),
-		dirs: map[string]string{},
-		pkgs: map[string]*loadedPkg{},
-	}
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		if path != root && skipDir(d.Name()) {
-			return filepath.SkipDir
-		}
-		if len(l.goFiles(path)) == 0 {
-			return nil
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		ip := modulePath
-		if rel != "." {
-			ip += "/" + filepath.ToSlash(rel)
-		}
-		l.dirs[ip] = path
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
-}
-
-// goFiles lists the dir's non-test .go files that the default build
-// context selects (GOOS/GOARCH suffixes and //go:build lines honoured).
-func (l *repoLoader) goFiles(dir string) []string {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		l.t.Fatal(err)
-	}
-	var files []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		ok, err := build.Default.MatchFile(dir, name)
-
-		if err != nil {
-			l.t.Fatal(err)
-		}
-		if ok {
-			files = append(files, filepath.Join(dir, name))
-		}
-	}
-	return files
-}
-
-func (l *repoLoader) paths() []string {
-	paths := make([]string, 0, len(l.dirs))
-	for p := range l.dirs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	return paths
-}
-
-// Import resolves module packages from source and everything else through
-// the standard-library importer.
-func (l *repoLoader) Import(path string) (*types.Package, error) {
-	if _, ok := l.dirs[path]; ok {
-		return l.load(path).pkg, nil
-	}
-	return l.std.Import(path)
-}
-
-func (l *repoLoader) load(path string) *loadedPkg {
-	if p, ok := l.pkgs[path]; ok {
-		return p
-	}
-	p := &loadedPkg{info: &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
-	}}
-	for _, name := range l.goFiles(l.dirs[path]) {
-		f, err := parser.ParseFile(l.fset, name, nil, parser.SkipObjectResolution)
-		if err != nil {
-			l.t.Fatal(err)
-		}
-		p.files = append(p.files, f)
-	}
-	conf := types.Config{Importer: l}
-	pkg, err := conf.Check(path, l.fset, p.files, p.info)
-	if err != nil {
-		l.t.Fatalf("type-check %s: %v", path, err)
-	}
-	p.pkg = pkg
-	l.pkgs[path] = p
-	return p
-}
-
-// stdInterfaces type-checks stdInterfaceSrc and returns its interfaces.
-func (l *repoLoader) stdInterfaces() []*types.Interface {
-	f, err := parser.ParseFile(l.fset, "stdifaces.go", stdInterfaceSrc, 0)
-	if err != nil {
-		l.t.Fatal(err)
-	}
-	conf := types.Config{Importer: l.std}
-	pkg, err := conf.Check("stdifaces", l.fset, []*ast.File{f}, nil)
-	if err != nil {
-		l.t.Fatal(err)
-	}
-	var out []*types.Interface
-	for _, name := range pkg.Scope().Names() {
-		out = append(out, pkg.Scope().Lookup(name).Type().Underlying().(*types.Interface))
-	}
-	return out
 }

@@ -26,15 +26,11 @@ const (
 	Gen3 Gen = 3
 	// Gen4 is PCIe 4.0 x16: 16 GT/s per lane.
 	Gen4 Gen = 4
-	// GenCXL marks a CXL-class link (CXL.mem over a PCIe 5.0 PHY). It is
-	// not selectable through Link; use CXLLink.
-	GenCXL Gen = 5
 )
 
 // LinkConfig describes one x16 link.
 type LinkConfig struct {
 	Name string
-	Gen  Gen
 
 	// RawBytesPerSec is the post-encoding wire rate in each direction.
 	RawBytesPerSec float64
@@ -70,7 +66,6 @@ type LinkConfig struct {
 func Gen3x16() LinkConfig {
 	return LinkConfig{
 		Name:             "PCIe 3.0 x16",
-		Gen:              Gen3,
 		RawBytesPerSec:   15.754e9, // 8 GT/s * 16 lanes * 128/130
 		TLPOverheadBytes: 24,
 		Efficiency:       0.93,
@@ -103,7 +98,6 @@ func Link(gen Gen, lanes int) LinkConfig {
 func Gen4x16() LinkConfig {
 	return LinkConfig{
 		Name:             "PCIe 4.0 x16",
-		Gen:              Gen4,
 		RawBytesPerSec:   31.508e9,
 		TLPOverheadBytes: 24,
 		Efficiency:       0.93,
@@ -123,7 +117,6 @@ func Gen4x16() LinkConfig {
 func CXLLink() LinkConfig {
 	return LinkConfig{
 		Name:             "CXL 2.0 x8 (switched)",
-		Gen:              GenCXL,
 		RawBytesPerSec:   16.0e9, // 32 GT/s * 8 lanes * flit efficiency share
 		TLPOverheadBytes: 24,     // 64B flit slot overhead, amortized
 		Efficiency:       0.90,

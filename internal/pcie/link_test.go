@@ -185,10 +185,10 @@ func TestLinkWidthScaling(t *testing.T) {
 	if got := Link(Gen3, 0); got.Name != Gen3x16().Name {
 		t.Errorf("zero lanes should default to x16")
 	}
-	if got := Link(Gen4, 8); got.Gen != Gen4 {
-		t.Errorf("Gen4 width variant lost its generation")
+	if got := Link(Gen4, 8); got.Name != "PCIe 4.0 x8" || got.RawBytesPerSec != Gen4x16().RawBytesPerSec/2 {
+		t.Errorf("Gen4 width variant lost its generation: %+v", got)
 	}
-	if got := Link(Gen(9), 16); got.Gen != Gen3 {
+	if got := Link(Gen(9), 16); got != Gen3x16() {
 		t.Errorf("unknown generation should default to Gen3")
 	}
 }

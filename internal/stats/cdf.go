@@ -55,26 +55,6 @@ func (c *CDF) At(x int64) float64 {
 	return c.cw[i-1] / c.tw
 }
 
-// Quantile returns the smallest support value x with P(X <= x) >= q.
-// q is clamped to [0, 1]. An empty CDF returns 0.
-func (c *CDF) Quantile(q float64) int64 {
-	if c == nil || len(c.xs) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * c.tw
-	i := sort.Search(len(c.cw), func(i int) bool { return c.cw[i] >= target })
-	if i >= len(c.xs) {
-		i = len(c.xs) - 1
-	}
-	return c.xs[i]
-}
-
 // Sample evaluates the CDF at each of the given points, returning
 // P(X <= x) for each. Useful for rendering fixed-axis plots.
 func (c *CDF) Sample(points []int64) []float64 {

@@ -39,36 +39,13 @@ func TestCDFDuplicatesMerged(t *testing.T) {
 
 }
 
-func TestCDFQuantile(t *testing.T) {
-	c := NewCDF([]int64{10, 20, 30, 40}, []float64{25, 25, 25, 25})
-	cases := []struct {
-		q    float64
-		want int64
-	}{
-		{0, 10},
-		{0.25, 10},
-		{0.26, 20},
-		{0.5, 20},
-		{0.75, 30},
-		{1.0, 40},
-		{2.0, 40},  // clamped
-		{-1.0, 10}, // clamped
-	}
-	for _, tc := range cases {
-		if got := c.Quantile(tc.q); got != tc.want {
-			t.Errorf("Quantile(%v) = %d, want %d", tc.q, got, tc.want)
-		}
-	}
-}
-
 func TestCDFEmpty(t *testing.T) {
 	c := NewCDF(nil, nil)
-	if c.At(10) != 0 || c.Quantile(0.5) != 0 {
+	if c.At(10) != 0 {
 		t.Errorf("empty CDF should return zeros")
 	}
 	var nilCDF *CDF
-	if nilCDF.At(1) != 0 || nilCDF.Quantile(0.5) != 0 {
-
+	if nilCDF.At(1) != 0 {
 		t.Errorf("nil CDF should return zeros")
 	}
 }

@@ -108,7 +108,6 @@ type healthObs struct {
 
 // deviceWindow is one device's sliding window and derived state.
 type deviceWindow struct {
-	name        string
 	ring        [healthWindow]healthObs
 	next, size  int
 	consecFails int
@@ -147,7 +146,7 @@ func NewHealth(reg *Registry) *Health {
 func (h *Health) device(name string) *deviceWindow {
 	dw, ok := h.devices[name]
 	if !ok {
-		dw = &deviceWindow{name: name, state: StateHealthy, since: time.Now()}
+		dw = &deviceWindow{state: StateHealthy, since: time.Now()}
 		if h.reg != nil {
 			dw.gauge = h.reg.Gauge("emogi_device_health_state",
 				"Device health classification: 0 healthy, 1 degraded, 2 unhealthy.",

@@ -95,7 +95,6 @@ const (
 
 // family is one metric name: its metadata and every labeled series.
 type family struct {
-	name string
 	help string
 	kind metricKind
 
@@ -128,7 +127,7 @@ func NewRegistry() *Registry {
 func (r *Registry) getFamily(name, help string, kind metricKind) *family {
 	f, ok := r.families[name]
 	if !ok {
-		f = &family{name: name, help: help, kind: kind, series: make(map[string]metric)}
+		f = &family{help: help, kind: kind, series: make(map[string]metric)}
 		r.families[name] = f
 		r.order = append(r.order, name)
 		return f

@@ -15,7 +15,6 @@ import (
 // health probe, GET /debug/requests the flight recorder. It binds eagerly
 // (so a bad address fails fast) and serves in a background goroutine.
 type Server struct {
-	reg      *Registry
 	listener net.Listener
 	srv      *http.Server
 }
@@ -155,7 +154,6 @@ func ListenAndServe(addr string, reg *Registry) (*Server, error) {
 		return nil, fmt.Errorf("telemetry: binding metrics listener: %w", err)
 	}
 	s := &Server{
-		reg:      reg,
 		listener: ln,
 		srv: &http.Server{
 			Handler:           Handler(reg),

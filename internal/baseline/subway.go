@@ -269,14 +269,11 @@ func stageAndRunChunk(dev *gpu.Device, cfg SubwayConfig, sub *graph.Subgraph, a 
 	if wgtBuf != nil {
 		chunkBytes += nEdges * 4
 	}
-	link := dev.Config().Tiers.DRAM().Link
-	transferTime := time.Duration(link.BulkSeconds(chunkBytes) * float64(time.Second))
-	dev.Monitor().RecordBulk(chunkBytes, link.TLPOverheadBytes)
-	if cfg.Async && transferTime > kernelTime {
-		dev.HostCompute(transferTime - kernelTime)
-	} else if !cfg.Async {
-		dev.HostCompute(transferTime)
+	var overlap time.Duration
+	if cfg.Async {
+		overlap = kernelTime
 	}
+	dev.CopyToDeviceOverlapped(chunkBytes, overlap)
 	return nil
 }
 

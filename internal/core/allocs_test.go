@@ -105,15 +105,25 @@ func assertEqualAllocs(t *testing.T, name string, a, b float64, itersA, itersB i
 }
 
 // TestSteadyStateRoundAllocsEngine covers the single-source engine:
-// FrontierMatch (BFS) and FrontierActive (SSSP) disciplines, with the
-// reorder stage off and on.
+// FrontierMatch (BFS) and FrontierActive (SSSP) disciplines, and the BFS
+// kernels with their own walks (edge-centric, compressed, 8-lane worker
+// groups), with the reorder stage off and on.
 func TestSteadyStateRoundAllocsEngine(t *testing.T) {
 	skipUnderRace(t)
 	g := graph.Urand("alloc-u", 800, 8, 3)
 	g.InitWeights(7, 8, 72)
+	ctx := context.Background()
 	for _, rw := range []int{0, 16} {
 		dev := allocDevice(rw)
 		dg, err := Upload(dev, g, ZeroCopy, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ec, err := UploadEdgeCentric(dev, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cdg, err := UploadCompressed(dev, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,8 +132,11 @@ func TestSteadyStateRoundAllocsEngine(t *testing.T) {
 			name string
 			algo func(src int) (*Result, error)
 		}{
-			{"bfs", func(src int) (*Result, error) { return BFS(context.Background(), dev, dg, src, MergedAligned) }},
-			{"sssp", func(src int) (*Result, error) { return SSSP(context.Background(), dev, dg, src, MergedAligned) }},
+			{"bfs", func(src int) (*Result, error) { return BFS(ctx, dev, dg, src, MergedAligned) }},
+			{"sssp", func(src int) (*Result, error) { return SSSP(ctx, dev, dg, src, MergedAligned) }},
+			{"bfs-edgecentric", func(src int) (*Result, error) { return BFSEdgeCentric(ctx, dev, ec, src) }},
+			{"bfs-compressed", func(src int) (*Result, error) { return BFSCompressed(ctx, dev, cdg, src) }},
+			{"bfs-worker8", func(src int) (*Result, error) { return BFSWithWorker(ctx, dev, dg, src, 8, true) }},
 		} {
 			iters := map[int]int{}
 			run := func(src int) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/gpu"
 	"repro/internal/graph"
@@ -158,17 +159,18 @@ func (c *CompressedDeviceGraph) Free(dev *gpu.Device) {
 }
 
 // DecodeList decompresses vertex v's neighbor list from the compressed
-// stream (host-side helper used by tests and the kernel's functional
-// path).
-func (c *CompressedDeviceGraph) DecodeList(v int) []uint32 {
+// stream into buf's storage, growing it when short, and returns the list
+// (host-side helper used by tests and the kernel's functional path, which
+// passes its worker's scratch so steady-state rounds do not allocate).
+func (c *CompressedDeviceGraph) DecodeList(v int, buf []uint32) []uint32 {
 	deg := int(c.Graph.Degree(v))
 	if deg == 0 {
-		return nil
+		return buf[:0]
 	}
 	metaVal := c.Meta.U64(int64(v))
 	off := int64(metaVal &^ (3 << 62))
 	w := 1 << uint(metaVal>>62)
-	out := make([]uint32, deg)
+	out := slices.Grow(buf[:0], deg)[:deg]
 	out[0] = binary.LittleEndian.Uint32(c.Comp.Data[off:])
 	p := off + 4
 	for i := 1; i < deg; i++ {
@@ -195,60 +197,59 @@ func BFSCompressed(ctx context.Context, dev *gpu.Device, cdg *CompressedDeviceGr
 	g := cdg.Graph
 	n := g.NumVertices()
 	prog := bfsProgram()
-	kernel := func(r *engineRound) {
+	kernel := launchKernel("bfs/compressed", n, func(r *engineRound, w *gpu.Warp) {
 		level, labels, visit := r.level, r.values, r.visit
-		r.dev.Launch("bfs/compressed", n, func(w *gpu.Warp) {
-			v := int64(w.ID())
-			if w.ScalarU32(labels, v) != level {
-				return
-			}
-			deg := g.Degree(int(v))
-			if deg == 0 {
-				return
-			}
-			metaVal := w.ScalarU64(cdg.Meta, v)
-			off := int64(metaVal &^ (3 << 62))
-			width := 1 << uint(metaVal>>62)
-			bytes := int64(4 + (deg-1)*int64(width))
-			bytes = (bytes + 3) &^ 3
+		v := int64(w.ID())
+		if w.ScalarU32(labels, v) != level {
+			return
+		}
+		deg := g.Degree(int(v))
+		if deg == 0 {
+			return
+		}
+		metaVal := w.ScalarU64(cdg.Meta, v)
+		off := int64(metaVal &^ (3 << 62))
+		width := 1 << uint(metaVal>>62)
+		bytes := int64(4 + (deg-1)*int64(width))
+		bytes = (bytes + 3) &^ 3
 
-			// Traffic: stream the compressed extent as 4-byte words with
-			// 128B-aligned warp loads (the merged+aligned discipline over
-			// the compressed bytes).
-			firstWord := (off / 4) &^ (32 - 1)
-			lastWord := (off + bytes + 3) / 4
-			var words [gpu.WarpSize]uint32
-			for i := firstWord; i < lastWord; i += gpu.WarpSize {
-				// Lane l reads word i+l when it lies in [off/4, lastWord).
-				lo := int(max(off/4-i, 0))
-				hi := int(min(lastWord-i, gpu.WarpSize))
-				w.Instr(2)
-				if lo < hi {
-					w.GatherRange(cdg.Comp, 4, i, lo, hi, &words)
-				}
+		// Traffic: stream the compressed extent as 4-byte words with
+		// 128B-aligned warp loads (the merged+aligned discipline over
+		// the compressed bytes).
+		firstWord := (off / 4) &^ (32 - 1)
+		lastWord := (off + bytes + 3) / 4
+		var words [gpu.WarpSize]uint32
+		for i := firstWord; i < lastWord; i += gpu.WarpSize {
+			// Lane l reads word i+l when it lies in [off/4, lastWord).
+			lo := int(max(off/4-i, 0))
+			hi := int(min(lastWord-i, gpu.WarpSize))
+			w.Instr(2)
+			if lo < hi {
+				w.GatherRange(cdg.Comp, 4, i, lo, hi, &words)
 			}
-			// Decompression: a warp-parallel prefix sum over the deltas,
-			// charged as ~1 instruction per 32 decoded elements plus a
-			// fixed log-depth scan cost.
-			w.Instr(int(deg/gpu.WarpSize) + 5)
+		}
+		// Decompression: a warp-parallel prefix sum over the deltas,
+		// charged as ~1 instruction per 32 decoded elements plus a
+		// fixed log-depth scan cost.
+		w.Instr(int(deg/gpu.WarpSize) + 5)
 
-			// Functional path: decode and relax, 32 destinations at a time.
-			list := cdg.DecodeList(int(v))
-			var srcArr, wgt [gpu.WarpSize]uint32
-			for l := range srcArr {
-				srcArr[l] = prog.push(level)
+		// Functional path: decode and relax, 32 destinations at a time.
+		s := scratchOf(w)
+		s.list = cdg.DecodeList(int(v), s.list)
+		list := s.list
+		s.wgt = [gpu.WarpSize]uint32{}
+		for l := range s.src {
+			s.src[l] = prog.push(level)
+		}
+		for base := 0; base < len(list); base += gpu.WarpSize {
+			mask := gpu.MaskNone
+			for l := 0; l < gpu.WarpSize && base+l < len(list); l++ {
+				s.dst[l] = list[base+l]
+				mask = mask.Set(l)
 			}
-			for base := 0; base < len(list); base += gpu.WarpSize {
-				var dst [gpu.WarpSize]uint32
-				mask := gpu.MaskNone
-				for l := 0; l < gpu.WarpSize && base+l < len(list); l++ {
-					dst[l] = list[base+l]
-					mask = mask.Set(l)
-				}
-				visit(w, mask, &dst, &wgt, &srcArr)
-			}
-		})
-	}
+			visit(w, mask, &s.dst, &s.wgt, &s.src)
+		}
+	})
 	return runProgram(ctx, dev, n, prog, src, &engineConfig{
 		variant:      MergedAligned,
 		transport:    ZeroCopy,

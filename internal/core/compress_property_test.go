@@ -35,7 +35,7 @@ func TestCompressionRoundTripProperty(t *testing.T) {
 		}
 		for v := 0; v < n; v++ {
 			want := g.Neighbors(v)
-			got := cdg.DecodeList(v)
+			got := cdg.DecodeList(v, nil)
 			if len(got) != len(want) {
 				return false
 			}

@@ -16,7 +16,7 @@ func TestCompressRoundTrip(t *testing.T) {
 		}
 		for v := 0; v < g.NumVertices(); v++ {
 			want := g.Neighbors(v)
-			got := cdg.DecodeList(v)
+			got := cdg.DecodeList(v, nil)
 			if len(got) != len(want) {
 				t.Fatalf("%s vertex %d: decoded %d neighbors, want %d",
 					g.Name, v, len(got), len(want))
@@ -57,10 +57,10 @@ func TestCompressEmptyLists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cdg.DecodeList(5); got != nil {
+	if got := cdg.DecodeList(5, nil); got != nil {
 		t.Errorf("isolated vertex decoded %v, want nil", got)
 	}
-	if got := cdg.DecodeList(0); len(got) != 1 || got[0] != 9 {
+	if got := cdg.DecodeList(0, nil); len(got) != 1 || got[0] != 9 {
 		t.Errorf("DecodeList(0) = %v, want [9]", got)
 	}
 }
@@ -75,7 +75,7 @@ func TestCompressWideDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := cdg.DecodeList(0)
+	got := cdg.DecodeList(0, nil)
 	want := []uint32{1, 70000, 200000}
 	for i := range want {
 		if got[i] != want[i] {

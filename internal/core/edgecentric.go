@@ -78,45 +78,44 @@ func BFSEdgeCentric(ctx context.Context, dev *gpu.Device, ec *EdgeCentricGraph, 
 	e := g.NumEdges()
 	warps := int((e + gpu.WarpSize - 1) / gpu.WarpSize)
 	prog := bfsProgram()
-	kernel := func(r *engineRound) {
+	kernel := launchKernel("bfs/edgecentric", warps, func(r *engineRound, w *gpu.Warp) {
 		level, labels, visit := r.level, r.values, r.visit
-		r.dev.Launch("bfs/edgecentric", warps, func(w *gpu.Warp) {
-			// Lanes 0..hi-1 hold edges base … base+hi-1.
-			base := int64(w.ID()) * gpu.WarpSize
-			hi := int(min(e-base, gpu.WarpSize))
-			if hi <= 0 {
-				return
+		// Lanes 0..hi-1 hold edges base … base+hi-1.
+		base := int64(w.ID()) * gpu.WarpSize
+		hi := int(min(e-base, gpu.WarpSize))
+		if hi <= 0 {
+			return
+		}
+		// Stream the source column; lanes whose edge source is at the
+		// current level relax the destination column.
+		var srcs [gpu.WarpSize]uint32
+		w.GatherRange(ec.Src, 4, base, 0, hi, &srcs)
+		var srcLabIdx [gpu.WarpSize]int64
+		for l := 0; l < hi; l++ {
+			srcLabIdx[l] = int64(srcs[l])
+		}
+		labs := w.GatherU32(labels, &srcLabIdx, gpu.MaskFirstN(hi))
+		active := gpu.MaskNone
+		for l := 0; l < hi; l++ {
+			if labs[l] == level {
+				active = active.Set(l)
 			}
-			// Stream the source column; lanes whose edge source is at the
-			// current level relax the destination column.
-			var srcs [gpu.WarpSize]uint32
-			w.GatherRange(ec.Src, 4, base, 0, hi, &srcs)
-			var srcLabIdx [gpu.WarpSize]int64
-			for l := 0; l < hi; l++ {
-				srcLabIdx[l] = int64(srcs[l])
-			}
-			labs := w.GatherU32(labels, &srcLabIdx, gpu.MaskFirstN(hi))
-			active := gpu.MaskNone
-			for l := 0; l < hi; l++ {
-				if labs[l] == level {
-					active = active.Set(l)
-				}
-			}
-			if active == gpu.MaskNone {
-				return
-			}
-			var idx [gpu.WarpSize]int64
-			for l := range idx {
-				idx[l] = base + int64(l)
-			}
-			dst := w.GatherU32(ec.Dst, &idx, active)
-			var srcVals, wgt [gpu.WarpSize]uint32
-			for l := 0; l < gpu.WarpSize; l++ {
-				srcVals[l] = prog.push(level)
-			}
-			visit(w, active, &dst, &wgt, &srcVals)
-		})
-	}
+		}
+		if active == gpu.MaskNone {
+			return
+		}
+		var idx [gpu.WarpSize]int64
+		for l := range idx {
+			idx[l] = base + int64(l)
+		}
+		s := scratchOf(w)
+		s.dst = w.GatherU32(ec.Dst, &idx, active)
+		s.wgt = [gpu.WarpSize]uint32{}
+		for l := range s.src {
+			s.src[l] = prog.push(level)
+		}
+		visit(w, active, &s.dst, &s.wgt, &s.src)
+	})
 	return runProgram(ctx, dev, n, prog, src, &engineConfig{
 		variant:      MergedAligned,
 		transport:    ZeroCopy,

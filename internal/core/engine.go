@@ -246,6 +246,19 @@ func stdMatchKernel(dg *DeviceGraph, variant Variant, name string, prog *Program
 	}
 }
 
+// launchKernel returns a kernelFunc that launches body over warps each
+// round. The launch closure is built once per run and reads the round in
+// flight, so the specialty kernels' steady-state rounds allocate nothing
+// either.
+func launchKernel(name string, warps int, body func(r *engineRound, w *gpu.Warp)) kernelFunc {
+	var cur *engineRound
+	launch := func(w *gpu.Warp) { body(cur, w) }
+	return func(r *engineRound) {
+		cur = r
+		r.dev.Launch(name, warps, launch)
+	}
+}
+
 // stdActiveKernel launches the standard explicit-active-set kernel
 // discipline, holding its activeKernel across rounds like stdMatchKernel.
 func stdActiveKernel(dg *DeviceGraph, variant Variant, name string, prog *Program) kernelFunc {

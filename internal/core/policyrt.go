@@ -408,10 +408,11 @@ func (rt *policyRuntime) applyDecisions(round int) {
 		// The partition's weight slice rides the same binding (see the
 		// route table in newPolicyRuntime): evict and stage it alongside.
 		woff, wbytes := off/ew*4, rt.parts[p].Bytes/ew*4
+		var evicted uint64
 		if oldC == ChoiceUVM {
-			rt.dev.UVM().EvictRange(rt.dg.Edges, off, rt.parts[p].Bytes)
+			evicted = rt.dev.EvictUVM(rt.dg.Edges, off, rt.parts[p].Bytes)
 			if rt.dg.Weights != nil {
-				rt.dev.UVM().EvictRange(rt.dg.Weights, woff, wbytes)
+				evicted += rt.dev.EvictUVM(rt.dg.Weights, woff, wbytes)
 			}
 		}
 		if newC == ChoiceStaged && !rt.state[p].Staged {
@@ -454,7 +455,7 @@ func (rt *policyRuntime) applyDecisions(round int) {
 		rt.state[p].Since = round
 		rt.state[p].SpentSeconds = 0
 		rt.route[p] = rt.spaceFor(p, newC)
-		rt.recordMove(rt.parts[p].DensityClass(), newC)
+		rt.recordMove(rt.parts[p].DensityClass(), newC, evicted)
 	}
 	if stageBytes > 0 {
 		rt.dev.StageSegments(stageBytes)
@@ -469,13 +470,14 @@ func (rt *policyRuntime) applyDecisions(round int) {
 
 // recordMove aggregates one partition transition into the per-round move
 // groups ((density class, choice) pairs; at most 9 distinct).
-func (rt *policyRuntime) recordMove(class string, c Choice) {
+func (rt *policyRuntime) recordMove(class string, c Choice, evicted uint64) {
 	choice := c.String()
 	for i := range rt.moves {
 		if rt.moves[i].PartitionClass == class && rt.moves[i].Choice == choice {
 			rt.moves[i].Count++
+			rt.moves[i].Evictions += evicted
 			return
 		}
 	}
-	rt.moves = append(rt.moves, gpu.TransportMove{PartitionClass: class, Choice: choice, Count: 1})
+	rt.moves = append(rt.moves, gpu.TransportMove{PartitionClass: class, Choice: choice, Count: 1, Evictions: evicted})
 }

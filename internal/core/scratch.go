@@ -30,6 +30,10 @@ type warpScratch struct {
 	idx, widx [gpu.WarpSize]int64
 	val       [gpu.WarpSize]uint32
 
+	// list is the compressed kernel's decoded neighbor list, grown to the
+	// largest degree the worker has decoded.
+	list []uint32
+
 	// Batched-mode per-warp lists, sized to the batch width on first use
 	// by a batchRun (owner tracks which run sized them). act and push are
 	// the views the batched visitor reads; actBuf/groupBuf/pushBuf are

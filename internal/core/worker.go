@@ -39,34 +39,32 @@ func BFSWithWorker(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src in
 	if !aligned {
 		labelVariant += "-unaligned"
 	}
-	kernel := func(r *engineRound) {
+	kernel := launchKernel(name, warps, func(r *engineRound, w *gpu.Warp) {
 		level, labels, visit := r.level, r.values, r.visit
-		r.dev.Launch(name, warps, func(w *gpu.Warp) {
-			vbase := int64(w.ID()) * int64(groups)
-			// Group leaders read the labels of their vertices.
-			var lidx [gpu.WarpSize]int64
-			lmask := gpu.MaskNone
-			for g := 0; g < groups; g++ {
-				if v := vbase + int64(g); v < int64(n) {
-					lidx[g] = v
-					lmask = lmask.Set(g)
-				}
+		vbase := int64(w.ID()) * int64(groups)
+		// Group leaders read the labels of their vertices.
+		var lidx [gpu.WarpSize]int64
+		lmask := gpu.MaskNone
+		for g := 0; g < groups; g++ {
+			if v := vbase + int64(g); v < int64(n) {
+				lidx[g] = v
+				lmask = lmask.Set(g)
 			}
-			labs := w.GatherU32(labels, &lidx, lmask)
-			activeGroups := make([]bool, groups)
-			any := false
-			for g := 0; g < groups; g++ {
-				if lmask.Has(g) && labs[g] == level {
-					activeGroups[g] = true
-					any = true
-				}
+		}
+		labs := w.GatherU32(labels, &lidx, lmask)
+		var activeGroups [gpu.WarpSize]bool
+		any := false
+		for g := 0; g < groups; g++ {
+			if lmask.Has(g) && labs[g] == level {
+				activeGroups[g] = true
+				any = true
 			}
-			if !any {
-				return
-			}
-			walkGrouped(w, dg, vbase, groups, workerLanes, activeGroups, prog.push(level), aligned, visit)
-		})
-	}
+		}
+		if !any {
+			return
+		}
+		walkGrouped(w, dg, vbase, groups, workerLanes, &activeGroups, prog.push(level), aligned, visit)
+	})
 	return runProgram(ctx, dev, n, prog, src, &engineConfig{
 		variant:      variant,
 		transport:    dg.Transport,
@@ -84,12 +82,12 @@ func BFSWithWorker(ctx context.Context, dev *gpu.Device, dg *DeviceGraph, src in
 // lock step. Every group's gather lands in the same warp access, so the
 // coalescer merges exactly what real sub-warp workers would merge.
 func walkGrouped(w *gpu.Warp, dg *DeviceGraph, vbase int64, groups, workerLanes int,
-	activeGroups []bool, pushVal uint32, aligned bool, visit visitFn) {
+	activeGroups *[gpu.WarpSize]bool, pushVal uint32, aligned bool, visit visitFn) {
 
 	type span struct {
 		cur, orig, end int64
 	}
-	spans := make([]span, groups)
+	var spans [gpu.WarpSize]span
 	maxIters := int64(0)
 	elemsPerLine := dg.ElemsPerCacheLine()
 	for g := 0; g < groups; g++ {
@@ -106,9 +104,10 @@ func walkGrouped(w *gpu.Warp, dg *DeviceGraph, vbase int64, groups, workerLanes 
 			maxIters = iters
 		}
 	}
-	var srcArr, wgt [gpu.WarpSize]uint32
-	for l := range srcArr {
-		srcArr[l] = pushVal
+	s := scratchOf(w)
+	s.wgt = [gpu.WarpSize]uint32{}
+	for l := range s.src {
+		s.src[l] = pushVal
 	}
 	for it := int64(0); it < maxIters; it++ {
 		var idx [gpu.WarpSize]int64
@@ -117,25 +116,25 @@ func walkGrouped(w *gpu.Warp, dg *DeviceGraph, vbase int64, groups, workerLanes 
 			if !activeGroups[g] {
 				continue
 			}
-			s := &spans[g]
-			if s.cur >= s.end {
+			sp := &spans[g]
+			if sp.cur >= sp.end {
 				continue
 			}
 			for l := 0; l < workerLanes; l++ {
-				j := s.cur + int64(l)
-				if j >= s.orig && j < s.end {
+				j := sp.cur + int64(l)
+				if j >= sp.orig && j < sp.end {
 					lane := g*workerLanes + l
 					idx[lane] = j
 					mask = mask.Set(lane)
 				}
 			}
-			s.cur += int64(workerLanes)
+			sp.cur += int64(workerLanes)
 		}
 		w.Instr(2)
 		if mask == gpu.MaskNone {
 			continue
 		}
-		dst := gatherEdges(w, dg, &idx, mask)
-		visit(w, mask, &dst, &wgt, &srcArr)
+		s.dst = gatherEdges(w, dg, &idx, mask)
+		visit(w, mask, &s.dst, &s.wgt, &s.src)
 	}
 }

@@ -136,7 +136,8 @@ func (r *refWarp) dispatch(buf *memsys.Buffer, addr uint64, size int) {
 	case memsys.SpaceUVM:
 		off := int64(addr - buf.Base)
 		pb := int64(d.uvmgr.Config().PageBytes)
-		migrated, hits := d.uvmgr.Touch(buf, off, size)
+		migrated, hits, evicted := d.uvmgr.Touch(buf, off, size)
+		ks.UVMEvictions += uint64(evicted)
 		if migrated > 0 {
 			bytes := d.uvmgr.MigrationWireBytes(migrated)
 			ks.UVMMigrations += uint64(migrated)

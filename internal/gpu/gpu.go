@@ -139,9 +139,11 @@ type KernelStats struct {
 	CXLPayloadBytes uint64
 	CXLMemBytes     uint64
 
-	// UVM activity.
+	// UVM activity. Device and run totals also count the evictions of
+	// transport-policy rebinds (EvictUVM).
 	UVMMigrations uint64
 	UVMHits       uint64
+	UVMEvictions  uint64
 
 	// Zero-copy sector reuse accounting for the L2 thrash model: potential
 	// per-lane sector reuses observed, total lanes that streamed zero-copy
@@ -205,6 +207,7 @@ func (s *KernelStats) Add(o *KernelStats) {
 	s.CXLMemBytes += o.CXLMemBytes
 	s.UVMMigrations += o.UVMMigrations
 	s.UVMHits += o.UVMHits
+	s.UVMEvictions += o.UVMEvictions
 	s.ZCSectorReuses += o.ZCSectorReuses
 	s.ZCActiveLanes += o.ZCActiveLanes
 	s.ZCRefetches += o.ZCRefetches
@@ -243,6 +246,11 @@ type Device struct {
 
 	uvmgr *uvm.Manager
 	mon   pcie.Monitor
+
+	// ev is the traffic record of the launch or copy in flight: everything
+	// the event puts on the link is recorded here, merged into mon once
+	// when the event ends, and handed to telemetry (see EventTraffic).
+	ev pcie.Monitor
 
 	// tel is the optional telemetry sink (see telemetry.go). Every hook
 	// site nil-checks it, so a detached device pays nothing.
@@ -382,6 +390,13 @@ func (d *Device) UVM() *uvm.Manager { return d.uvmgr }
 // Monitor returns the PCIe traffic monitor observing this device's link.
 func (d *Device) Monitor() *pcie.Monitor { return &d.mon }
 
+// EventTraffic returns the traffic record of the launch or copy that just
+// ended: its wire bytes, request sizes and transfer classes, the trace
+// entries the device monitor kept from it and the count it dropped. Like
+// the KernelStats a KernelDone hook receives, the record is device scratch
+// and valid only for the duration of a KernelDone or CopyDone call.
+func (d *Device) EventTraffic() *pcie.Monitor { return &d.ev }
+
 // Clock returns the simulated time elapsed on this device.
 func (d *Device) Clock() time.Duration { return d.clock }
 
@@ -480,6 +495,7 @@ func (d *Device) finish(ks *KernelStats, zc, cxl *[zcSizeClasses]uint64, workers
 	d.clock += ks.Elapsed
 	d.total.Add(ks)
 	d.run.Add(ks)
+	d.mon.Merge(&d.ev)
 	d.mon.Sample(d.clock)
 	if d.tel != nil {
 		d.tel.KernelDone(d, ks, workers, d.maxWorkers(), start, d.clock)
@@ -514,20 +530,20 @@ func (d *Device) chargeThrash(ks *KernelStats) {
 	ks.WireSeconds += float64(extra) * d.link.WireSeconds(memsys.SectorBytes)
 	ks.TagSeconds += float64(extra) * d.link.TagSeconds()
 	ks.HostDRAMBytes += extra * uint64(d.hostDRAM.ServedBytes(memsys.SectorBytes))
-	d.mon.RecordClassN(memsys.SectorBytes, d.link.TLPOverheadBytes, extra, pcie.ClassZeroCopy)
+	d.ev.RecordClassN(memsys.SectorBytes, d.link.TLPOverheadBytes, extra, pcie.ClassZeroCopy)
 }
 
 // CopyToDevice models an explicit host-to-device bulk transfer of n bytes
 // (e.g. Subway's subgraph upload). The transfer crosses the link at memcpy
 // peak and is recorded by the monitor.
 func (d *Device) CopyToDevice(n int64) time.Duration {
-	return d.bulk(n, true, pcie.ClassBulk)
+	return d.bulkLink(d.link, n, true, pcie.ClassBulk)
 }
 
 // CopyToHost models a device-to-host transfer of n bytes (result download,
 // frontier flag readback).
 func (d *Device) CopyToHost(n int64) time.Duration {
-	return d.bulk(n, false, pcie.ClassBulk)
+	return d.bulkLink(d.link, n, false, pcie.ClassBulk)
 }
 
 // StageSegments models the batched-copy transport substrate's round-boundary
@@ -535,7 +551,7 @@ func (d *Device) CopyToHost(n int64) time.Duration {
 // peak, attributed to the staged transfer class on the monitor so adaptive
 // runs can show where their traffic went.
 func (d *Device) StageSegments(n int64) time.Duration {
-	return d.bulk(n, true, pcie.ClassStaged)
+	return d.bulkLink(d.link, n, true, pcie.ClassStaged)
 }
 
 // StageSegmentsCXL is StageSegments for segments homed on the external
@@ -569,28 +585,59 @@ func (d *Device) cxlLink() pcie.LinkConfig {
 	return cxlT.Link
 }
 
-func (d *Device) bulk(n int64, record bool, class pcie.TransferClass) time.Duration {
-	return d.bulkLink(d.link, n, record, class)
+// CopyToDeviceOverlapped models a host-to-device transfer of n bytes
+// issued behind overlap of device work already on the clock (Subway's async
+// chunk upload runs under the kernel it feeds; pass 0 for a serialized
+// one). The copy crosses the link at memcpy peak with no driver overhead,
+// and only the part of it the overlap does not hide advances the clock. It
+// takes no bandwidth sample: the next launch's or copy's interval covers
+// its bytes.
+func (d *Device) CopyToDeviceOverlapped(n int64, overlap time.Duration) {
+	dt := time.Duration(d.link.BulkSeconds(n)*float64(time.Second)) - overlap
+	d.copyEvent(d.link, n, true, pcie.ClassBulk, max(dt, 0), false)
 }
 
 // bulkLink is the bulk-transfer core parameterized by the link crossed:
 // the PCIe link for host DRAM traffic, the CXL link for external-tier
 // staging and promotion.
 func (d *Device) bulkLink(lnk pcie.LinkConfig, n int64, record bool, class pcie.TransferClass) time.Duration {
+	dt := d.cfg.CopyOverhead + time.Duration(lnk.BulkSeconds(n)*float64(time.Second))
+	d.copyEvent(lnk, n, record, class, dt, true)
+	return dt
+}
+
+// copyEvent accounts one explicit transfer of n bytes over lnk as its own
+// event: a recorded (host-to-device) copy goes on the monitor in class,
+// the clock advances by dt, sample closes a bandwidth interval at the
+// copy's end, and telemetry gets CopyDone.
+func (d *Device) copyEvent(lnk pcie.LinkConfig, n int64, record bool, class pcie.TransferClass, dt time.Duration, sample bool) {
 	if n < 0 {
 		panic("gpu: negative copy size")
 	}
-	dt := d.cfg.CopyOverhead + time.Duration(lnk.BulkSeconds(n)*float64(time.Second))
-	if record && n > 0 {
-		d.mon.RecordBulkClass(n, lnk.TLPOverheadBytes, class)
+	d.ev.BeginEvent(&d.mon)
+	if record {
+		d.ev.RecordBulkClass(n, lnk.TLPOverheadBytes, class)
 	}
 	start := d.clock
 	d.advance(dt)
-	d.mon.Sample(d.clock)
+	d.mon.Merge(&d.ev)
+	if sample {
+		d.mon.Sample(d.clock)
+	}
 	if d.tel != nil {
 		d.tel.CopyDone(d, record, n, start, d.clock)
 	}
-	return dt
+}
+
+// EvictUVM drops UVM residency for every page overlapping [off, off+size)
+// of buf — a partition leaving the UVM substrate — and returns the number
+// evicted, which the device and run totals count like a launch's
+// evictions.
+func (d *Device) EvictUVM(buf *memsys.Buffer, off, size int64) uint64 {
+	n := uint64(d.uvmgr.EvictRange(buf, off, size))
+	d.total.UVMEvictions += n
+	d.run.UVMEvictions += n
+	return n
 }
 
 // CopyOnDevice models a device-to-device copy of src into dst

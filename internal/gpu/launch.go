@@ -82,8 +82,8 @@ type touchLog struct {
 // (bufs[buf]) issued back to back, the first at offset off with size bytes.
 // pos is where the run's migration records belong in the chunk's trace:
 // the entries its monitor had kept at issue. Once the chunk's trace drops
-// entries the device trace is full too, so every later position drops its
-// records alike and only their count, which MergeTrace keeps, matters.
+// entries the launch's trace is full too, so every later position drops
+// its records alike and only their count, which MergeTrace keeps, matters.
 // Runs keep the log at 16 bytes per run of requests.
 type uvmTouch struct {
 	off  int64
@@ -205,16 +205,18 @@ func (d *Device) Launch(name string, warps int, body func(w *Warp), opts ...Laun
 
 	d.ks = KernelStats{Name: name, Warps: warps}
 	ks := &d.ks
+	d.ev.BeginEvent(&d.mon)
 	if workers == 1 {
 		// Serial fast path: accumulate straight into the launch stats and
-		// the device monitor through the device's persistent warp, exactly
-		// like the historical engine but with zero per-launch allocations.
+		// the launch's traffic record through the device's persistent warp,
+		// exactly like the historical engine but with zero per-launch
+		// allocations.
 		d.serialZC = [zcSizeClasses]uint64{}
 		d.serialCXL = [zcSizeClasses]uint64{}
 		w := &d.serialWarp
 		w.dev = d
 		w.ks = ks
-		w.mon = &d.mon
+		w.mon = &d.ev
 		w.zcBySize = &d.serialZC
 		w.cxlBySize = &d.serialCXL
 		w.reorderCap = rcap
@@ -231,19 +233,15 @@ func (d *Device) Launch(name string, warps int, body func(w *Warp), opts ...Laun
 		d.workerWarps = append(d.workerWarps, &Warp{})
 	}
 	slots := d.slotPool[:chunks]
-	traceLimit := d.mon.TraceLimit()
 	for _, sl := range slots {
 		sl.ks = KernelStats{}
 		sl.zcBySize = [zcSizeClasses]uint64{}
 		sl.cxlBySize = [zcSizeClasses]uint64{}
 		sl.uvm.bufs = sl.uvm.bufs[:0]
 		sl.uvm.touches = sl.uvm.touches[:0]
-		sl.mon.Reset()
-		if traceLimit != sl.mon.TraceLimit() {
-			// Give each chunk the full budget; the ordered merge below
-			// truncates at the device monitor's remaining capacity.
-			sl.mon.EnableTrace(traceLimit)
-		}
+		// Each chunk may fill the launch's whole trace budget; the ordered
+		// merge below truncates at what earlier chunks left.
+		sl.mon.BeginEvent(&d.ev)
 	}
 	// Each worker keeps its own warp for the device's lifetime, so the
 	// warp's kernel-private Local scratch is per worker, not per chunk.
@@ -273,12 +271,13 @@ func (d *Device) Launch(name string, warps int, body func(w *Warp), opts ...Laun
 	}
 	wg.Wait()
 
-	// Merge in ascending chunk order. Since chunks are contiguous warp
-	// ranges, concatenating their monitor traces reproduces the serial
-	// arrival order whichever worker ran which chunk; every counter merge
-	// is a sum or a max. Each chunk's logged UVM touches replay through
-	// the manager here, in serial warp order, with their migration records
-	// spliced into the trace where the chunk logged them.
+	// Merge into the launch's traffic record in ascending chunk order.
+	// Since chunks are contiguous warp ranges, concatenating their monitor
+	// traces reproduces the serial arrival order whichever worker ran which
+	// chunk; every counter merge is a sum or a max. Each chunk's logged UVM
+	// touches replay through the manager here, in serial warp order, with
+	// their migration records spliced into the trace where the chunk
+	// logged them.
 	var zc, cxl [zcSizeClasses]uint64
 	for _, sl := range slots {
 		ks.Add(&sl.ks)
@@ -288,17 +287,17 @@ func (d *Device) Launch(name string, warps int, body func(w *Warp), opts ...Laun
 		for j, n := range sl.cxlBySize {
 			cxl[j] += n
 		}
-		d.mon.MergeCounts(&sl.mon)
+		d.ev.MergeCounts(&sl.mon)
 		var at uint64
 		for _, t := range sl.uvm.touches {
 			pos := uint64(t.pos)
-			d.mon.MergeTrace(&sl.mon, at, pos)
+			d.ev.MergeTrace(&sl.mon, at, pos)
 			at = pos
 			for range t.n {
-				d.touchUVM(ks, &d.mon, sl.uvm.bufs[t.buf], t.off, int(t.size))
+				d.touchUVM(ks, &d.ev, sl.uvm.bufs[t.buf], t.off, int(t.size))
 			}
 		}
-		d.mon.MergeTrace(&sl.mon, at, sl.mon.Offered())
+		d.ev.MergeTrace(&sl.mon, at, sl.mon.Offered())
 	}
 	d.finish(ks, &zc, &cxl, workers)
 	return *ks

@@ -79,7 +79,6 @@ const hubGathers = 24
 // launchRun is what one launch leaves behind for comparison.
 type launchRun struct {
 	ks      KernelStats
-	uvm     uvm.Stats
 	snap    pcie.Snapshot
 	trace   []pcie.TraceEntry
 	dropped uint64
@@ -87,17 +86,14 @@ type launchRun struct {
 }
 
 // diff describes the first way got differs from the serial reference
-// run, or returns "" when every field matches: launch stats, UVM manager
-// stats (residency is migrations minus evictions), monitor counters, trace
-// order and dropped count, and the functional buffer contents.
+// run, or returns "" when every field matches: launch stats (UVM
+// migrations, hits and evictions included), monitor counters, trace order
+// and dropped count, and the functional buffer contents.
 func (ref launchRun) diff(got launchRun) string {
 	ks, refKS := got.ks, ref.ks
 	ks.Name, refKS.Name = "", ""
 	if ks != refKS {
 		return fmt.Sprintf("stats differ:\nserial:   %+v\nparallel: %+v", refKS, ks)
-	}
-	if got.uvm != ref.uvm {
-		return fmt.Sprintf("UVM manager differs: %+v vs serial %+v", got.uvm, ref.uvm)
 	}
 	snap, refSnap := got.snap, ref.snap
 	if snap.Requests != refSnap.Requests || snap.PayloadBytes != refSnap.PayloadBytes ||
@@ -130,8 +126,7 @@ func collect(d *Device, ks KernelStats, vals *memsys.Buffer) launchRun {
 	for i := range out {
 		out[i] = vals.U32(int64(i))
 	}
-	return launchRun{ks, d.UVM().Stats(), d.Monitor().Snapshot(),
-
+	return launchRun{ks, d.Monitor().Snapshot(),
 		d.Monitor().Trace(), d.Monitor().TraceDropped(), out}
 }
 
@@ -242,9 +237,9 @@ func TestLaunchWorkerEquivalence(t *testing.T) {
 			if lc.edges != edgesUVM && ref.ks.PCIeRequests == 0 {
 				t.Fatalf("reference kernel produced no zero-copy traffic: %+v", ref.ks)
 			}
-			if lc.edges != edgesPinned && (ref.uvm.Evictions == 0 || ref.ks.UVMHits == 0) {
+			if lc.edges != edgesPinned && (ref.ks.UVMEvictions == 0 || ref.ks.UVMHits == 0) {
 				t.Fatalf("UVM capacity %d pages does not make the LRU evict and hit mid-launch: %+v",
-					lc.uvmPages, ref.uvm)
+					lc.uvmPages, ref.ks)
 			}
 			if lc.hubs > 0 && ref.dropped == 0 {
 				t.Fatalf("trace bound %d does not cut the launch's %d requests", lc.traceLimit, ref.snap.Requests)

@@ -36,16 +36,20 @@ type Telemetry interface {
 	RunEnd(dev *Device)
 
 	// KernelDone fires once per kernel launch, after the launch's stats are
-	// merged and the clock advanced. workers is the worker-goroutine count
-	// the launch actually used; maxWorkers is the count the device was
-	// configured for (a serial-forced launch reports workers < maxWorkers).
-	// start and end bound the launch on the simulated clock. ks is the
-	// device's launch scratch: it is valid only for the duration of the
-	// call.
+	// merged, its traffic folded into the device monitor and the clock
+	// advanced. workers is the worker-goroutine count the launch actually
+	// used; maxWorkers is the count the device was configured for (a
+	// serial-forced launch reports workers < maxWorkers). start and end
+	// bound the launch on the simulated clock. ks is the device's launch
+	// scratch and dev.EventTraffic() the launch's own link traffic: both
+	// are valid only for the duration of the call.
 	KernelDone(dev *Device, ks *KernelStats, workers, maxWorkers int, start, end time.Duration)
 
-	// CopyDone fires once per explicit bulk transfer (CopyToDevice /
-	// CopyToHost). toDevice is the direction; bytes is the payload size.
+	// CopyDone fires once per explicit bulk transfer (CopyToDevice,
+	// CopyToHost, segment staging and CXL moves, Subway's overlapped
+	// uploads). toDevice is the direction; bytes is the payload size.
+	// dev.EventTraffic() holds the copy's own link traffic, valid only for
+	// the duration of the call.
 	CopyDone(dev *Device, toDevice bool, bytes int64, start, end time.Duration)
 
 	// RoundDone fires once per traversal round (one BFS level, one SSSP/CC
@@ -56,11 +60,13 @@ type Telemetry interface {
 
 // TransportMove summarizes one group of same-shaped transport-policy
 // decisions in a round: n partitions of the given access-density class moved
-// to (or were confirmed on) the given substrate choice.
+// to (or were confirmed on) the given substrate choice, evicting the UVM
+// pages of those that left the UVM substrate.
 type TransportMove struct {
 	PartitionClass string // density class: "hot", "warm", or "cold"
 	Choice         string // substrate: "zerocopy", "uvm", or "staged"
 	Count          uint64
+	Evictions      uint64 // UVM pages dropped by the group's rebinds (Device.EvictUVM)
 }
 
 // TransportDecisionSink is an optional extension of Telemetry: sinks that

@@ -54,9 +54,9 @@ type Warp struct {
 	id  int
 
 	// mon receives this warp's individual PCIe request records. On the
-	// serial path it is the device monitor; on the parallel path it is the
-	// running chunk's private monitor, merged in chunk order at the launch
-	// barrier.
+	// serial path it is the launch's traffic record; on the parallel path
+	// it is the running chunk's private monitor, merged into that record in
+	// chunk order at the launch barrier.
 	mon *pcie.Monitor
 
 	// zcBySize counts the running chunk's zero-copy requests per size class
@@ -388,16 +388,18 @@ func (w *Warp) dispatch(buf *memsys.Buffer, sp memsys.Space, addr uint64, size i
 }
 
 // touchUVM services one coalesced request of buf at off against the UVM
-// manager and charges what it migrated to ks and mon: migration counts,
-// hits, link and CXL bytes, wire/tag or serialized-handler seconds, and the
-// bulk monitor records. The serial path calls it inline from dispatch; a
-// parallel launch replays its chunks' logged touches through it at the
-// barrier in ascending chunk order, which is the serial warp order. The
-// float seconds added here are the only ones a launch accumulates before
-// finish, so both paths sum them in the same order, bit for bit.
+// manager and charges what it migrated to ks and mon: migration, hit and
+// eviction counts, link and CXL bytes, wire/tag or serialized-handler
+// seconds, and the bulk monitor records. The serial path calls it inline
+// from dispatch; a parallel launch replays its chunks' logged touches
+// through it at the barrier in ascending chunk order, which is the serial
+// warp order. The float seconds added here are the only ones a launch
+// accumulates before finish, so both paths sum them in the same order, bit
+// for bit.
 func (d *Device) touchUVM(ks *KernelStats, mon *pcie.Monitor, buf *memsys.Buffer, off int64, size int) {
-	migrated, hits := d.uvmgr.Touch(buf, off, size)
+	migrated, hits, evicted := d.uvmgr.Touch(buf, off, size)
 	ks.UVMHits += uint64(hits)
+	ks.UVMEvictions += uint64(evicted)
 	if migrated == 0 {
 		return
 	}

@@ -69,15 +69,13 @@ type Monitor struct {
 	sampledBytes  uint64
 	sampledTime   time.Duration
 
-	// bounded raw request trace (see EnableTrace)
+	// bounded raw request trace (see EnableTrace and BeginEvent): while
+	// tracing, at most traceLimit entries are kept and the rest counted
+	// as dropped
+	tracing      bool
 	trace        []TraceEntry
 	traceLimit   int
 	traceDropped uint64
-
-	// generation counts Reset calls, letting delta-tracking observers (the
-	// telemetry collector) distinguish "counter went backwards because of a
-	// reset" from ordinary growth without guessing from counter values.
-	generation uint64
 }
 
 // Record notes one request of the given payload size with the given wire
@@ -101,14 +99,10 @@ func (m *Monitor) RecordClassN(payloadBytes, overheadBytes int, n uint64, class 
 	m.traceAddN(payloadBytes, false, n)
 }
 
-// RecordBulk notes a bulk (DMA) transfer of n payload bytes moved as
-// maximum-size requests, e.g. a cudaMemcpy, attributed to ClassBulk.
-func (m *Monitor) RecordBulk(n int64, overheadBytes int) {
-	m.RecordBulkClass(n, overheadBytes, ClassBulk)
-}
-
-// RecordBulkClass is RecordBulk with an explicit transfer class: ClassUVM
-// for page migrations, ClassStaged for segment staging copies.
+// RecordBulkClass notes a bulk (DMA) transfer of n payload bytes moved as
+// maximum-size requests in the given transfer class: ClassBulk for a
+// cudaMemcpy, ClassUVM for page migrations, ClassStaged for segment
+// staging copies.
 func (m *Monitor) RecordBulkClass(n int64, overheadBytes int, class TransferClass) {
 	if n <= 0 {
 		return
@@ -181,14 +175,26 @@ func (m *Monitor) Reset() {
 
 	m.classBytes = [numTransferClasses]uint64{}
 	m.traceDropped = 0
-	m.generation++
-	if m.traceLimit > 0 {
-		m.trace = m.trace[:0]
-	}
+	m.trace = m.trace[:0]
 }
 
-// Generation returns the number of times this monitor has been Reset.
-func (m *Monitor) Generation() uint64 { return m.generation }
+// BeginEvent clears m to record one event (a launch or a copy) that will be
+// merged into parent: counters zeroed, and tracing on exactly when parent
+// traces, bounded by the room parent's trace has left. Merging m into
+// parent then keeps every entry m kept and drops every entry m dropped, so
+// m's trace and drop count are the event's own share of parent's.
+func (m *Monitor) BeginEvent(parent *Monitor) {
+	m.Reset()
+	m.tracing = parent.tracing
+	m.traceLimit = parent.traceLimit - len(parent.trace)
+}
+
+// Merge folds all of other into m, as if m had recorded other's requests
+// itself: the counts, then other's whole trace.
+func (m *Monitor) Merge(other *Monitor) {
+	m.MergeCounts(other)
+	m.MergeTrace(other, 0, other.Offered())
+}
 
 // MergeCounts folds the counting state of another monitor into m: the
 // size histogram, wire bytes and per-class attribution. Trace entries are
@@ -212,7 +218,7 @@ func (m *Monitor) MergeCounts(other *Monitor) {
 // dropped = entries offered" holds across the parallel launch engine's
 // chunk merge exactly as it does on the serial path.
 func (m *Monitor) MergeTrace(other *Monitor, lo, hi uint64) {
-	if m.traceLimit <= 0 || hi <= lo {
+	if !m.tracing || hi <= lo {
 		return
 	}
 	kept := uint64(len(other.trace))
@@ -318,9 +324,10 @@ type TraceEntry struct {
 // tracing. Enabling (or re-enabling) resets both the buffer and the
 // dropped count.
 func (m *Monitor) EnableTrace(limit int) {
-	m.traceLimit = limit
+	m.tracing = limit > 0
+	m.traceLimit = max(limit, 0)
 	m.traceDropped = 0
-	if limit > 0 {
+	if m.tracing {
 		m.trace = make([]TraceEntry, 0, min(limit, 4096))
 	} else {
 		m.trace = nil
@@ -330,9 +337,6 @@ func (m *Monitor) EnableTrace(limit int) {
 // Trace returns the recorded entries in arrival order. The returned slice
 // is shared with the monitor and must not be mutated.
 func (m *Monitor) Trace() []TraceEntry { return m.trace }
-
-// TraceLimit returns the configured trace bound (0 when tracing is off).
-func (m *Monitor) TraceLimit() int { return m.traceLimit }
 
 // TraceDropped returns the number of requests truncated from the trace
 // because the buffer was already at its limit (always 0 when tracing is
@@ -348,7 +352,7 @@ func (m *Monitor) traceAdd(size int, bulk bool) {
 // traceAddN records n identical entries, keeping as many as fit under the
 // limit and counting the rest as dropped.
 func (m *Monitor) traceAddN(size int, bulk bool, n uint64) {
-	if m.traceLimit <= 0 || n == 0 {
+	if !m.tracing || n == 0 {
 		return
 	}
 	keep := n

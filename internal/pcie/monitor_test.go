@@ -2,6 +2,7 @@ package pcie
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -28,7 +29,7 @@ func TestMonitorRecord(t *testing.T) {
 
 func TestMonitorRecordBulk(t *testing.T) {
 	var m Monitor
-	m.RecordBulk(4096, 24)
+	m.RecordBulkClass(4096, 24, ClassBulk)
 	if got := m.Requests(); got != 32 {
 		t.Errorf("4KB bulk should be 32 x 128B requests, got %d", got)
 	}
@@ -36,7 +37,7 @@ func TestMonitorRecordBulk(t *testing.T) {
 		t.Errorf("PayloadBytes = %d, want 4096", got)
 	}
 	m.Reset()
-	m.RecordBulk(200, 24)
+	m.RecordBulkClass(200, 24, ClassBulk)
 	// 200 = 128 + 72
 	if m.Requests() != 2 || m.PayloadBytes() != 200 {
 		t.Errorf("bulk 200B: reqs=%d payload=%d", m.Requests(), m.PayloadBytes())
@@ -45,8 +46,8 @@ func TestMonitorRecordBulk(t *testing.T) {
 		t.Errorf("remainder request not recorded")
 	}
 	m.Reset()
-	m.RecordBulk(0, 24)
-	m.RecordBulk(-5, 24)
+	m.RecordBulkClass(0, 24, ClassBulk)
+	m.RecordBulkClass(-5, 24, ClassBulk)
 	if m.Requests() != 0 {
 		t.Errorf("non-positive bulk should be no-op")
 	}
@@ -128,7 +129,7 @@ func TestSnapshot(t *testing.T) {
 func TestSnapshotDelta(t *testing.T) {
 	var m Monitor
 	m.Record(32, 24)
-	m.RecordBulk(256, 24)
+	m.RecordBulkClass(256, 24, ClassBulk)
 	m.Sample(time.Microsecond)
 	before := m.Snapshot()
 	m.Record(32, 24)
@@ -149,7 +150,7 @@ func TestSnapshotDelta(t *testing.T) {
 
 // Property: conservation — the histogram total always equals Requests and
 // payload bytes always equal the histogram weighted sum, regardless of the
-// mix of Record and RecordBulk calls.
+// mix of Record and RecordBulkClass calls.
 func TestMonitorConservationProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
@@ -158,7 +159,7 @@ func TestMonitorConservationProperty(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			if rng.Intn(4) == 0 {
 				n := int64(rng.Intn(5000))
-				m.RecordBulk(n, 24)
+				m.RecordBulkClass(n, 24, ClassBulk)
 				if n > 0 {
 					wantPayload += uint64(n)
 				}
@@ -193,8 +194,8 @@ func TestMonitorTrace(t *testing.T) {
 	m.EnableTrace(5)
 	m.Record(32, 24)
 	m.Record(128, 24)
-	m.RecordBulk(300, 24) // 128 + 128 + 44
-	m.Record(96, 24)      // over the limit: dropped
+	m.RecordBulkClass(300, 24, ClassBulk) // 128 + 128 + 44
+	m.Record(96, 24)                      // over the limit: dropped
 	tr := m.Trace()
 	if len(tr) != 5 {
 		t.Fatalf("trace length = %d, want 5 (bounded)", len(tr))
@@ -239,7 +240,7 @@ func TestMonitorTraceTruncation(t *testing.T) {
 	if got := m.Requests(); got != 5 {
 		t.Errorf("counters must see all requests: Requests = %d, want 5", got)
 	}
-	m.RecordBulk(300, 24) // 128 + 128 + 44: all dropped
+	m.RecordBulkClass(300, 24, ClassBulk) // 128 + 128 + 44: all dropped
 	if got := m.TraceDropped(); got != 5 {
 		t.Errorf("TraceDropped after bulk = %d, want 5", got)
 	}
@@ -253,6 +254,42 @@ func TestMonitorTraceTruncation(t *testing.T) {
 	m.Reset()
 	if m.TraceDropped() != 0 {
 		t.Errorf("Reset should clear TraceDropped, got %d", m.TraceDropped())
+	}
+}
+
+// TestMonitorBeginEvent pins the per-event record contract: an event
+// monitor started from a parent keeps exactly the entries the parent keeps
+// when the event is merged into it and drops the rest — also once the
+// parent's trace is full — and a non-tracing parent gives a non-tracing
+// event.
+func TestMonitorBeginEvent(t *testing.T) {
+	var parent, ev Monitor
+	parent.EnableTrace(5)
+	parent.RecordClassN(32, 24, 3, ClassZeroCopy)
+	for i, n := range []uint64{4, 2} { // 2 kept and 2 dropped, then 2 dropped
+		before := len(parent.Trace())
+		ev.BeginEvent(&parent)
+		ev.RecordClassN(64, 24, n, ClassZeroCopy)
+		droppedBefore := parent.TraceDropped()
+		parent.Merge(&ev)
+		if got := parent.Trace()[before:]; !slices.Equal(ev.Trace(), got) {
+			t.Errorf("event %d kept %v, parent kept %v", i, ev.Trace(), got)
+		}
+		if got := parent.TraceDropped() - droppedBefore; ev.TraceDropped() != got {
+			t.Errorf("event %d dropped %d, parent dropped %d", i, ev.TraceDropped(), got)
+		}
+		if ev.Requests() != n {
+			t.Errorf("event %d counted %d requests, want %d", i, ev.Requests(), n)
+		}
+	}
+	if parent.TraceDropped() != 4 || parent.Requests() != 9 {
+		t.Errorf("parent dropped %d of %d requests, want 4 of 9", parent.TraceDropped(), parent.Requests())
+	}
+	parent.EnableTrace(0)
+	ev.BeginEvent(&parent)
+	ev.RecordClassN(32, 24, 2, ClassZeroCopy)
+	if len(ev.Trace()) != 0 || ev.TraceDropped() != 0 {
+		t.Errorf("event of a non-tracing parent traced %d and dropped %d", len(ev.Trace()), ev.TraceDropped())
 	}
 }
 

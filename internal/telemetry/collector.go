@@ -7,17 +7,17 @@ import (
 	"time"
 
 	"repro/internal/gpu"
-	"repro/internal/pcie"
-	"repro/internal/uvm"
 )
 
-// Collector implements gpu.Telemetry: it snapshots every simulated quantity
+// Collector implements gpu.Telemetry: it folds every simulated quantity
 // into a Registry (Prometheus counters, gauges, and the request-size
 // histogram) and, when a Tracer is attached, into the Chrome-trace
-// timeline. One Collector may observe any number of devices; per-device
-// delta state distinguishes each device's monitor and UVM manager and
-// survives their mid-run resets (ResetStats, ColdCaches) without double- or
-// under-counting.
+// timeline. It reads only what each event carries — a launch's
+// KernelStats, the launch's or copy's own traffic record
+// (Device.EventTraffic), a decision's moves — and adds it, so it keeps no
+// baseline of any device counter and device resets (ResetStats,
+// ColdCaches) need no handling. One Collector may observe any number of
+// devices.
 //
 // Counters carry the run's app / graph / transport / variant labels (set by
 // the core round loops via Device.BeginRun); device-level gauges carry a
@@ -36,18 +36,10 @@ type Collector struct {
 	bound *RequestTrace
 }
 
-// devState is the per-device delta-tracking state.
+// devState is the per-device state: its identity and current run labels.
 type devState struct {
 	name   string // unique trace/gauge identity: "<config name> #<n>"
 	labels gpu.RunLabels
-
-	monGen   uint64 // monitor Reset generation at last snapshot
-	mon      pcie.Snapshot
-	dropped  uint64 // monitor TraceDropped at last snapshot
-	traceLen int    // monitor trace length already forwarded to the tracer
-
-	uvmgr *uvm.Manager // pointer identity detects ColdCaches replacement
-	uvm   uvm.Stats
 }
 
 // utilAcc accumulates launch-engine worker usage for one label set.
@@ -93,10 +85,7 @@ func (c *Collector) Registry() *Registry { return c.reg }
 func (c *Collector) state(dev *gpu.Device) *devState {
 	st, ok := c.devs[dev]
 	if !ok {
-		st = &devState{
-			name:  fmt.Sprintf("%s #%d", dev.Config().Name, len(c.devs)+1),
-			uvmgr: dev.UVM(),
-		}
+		st = &devState{name: fmt.Sprintf("%s #%d", dev.Config().Name, len(c.devs)+1)}
 		c.devs[dev] = st
 	}
 	return st
@@ -136,16 +125,12 @@ func (c *Collector) RunEnd(dev *gpu.Device) {
 }
 
 // KernelDone implements gpu.Telemetry: it folds one launch's KernelStats
-// delta, the monitor's growth since the previous event, and the UVM
-// manager's growth into the registry, and appends the kernel (and any UVM
-// migration burst) to the timeline.
+// and traffic record into the registry, and appends the kernel (and any
+// UVM migration burst) to the timeline.
 func (c *Collector) KernelDone(dev *gpu.Device, ks *gpu.KernelStats, workers, maxWorkers int, start, end time.Duration) {
 	c.mu.Lock()
 	st := c.state(dev)
 	ls := st.runLabels()
-	monDelta, droppedDelta := c.monitorDelta(dev, st)
-	uvmDelta := c.uvmDelta(dev, st)
-	newEntries := c.traceEntriesDelta(dev, st)
 
 	ua, ok := c.util[labelKey(ls)]
 	if !ok {
@@ -192,11 +177,12 @@ func (c *Collector) KernelDone(dev *gpu.Device, ks *gpu.KernelStats, workers, ma
 	reg.Gauge("emogi_launch_worker_utilization_ratio",
 		"Workers used over workers available, averaged over launches.", ls).Set(utilization)
 
-	c.foldMonitor(ls, devName, monDelta, droppedDelta)
+	c.foldTraffic(ls, devName, dev)
+	// Every migrated page is one fault: the UVM model has no fault that
+	// moves nothing.
 	reg.Counter("emogi_uvm_faults_total",
-		"UVM page faults taken.", ls).Add(uvmDelta.Faults)
-	reg.Counter("emogi_uvm_evictions_total",
-		"UVM pages evicted from GPU memory.", ls).Add(uvmDelta.Evictions)
+		"UVM page faults taken.", ls).Add(ks.UVMMigrations)
+	uvmEvictions(reg, ls).Add(ks.UVMEvictions)
 
 	if c.tracer != nil {
 		c.tracer.Kernel(devName, ks.Name, start, end, map[string]any{
@@ -205,13 +191,20 @@ func (c *Collector) KernelDone(dev *gpu.Device, ks *gpu.KernelStats, workers, ma
 			"pcie_req_count": ks.PCIeRequests,
 			"payload_bytes":  ks.PCIePayloadBytes,
 			"hbm_bytes":      ks.HBMBytes,
-		}, newEntries)
+		}, dev.EventTraffic().Trace())
 		if ks.UVMMigrations > 0 {
 			pageBytes := uint64(dev.UVM().Config().PageBytes)
-			c.tracer.UVMBurst(devName, ks.UVMMigrations, uvmDelta.Evictions,
+			c.tracer.UVMBurst(devName, ks.UVMMigrations, ks.UVMEvictions,
 				ks.UVMMigrations*pageBytes, start, end)
 		}
 	}
+}
+
+// uvmEvictions returns the emogi_uvm_evictions_total series for one run's
+// labels: fed by launches' evictions and by transport-policy rebinds.
+func uvmEvictions(reg *Registry, ls Labels) *Counter {
+	return reg.Counter("emogi_uvm_evictions_total",
+		"UVM pages evicted from GPU memory.", ls)
 }
 
 // CopyDone implements gpu.Telemetry.
@@ -219,10 +212,6 @@ func (c *Collector) CopyDone(dev *gpu.Device, toDevice bool, bytes int64, start,
 	c.mu.Lock()
 	st := c.state(dev)
 	ls := st.runLabels()
-	monDelta, droppedDelta := c.monitorDelta(dev, st)
-	// Bulk copies are traced by the monitor too; keep the timeline's raw
-	// request cursor in step even though copy events don't embed them.
-	c.traceEntriesDelta(dev, st)
 	devName := st.name
 	c.mu.Unlock()
 
@@ -236,7 +225,7 @@ func (c *Collector) CopyDone(dev *gpu.Device, toDevice bool, bytes int64, start,
 	}
 	c.reg.Counter("emogi_copy_bytes_total",
 		"Explicit bulk transfer payload bytes by direction.", lsDir).Add(uint64(bytes))
-	c.foldMonitor(ls, devName, monDelta, droppedDelta)
+	c.foldTraffic(ls, devName, dev)
 
 	if c.tracer != nil {
 		c.tracer.Copy(devName, toDevice, bytes, start, end)
@@ -261,19 +250,26 @@ func (c *Collector) RoundDone(dev *gpu.Device, name string, round int, start, en
 }
 
 // TransportDecisions implements gpu.TransportDecisionSink: each decided
-// round on a routed run feeds the emogi_transport_decisions_total counter
-// and — while a request trace is bound — a "transport-decide" entry on
-// that request's round timeline, plus a transport-track slice in the
-// Chrome timeline.
+// round on a routed run feeds the emogi_transport_decisions_total counter,
+// the UVM pages its rebinds evicted feed emogi_uvm_evictions_total, and —
+// while a request trace is bound — the round gets a "transport-decide"
+// entry on that request's round timeline, plus a transport-track slice in
+// the Chrome timeline.
 func (c *Collector) TransportDecisions(dev *gpu.Device, round int, moves []gpu.TransportMove, start, end time.Duration) {
 	c.mu.Lock()
 	st := c.state(dev)
+	ls := st.runLabels()
 	devName := st.name
 	rt := c.bound
 	c.mu.Unlock()
 
+	var evicted uint64
 	for _, mv := range moves {
 		transportDecisionCounter(c.reg, mv.PartitionClass, mv.Choice).Add(mv.Count)
+		evicted += mv.Evictions
+	}
+	if evicted > 0 {
+		uvmEvictions(c.reg, ls).Add(evicted)
 	}
 	detail := transportMovesDetail(moves)
 	rt.Decision(round, detail, start, end)
@@ -311,85 +307,23 @@ func (c *Collector) UnbindTrace() {
 	c.mu.Unlock()
 }
 
-// foldMonitor writes one monitor growth delta into the registry: wire
-// bytes, the request-size histogram, trace drops, and the device's
-// time-weighted bandwidth gauge.
-func (c *Collector) foldMonitor(ls Labels, devName string, delta pcie.Snapshot, droppedDelta uint64) {
+// foldTraffic writes the traffic record of the launch or copy that just
+// ended on dev into the registry — wire bytes, the request-size histogram,
+// trace drops — and sets the device's time-weighted bandwidth gauge from
+// its monitor.
+func (c *Collector) foldTraffic(ls Labels, devName string, dev *gpu.Device) {
+	traffic := dev.EventTraffic()
 	reg := c.reg
 	reg.Counter("emogi_pcie_wire_bytes_total",
-		"PCIe wire bytes (payload plus per-request TLP overhead) crossing the link.", ls).Add(delta.WireBytes)
+		"PCIe wire bytes (payload plus per-request TLP overhead) crossing the link.", ls).Add(traffic.WireBytes())
 	reg.Counter("emogi_pcie_trace_dropped_total",
-		"Raw request trace entries truncated at the monitor's EnableTrace limit.", ls).Add(droppedDelta)
+		"Raw request trace entries truncated at the monitor's EnableTrace limit.", ls).Add(traffic.TraceDropped())
 	hist := reg.Histogram("emogi_pcie_request_size_bytes",
 		"PCIe request payload sizes observed by the traffic monitor.", sizeBuckets, ls)
-	for size, n := range delta.BySize {
+	for size, n := range traffic.Snapshot().BySize {
 		hist.ObserveN(float64(size), n)
 	}
 	reg.Gauge("emogi_pcie_bandwidth_bytes_per_second",
 		"Time-weighted mean PCIe payload bandwidth since the device's last stats reset.",
-		Labels{"device": devName}).Set(delta.AvgBandwidth)
-}
-
-// monitorDelta returns the monitor's growth since the device's previous
-// telemetry event, resetting the baseline when the monitor itself was
-// Reset in between. Callers hold c.mu.
-func (c *Collector) monitorDelta(dev *gpu.Device, st *devState) (delta pcie.Snapshot, droppedDelta uint64) {
-	mon := dev.Monitor()
-	now := mon.Snapshot()
-	dropped := mon.TraceDropped()
-	if gen := mon.Generation(); gen != st.monGen {
-		st.monGen = gen
-		st.mon = pcie.Snapshot{}
-		st.dropped = 0
-		st.traceLen = 0
-	}
-	delta = now.Delta(st.mon)
-	if dropped < st.dropped {
-		st.dropped = 0 // EnableTrace re-armed the trace without a Reset
-	}
-	droppedDelta = dropped - st.dropped
-	st.mon = now
-	st.dropped = dropped
-	return delta, droppedDelta
-}
-
-// uvmDelta returns the UVM manager's stats growth since the previous
-// event, resetting the baseline when the manager was replaced (ColdCaches)
-// or reset. Callers hold c.mu.
-func (c *Collector) uvmDelta(dev *gpu.Device, st *devState) uvm.Stats {
-	mgr := dev.UVM()
-	now := mgr.Stats()
-	if mgr != st.uvmgr || now.Faults < st.uvm.Faults {
-		st.uvmgr = mgr
-		st.uvm = uvm.Stats{}
-	}
-	delta := uvm.Stats{
-		Faults:         now.Faults - st.uvm.Faults,
-		Migrations:     now.Migrations - st.uvm.Migrations,
-		Evictions:      now.Evictions - st.uvm.Evictions,
-		HostBytesMoved: now.HostBytesMoved - st.uvm.HostBytesMoved,
-		HBMHits:        now.HBMHits - st.uvm.HBMHits,
-	}
-	st.uvm = now
-	return delta
-}
-
-// traceEntriesDelta returns the monitor trace entries recorded since the
-// previous event (the raw request stream of the launch that just
-// finished), reusing pcie.TraceEntry directly. Callers hold c.mu.
-func (c *Collector) traceEntriesDelta(dev *gpu.Device, st *devState) []pcie.TraceEntry {
-	mon := dev.Monitor()
-	if mon.TraceLimit() <= 0 {
-		return nil
-	}
-	entries := mon.Trace()
-	if st.traceLen > len(entries) {
-		st.traceLen = 0 // monitor trace was cleared under us
-	}
-	delta := entries[st.traceLen:]
-	st.traceLen = len(entries)
-	if len(delta) == 0 {
-		return nil
-	}
-	return append([]pcie.TraceEntry(nil), delta...)
+		Labels{"device": devName}).Set(dev.Monitor().AverageBandwidth())
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/graph"
@@ -27,15 +28,38 @@ func testDevice(t *testing.T, workers int, col *Collector) *gpu.Device {
 }
 
 // launchCounter forwards every event to its Collector and counts kernel
-// launches: the reference the exported launch counters are checked against.
+// launches, the reference the exported launch counters are checked
+// against, and the UVM pages transport decisions evicted.
 type launchCounter struct {
 	*Collector
-	launches uint64
+	launches        uint64
+	policyEvictions uint64
 }
 
 func (l *launchCounter) KernelDone(dev *gpu.Device, ks *gpu.KernelStats, workers, maxWorkers int, start, end time.Duration) {
 	l.launches++
 	l.Collector.KernelDone(dev, ks, workers, maxWorkers, start, end)
+}
+
+func (l *launchCounter) TransportDecisions(dev *gpu.Device, round int, moves []gpu.TransportMove, start, end time.Duration) {
+	for _, mv := range moves {
+		l.policyEvictions += mv.Evictions
+	}
+	l.Collector.TransportDecisions(dev, round, moves, start, end)
+}
+
+// cappedDevice builds a device whose HBM holds a fraction of a 0.05-scale
+// dataset, so UVM pages evict and the adaptive policy rebinds partitions.
+func cappedDevice(workers int) *gpu.Device {
+	s := 0.05 / 1000.0 // dataset scale x the repo's 1:1000 reduction
+	return gpu.NewDevice(gpu.Config{
+		Name:    "test-v100-capped",
+		Workers: workers,
+		Tiers: memsys.TwoTier(int64(float64(int64(16)<<30)*s), int64(float64(int64(256)<<30)*s),
+			memsys.HBM2V100(), memsys.DDR4Quad(), pcie.Gen3x16()),
+		L2Bytes:            int64(float64(int64(6)<<20) * s),
+		MaxConcurrentLanes: int(float64(80*2048) * s),
+	})
 }
 
 func testGraph(t *testing.T) *graph.CSR {
@@ -60,8 +84,12 @@ func sumSeries(t *testing.T, series map[string]string, name string) uint64 {
 }
 
 // TestCollectorMatchesDeviceCounters is the exporter-accuracy acceptance
-// check: after a real run the /metrics values must equal the device's own
-// counters — the same numbers the bench tables print.
+// check: after real runs the /metrics values must equal the devices' own
+// counters — the same numbers the bench tables print. Besides plain
+// zero-copy and UVM runs it drives the traffic a per-event accounting path
+// could lose: an adaptive run whose rebinds evict UVM pages between
+// launches, a ColdCaches reset (ResetUVMResidency) before a second such
+// run, and a Subway run whose chunk uploads overlap its kernels.
 func TestCollectorMatchesDeviceCounters(t *testing.T) {
 	col := NewCollector(nil, NewTracer())
 	dev := testDevice(t, 4, col)
@@ -84,6 +112,39 @@ func TestCollectorMatchesDeviceCounters(t *testing.T) {
 		totalRounds += res.Iterations
 	}
 
+	capped := cappedDevice(2)
+	capped.SetTelemetry(lc)
+	capped.Monitor().EnableTrace(4096) // small enough to drop
+	spec, err := graph.BySym("GK")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := spec.Build(0.05, 42)
+	wsrc := graph.PickSources(gw, 1, 71)[0]
+	adg, err := core.UploadPolicyPlaced(capped, gw, core.AdaptivePolicy(), 8, core.PlaceAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 2 {
+		if i > 0 {
+			capped.ResetUVMResidency()
+		}
+		res, err := core.RunAlgo(context.Background(), capped, adg, "sssp", wsrc, core.Naive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		totalRounds += res.Iterations
+	}
+	if lc.policyEvictions == 0 {
+		t.Fatal("no transport decision evicted UVM pages; the adaptive runs exercise nothing")
+	}
+	if _, err := baseline.SubwayRun(capped, gw, "sssp", wsrc, baseline.DefaultSubwayConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if capped.Monitor().TraceDropped() == 0 {
+		t.Fatal("the capped device's trace dropped nothing")
+	}
+
 	out := render(t, col.Registry())
 	validateExposition(t, out)
 	series := parseSeries(t, out)
@@ -91,14 +152,37 @@ func TestCollectorMatchesDeviceCounters(t *testing.T) {
 	if got, want := sumSeries(t, series, "emogi_kernel_launches_total"), lc.launches; got != want {
 		t.Errorf("emogi_kernel_launches_total = %d, want %d launches", got, want)
 	}
-	snap := dev.Monitor().Snapshot()
-	if got := sumSeries(t, series, "emogi_pcie_wire_bytes_total"); got != snap.WireBytes {
-		t.Errorf("emogi_pcie_wire_bytes_total = %d, want %d (monitor wire bytes)", got, snap.WireBytes)
+	var wire, requests, copied, dropped uint64
+	var total gpu.KernelStats
+	for _, d := range []*gpu.Device{dev, capped} {
+		snap := d.Monitor().Snapshot()
+		wire += snap.WireBytes
+		requests += snap.Requests
+		// Host-to-device copies are the bulk and staged transfer classes
+		// (the device does not monitor its downloads).
+		copied += snap.ByClass["bulk"] + snap.ByClass["staged"]
+		dropped += d.Monitor().TraceDropped()
+		dt := d.Total()
+		total.Add(&dt)
 	}
-	if got := sumSeries(t, series, "emogi_pcie_request_size_bytes_count"); got != snap.Requests {
-		t.Errorf("request size histogram count = %d, want %d (monitor requests)", got, snap.Requests)
+	if got := sumSeries(t, series, "emogi_pcie_wire_bytes_total"); got != wire {
+		t.Errorf("emogi_pcie_wire_bytes_total = %d, want %d (monitor wire bytes)", got, wire)
 	}
-	total := dev.Total()
+	if got := sumSeries(t, series, "emogi_pcie_request_size_bytes_count"); got != requests {
+		t.Errorf("request size histogram count = %d, want %d (monitor requests)", got, requests)
+	}
+	var h2d uint64
+	for k, v := range series {
+		if strings.HasPrefix(k, "emogi_copy_bytes_total{") && strings.Contains(k, `direction="h2d"`) {
+			h2d += mustUint(t, v)
+		}
+	}
+	if h2d != copied {
+		t.Errorf("h2d emogi_copy_bytes_total = %d, want %d (monitor bulk and staged bytes)", h2d, copied)
+	}
+	if got := sumSeries(t, series, "emogi_uvm_evictions_total"); got != total.UVMEvictions {
+		t.Errorf("emogi_uvm_evictions_total = %d, want %d (device evictions)", got, total.UVMEvictions)
+	}
 	if got := sumSeries(t, series, "emogi_warp_instructions_total"); got != total.WarpInstrs {
 		t.Errorf("emogi_warp_instructions_total = %d, want %d", got, total.WarpInstrs)
 	}
@@ -111,11 +195,11 @@ func TestCollectorMatchesDeviceCounters(t *testing.T) {
 	if got := sumSeries(t, series, "emogi_uvm_migrations_total"); got != total.UVMMigrations {
 		t.Errorf("emogi_uvm_migrations_total = %d, want %d", got, total.UVMMigrations)
 	}
-	if got := sumSeries(t, series, "emogi_pcie_trace_dropped_total"); got != dev.Monitor().TraceDropped() {
-		t.Errorf("emogi_pcie_trace_dropped_total = %d, want %d", got, dev.Monitor().TraceDropped())
+	if got := sumSeries(t, series, "emogi_pcie_trace_dropped_total"); got != dropped {
+		t.Errorf("emogi_pcie_trace_dropped_total = %d, want %d", got, dropped)
 	}
-	if got := sumSeries(t, series, "emogi_runs_total"); got != 2 {
-		t.Errorf("emogi_runs_total = %d, want 2", got)
+	if got := sumSeries(t, series, "emogi_runs_total"); got != 5 {
+		t.Errorf("emogi_runs_total = %d, want 5", got)
 	}
 	if got := sumSeries(t, series, "emogi_rounds_total"); got != uint64(totalRounds) {
 		t.Errorf("emogi_rounds_total = %d, want %d", got, totalRounds)

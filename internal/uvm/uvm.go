@@ -71,16 +71,6 @@ func ConfigWithPaging(capacityPages int, gpuDriven bool) Config {
 	}
 }
 
-// Stats aggregates UVM activity. Times are accounted by the GPU device's
-// kernel roofline; Stats only counts events and bytes.
-type Stats struct {
-	Faults         uint64 // page faults taken (== migrations; no prefetch model)
-	Migrations     uint64 // pages moved host -> GPU
-	Evictions      uint64 // pages dropped from GPU memory (read-mostly: no writeback)
-	HostBytesMoved uint64 // bytes transferred over the interconnect
-	HBMHits        uint64 // accesses served from already-resident pages
-}
-
 // pageKey identifies one page of one UVM buffer.
 type pageKey struct {
 	buf  *memsys.Buffer
@@ -88,9 +78,10 @@ type pageKey struct {
 }
 
 // Manager tracks residency of UVM pages in GPU memory with LRU replacement.
+// It keeps no counters: Touch and EvictRange return what each call did, and
+// the GPU device accounts it per launch.
 type Manager struct {
-	cfg   Config
-	stats Stats
+	cfg Config
 
 	// Intrusive LRU over resident pages: map into a doubly-linked list.
 	lru      map[pageKey]*lruNode
@@ -115,19 +106,17 @@ func NewManager(cfg Config) *Manager {
 // Config returns the manager's configuration.
 func (m *Manager) Config() Config { return m.cfg }
 
-// Stats returns a copy of the accumulated statistics.
-func (m *Manager) Stats() Stats { return m.stats }
-
 // Touch services a GPU access of size bytes at byte offset off within buf,
 // migrating any non-resident pages the access overlaps — plus, for each
 // faulting page, the rest of its aligned prefetch block (BlockPages). It
-// returns the number of pages migrated now (0 if fully resident) and the
-// number of overlapped pages that were already resident when the access
-// reached them (the hits counted in Stats.HBMHits). Residency recency is
-// updated for every overlapped page.
-func (m *Manager) Touch(buf *memsys.Buffer, off int64, size int) (migrated, hits int) {
+// returns the number of pages migrated now (0 if fully resident; every
+// migration is one page fault), the number of overlapped pages that were
+// already resident when the access reached them, and the number of pages
+// evicted to make room. Residency recency is updated for every overlapped
+// page. Pages are read-mostly duplicates, so eviction moves no data.
+func (m *Manager) Touch(buf *memsys.Buffer, off int64, size int) (migrated, hits, evicted int) {
 	if size <= 0 {
-		return 0, 0
+		return 0, 0, 0
 	}
 	pb := int64(m.cfg.PageBytes)
 	first := off / pb
@@ -136,13 +125,14 @@ func (m *Manager) Touch(buf *memsys.Buffer, off int64, size int) (migrated, hits
 		key := pageKey{buf, int(p)}
 		if node, ok := m.lru[key]; ok {
 			m.moveToFront(node)
-			m.stats.HBMHits++
 			hits++
 			continue
 		}
-		migrated += m.faultBlock(buf, p)
+		mig, ev := m.faultBlock(buf, p)
+		migrated += mig
+		evicted += ev
 	}
-	return migrated, hits
+	return migrated, hits, evicted
 }
 
 // EvictRange drops residency for every page overlapping the byte range
@@ -159,80 +149,65 @@ func (m *Manager) EvictRange(buf *memsys.Buffer, off, size int64) (evicted int) 
 	last := (off + size - 1) / pb
 	for p := first; p <= last; p++ {
 		key := pageKey{buf, int(p)}
-		node, ok := m.lru[key]
-		if !ok {
-			continue
+		if node, ok := m.lru[key]; ok {
+			m.drop(node)
+			evicted++
 		}
-		m.unlink(node)
-		delete(m.lru, key)
-		m.resident--
-		m.stats.Evictions++
-		evicted++
 	}
 	return evicted
 }
 
 // faultBlock migrates the aligned prefetch block containing page p,
-// skipping already-resident pages, and returns the number migrated.
-func (m *Manager) faultBlock(buf *memsys.Buffer, p int64) int {
+// skipping already-resident pages, and returns the number migrated and the
+// number evicted to make room.
+func (m *Manager) faultBlock(buf *memsys.Buffer, p int64) (migrated, evicted int) {
 	block := int64(m.cfg.BlockPages)
 	if block <= 1 {
-		m.fault(pageKey{buf, int(p)})
-		return 1
+		return 1, m.fault(pageKey{buf, int(p)})
 	}
 	start := p / block * block
 	end := start + block
 	if limit := int64(buf.Pages()); end > limit {
 		end = limit
 	}
-	migrated := 0
 	for q := start; q < end; q++ {
 		key := pageKey{buf, int(q)}
 		if _, ok := m.lru[key]; ok {
 			continue
 		}
-		m.fault(key)
+		evicted += m.fault(key)
 		migrated++
 	}
-	return migrated
+	return migrated, evicted
 }
 
-// fault migrates one page in, evicting the LRU page if at capacity.
-func (m *Manager) fault(key pageKey) {
+// fault migrates one page in and returns the number of pages evicted to
+// make room: the LRU pages while at capacity.
+func (m *Manager) fault(key pageKey) (evicted int) {
 	if m.cfg.CapacityPages == 0 {
 		// Bounce: the page is transferred and used, but GPU memory has no
 		// room to keep it; it is reclaimed before any reuse.
-		m.stats.Faults++
-		m.stats.Migrations++
-		m.stats.Evictions++
-		m.stats.HostBytesMoved += uint64(m.cfg.PageBytes)
-		return
+		return 1
 	}
 	if m.cfg.CapacityPages > 0 {
 		for m.resident >= m.cfg.CapacityPages && m.tail != nil {
-			m.evictLRU()
+			m.drop(m.tail)
+			evicted++
 		}
 	}
 	node := &lruNode{key: key}
 	m.lru[key] = node
 	m.pushFront(node)
 	m.resident++
-	m.stats.Faults++
-	m.stats.Migrations++
-	m.stats.HostBytesMoved += uint64(m.cfg.PageBytes)
+	return evicted
 }
 
-// evictLRU drops the least recently used page. Read-mostly pages are
-// duplicates of host data, so eviction is free of writeback traffic.
-func (m *Manager) evictLRU() {
-	node := m.tail
-	if node == nil {
-		return
-	}
-	m.unlink(node)
-	delete(m.lru, node.key)
+// drop evicts a resident page. Read-mostly pages are duplicates of host
+// data, so eviction is free of writeback traffic.
+func (m *Manager) drop(n *lruNode) {
+	m.unlink(n)
+	delete(m.lru, n.key)
 	m.resident--
-	m.stats.Evictions++
 }
 
 // MigrationWireBytes returns the interconnect payload bytes for n migrated

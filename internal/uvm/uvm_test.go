@@ -28,21 +28,11 @@ func newTestBuffer(t *testing.T, pages int) *memsys.Buffer {
 func TestTouchMigratesOnFirstAccess(t *testing.T) {
 	b := newTestBuffer(t, 4)
 	m := NewManager(noPrefetch(-1))
-	if got, _ := m.Touch(b, 0, 32); got != 1 {
-		t.Errorf("first touch migrated %d pages, want 1", got)
+	if got, hits, ev := m.Touch(b, 0, 32); got != 1 || hits != 0 || ev != 0 {
+		t.Errorf("first touch migrated %d pages with %d hits and %d evictions, want 1, 0 and 0", got, hits, ev)
 	}
-	if got, hits := m.Touch(b, 64, 32); got != 0 || hits != 1 {
-		t.Errorf("same-page touch migrated %d pages with %d hits, want 0 and 1", got, hits)
-	}
-	st := m.Stats()
-	if st.Migrations != 1 || st.Faults != 1 {
-		t.Errorf("stats = %+v, want 1 migration/fault", st)
-	}
-	if st.HBMHits != 1 {
-		t.Errorf("HBMHits = %d, want 1", st.HBMHits)
-	}
-	if st.HostBytesMoved != uint64(memsys.PageBytes) {
-		t.Errorf("HostBytesMoved = %d, want %d", st.HostBytesMoved, memsys.PageBytes)
+	if got, hits, ev := m.Touch(b, 64, 32); got != 0 || hits != 1 || ev != 0 {
+		t.Errorf("same-page touch migrated %d pages with %d hits and %d evictions, want 0, 1 and 0", got, hits, ev)
 	}
 	if !isResident(m, b, 0) {
 		t.Errorf("page 0 should be resident")
@@ -53,7 +43,7 @@ func TestTouchSpanningPages(t *testing.T) {
 	b := newTestBuffer(t, 4)
 	m := NewManager(noPrefetch(-1))
 	// Access crossing a page boundary: offset 4090, 32 bytes -> pages 0,1.
-	if got, _ := m.Touch(b, 4090, 32); got != 2 {
+	if got, _, _ := m.Touch(b, 4090, 32); got != 2 {
 		t.Errorf("boundary-crossing touch migrated %d pages, want 2", got)
 	}
 	if !isResident(m, b, 0) || !isResident(m, b, 1) {
@@ -64,10 +54,10 @@ func TestTouchSpanningPages(t *testing.T) {
 func TestTouchZeroSize(t *testing.T) {
 	b := newTestBuffer(t, 1)
 	m := NewManager(noPrefetch(-1))
-	if got, _ := m.Touch(b, 0, 0); got != 0 {
-		t.Errorf("zero-size touch migrated %d pages", got)
+	if got, hits, ev := m.Touch(b, 0, 0); got != 0 || hits != 0 || ev != 0 {
+		t.Errorf("zero-size touch migrated %d pages with %d hits and %d evictions", got, hits, ev)
 	}
-	if m.Stats().Faults != 0 {
+	if m.resident != 0 {
 		t.Errorf("zero-size touch should not fault")
 	}
 }
@@ -75,8 +65,10 @@ func TestTouchZeroSize(t *testing.T) {
 func TestLRUEvictionOrder(t *testing.T) {
 	b := newTestBuffer(t, 4)
 	m := NewManager(Config{PageBytes: memsys.PageBytes, CapacityPages: 2})
+	evictions := 0
 	touchPage := func(p int) int {
-		migrated, _ := m.Touch(b, int64(p*memsys.PageBytes), 8)
+		migrated, _, ev := m.Touch(b, int64(p*memsys.PageBytes), 8)
+		evictions += ev
 		return migrated
 	}
 
@@ -92,8 +84,8 @@ func TestLRUEvictionOrder(t *testing.T) {
 	if !isResident(m, b, 0) || !isResident(m, b, 2) {
 		t.Errorf("pages 0 and 2 should be resident")
 	}
-	if m.Stats().Evictions != 1 {
-		t.Errorf("Evictions = %d, want 1", m.Stats().Evictions)
+	if evictions != 1 {
+		t.Errorf("Evictions = %d, want 1", evictions)
 	}
 	if m.resident != 2 {
 		t.Errorf("Resident = %d, want 2", m.resident)
@@ -105,33 +97,39 @@ func TestThrashing(t *testing.T) {
 	// migrate every time (the UVM thrash the paper describes in §2.2).
 	b := newTestBuffer(t, 8)
 	m := NewManager(Config{PageBytes: memsys.PageBytes, CapacityPages: 2})
+	migrations, hits := 0, 0
 	for round := 0; round < 3; round++ {
 		for p := 0; p < 8; p++ {
-			if got, _ := m.Touch(b, int64(p*memsys.PageBytes), 8); got != 1 {
+			got, h, _ := m.Touch(b, int64(p*memsys.PageBytes), 8)
+			if got != 1 {
 				t.Fatalf("round %d page %d: migrated %d, want 1 (thrash)", round, p, got)
 			}
+			migrations += got
+			hits += h
 		}
 	}
-	st := m.Stats()
-	if st.Migrations != 24 {
-		t.Errorf("Migrations = %d, want 24", st.Migrations)
+	if migrations != 24 {
+		t.Errorf("Migrations = %d, want 24", migrations)
 	}
-	if st.HBMHits != 0 {
-		t.Errorf("HBMHits = %d, want 0 under thrash", st.HBMHits)
+	if hits != 0 {
+		t.Errorf("HBMHits = %d, want 0 under thrash", hits)
 	}
 }
 
 func TestZeroCapacityBounces(t *testing.T) {
 	b := newTestBuffer(t, 2)
 	m := NewManager(Config{PageBytes: memsys.PageBytes, CapacityPages: 0})
+	migrations, evictions := 0, 0
 	for i := 0; i < 5; i++ {
-		if got, _ := m.Touch(b, 0, 8); got != 1 {
+		got, _, ev := m.Touch(b, 0, 8)
+		if got != 1 {
 			t.Fatalf("touch %d migrated %d, want 1 (bounce)", i, got)
 		}
+		migrations += got
+		evictions += ev
 	}
-	st := m.Stats()
-	if st.Migrations != 5 || st.Evictions != 5 {
-		t.Errorf("stats = %+v, want 5 migrations and evictions", st)
+	if migrations != 5 || evictions != 5 {
+		t.Errorf("%d migrations and %d evictions, want 5 of each", migrations, evictions)
 	}
 	if m.resident != 0 {
 		t.Errorf("Resident = %d, want 0", m.resident)
@@ -144,13 +142,15 @@ func TestZeroCapacityBounces(t *testing.T) {
 func TestUnlimitedCapacity(t *testing.T) {
 	b := newTestBuffer(t, 100)
 	m := NewManager(noPrefetch(-1))
+	evictions := 0
 	for p := 0; p < 100; p++ {
-		m.Touch(b, int64(p*memsys.PageBytes), 8)
+		_, _, ev := m.Touch(b, int64(p*memsys.PageBytes), 8)
+		evictions += ev
 	}
 	if m.resident != 100 {
 		t.Errorf("Resident = %d, want 100", m.resident)
 	}
-	if m.Stats().Evictions != 0 {
+	if evictions != 0 {
 		t.Errorf("unlimited capacity should never evict")
 	}
 }
@@ -199,16 +199,18 @@ func TestLRUInvariantsRandomized(t *testing.T) {
 	b := newTestBuffer(t, pages)
 	for _, capacity := range []int{1, 2, 7, 16, 100} {
 		m := NewManager(Config{PageBytes: memsys.PageBytes, CapacityPages: capacity})
+		migrations, evictions := 0, 0
 		for i := 0; i < 2000; i++ {
 			off := rng.Int63n(int64(pages*memsys.PageBytes) - 64)
-			m.Touch(b, off, 1+rng.Intn(64))
+			mig, _, ev := m.Touch(b, off, 1+rng.Intn(64))
+			migrations += mig
+			evictions += ev
 			if capacity > 0 && m.resident > capacity {
 				t.Fatalf("capacity %d exceeded: resident=%d", capacity, m.resident)
 			}
-			st := m.Stats()
-			if st.Migrations-st.Evictions != uint64(m.resident) {
+			if migrations-evictions != m.resident {
 				t.Fatalf("migrations-evictions=%d != resident=%d",
-					st.Migrations-st.Evictions, m.resident)
+					migrations-evictions, m.resident)
 			}
 		}
 		// The residency map agrees with the resident count.
@@ -224,7 +226,7 @@ func TestBlockPrefetch(t *testing.T) {
 	cfg.BlockPages = 16
 	m := NewManager(cfg)
 	// Touching one byte in page 3 migrates its whole aligned 16-page block.
-	if got, _ := m.Touch(b, 3*memsys.PageBytes, 8); got != 16 {
+	if got, _, _ := m.Touch(b, 3*memsys.PageBytes, 8); got != 16 {
 		t.Fatalf("block fault migrated %d pages, want 16", got)
 	}
 	for p := 0; p < 16; p++ {
@@ -236,11 +238,11 @@ func TestBlockPrefetch(t *testing.T) {
 		t.Errorf("page outside the block should not be resident")
 	}
 	// Any further touch within the block is free.
-	if got, _ := m.Touch(b, 15*memsys.PageBytes, 8); got != 0 {
+	if got, _, _ := m.Touch(b, 15*memsys.PageBytes, 8); got != 0 {
 		t.Errorf("in-block touch migrated %d pages, want 0", got)
 	}
 	// A touch in the next block pulls exactly that block.
-	if got, _ := m.Touch(b, 20*memsys.PageBytes, 8); got != 16 {
+	if got, _, _ := m.Touch(b, 20*memsys.PageBytes, 8); got != 16 {
 		t.Errorf("next-block touch migrated %d pages, want 16", got)
 	}
 }
@@ -250,7 +252,7 @@ func TestBlockPrefetchClippedAtBufferEnd(t *testing.T) {
 	cfg := ConfigWithPaging(-1, false)
 	cfg.BlockPages = 16
 	m := NewManager(cfg)
-	if got, _ := m.Touch(b, 17*memsys.PageBytes, 8); got != 4 {
+	if got, _, _ := m.Touch(b, 17*memsys.PageBytes, 8); got != 4 {
 		t.Errorf("clipped block migrated %d pages, want 4", got)
 	}
 }
@@ -260,7 +262,7 @@ func TestBlockPrefetchSkipsResident(t *testing.T) {
 	m := NewManager(Config{PageBytes: memsys.PageBytes, CapacityPages: -1,
 		FaultCPUSeconds: 117e-9, BlockPages: 4})
 	m.Touch(b, 1*memsys.PageBytes, 8) // pages 0-3 via block fault
-	if got, _ := m.Touch(b, 2*memsys.PageBytes, 8); got != 0 {
+	if got, _, _ := m.Touch(b, 2*memsys.PageBytes, 8); got != 0 {
 		t.Errorf("resident block re-migrated %d pages", got)
 	}
 	if m.resident != 4 {
@@ -270,8 +272,8 @@ func TestBlockPrefetchSkipsResident(t *testing.T) {
 	// into a 3-page budget leaves 3 resident.
 	m2 := NewManager(Config{PageBytes: memsys.PageBytes, CapacityPages: 3,
 		FaultCPUSeconds: 117e-9, BlockPages: 4})
-	if got, _ := m2.Touch(b, 0, 8); got != 4 {
-		t.Fatalf("block fault migrated %d, want 4", got)
+	if got, _, ev := m2.Touch(b, 0, 8); got != 4 || ev != 1 {
+		t.Fatalf("block fault migrated %d and evicted %d, want 4 and 1", got, ev)
 	}
 	if m2.resident != 3 {
 		t.Fatalf("resident = %d, want 3", m2.resident)
@@ -288,7 +290,7 @@ func TestBlockPrefetchStreamingNoWaste(t *testing.T) {
 	m := NewManager(cfg)
 	total, hits := 0, 0
 	for p := 0; p < pages; p++ {
-		migrated, h := m.Touch(b, int64(p*memsys.PageBytes), 8)
+		migrated, h, _ := m.Touch(b, int64(p*memsys.PageBytes), 8)
 		total += migrated
 		hits += h
 	}

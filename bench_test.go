@@ -337,7 +337,10 @@ func BenchmarkCoreBFSMergedAligned(b *testing.B) {
 // visitor's atomics on a sorted neighbor list, whose sectors need no
 // sort), and a gather through a transport route table alternating
 // zero-copy and HBM segments. The lane MRU is invalidated before every op
-// so reads always reach the request path.
+// so reads always reach the request path. The steady-state cases keep it,
+// as a warp's merged walk does: range gathers stepping through one
+// neighbor list, a scalar load of consecutive HBM labels, and an ascending
+// relax followed by the frontier OR of its winners on HBM.
 func BenchmarkCoalescer(b *testing.B) {
 	var contig, random, ascending [gpu.WarpSize]int64
 	r := rand.New(rand.NewSource(1))
@@ -348,6 +351,19 @@ func BenchmarkCoalescer(b *testing.B) {
 	ascending = random
 	slices.Sort(ascending[:])
 	var vals [gpu.WarpSize]uint32
+	// steady runs op(w, buf, i) for i = 0..b.N-1 without invalidating the
+	// MRU between ops.
+	steady := func(b *testing.B, space memsys.Space, op func(w *gpu.Warp, buf *memsys.Buffer, i int)) {
+		dev := gpu.NewDevice(emogi.V100PCIe3(1).GPU)
+		buf := dev.Arena().MustAlloc("buf", space, 1<<20)
+		b.ReportAllocs()
+		b.ResetTimer()
+		dev.Launch("bench", 1, func(w *gpu.Warp) {
+			for i := 0; i < b.N; i++ {
+				op(w, buf, i)
+			}
+		})
+	}
 	run := func(b *testing.B, space memsys.Space, route []memsys.Space, op func(w *gpu.Warp, buf *memsys.Buffer)) {
 		dev := gpu.NewDevice(emogi.V100PCIe3(1).GPU)
 		buf := dev.Arena().MustAlloc("buf", space, 1<<20)
@@ -381,6 +397,21 @@ func BenchmarkCoalescer(b *testing.B) {
 	})
 	b.Run("atomic-ascending-hbm", func(b *testing.B) {
 		run(b, memsys.SpaceGPU, nil, func(w *gpu.Warp, buf *memsys.Buffer) { w.RelaxMinU32(buf, &ascending, &vals, gpu.MaskFull) })
+	})
+	b.Run("gather-range-steady-zc", func(b *testing.B) {
+		var out [gpu.WarpSize]uint32
+		steady(b, memsys.SpaceHostPinned, func(w *gpu.Warp, buf *memsys.Buffer, i int) {
+			w.GatherRange(buf, 8, int64(i%(1<<12))*gpu.WarpSize, 0, gpu.WarpSize, &out)
+		})
+	})
+	b.Run("scalar-steady-hbm", func(b *testing.B) {
+		steady(b, memsys.SpaceGPU, func(w *gpu.Warp, buf *memsys.Buffer, i int) { w.ScalarU32(buf, int64(i%(1<<18))) })
+	})
+	b.Run("relax-or-steady-hbm", func(b *testing.B) {
+		steady(b, memsys.SpaceGPU, func(w *gpu.Warp, buf *memsys.Buffer, _ int) {
+			won := w.RelaxMinU32(buf, &ascending, &vals, gpu.MaskFull)
+			w.AtomicOrLanesU32(buf, &ascending, 1, gpu.MaskFull, won)
+		})
 	})
 	b.Run("gather-routed", func(b *testing.B) {
 		route := make([]memsys.Space, (1<<20)/memsys.SegmentBytes)

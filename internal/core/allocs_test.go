@@ -107,7 +107,9 @@ func assertEqualAllocs(t *testing.T, name string, a, b float64, itersA, itersB i
 // TestSteadyStateRoundAllocsEngine covers the single-source engine:
 // FrontierMatch (BFS) and FrontierActive (SSSP) disciplines, and the BFS
 // kernels with their own walks (edge-centric, compressed, 8-lane worker
-// groups), with the reorder stage off and on.
+// groups, direction-optimized push/pull), with the reorder stage off and
+// on. CC has no source, so its two runs are on two graphs whose label
+// propagation takes different round counts.
 func TestSteadyStateRoundAllocsEngine(t *testing.T) {
 	skipUnderRace(t)
 	g := graph.Urand("alloc-u", 800, 8, 3)
@@ -127,7 +129,14 @@ func TestSteadyStateRoundAllocsEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// A sparse graph's long paths take CC more rounds than g.
+		sparse, err := Upload(dev, graph.Urand("alloc-sparse", 800, 2, 5), ZeroCopy, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ccGraph := map[int]*DeviceGraph{}
 		srcA, srcB := depthSources(t, g)
+		ccGraph[srcA], ccGraph[srcB] = dg, sparse
 		for _, tc := range []struct {
 			name string
 			algo func(src int) (*Result, error)
@@ -137,6 +146,10 @@ func TestSteadyStateRoundAllocsEngine(t *testing.T) {
 			{"bfs-edgecentric", func(src int) (*Result, error) { return BFSEdgeCentric(ctx, dev, ec, src) }},
 			{"bfs-compressed", func(src int) (*Result, error) { return BFSCompressed(ctx, dev, cdg, src) }},
 			{"bfs-worker8", func(src int) (*Result, error) { return BFSWithWorker(ctx, dev, dg, src, 8, true) }},
+			{"bfs-pushpull", func(src int) (*Result, error) {
+				return BFSDirectionOptimized(ctx, dev, dg, src, DefaultPushPullConfig())
+			}},
+			{"cc", func(src int) (*Result, error) { return CC(ctx, dev, ccGraph[src], MergedAligned) }},
 		} {
 			iters := map[int]int{}
 			run := func(src int) {

@@ -332,12 +332,15 @@ func (op *coalOp) rangeIdx() (idx [WarpSize]int64, mask Mask) {
 // sorting path; masks mix full, prefix, random, single-lane and empty, and
 // lane ranges mix full, empty, and the aligned walk's underflow-guarded
 // ones. Every other op revisits prev's elements, one or two elements on,
-// so lanes hit their MRU sector.
+// so lanes hit their MRU sector, and a scalar, pair or range op of the
+// other element width revisits prev's bytes, so lanes of both widths meet
+// in one sector (a range record's partial hits across widths).
 func genOp(r *rand.Rand, k byte, prev *coalOp) coalOp {
 	n := int64(coalBufBytes >> elemShift(k))
 	if r.Intn(2) == 0 {
 		op := *prev
 		op.kind = k
+		op.scalar = op.scalar << elemShift(prev.kind) >> elemShift(k)
 		step := int64(r.Intn(3))
 		for l := range op.idx {
 			op.idx[l] = (op.idx[l] + step) % n
@@ -689,13 +692,18 @@ func coalDevice(layout, window, workers int, baseOff uint64) (*Device, [2]*memsy
 	return d, bufs
 }
 
-// warpMRU is w's lane MRU in the reference's form: the sector, or
+// warpMRU is w's effective lane MRU in the reference's form: the range
+// record's sector for its lanes, mru for the other valid lanes, and
 // refInvalidSector for an empty slot.
 func warpMRU(w *Warp) [WarpSize]uint64 {
 	var m [WarpSize]uint64
 	for l := range m {
-		m[l] = refInvalidSector
-		if w.mruValid&(1<<uint(l)) != 0 {
+		switch {
+		case w.mruValid&(1<<uint(l)) == 0:
+			m[l] = refInvalidSector
+		case l >= w.rec.lo && l < w.rec.hi:
+			m[l] = w.rec.sector(l)
+		default:
 			m[l] = w.mru[l]
 		}
 	}
@@ -714,11 +722,26 @@ func chunkTouches(d *Device, chunks int) []string {
 	return out
 }
 
+// coalStream passes warp slot's instructions to each, in issue order.
+type coalStream func(slot int, each func(op *coalOp))
+
+// genStream draws the instruction kinds in ops from a stream seeded by
+// (seed, slot).
+func genStream(seed int64, ops []byte) coalStream {
+	return func(slot int, each func(op *coalOp)) {
+		r := rand.New(rand.NewSource(seed*1_000_003 + int64(slot)))
+		var op coalOp
+		for _, k := range ops {
+			op = genOp(r, k%numCoalOps, &op)
+			each(&op)
+		}
+	}
+}
+
 // runCoalescer drives a fresh device through two launches of warps warps
-// on the given launch workers, each warp executing the instruction kinds
-// in ops drawn from a stream seeded by (seed, launch, warp) in the given
-// mode.
-func runCoalescer(layout, window, workers int, baseOff uint64, seed int64, warps int, ops []byte, mode coalMode) coalOutcome {
+// on the given launch workers, each warp slot (launch, warp) executing
+// its instructions from stream in the given mode.
+func runCoalescer(layout, window, workers int, baseOff uint64, warps int, stream coalStream, mode coalMode) coalOutcome {
 	d, bufs := coalDevice(layout, window, workers, baseOff)
 	serial := workers == 1
 	out := coalOutcome{MRU: make([][WarpSize]uint64, 2*warps)}
@@ -733,20 +756,17 @@ func runCoalescer(layout, window, workers int, baseOff uint64, seed int64, warps
 				out.Results[slot] = coalLog{}
 				log = &out.Results[slot]
 			}
-			r := rand.New(rand.NewSource(seed*1_000_003 + int64(slot)))
 			var rw *refWarp
 			if mode == modeRef {
 				rw = newRefWarp(w)
 			}
-			var op coalOp
-			for _, k := range ops {
-				op = genOp(r, k%numCoalOps, &op)
+			stream(slot, func(op *coalOp) {
 				if mode == modeRef {
 					op.applyRef(rw, bufs, log)
 				} else {
 					op.apply(w, bufs, mode == modeLanes, log)
 				}
-			}
+			})
 			if mode == modeRef {
 				rw.flushReorder()
 				out.MRU[slot] = rw.mru
@@ -846,15 +866,90 @@ func FuzzCoalescer(f *testing.F) {
 		}
 		off := coalBaseOffsets[int(misalign)%len(coalBaseOffsets)]
 		nw := int(warps%4) + 1
-		got := runCoalescer(l, win, 1, off, seed, nw, ops, modeProd)
-		want := runCoalescer(l, win, 1, off, seed, nw, ops, modeRef)
+		stream := genStream(seed, ops)
+		got := runCoalescer(l, win, 1, off, nw, stream, modeProd)
+		want := runCoalescer(l, win, 1, off, nw, stream, modeRef)
 		if d := coalDiff(got, want); d != "" {
 			t.Fatalf("layout %d window %d base offset %d: coalescer diverged from the reference:%s", l, win, off, d)
 		}
-		got = runCoalescer(l, win, 3, off, seed, nw+3, ops, modeProd)
-		want = runCoalescer(l, win, 3, off, seed, nw+3, ops, modeLanes)
+		got = runCoalescer(l, win, 3, off, nw+3, stream, modeProd)
+		want = runCoalescer(l, win, 3, off, nw+3, stream, modeLanes)
 		if d := coalDiff(got, want); d != "" {
 			t.Fatalf("layout %d window %d base offset %d, 3 workers: range path diverged from the lane path:%s", l, win, off, d)
 		}
 	})
+}
+
+// TestRangeMRURecord pins the range read's affine MRU record against the
+// reference coalescer on scripted streams, each run by two warps in each
+// of two launches, over uniform host-pinned, uniform HBM and routed
+// buffers at base offsets 0 and 8. Each script also states whether any of
+// its reads hits on the host-pinned layout, where hits are counted, so a
+// script cannot pass by missing the case it names.
+func TestRangeMRURecord(t *testing.T) {
+	rng := func(kind byte, buf int, base int64, lo, hi int) coalOp {
+		return coalOp{kind: kind, buf: buf, scalar: base, lo: lo, hi: hi}
+	}
+	r32 := func(base int64, lo, hi int) coalOp { return rng(opGatherRangeU32, 0, base, lo, hi) }
+	r64 := func(base int64, lo, hi int) coalOp { return rng(opGatherRangeU64, 0, base, lo, hi) }
+	lanes := func(kind byte, base int64, mask Mask) coalOp {
+		op := coalOp{kind: kind, mask: mask}
+		for l := range op.idx {
+			op.idx[l] = base + int64(l)
+		}
+		return op
+	}
+	scalar := func(kind byte, i int64) coalOp { return coalOp{kind: kind, scalar: i} }
+	const (
+		none = iota // no read hits
+		some        // some lanes hit
+	)
+	cases := []struct {
+		name   string
+		script []coalOp
+		hits   int
+	}{
+		{"re-read at delta 0", []coalOp{r32(100, 0, 32), r32(100, 0, 32)}, some},
+		{"re-read inside the record", []coalOp{r32(100, 0, 32), r32(100, 9, 20)}, some},
+		{"re-read over the record's edge", []coalOp{r32(100, 4, 12), r32(100, 0, 32)}, some},
+		{"re-read at delta +4 bytes", []coalOp{r32(100, 0, 32), r32(101, 0, 32)}, some},
+		{"re-read at delta -28 bytes", []coalOp{r32(100, 0, 32), r32(93, 0, 32)}, some},
+		{"8-byte re-read at delta -24 bytes", []coalOp{r64(50, 0, 32), r64(47, 0, 32)}, some},
+		{"re-read at delta 32 bytes", []coalOp{r32(100, 0, 32), r32(108, 0, 32)}, none},
+		{"re-read at delta -64 bytes", []coalOp{r64(50, 0, 32), r64(42, 0, 32)}, none},
+		{"8-byte then 4-byte over shared sectors", []coalOp{r64(50, 0, 32), r32(100, 0, 32)}, some},
+		{"4-byte then 8-byte over shared sectors", []coalOp{r32(100, 0, 32), r64(50, 0, 32)}, some},
+		{"4-byte then 8-byte, disjoint spans", []coalOp{r32(100, 0, 16), r64(60, 0, 16)}, none},
+		{"lane path after a range", []coalOp{r32(100, 0, 32), lanes(opGatherU32, 100, MaskFull)}, some},
+		{"scalar after a range", []coalOp{r64(50, 0, 32), scalar(opScalarU64, 50)}, some},
+		{"pair after a range", []coalOp{r64(50, 0, 32), scalar(opPairU64, 50)}, some},
+		{"range after the lane path", []coalOp{lanes(opGatherU32, 100, MaskFull), r32(100, 0, 32)}, some},
+		{"range after a scalar", []coalOp{scalar(opScalarU32, 100), r32(100, 0, 32)}, some},
+		{"range over a flattened record's low lanes", []coalOp{r32(100, 0, 32), rng(opGatherRangeU32, 1, 100, 16, 32), r32(100, 0, 16)}, some},
+		{"range over a flattened record's high lanes", []coalOp{r32(100, 0, 32), rng(opGatherRangeU32, 1, 100, 0, 16), r32(100, 16, 32)}, some},
+		{"range after a pair inside the record", []coalOp{r64(50, 0, 32), scalar(opPairU64, 200), r64(50, 0, 32)}, some},
+		{"InvalidateMRU", []coalOp{r32(100, 0, 32), {kind: opInvalidateMRU}, r32(100, 0, 32)}, none},
+		{"InvalidateMRU, then a scalar", []coalOp{r32(100, 0, 32), {kind: opInvalidateMRU}, scalar(opScalarU32, 100)}, none},
+		{"warp boundary", []coalOp{r32(100, 0, 32), r64(50, 0, 32)}, some},
+		{"warp boundary, one read", []coalOp{r32(100, 0, 32)}, none},
+	}
+	for _, tc := range cases {
+		stream := func(_ int, each func(op *coalOp)) {
+			for _, op := range tc.script {
+				each(&op)
+			}
+		}
+		for _, layout := range []int{layoutPinned, layoutHBM, layoutRouted} {
+			for _, off := range []uint64{0, 8} {
+				got := runCoalescer(layout, 0, 1, off, 2, stream, modeProd)
+				want := runCoalescer(layout, 0, 1, off, 2, stream, modeRef)
+				if d := coalDiff(got, want); d != "" {
+					t.Errorf("%s, layout %d, base offset %d: diverged from the reference:%s", tc.name, layout, off, d)
+				}
+				if reuses := want.Total.ZCSectorReuses; layout == layoutPinned && (reuses > 0) != (tc.hits == some) {
+					t.Errorf("%s, base offset %d: %d zero-copy hits; the script must hit %s", tc.name, off, reuses, map[int]string{none: "nowhere", some: "somewhere"}[tc.hits])
+				}
+			}
+		}
+	}
 }

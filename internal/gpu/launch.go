@@ -166,7 +166,7 @@ func (d *Device) workerCount(warps int, lc *launchConfig) int {
 func runWarpRange(w *Warp, lo, hi int, body func(w *Warp)) {
 	for id := lo; id < hi; id++ {
 		w.id = id
-		w.mruValid = 0
+		w.InvalidateMRU()
 		w.zcLanes = 0
 		w.hostReqs = 0
 		w.cxlReqs = 0

@@ -37,13 +37,7 @@ func (m Mask) Has(i int) bool { return m&(1<<uint(i)) != 0 }
 func (m Mask) Set(i int) Mask { return m | 1<<uint(i) }
 
 // Count returns the number of active lanes.
-func (m Mask) Count() int {
-	n := 0
-	for v := uint32(m); v != 0; v &= v - 1 {
-		n++
-	}
-	return n
-}
+func (m Mask) Count() int { return bits.OnesCount32(uint32(m)) }
 
 // Warp is the execution context passed to kernel bodies: 32 lanes executing
 // in lock step. All memory traffic flows through the coalescing unit, which
@@ -74,9 +68,12 @@ type Warp struct {
 	// behaviour behind §3.3's "each thread generates a new 32-byte request
 	// every time it crosses a 32-byte address boundary": repeated loads
 	// within a lane's current sector do not re-issue requests. Bit i of
-	// mruValid says whether mru[i] holds a sector, so a reset is one store.
+	// mruValid says whether lane i holds a sector, so a reset is one store.
+	// The lanes of rec hold the last range read's sectors, which
+	// override their mru entries; the other valid lanes hold mru[i].
 	mru      [WarpSize]uint64
 	mruValid uint32
+	rec      mruRange
 
 	// coalescer scratch (no allocation on the hot path)
 	sectors [2 * WarpSize]uint64
@@ -129,7 +126,37 @@ func (w *Warp) Instr(n int) { w.ks.WarpInstrs += uint64(n) }
 
 // InvalidateMRU clears the per-lane sector reuse state, e.g. at a
 // synchronization point.
-func (w *Warp) InvalidateMRU() { w.mruValid = 0 }
+func (w *Warp) InvalidateMRU() {
+	w.mruValid = 0
+	w.rec = mruRange{}
+}
+
+// mruRange is a range read's MRU entries in affine form: after lanes
+// lo..hi-1 read the consecutive elements at addr + l<<shift, lane l holds
+// sector (addr + l<<shift)>>5. One record stands for up to 32 per-lane
+// stores; lo >= hi is the empty record. Its lanes are always valid in
+// mruValid.
+type mruRange struct {
+	lo, hi int
+	addr   uint64
+	shift  uint
+}
+
+// sector is lane l's MRU sector under the record.
+func (r *mruRange) sector(l int) uint64 { return (r.addr + uint64(l)<<r.shift) >> 5 }
+
+// flattenMRU writes the record's lanes outside lo..hi-1 into mru and
+// empties the record, so that mru alone holds every lane but lo..hi-1.
+func (w *Warp) flattenMRU(lo, hi int) {
+	r := &w.rec
+	for l := r.lo; l < min(r.hi, lo); l++ {
+		w.mru[l&(WarpSize-1)] = r.sector(l)
+	}
+	for l := max(r.lo, hi); l < r.hi; l++ {
+		w.mru[l&(WarpSize-1)] = r.sector(l)
+	}
+	r.lo, r.hi = 0, 0
+}
 
 // access is the coalescing unit. For each active lane it computes the
 // touched 32-byte sector of element idx[lane], whose width is 1<<elemShift
@@ -149,6 +176,9 @@ func (w *Warp) InvalidateMRU() { w.mruValid = 0 }
 // which real allocators guarantee too.
 func (w *Warp) access(buf *memsys.Buffer, idx *[WarpSize]int64, elemShift uint, mask Mask, write bool) {
 	w.ks.WarpInstrs++
+	if !write {
+		w.flattenMRU(0, 0)
+	}
 	sp, uniform := buf.UniformSpace()
 	zc := sp == memsys.SpaceHostPinned
 	n := 0
@@ -183,73 +213,121 @@ func (w *Warp) access(buf *memsys.Buffer, idx *[WarpSize]int64, elemShift uint, 
 
 // accessRange is access for a contiguous lane range: lanes lo..hi-1
 // (0 <= lo <= hi <= WarpSize) touch the consecutive elements base+lo …
-// base+hi-1. It is the merged kernels' edge gather (§4.3.1) and, with
-// lo = 0 and hi = 1 or 2, the scalar and pair loads and stores. The
-// sectors come straight from the range, with no index array and no bit
-// scan: it steps from sector to sector, so the list is sorted and free of
-// repeats by construction, and within a sector it only runs each lane's
-// L1 filter. The hit and zero-copy lanes are gathered as masks and counted
-// once, and every lane stores its MRU entry, hit or not (a hit stores the
-// sector it already held). Every effect is that of access with
-// idx[l] = base+l under the mask of lanes lo..hi-1 — each lane's space,
-// MRU update and hit or miss, and the sectors, requests, reorder-window
-// entries and UVM touches that follow (FuzzCoalescer pins the range path
-// against both the lane path and the reference coalescer).
+// base+hi-1. It is the merged kernels' edge gather (§4.3.1) and the pair
+// load. Its sectors are first..last, ascending and free of repeats by
+// construction. A read first asks mayHit whether any lane can hit its
+// MRU sector; when none can, every lane misses, all of first..last are
+// requested and the range becomes the warp's MRU record. When one might,
+// it runs access with idx[l] = base+l under the mask of lanes lo..hi-1.
+// Every effect is that of that access call — each lane's space, MRU entry
+// and hit or miss, and the sectors, requests, reorder-window entries and
+// UVM touches that follow (FuzzCoalescer pins the range path against both
+// the lane path and the reference coalescer).
 func (w *Warp) accessRange(buf *memsys.Buffer, base int64, elemShift uint, lo, hi int, write bool) {
-	w.ks.WarpInstrs++
+	if lo >= hi {
+		w.ks.WarpInstrs++
+		return
+	}
+	// Lane l reads addr + l<<elemShift; addr wraps for a negative base,
+	// but the lanes' addresses do not.
+	addr := buf.Base + uint64(base)<<elemShift
+	first := (addr + uint64(lo)<<elemShift) >> 5
+	last := (addr + uint64(hi-1)<<elemShift) >> 5
 	sp, uniform := buf.UniformSpace()
-	// zcLanes is the range's lanes served zero-copy; hits its MRU hits.
-	var zcLanes, hits uint32
 	if !write {
+		span := laneSpan(lo, hi)
+		if w.mayHit(addr, elemShift, lo, hi, span) {
+			var idx [WarpSize]int64
+			for l := lo; l < hi; l++ {
+				idx[l] = base + int64(l)
+			}
+			w.access(buf, &idx, elemShift, Mask(span), false)
+			return
+		}
+		// Every lane misses: a zero-copy lane is streaming (see mruHit).
 		if uniform {
 			if sp == memsys.SpaceHostPinned {
-				zcLanes = laneSpan(lo, hi)
+				w.zcLanes |= span
 			}
 		} else {
-			for lane := lo; lane < hi; lane++ {
-				if buf.SpaceAt((base+int64(lane))<<elemShift) == memsys.SpaceHostPinned {
-					zcLanes |= 1 << uint(lane)
+			for l := lo; l < hi; l++ {
+				if buf.SpaceAt((base+int64(l))<<elemShift) == memsys.SpaceHostPinned {
+					w.zcLanes |= 1 << uint(l)
 				}
 			}
 		}
+		w.flattenMRU(lo, hi)
+		w.rec = mruRange{lo: lo, hi: hi, addr: addr, shift: elemShift}
+		w.mruValid |= span
 	}
-	valid := w.mruValid
-	mru := &w.mru
+	w.ks.WarpInstrs++
+	if uniform && sp == memsys.SpaceGPU {
+		w.ks.HBMBytes += (last - first + 1) * memsys.SectorBytes
+		return
+	}
 	n := 0
-	for lane := lo; lane < hi; {
-		addr := buf.Base + uint64(base+int64(lane))<<elemShift
-		sector := addr >> 5
-		// The lanes whose element starts in this sector.
-		end := min(hi, lane+int((memsys.SectorBytes-addr&(memsys.SectorBytes-1)+1<<elemShift-1)>>elemShift))
-		if !write {
-			// Each lane hits when its valid MRU entry is this sector, and
-			// takes the sector as its MRU entry either way.
-			span := laneSpan(lane, end)
-			var same uint32
-			for ; lane < end; lane++ {
-				if mru[lane&(WarpSize-1)] == sector {
-					same |= 1 << uint(lane)
-				}
-				mru[lane&(WarpSize-1)] = sector
-			}
-			hit := same & valid
-			hits |= hit
-			if hit == span {
-				continue
-			}
-		}
-		lane = end
-		w.sectors[n] = sector
+	for s := first; s <= last; s++ {
+		w.sectors[n] = s
 		n++
 	}
-	if !write {
-		// A zero-copy hit is a potential reuse for the thrash model and a
-		// zero-copy miss marks its lane as streaming (see mruHit).
-		w.mruValid = valid | laneSpan(lo, hi)
-		w.ks.ZCSectorReuses += uint64(bits.OnesCount32(hits & zcLanes))
-		w.zcLanes |= zcLanes &^ hits
-	}
 	w.emit(buf, sp, uniform, n, true)
+}
+
+// mayHit reports whether some lane l of lo..hi-1 (the mask span) might hit
+// its MRU sector on a read of addr + l<<shift. False is exact: no lane
+// hits. Valid lanes outside the record are compared one by one (a scalar
+// load's lane 0, or what the lane path left); the record's lanes are
+// decided at once. With equal shifts a record lane's old and new
+// addresses differ by the same d, so |d| >= 32 puts them in different
+// sectors. Otherwise both sector sequences ascend with the lane, so over
+// the shared lanes they can only meet when their spans overlap.
+func (w *Warp) mayHit(addr uint64, shift uint, lo, hi int, span uint32) bool {
+	r := &w.rec
+	for m := w.mruValid & span &^ laneSpan(r.lo, r.hi); m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		if w.mru[l] == (addr+uint64(l)<<shift)>>5 {
+			return true
+		}
+	}
+	olo, ohi := max(lo, r.lo), min(hi, r.hi)
+	if olo >= ohi {
+		return false
+	}
+	if r.shift == shift {
+		if d := int64(addr - r.addr); d >= memsys.SectorBytes || d <= -memsys.SectorBytes {
+			return false
+		}
+	}
+	return r.sector(olo) <= (addr+uint64(ohi-1)<<shift)>>5 && (addr+uint64(olo)<<shift)>>5 <= r.sector(ohi-1)
+}
+
+// accessOne is access for lane 0 alone on element idx: the scalar loads,
+// stores and atomics.
+func (w *Warp) accessOne(buf *memsys.Buffer, idx int64, elemShift uint, write bool) {
+	w.ks.WarpInstrs++
+	off := idx << elemShift
+	sector := (buf.Base + uint64(off)) >> 5
+	sp, uniform := buf.UniformSpace()
+	if !write {
+		if r := &w.rec; r.lo == 0 && r.hi > 0 {
+			// Lane 0 leaves the record for mru[0].
+			w.mru[0] = r.sector(0)
+			r.lo = 1
+		}
+		zc := sp == memsys.SpaceHostPinned
+		if !uniform {
+			zc = buf.SpaceAt(off) == memsys.SpaceHostPinned
+		}
+		if w.mruHit(0, sector, zc) {
+			return
+		}
+	}
+	if uniform && sp == memsys.SpaceGPU {
+		w.ks.HBMBytes += memsys.SectorBytes
+		return
+	}
+	w.sectors[0] = sector
+	w.emit(buf, sp, uniform, 1, true)
 }
 
 // laneSpan is the mask of lanes lo..hi-1.
@@ -500,13 +578,13 @@ func (w *Warp) ScatterU32(buf *memsys.Buffer, idx *[WarpSize]int64, val *[WarpSi
 // ScalarU64 loads one 64-bit element through lane 0 (a uniform load
 // broadcast to the warp).
 func (w *Warp) ScalarU64(buf *memsys.Buffer, idx int64) uint64 {
-	w.accessRange(buf, idx, 3, 0, 1, false)
+	w.accessOne(buf, idx, 3, false)
 	return buf.AtomicU64(idx)
 }
 
 // ScalarU32 loads one 32-bit element through lane 0.
 func (w *Warp) ScalarU32(buf *memsys.Buffer, idx int64) uint32 {
-	w.accessRange(buf, idx, 2, 0, 1, false)
+	w.accessOne(buf, idx, 2, false)
 	return buf.AtomicU32(idx)
 }
 
@@ -520,8 +598,41 @@ func (w *Warp) PairU64(buf *memsys.Buffer, idx int64) (uint64, uint64) {
 
 // StoreScalarU32 stores one 32-bit element through lane 0.
 func (w *Warp) StoreScalarU32(buf *memsys.Buffer, idx int64, v uint32) {
-	w.accessRange(buf, idx, 2, 0, 1, true)
+	w.accessOne(buf, idx, 2, true)
 	buf.AtomicPutU32(idx, v)
+}
+
+// sectorCount counts the distinct sectors of an atomic's lanes as its
+// lane loop applies them, in ascending lane order, while the sectors do
+// not descend — a visitor's atomics on a sorted neighbor list. desc
+// records that one did, and the count is then unused.
+type sectorCount struct {
+	n, last uint64
+	desc    bool
+}
+
+func (c *sectorCount) add(addr uint64) {
+	switch s := addr >> 5; {
+	case c.n == 0 || s > c.last:
+		c.n++
+		c.last = s
+	case s < c.last:
+		c.desc = true
+	}
+}
+
+// chargeAtomic charges an atomic's traffic after its lane loop counted the
+// lanes' sectors in c. Uniform device memory only counts the distinct
+// sectors' bytes (see emit), so unless they descended it takes c's count;
+// every other case runs access. The loop applies data only, so charging
+// after it is charging before it.
+func (w *Warp) chargeAtomic(buf *memsys.Buffer, idx *[WarpSize]int64, elemShift uint, mask Mask, c *sectorCount) {
+	if sp, uniform := buf.UniformSpace(); uniform && sp == memsys.SpaceGPU && !c.desc {
+		w.ks.WarpInstrs++
+		w.ks.HBMBytes += c.n * memsys.SectorBytes
+		return
+	}
+	w.access(buf, idx, elemShift, mask, true)
 }
 
 // RelaxMinU32 performs per-lane atomicMin on buf[idx[i]] with val[i] and
@@ -534,28 +645,32 @@ func (w *Warp) StoreScalarU32(buf *memsys.Buffer, idx int64, v uint32) {
 // must only use the mask in order-insensitive ways (see DESIGN.md,
 // "Parallel execution engine").
 func (w *Warp) RelaxMinU32(buf *memsys.Buffer, idx *[WarpSize]int64, val *[WarpSize]uint32, mask Mask) Mask {
-	w.access(buf, idx, 2, mask, true)
 	var won Mask
+	var c sectorCount
 	for m := uint32(mask); m != 0; m &= m - 1 {
 		i := bits.TrailingZeros32(m)
+		c.add(buf.Base + uint64(idx[i])<<2)
 		if v := val[i]; v < buf.AtomicMinU32(idx[i], v) {
 			won |= 1 << uint(i)
 		}
 	}
+	w.chargeAtomic(buf, idx, 2, mask, &c)
 	return won
 }
 
 // RelaxMaxU32 is RelaxMinU32 with atomicMax: it returns the lanes whose
 // value it raised, under the same ordering caveats.
 func (w *Warp) RelaxMaxU32(buf *memsys.Buffer, idx *[WarpSize]int64, val *[WarpSize]uint32, mask Mask) Mask {
-	w.access(buf, idx, 2, mask, true)
 	var won Mask
+	var c sectorCount
 	for m := uint32(mask); m != 0; m &= m - 1 {
 		i := bits.TrailingZeros32(m)
+		c.add(buf.Base + uint64(idx[i])<<2)
 		if v := val[i]; v > buf.AtomicMaxU32(idx[i], v) {
 			won |= 1 << uint(i)
 		}
 	}
+	w.chargeAtomic(buf, idx, 2, mask, &c)
 	return won
 }
 
@@ -566,26 +681,34 @@ func (w *Warp) RelaxMaxU32(buf *memsys.Buffer, idx *[WarpSize]int64, val *[WarpS
 // bit — while its requests depend on mask alone. Like min, OR commutes, so
 // the final buffer state is independent of warp execution order.
 func (w *Warp) AtomicOrLanesU32(buf *memsys.Buffer, idx *[WarpSize]int64, v uint32, mask, set Mask) {
-	w.access(buf, idx, 2, mask, true)
-	for m := uint32(set & mask); m != 0; m &= m - 1 {
+	var c sectorCount
+	for m := uint32(mask); m != 0; m &= m - 1 {
 		i := bits.TrailingZeros32(m)
-		buf.AtomicOrU32(idx[i], v)
+		c.add(buf.Base + uint64(idx[i])<<2)
+		if set.Has(i) {
+			buf.AtomicOrU32(idx[i], v)
+		}
 	}
+	w.chargeAtomic(buf, idx, 2, mask, &c)
 }
 
 // AtomicOrLanesU64 is AtomicOrLanesU32 on 64-bit elements. The batched
 // traversal engine uses it to set a query lane's bit in the next-frontier
 // bitmask words of the destinations that query improved.
 func (w *Warp) AtomicOrLanesU64(buf *memsys.Buffer, idx *[WarpSize]int64, v uint64, mask, set Mask) {
-	w.access(buf, idx, 3, mask, true)
-	for m := uint32(set & mask); m != 0; m &= m - 1 {
+	var c sectorCount
+	for m := uint32(mask); m != 0; m &= m - 1 {
 		i := bits.TrailingZeros32(m)
-		buf.AtomicOrU64(idx[i], v)
+		c.add(buf.Base + uint64(idx[i])<<3)
+		if set.Has(i) {
+			buf.AtomicOrU64(idx[i], v)
+		}
 	}
+	w.chargeAtomic(buf, idx, 3, mask, &c)
 }
 
 // AtomicOrScalarU32 performs one atomicOr on buf[idx] through lane 0.
 func (w *Warp) AtomicOrScalarU32(buf *memsys.Buffer, idx int64, v uint32) uint32 {
-	w.accessRange(buf, idx, 2, 0, 1, true)
+	w.accessOne(buf, idx, 2, true)
 	return buf.AtomicOrU32(idx, v)
 }

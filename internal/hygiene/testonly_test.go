@@ -15,7 +15,6 @@ import (
 // that tests in another package need and no production API expresses.
 var testOnlyAllowlist = map[string]string{
 	"graph.ReachableCount":         "reference oracle in ref.go: core tests count the vertices a traversal reached",
-	"gpu.(*Warp).InvalidateMRU":    "fixture: the root package's BenchmarkCoalescer clears lane reuse so every timed op issues its requests",
 	"memsys.(*Arena).MustAlloc":    "fixture: gpu, uvm and root-package tests allocate buffers whose capacity is known to suffice",
 	"memsys.WithBaseOffset":        "fixture: gpu and core tests place edge lists off a 128-byte boundary to cover misaligned bases",
 	"telemetry.(*Histogram).Count": "fixture: service tests count per-stage and batch-size observations",
